@@ -123,9 +123,19 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"n_up={cfg.n_up} out of range [0, {cfg.n_sites}]")
     if not cfg.delta2_list:
         raise ConfigError("delta2_list is empty")
+    names: dict[str, float] = {}
     for d2 in cfg.delta2_list:
         if not math.isfinite(d2):
             raise ConfigError(f"delta2 value {d2!r} is not finite")
+        # Output tables and cache files are named by f"{d2:g}"; two
+        # couplings with one name would overwrite each other.
+        name = f"{d2:g}"
+        if name in names:
+            raise ConfigError(
+                f"delta2 values {names[name]!r} and {d2!r} both render as "
+                f"{name!r} in file names; give distinct couplings"
+            )
+        names[name] = d2
     if cfg.n_bins < 1:
         raise ConfigError(f"n_bins={cfg.n_bins} must be >= 1")
     if cfg.min_shell_count < 1:

@@ -13,7 +13,13 @@ from .spectral import (
     degenerate_multiplets,
     multiplet_flags,
 )
-from .states import PSD_TOL, BipartitionSpec, averaged_rdm
+from .states import (
+    PSD_TOL,
+    BipartitionSpec,
+    averaged_rdm,
+    gather_blocks,
+    sz_blocks,
+)
 from .errors import NumericsError
 
 DEFAULT_MIN_COUNT = 10
@@ -30,9 +36,12 @@ def subsystem_entropies(
 ) -> np.ndarray:
     """S_VN of the leading-block RDM for each selected eigenket.
 
-    Vectorized over chunks of eigenvectors: scatter into the full space,
-    reshape to (d_A, d_B) blocks, and batch-diagonalize M M+.  Output order
-    follows `indices` (all eigenkets, ascending, when omitted).
+    Inside the sector rho_A = (+)_k M_k M_k^T, block-diagonal in k, the
+    number of up spins on sites 1..l1 (see states.sz_blocks).  Per chunk of
+    kets each M_k is gathered (states.gather_blocks) and batch-diagonalized
+    through the smaller of M_k M_k^T and M_k^T M_k, which share their
+    nonzero spectrum; no 2^N vector is formed.  Output order follows
+    `indices` (all eigenkets, ascending, when omitted).
     """
     if basis is None:
         basis = basis_from_tag(spec.basis_tag)
@@ -41,22 +50,17 @@ def subsystem_entropies(
     if indices is None:
         indices = np.arange(spec.dim)
     indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty(len(indices))
-    # Chunk so the scattered full-space block stays near 32 MB.
-    chunk = max(1, (1 << 22) // (1 << part.n_sites))
-    full = np.zeros((chunk, 1 << part.n_sites))
-    for start in range(0, len(indices), chunk):
-        sel = indices[start : start + chunk]
-        block = full[: len(sel)]
-        block[:, basis.states] = spec.eigenvectors[:, sel].T
-        m = block.reshape(len(sel), part.dim_a, part.dim_b)
-        rho = np.einsum("nab,ncb->nac", m, m)
-        vals = np.linalg.eigvalsh(rho)
+    blocks = sz_blocks(part.n_sites, basis.n_up, part.l1)
+    out = np.zeros(len(indices))
+    for start, block, m in gather_blocks(spec.eigenvectors, indices, blocks):
+        n_a, n_b = block.shape
+        mt = m.transpose(0, 2, 1)
+        vals = np.linalg.eigvalsh(m @ mt if n_a <= n_b else mt @ m)
         low = vals.min()
         if low < -PSD_TOL:
             raise NumericsError(f"RDM eigenvalue {low:g} below -{PSD_TOL:g}")
         vals = np.where(vals > 0.0, vals, 1.0)  # 0 ln 0 = 0 via ln 1
-        out[start : start + len(sel)] = -(vals * np.log(vals)).sum(axis=1)
+        out[start : start + len(m)] -= (vals * np.log(vals)).sum(axis=1)
     return out
 
 

@@ -227,10 +227,15 @@ def save_spectrum(spec: Spectrum, path) -> None:
         + evecs.tobytes(order="F")
     )
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.write(_checksum(blob))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.write(_checksum(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:

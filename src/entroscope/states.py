@@ -2,10 +2,12 @@
 trace, projective measurement, and seeded random generators for property
 sweeps."""
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from .basis import SpinBasis, basis_from_tag
+from .basis import SpinBasis, basis_from_tag, enumerate_sector
 from .errors import NumericsError
 from .spectral import EnergyShell, Spectrum
 
@@ -225,6 +227,65 @@ def partial_trace_bath(
     return DensityMatrix(matrix=rho_b, space_tag=full_tag(part.n_sites - part.l1))
 
 
+@dataclass(frozen=True)
+class SzBlock:
+    """Rows of one S^z block of rho_A inside a fixed-n_up sector.
+
+    `rows` are the sector positions whose sites 1..l1 hold k up spins, in
+    sector order.  Ascending A-major masks give every A-part one run of the
+    same C(N-l1, n_up-k) bath configurations, so a ket's amplitudes at `rows`
+    reshape to M_k of `shape`, with row i belonging to leading-block mask
+    `a_masks[i]`.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    a_masks: np.ndarray = field(repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n_a = len(self.a_masks)
+        return n_a, len(self.rows) // n_a
+
+
+@lru_cache(maxsize=64)
+def sz_blocks(n_sites: int, n_up: int, l1: int) -> tuple[SzBlock, ...]:
+    """Block layout of rho_A = (+)_k M_k M_k^T for one sector and bipartition.
+
+    One block per feasible k (up spins among sites 1..l1), ascending; the
+    arrays are read-only because every caller shares the memoised result.
+    """
+    states = enumerate_sector(n_sites, n_up).states
+    n_b = n_sites - l1
+    a = states >> n_b
+    k_of_row = np.bitwise_count(a)
+    blocks = []
+    for k in range(max(0, n_up - n_b), min(l1, n_up) + 1):
+        rows = np.flatnonzero(k_of_row == k)
+        a_masks = np.unique(a[rows])
+        assert len(rows) == len(a_masks) * comb(n_b, n_up - k)
+        rows.setflags(write=False)
+        a_masks.setflags(write=False)
+        blocks.append(SzBlock(rows=rows, a_masks=a_masks))
+    return tuple(blocks)
+
+
+def gather_blocks(eigenvectors: np.ndarray, indices: np.ndarray, blocks):
+    """Yield (start, block, m) for the kets indices[start:start + len(m)].
+
+    m holds those kets' M_k for `block`, shape (kets, *block.shape).  Each
+    chunk is first gathered into a C-ordered buffer of its own, so the bytes
+    never depend on the layout of `eigenvectors`.  That buffer holds about
+    1 MB and one block's copy is no larger: bigger chunks ran no faster and
+    left more heap resident, raising peak RSS.
+    """
+    step = max(1, (1 << 17) // eigenvectors.shape[0])
+    for start in range(0, len(indices), step):
+        amps = eigenvectors.T[indices[start : start + step]]
+        for block in blocks:
+            m = np.take(amps, block.rows, axis=1)
+            yield start, block, m.reshape(len(amps), *block.shape)
+
+
 def averaged_rdm(
     spec: Spectrum,
     shell: EnergyShell,
@@ -233,8 +294,11 @@ def averaged_rdm(
 ) -> DensityMatrix:
     """Shell-averaged reduced density matrix (1/d_E) sum_n Tr_B |n><n|.
 
-    Equals Tr_B of the microcanonical state by linearity; the reduction runs
-    in ascending eigenindex order.
+    Equals Tr_B of the microcanonical state by linearity.  Inside the sector
+    the average is block-diagonal in k (see sz_blocks): block k sums the
+    members' M_k M_k^T, computed as one batched product per chunk, and sits
+    at its `a_masks` rows and columns of the 2^l1 matrix.  No 2^N vector is
+    formed.
     """
     if shell.count == 0:
         raise ValueError("averaged RDM of an empty shell is undefined")
@@ -242,12 +306,11 @@ def averaged_rdm(
         basis = basis_from_tag(spec.basis_tag)
     if basis.n_sites != part.n_sites:
         raise ValueError("basis and bipartition disagree on n_sites")
+    blocks = sz_blocks(part.n_sites, basis.n_up, part.l1)
     acc = np.zeros((part.dim_a, part.dim_a))
-    full = np.zeros(1 << part.n_sites)
-    for n in shell.member_indices:
-        full[basis.states] = spec.eigenvectors[:, n]
-        m = full.reshape(part.dim_a, part.dim_b)
-        acc += m @ m.T
+    for _, block, m in gather_blocks(spec.eigenvectors, shell.member_indices, blocks):
+        at = np.ix_(block.a_masks, block.a_masks)
+        acc[at] += (m @ m.transpose(0, 2, 1)).sum(axis=0)
     acc /= shell.count
     acc = 0.5 * (acc + acc.T)
     return DensityMatrix(matrix=acc, space_tag=full_tag(part.l1))

@@ -1,6 +1,7 @@
 """Config parsing: defaults, file format, precedence, validation."""
 import pytest
 
+from entroscope.cli import main
 from entroscope.config import RunConfig, parse_config, read_config_file, validate
 from entroscope.errors import ConfigError
 
@@ -95,6 +96,31 @@ def test_validation_failures(overrides):
     base.update(overrides)
     with pytest.raises(ConfigError):
         parse_config(None, base)
+
+
+@pytest.mark.parametrize(
+    "couplings", [(0.1, 0.1000001), (0.5, 0.5), (0.0, 1.0, 1.00000001)]
+)
+def test_delta2_values_sharing_a_file_name_rejected(couplings):
+    # Tables and cache files are named by f"{d2:g}"; a collision would let
+    # one coupling overwrite the other.
+    with pytest.raises(ConfigError, match="delta2"):
+        parse_config(None, {"experiment": "shell-average", "delta2_list": couplings})
+
+
+def test_delta2_collision_exits_2_before_writing(tmp_path):
+    out = tmp_path / "o"
+    rc = main(["shell-average", "--n-sites", "6", "--delta2", "0.1",
+               "--delta2", "0.1000001", "--cache", "off", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_delta2_values_with_distinct_names_accepted():
+    cfg = parse_config(
+        None, {"experiment": "shell-average", "delta2_list": (0.1, 0.100001, 1e-7)}
+    )
+    assert cfg.delta2_list == (0.1, 0.100001, 1e-7)
 
 
 def test_l1_and_range_conflict():

@@ -165,6 +165,23 @@ def test_load_rejects_corruption(tmp_path):
         es.load_spectrum(path, expect_params=wrong)
 
 
+@pytest.mark.parametrize("failing", ["_checksum", "replace"])
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, failing):
+    spec, _, params = _spec(4, 2, 0.0)
+    path = es.spectrum_cache_path(tmp_path, params, 2)
+
+    def boom(*args):
+        raise OSError("forced failure")
+
+    if failing == "replace":
+        monkeypatch.setattr(es.spectral.os, "replace", boom)
+    else:  # raises mid-write, after the payload went to the temp file
+        monkeypatch.setattr(es.spectral, failing, boom)
+    with pytest.raises(OSError, match="forced failure"):
+        es.save_spectrum(spec, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_requires_params(tmp_path):
     spec, _, _ = _spec(4, 2, 0.0)
     bare = Spectrum(

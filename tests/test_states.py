@@ -1,5 +1,7 @@
 """State algebra: embedding, mixtures, thermal states, partial trace,
 measurement, and the seeded random generators."""
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import entroscope as es
 import oracles
 from entroscope.errors import NumericsError
-from entroscope.spectral import Spectrum
+from entroscope.experiments import subsystem_entropies
+from entroscope.spectral import EnergyShell, Spectrum
 from entroscope.states import (
     full_tag,
     gibbs_weights,
@@ -278,6 +281,71 @@ def test_averaged_rdm_singleton_and_linearity(spec10):
         es.DensityMatrix(matrix=full, space_tag=full_tag(10)), part
     )
     assert np.linalg.norm(rho_bar.matrix - traced.matrix) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Sz-block kernel: per-ket entropies and averaged RDMs against the 2^N path.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _sector_spectrum(n_sites, n_up):
+    params = es.ModelParams(n_sites=n_sites, delta2=0.5)
+    basis = es.enumerate_sector(n_sites, n_up)
+    return es.diagonalize_model(es.build_hamiltonian(basis, params), params)
+
+
+# Every sector of N = 6, 7 and every cut: this includes one-dimensional
+# sectors (n_up = 0, N) and cuts where some k blocks are empty.
+SZ_CASES = [
+    (n, n_up, l1) for n in (6, 7) for n_up in range(n + 1) for l1 in range(1, n)
+]
+
+
+@pytest.mark.parametrize("n_sites,n_up,l1", SZ_CASES)
+def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
+    spec = _sector_spectrum(n_sites, n_up)
+    basis = es.basis_from_tag(spec.basis_tag)
+    part = es.BipartitionSpec(n_sites, l1)
+
+    s = subsystem_entropies(spec, part)
+    for n in range(spec.dim):
+        psi = es.embed_sector_state(basis, spec.eigenvectors[:, n])
+        assert abs(s[n] - es.von_neumann(es.partial_trace(psi, part))) <= 1e-12
+
+    shell = EnergyShell(
+        lower=-np.inf, upper=np.inf, member_indices=np.arange(0, spec.dim, 2)
+    )
+    rho_bar = es.averaged_rdm(spec, shell, part)
+    full = np.zeros((1 << n_sites, 1 << n_sites))
+    full[np.ix_(basis.states, basis.states)] = es.microcanonical(spec, shell).matrix
+    traced = es.partial_trace(
+        es.DensityMatrix(matrix=full, space_tag=full_tag(n_sites)), part
+    )
+    assert np.abs(rho_bar.matrix - traced.matrix).max() <= 1e-12
+
+
+def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
+    # A cache load gives F-ordered eigenvectors, a fresh eigh C-ordered ones;
+    # the tables must not change by a single bit.  N=14 spans several chunks.
+    spec = spec14[0.5]
+    part = es.BipartitionSpec(14, 5)
+    shell = es.partition_shells(spec, 40).shells[20]
+    outs = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        copy = Spectrum(
+            eigenvalues=spec.eigenvalues,
+            eigenvectors=layout(spec.eigenvectors.copy()),
+            basis_tag=spec.basis_tag,
+        )
+        picked = np.arange(spec.dim)[::-1]
+        outs.append((
+            subsystem_entropies(copy, part, indices=picked),
+            es.averaged_rdm(copy, shell, part).matrix,
+        ))
+    (s_c, rho_c), (s_f, rho_f) = outs
+    assert s_c.tobytes() == s_f.tobytes()
+    assert rho_c.tobytes() == rho_f.tobytes()
 
 
 # ---------------------------------------------------------------------------
