@@ -3,8 +3,8 @@
 
 Runs every experiment through the CLI entry point so each output directory
 gets its own checksummed manifest.  Spectra are shared through one cache,
-so the two dense diagonalizations (dim 3432) happen once.  A few minutes
-end to end on a laptop.
+so the two eigensolves (dim 3432, four symmetry blocks each) happen once.
+About ten seconds end to end on a 2-core machine.
 
 Usage: python3 scripts/run_desk_scale.py [out_root]
 """
@@ -30,7 +30,8 @@ def pipeline(out_root):
     run("shell-average", out_root, *scan)
     run("gamma-fit", out_root, *scan)
     run("volume-law", out_root, "--n-sites", "14", "--bins", "40", *both)
-    # census diagonalizes all 15 Sz sectors (eigenvalues only)
+    # census: eigenvalues per symmetry block of the 8 sectors n_up <= 7;
+    # spin flip gives the other 7
     run("degeneracy-census", out_root, "--n-sites", "14", *both)
     run("property-suite", out_root, "--seed", "42")
     print(f"artifacts under {out_root}/")

@@ -1,5 +1,13 @@
 """Exact-diagonalization laboratory for entropy scaling in spin-1/2 chains."""
-from .basis import SpinBasis, basis_from_tag, enumerate_sector, index_of, indices_of
+from .basis import (
+    SpinBasis,
+    SymmetryBlock,
+    basis_from_tag,
+    enumerate_sector,
+    index_of,
+    indices_of,
+    symmetry_blocks,
+)
 from .config import EXPERIMENTS, RunConfig, parse_config, read_config_file
 from .entropy import (
     QGibbsResult,
@@ -26,6 +34,7 @@ from .experiments import (
     VolumeLawTable,
     degeneracy_census,
     fit_entropy_vs_lndos,
+    mean_spacing_ratio,
     run_eigenket_scan,
     run_shell_average,
     run_volume_law,
@@ -42,6 +51,7 @@ from .spectral import (
     DosTable,
     EnergyShell,
     Spectrum,
+    block_eigenvalues,
     degenerate_multiplets,
     diagonalize,
     diagonalize_model,

@@ -5,12 +5,18 @@ Configurations are bit masks with site 1 in the most significant bit
 convention a full-space wavefunction reshapes directly into a
 (2^l1, 2^(N-l1)) matrix whose row index enumerates sites 1..l1, so the
 partial trace needs no permutation.
+
+The open chain is symmetric under site reversal R (bit reversal of the
+mask) and, at half filling, under the global spin flip F (complement of
+the mask); symmetry_blocks splits a sector into the irreps of that group.
 """
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
+import scipy.sparse
 
 # Above this the full 2^N scan (and everything downstream) stops fitting
 # comfortably in memory.
@@ -75,6 +81,74 @@ def indices_of(basis: SpinBasis, masks: np.ndarray) -> np.ndarray:
     if np.any(basis.states[safe] != masks):
         raise ValueError("some masks are not members of the sector")
     return idx
+
+
+@dataclass(frozen=True)
+class SymmetryBlock:
+    """One irrep of the sector's reflection (x spin-flip) group.
+
+    `isometry` is a sparse dim x block_dim matrix with orthonormal columns,
+    one per orbit whose symmetrized state survives in this irrep.  `label`
+    gives the irrep's R (and F) characters, e.g. "R+F-".
+    """
+
+    label: str
+    isometry: scipy.sparse.csr_matrix = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.isometry.shape[1]
+
+
+def symmetry_blocks(basis: SpinBasis) -> tuple[SymmetryBlock, ...]:
+    """Nonempty irreps of {1, R}, or of {1, R, F, RF} when 2*n_up == N.
+
+    Together the isometries form an orthogonal matrix; any operator that
+    commutes with the group is block-diagonal in them.  Memoised per sector.
+    """
+    return _symmetry_blocks(basis.n_sites, basis.n_up)
+
+
+@lru_cache(maxsize=64)
+def _symmetry_blocks(n_sites: int, n_up: int) -> tuple[SymmetryBlock, ...]:
+    basis = enumerate_sector(n_sites, n_up)
+    states = basis.states
+    reversed_masks = np.zeros_like(states)
+    for k in range(n_sites):
+        reversed_masks |= ((states >> k) & 1) << (n_sites - 1 - k)
+    # Each group element as a permutation of sector indices.
+    perms = [np.arange(basis.dim), indices_of(basis, reversed_masks)]
+    has_flip = 2 * n_up == n_sites
+    if has_flip:
+        flip = indices_of(basis, states ^ ((1 << n_sites) - 1))
+        perms += [flip, perms[1][flip]]
+    # An orbit is represented by its smallest index.
+    reps = np.flatnonzero(np.min(perms, axis=0) == perms[0])
+    rows = np.concatenate([p[reps] for p in perms])
+    cols = np.tile(np.arange(len(reps)), len(perms))
+    blocks = []
+    for r in (1, -1):
+        for f in (1, -1) if has_flip else (1,):
+            chars = [1, r, f, r * f][: len(perms)]
+            vals = np.repeat(np.array(chars, dtype=float), len(reps))
+            # Duplicate entries add up: orbits with a stabilizer element of
+            # character -1 cancel to an all-zero column, which is dropped.
+            u = scipy.sparse.csc_matrix(
+                (vals, (rows, cols)), shape=(basis.dim, len(reps))
+            )
+            u.eliminate_zeros()
+            norms = np.sqrt(np.asarray(u.multiply(u).sum(axis=0)).ravel())
+            keep = np.flatnonzero(norms)
+            if len(keep) == 0:
+                continue
+            u = (u[:, keep] @ scipy.sparse.diags(1.0 / norms[keep])).tocsr()
+            for arr in (u.data, u.indices, u.indptr):
+                arr.setflags(write=False)
+            label = f"R{'+' if r > 0 else '-'}"
+            if has_flip:
+                label += f"F{'+' if f > 0 else '-'}"
+            blocks.append(SymmetryBlock(label=label, isometry=u))
+    return tuple(blocks)
 
 
 def basis_from_tag(tag: str) -> SpinBasis:

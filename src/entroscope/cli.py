@@ -1,6 +1,7 @@
 """Command-line front end: config merge, spectrum cache, experiment
 dispatch, and CSV/JSON emission with a checksummed manifest."""
 import argparse
+import fcntl
 import hashlib
 import json
 import math
@@ -27,6 +28,7 @@ from .errors import ConfigError, EntroscopeError, NumericsError, StorageError
 from .experiments import (
     degeneracy_census,
     fit_entropy_vs_lndos,
+    mean_spacing_ratio,
     run_eigenket_scan,
     run_shell_average,
     run_volume_law,
@@ -35,6 +37,7 @@ from .hamiltonian import ModelParams, build_hamiltonian
 from .properties import format_tap, run_property_suite
 from .spectral import (
     Spectrum,
+    block_eigenvalues,
     diagonalize_model,
     load_spectrum,
     partition_shells,
@@ -51,6 +54,8 @@ EXIT_IO = 4
 CACHE_DIR_ENV = "ENTROSCOPE_CACHE_DIR"
 LOCK_NAME = ".entroscope.lock"
 LN2 = math.log(2.0)
+# Smallest symmetry block whose level-spacing ratio the census records.
+R_MIN_DIM = 50
 
 
 @dataclass(frozen=True)
@@ -247,24 +252,29 @@ def _cmd_gamma_fit(cfg: RunConfig, cache_dir: str):
 
 
 def _cmd_degeneracy_census(cfg: RunConfig, cache_dir: str):
-    """Diagonalize every Sz sector (eigenvalues only) and census the merge."""
+    """Census the merged eigenvalues of every Sz sector.
+
+    Each sector is solved per symmetry block, eigenvalues only.  The spin
+    flip maps sector n_up onto N - n_up, so only n_up <= N/2 is solved and
+    its spectrum counts for both.  <r> is recorded per block of the middle
+    sector n_up = N // 2 (half filling for even N).
+    """
     files, extras = [], {}
+    n = cfg.n_sites
     for d2 in cfg.delta2_list:
-        params = ModelParams(n_sites=cfg.n_sites, delta2=d2)
-        merged = []
-        for n_up in range(cfg.n_sites + 1):
-            path = spectrum_cache_path(cache_dir, params, n_up)
-            evals = None
-            if cfg.cache == "use" and os.path.exists(path):
-                try:
-                    evals = load_spectrum(path, expect_params=params).eigenvalues
-                except StorageError:
-                    evals = None
-            if evals is None:
-                basis = enumerate_sector(cfg.n_sites, n_up)
-                h = build_hamiltonian(basis, params).to_dense()
-                evals = np.linalg.eigvalsh(h)
-            merged.append(evals)
+        params = ModelParams(n_sites=n, delta2=d2)
+        merged, r_mean = [], {}
+        for n_up in range(n // 2 + 1):
+            by_block = block_eigenvalues(
+                build_hamiltonian(enumerate_sector(n, n_up), params)
+            )
+            evals = np.concatenate(list(by_block.values()))
+            merged += [evals] if 2 * n_up == n else [evals, evals]
+            if n_up == n // 2:
+                r_mean = {
+                    label: mean_spacing_ratio(e)
+                    for label, e in by_block.items() if len(e) >= R_MIN_DIM
+                }
         census = degeneracy_census(np.concatenate(merged))
         rows = sorted(census.histogram.items())
         files.append(render_table(
@@ -273,6 +283,7 @@ def _cmd_degeneracy_census(cfg: RunConfig, cache_dir: str):
         extras[f"d2={d2:g}"] = {
             "n_levels": census.n_levels,
             "fraction_degenerate": census.fraction_degenerate,
+            "r_mean": r_mean,
         }
     return files, extras
 
@@ -303,18 +314,21 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def _acquire_lock(out_dir: str) -> str:
-    path = os.path.join(out_dir, LOCK_NAME)
+def _acquire_lock(out_dir: str) -> int:
+    """Hold an exclusive flock on the directory's lock file; returns its fd.
+
+    The kernel drops the lock when the fd closes or the process dies, so a
+    crashed run leaves nothing that blocks the next one.
+    """
+    fd = os.open(os.path.join(out_dir, LOCK_NAME), os.O_CREAT | os.O_WRONLY, 0o644)
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
         raise StorageError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {LOCK_NAME} if stale)"
+            f"output directory {out_dir} is locked by another run"
         ) from None
-    with os.fdopen(fd, "w") as fh:
-        fh.write(str(os.getpid()))
-    return path
+    return fd
 
 
 def run(cfg: RunConfig) -> int:
@@ -357,10 +371,7 @@ def run(cfg: RunConfig) -> int:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
     finally:
-        try:
-            os.unlink(lock)
-        except OSError:
-            pass
+        os.close(lock)
     if cfg.experiment == "property-suite" and not extras["all_ok"]:
         raise NumericsError(f"property checks failed: {extras['failed']}")
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Full symmetric eigendecomposition, DOS binning, and spectrum persistence."""
+"""Symmetry-resolved eigendecomposition, DOS binning, and spectrum persistence."""
 import hashlib
 import json
 import os
@@ -7,13 +7,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
+from .basis import basis_from_tag, symmetry_blocks
 from .errors import NumericsError, SpectrumChecksumError, SpectrumFormatError
 from .hamiltonian import DENSE_DIM_CAP, ModelParams, SymmetricOperator
 
 # Eigenvalues closer than this (scaled by max(1, |E|)) form a degenerate
 # multiplet; per-eigenket quantities inside one are basis-dependent.
 DEGENERACY_TOL = 1e-10
+# Largest off-block element of U^T H U tolerated before an operator counts
+# as breaking the sector symmetry.
+SYMMETRY_TOL = 1e-12
 
 _MAGIC = b"ENTROSPC"
 _VERSION = 1
@@ -71,26 +76,73 @@ class DosTable:
         return int(np.argmax(self.counts))
 
 
-def diagonalize(op: SymmetricOperator) -> Spectrum:
-    """Dense full eigendecomposition of a sector Hamiltonian."""
+def _solve_blocks(op: SymmetricOperator, solver):
+    """Apply `solver` to the dense U_b^T H U_b of each symmetry block.
+
+    Raises NumericsError when U^T H U has an entry above SYMMETRY_TOL
+    outside the diagonal blocks: op does not commute with the group, and a
+    block solve would be wrong.
+    """
     if op.dim > DENSE_DIM_CAP:
         raise ValueError(
             f"dim {op.dim} exceeds dense cap {DENSE_DIM_CAP}; full spectra "
             "need dense storage"
         )
-    mat = op.to_dense()
+    basis = basis_from_tag(op.basis_tag)
+    if basis.dim != op.dim:
+        raise ValueError(f"operator dim {op.dim} does not match sector {basis.tag}")
+    blocks = symmetry_blocks(basis)
+    u = scipy.sparse.hstack([b.isometry for b in blocks], format="csr")
+    t = (u.T @ (op.to_sparse() @ u)).tocoo()
+    block_of = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])
+    off = block_of[t.row] != block_of[t.col]
+    leak = float(np.abs(t.data[off]).max(initial=0.0))
+    if leak > SYMMETRY_TOL:
+        raise NumericsError(
+            f"{op.basis_tag}: operator breaks the sector symmetry "
+            f"(off-block element {leak:g})"
+        )
+    t = t.tocsr()
+    edges = np.cumsum([0] + [b.dim for b in blocks])
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(mat)
+        return blocks, [
+            solver(t[lo:hi, lo:hi].toarray()) for lo, hi in zip(edges, edges[1:])
+        ]
     except np.linalg.LinAlgError as err:
         raise NumericsError(
             f"symmetric eigensolver failed for dim={op.dim}, "
             f"basis_tag={op.basis_tag}: {err}"
         ) from err
+
+
+def diagonalize(op: SymmetricOperator) -> Spectrum:
+    """Full eigendecomposition of a sector Hamiltonian, block by block.
+
+    Each symmetry block is solved densely; the eigenvalues are merged with
+    a stable sort and each U_b V_b lands in its sorted columns of one
+    F-ordered matrix, so every eigenvector has a definite symmetry.
+    """
+    blocks, solved = _solve_blocks(op, np.linalg.eigh)
+    eigenvalues = np.concatenate([e for e, _ in solved])
+    order = np.argsort(eigenvalues, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(op.dim)
+    eigenvectors = np.empty((op.dim, op.dim), order="F")
+    start = 0
+    for block, (e, v) in zip(blocks, solved):
+        eigenvectors[:, slot[start : start + len(e)]] = block.isometry @ v
+        start += len(e)
     return Spectrum(
-        eigenvalues=eigenvalues,
+        eigenvalues=eigenvalues[order],
         eigenvectors=eigenvectors,
         basis_tag=op.basis_tag,
     )
+
+
+def block_eigenvalues(op: SymmetricOperator) -> dict[str, np.ndarray]:
+    """Ascending eigenvalues of each symmetry block, keyed by block label."""
+    blocks, evals = _solve_blocks(op, np.linalg.eigvalsh)
+    return {b.label: e for b, e in zip(blocks, evals)}
 
 
 def diagonalize_model(op: SymmetricOperator, params: ModelParams) -> Spectrum:

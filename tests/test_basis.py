@@ -83,3 +83,23 @@ def test_index_round_trip(n, data):
     b = es.enumerate_sector(n, k)
     i = data.draw(st.integers(min_value=0, max_value=b.dim - 1))
     assert es.index_of(b, int(b.states[i])) == i
+
+
+def test_symmetry_blocks_split_sectors():
+    half = es.symmetry_blocks(es.enumerate_sector(14, 7))
+    assert [(b.label, b.dim) for b in half] == [
+        ("R+F+", 890), ("R+F-", 826), ("R-F+", 826), ("R-F-", 890)
+    ]
+    assert es.symmetry_blocks(es.enumerate_sector(14, 7)) is half  # memoised
+    odd = es.symmetry_blocks(es.enumerate_sector(7, 3))
+    assert [b.label for b in odd] == ["R+", "R-"]
+    # N=2: R and F both swap the two states, so RF fixes them and the
+    # irreps with RF = -1 are empty and dropped.
+    assert [b.label for b in es.symmetry_blocks(es.enumerate_sector(2, 1))] == [
+        "R+F+", "R-F-"
+    ]
+    for n, k in [(6, 3), (7, 2), (8, 4)]:
+        blocks = es.symmetry_blocks(es.enumerate_sector(n, k))
+        u = np.hstack([b.isometry.toarray() for b in blocks])
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-15
+        assert u.shape[0] == u.shape[1]

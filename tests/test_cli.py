@@ -3,10 +3,13 @@ import hashlib
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from entroscope.cli import CACHE_DIR_ENV, main
+from entroscope.cli import CACHE_DIR_ENV, _acquire_lock, main
 from entroscope.spectral import load_spectrum
 
 
@@ -188,18 +191,37 @@ def test_exit_code_numerics_error(tmp_path, capsys):
 def test_exit_code_lock_contention(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".entroscope.lock").write_text("12345")
-    rc = main(["volume-law", "--n-sites", "6", "--delta2", "0",
-               "--bins", "4", "--out", str(out)])
-    assert rc == 4
+    argv = ["volume-law", "--n-sites", "6", "--delta2", "0",
+            "--bins", "4", "--out", str(out)]
+    # Another run holds the lock: a flock on its own open file description.
+    holder = _acquire_lock(str(out))
+    try:
+        assert main(argv) == 4
+    finally:
+        os.close(holder)
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "StorageError"
     assert "lock" in record["message"]
-    # stale lock removed by hand unblocks the run
-    (out / ".entroscope.lock").unlink()
+    # closing the holder's fd releases the lock
+    assert main(argv) == 0
+
+
+def test_lock_left_by_crashed_run_does_not_block(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    # A run killed while it holds the lock leaves the lock file behind.
+    crash = (
+        "import os, signal, sys; from entroscope.cli import _acquire_lock; "
+        "_acquire_lock(sys.argv[1]); os.kill(os.getpid(), signal.SIGKILL)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", crash, str(out)], env=env, timeout=60
+    )
+    assert proc.returncode == -signal.SIGKILL
+    assert (out / ".entroscope.lock").exists()
     assert main(["volume-law", "--n-sites", "6", "--delta2", "0",
                  "--bins", "4", "--out", str(out)]) == 0
-    assert not (out / ".entroscope.lock").exists()
 
 
 def test_config_file_plus_flags(tmp_path):

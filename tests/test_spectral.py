@@ -1,9 +1,14 @@
-"""Eigensolver invariants, shell binning, degeneracy grouping, persistence."""
+"""Eigensolver invariants, symmetry blocks, shell binning, degeneracy
+grouping, persistence."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import entroscope as es
+from entroscope.cli import main
+from entroscope.hamiltonian import SymmetricOperator
 from entroscope.spectral import Spectrum
 
 
@@ -194,7 +199,7 @@ def test_save_requires_params(tmp_path):
 
 
 def test_diagonalize_rejects_oversized():
-    from entroscope.hamiltonian import DENSE_DIM_CAP, SymmetricOperator
+    from entroscope.hamiltonian import DENSE_DIM_CAP
 
     empty = np.array([], dtype=np.int64)
     op = SymmetricOperator(
@@ -203,3 +208,80 @@ def test_diagonalize_rejects_oversized():
     )
     with pytest.raises(ValueError):
         es.diagonalize(op)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_block_solve_matches_plain_eigh(n):
+    for n_up in range(n + 1):
+        basis = es.enumerate_sector(n, n_up)
+        blocks = es.symmetry_blocks(basis)
+        assert sum(b.dim for b in blocks) == basis.dim
+        for d2 in (0.0, 0.5, 1.3):
+            op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=d2))
+            h = op.to_dense()
+            spec = es.diagonalize(op)
+            e, v = spec.eigenvalues, spec.eigenvectors
+            assert np.abs(e - np.linalg.eigh(h)[0]).max() <= 1e-12
+            assert np.abs(h @ v - v * e).max() <= 1e-12
+            assert np.abs(v.T @ v - np.eye(basis.dim)).max() <= 1e-12
+
+
+def test_eigenvectors_have_definite_reflection_parity(spec10):
+    basis = es.enumerate_sector(10, 5)
+    states = np.asarray(basis.states)
+    reversed_masks = sum(((states >> k) & 1) << (9 - k) for k in range(10))
+    perm = es.indices_of(basis, reversed_masks)
+    for spec in spec10.values():
+        v = spec.eigenvectors
+        parity = np.sign(np.einsum("ij,ij->j", v[perm], v))
+        assert np.abs(v[perm] - v * parity).max() < 1e-12
+
+
+def test_symmetry_breaking_operator_raises():
+    basis = es.enumerate_sector(8, 4)
+    op = es.build_hamiltonian(basis, es.ModelParams(n_sites=8, delta2=0.5))
+    # A field on site 1 (the most significant bit) breaks site reversal.
+    sz1 = ((np.asarray(basis.states) >> 7) & 1) - 0.5
+    diag = np.arange(basis.dim)
+    field_op = SymmetricOperator(
+        dim=op.dim,
+        rows=np.concatenate([op.rows, diag]),
+        cols=np.concatenate([op.cols, diag]),
+        vals=np.concatenate([op.vals, 0.3 * sz1]),
+        basis_tag=op.basis_tag,
+    )
+    with pytest.raises(es.NumericsError, match="symmetry"):
+        es.diagonalize(field_op)
+    with pytest.raises(es.NumericsError, match="symmetry"):
+        es.block_eigenvalues(field_op)
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.5])
+def test_census_matches_unresolved_merge(tmp_path, d2):
+    n = 10
+    params = es.ModelParams(n_sites=n, delta2=d2)
+    merged = np.concatenate([
+        np.linalg.eigvalsh(
+            es.build_hamiltonian(es.enumerate_sector(n, k), params).to_dense()
+        )
+        for k in range(n + 1)
+    ])
+    want = sorted(es.degeneracy_census(merged).histogram.items())
+    out = tmp_path / "out"
+    assert main(["degeneracy-census", "--n-sites", str(n), "--delta2", str(d2),
+                 "--out", str(out)]) == 0
+    lines = (out / f"degeneracy_census_d2={d2:g}.csv").read_text().splitlines()
+    assert [tuple(map(int, line.split(","))) for line in lines[1:]] == want
+    details = json.loads((out / "manifest.json").read_text())["details"]
+    r_mean = details[f"d2={d2:g}"]["r_mean"]
+    # blocks of the half-filled sector (dim 252) with at least 50 levels
+    assert set(r_mean) == {"R+F+", "R-F-", "R+F-", "R-F+"}
+    assert all(0.0 < r < 1.0 for r in r_mean.values())
+
+
+def test_mean_spacing_ratio():
+    assert es.mean_spacing_ratio(np.array([0.0, 1.0, 2.0, 3.0])) == 1.0
+    assert es.mean_spacing_ratio(np.array([3.0, 0.0, 1.0])) == 0.5
+    # the ratio of two zero spacings is skipped; one zero spacing gives 0
+    assert es.mean_spacing_ratio(np.array([0.0, 1.0, 1.0, 1.0])) == 0.0
+    assert np.isnan(es.mean_spacing_ratio(np.array([1.0, 1.0, 1.0])))
