@@ -4,7 +4,6 @@ from .basis import (
     SymmetryBlock,
     basis_from_tag,
     enumerate_sector,
-    index_of,
     indices_of,
     symmetry_blocks,
 )
@@ -43,7 +42,6 @@ from .experiments import (
 from .hamiltonian import (
     ModelParams,
     SymmetricOperator,
-    build_full_hamiltonian,
     build_hamiltonian,
 )
 from .properties import PropertyResult, format_tap, run_property_suite
@@ -54,7 +52,6 @@ from .spectral import (
     block_eigenvalues,
     degenerate_multiplets,
     diagonalize,
-    diagonalize_model,
     load_spectrum,
     multiplet_flags,
     partition_shells,
@@ -67,7 +64,6 @@ from .states import (
     StateVector,
     averaged_rdm,
     embed_sector_state,
-    fit_gibbs_beta,
     gibbs,
     measure,
     microcanonical,

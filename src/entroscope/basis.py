@@ -62,19 +62,11 @@ def enumerate_sector(n_sites: int, n_up: int, cap: int = N_SITES_CAP) -> SpinBas
     return SpinBasis(n_sites=n_sites, n_up=n_up, states=states)
 
 
-def index_of(basis: SpinBasis, mask: int) -> int:
-    """Position of `mask` in the sorted sector enumeration (binary search)."""
-    i = int(np.searchsorted(basis.states, mask))
-    if i == basis.dim or basis.states[i] != mask:
-        raise ValueError(
-            f"mask {mask:#b} not in sector (n_sites={basis.n_sites}, "
-            f"n_up={basis.n_up})"
-        )
-    return i
-
-
 def indices_of(basis: SpinBasis, masks: np.ndarray) -> np.ndarray:
-    """Vectorized index_of for masks already known to lie in the sector."""
+    """Positions of `masks` in the sorted sector enumeration.
+
+    Raises ValueError if any mask is not a member of the sector.
+    """
     idx = np.searchsorted(basis.states, masks)
     # idx == dim marks masks above the enumeration; clamp before gathering
     safe = np.minimum(idx, basis.dim - 1)

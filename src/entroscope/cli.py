@@ -9,7 +9,8 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -38,7 +39,7 @@ from .properties import format_tap, run_property_suite
 from .spectral import (
     Spectrum,
     block_eigenvalues,
-    diagonalize_model,
+    diagonalize,
     load_spectrum,
     partition_shells,
     save_spectrum,
@@ -126,7 +127,7 @@ def obtain_spectrum(
         except StorageError:
             pass
     basis = enumerate_sector(cfg.n_sites, n_up)
-    spec = diagonalize_model(build_hamiltonian(basis, params), params)
+    spec = replace(diagonalize(build_hamiltonian(basis, params)), params=params)
     if cfg.cache != "off":
         os.makedirs(cache_dir, exist_ok=True)
         save_spectrum(spec, path)
@@ -134,124 +135,103 @@ def obtain_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Experiment handlers.  Each returns (files, manifest_extras).
+# Tables.  Every experiment but property-suite is a selection of per-coupling
+# tables; a row builder returns (header, rows) and adds its manifest keys to
+# the coupling's details.
 # ---------------------------------------------------------------------------
 
 
-def _unit(cfg: RunConfig) -> float:
-    return LN2 if cfg.bits else 1.0
+class _Coupling:
+    """One coupling's spectrum, DOS table and shell table, each built once."""
 
+    def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
+        self.cfg = cfg
+        self.delta2 = delta2
+        self.cache_dir = cache_dir
+        self.unit = LN2 if cfg.bits else 1.0
+        self.part = BipartitionSpec(cfg.n_sites, cfg.l1)
+        self.details: dict = {}
 
-def _cmd_eigenket_scan(cfg: RunConfig, cache_dir: str):
-    files, extras = [], {}
-    u = _unit(cfg)
-    for d2 in cfg.delta2_list:
-        spec, source = obtain_spectrum(cfg, d2, cfg.n_up, cache_dir)
-        dos = partition_shells(spec, cfg.n_bins)
-        scan, dos = run_eigenket_scan(
-            spec, BipartitionSpec(cfg.n_sites, cfg.l1), dos
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        spec, source = obtain_spectrum(
+            self.cfg, self.delta2, self.cfg.n_up, self.cache_dir
         )
-        rows = [
-            (n, scan.energies[n], scan.s_vn[n] / u,
-             bool(scan.in_multiplet[n]), int(scan.shell_index[n]))
-            for n in range(scan.count)
-        ]
-        files.append(render_table(
-            f"eigenket_scan_d2={d2:g}",
-            ["n", "energy", "s_vn", "in_multiplet", "shell_index"],
-            rows, cfg.format,
-        ))
-        dos_rows = [
-            (j, s.lower, s.upper, s.count, dos.dos[j], dos.ln_dos[j])
-            for j, s in enumerate(dos.shells)
-        ]
-        files.append(render_table(
-            f"dos_d2={d2:g}",
-            ["shell_index", "lower", "upper", "count", "dos", "ln_dos"],
-            dos_rows, cfg.format,
-        ))
-        extras[f"d2={d2:g}"] = {"spectrum": source, "records": scan.count}
-    return files, extras
+        self.details["spectrum"] = source
+        return spec
+
+    @cached_property
+    def dos(self):
+        return partition_shells(self.spectrum, self.cfg.n_bins)
+
+    @cached_property
+    def shells(self):
+        return run_shell_average(
+            self.spectrum, self.part, self.dos, min_count=self.cfg.min_shell_count
+        )
 
 
-def _shell_table(cfg: RunConfig, d2: float, cache_dir: str):
-    spec, source = obtain_spectrum(cfg, d2, cfg.n_up, cache_dir)
-    dos = partition_shells(spec, cfg.n_bins)
-    table = run_shell_average(
-        spec, BipartitionSpec(cfg.n_sites, cfg.l1), dos,
-        min_count=cfg.min_shell_count,
-    )
-    return table, source
+def _eigenket_scan_rows(c: _Coupling):
+    scan = run_eigenket_scan(c.spectrum, c.part, c.dos)
+    c.details["records"] = scan.count
+    rows = [
+        (n, scan.energies[n], scan.s_vn[n] / c.unit,
+         bool(scan.in_multiplet[n]), int(scan.shell_index[n]))
+        for n in range(scan.count)
+    ]
+    return ["n", "energy", "s_vn", "in_multiplet", "shell_index"], rows
 
 
-def _cmd_shell_average(cfg: RunConfig, cache_dir: str):
-    files, extras = [], {}
-    u = _unit(cfg)
-    for d2 in cfg.delta2_list:
-        t, source = _shell_table(cfg, d2, cache_dir)
-        gamma = t.gamma_predicted
-        slack = t.concavity_slack
-        rows = [
-            (int(t.shell_index[r]), t.lower[r], t.upper[r], t.midpoint[r],
-             int(t.d_e[r]), t.ln_dos[r], t.mean_svn[r] / u,
-             t.svn_avg_rdm[r] / u, t.std_svn[r] / u, gamma[r], slack[r] / u)
-            for r in range(t.n_rows)
-        ]
-        files.append(render_table(
-            f"shell_average_d2={d2:g}",
-            ["shell_index", "lower", "upper", "midpoint", "d_E", "ln_dos",
-             "mean_svn", "svn_avg_rdm", "std_svn", "gamma_predicted",
-             "concavity_slack"],
-            rows, cfg.format,
-        ))
-        extras[f"d2={d2:g}"] = {"spectrum": source, "rows": t.n_rows}
-    return files, extras
+def _dos_rows(c: _Coupling):
+    rows = [
+        (j, s.lower, s.upper, s.count, c.dos.dos[j], c.dos.ln_dos[j])
+        for j, s in enumerate(c.dos.shells)
+    ]
+    return ["shell_index", "lower", "upper", "count", "dos", "ln_dos"], rows
 
 
-def _cmd_volume_law(cfg: RunConfig, cache_dir: str):
-    files, extras = [], {}
-    u = _unit(cfg)
-    l1_range = cfg.volume_law_range()
-    for d2 in cfg.delta2_list:
-        spec, source = obtain_spectrum(cfg, d2, cfg.n_up, cache_dir)
-        dos = partition_shells(spec, cfg.n_bins)
-        vt = run_volume_law(spec, dos, l1_range)
-        rows = [
-            (int(vt.l1[i]), vt.mean_svn[i] / u, vt.shell_lo, vt.shell_hi, vt.d_e)
-            for i in range(len(vt.l1))
-        ]
-        files.append(render_table(
-            f"volume_law_d2={d2:g}",
-            ["l1", "mean_svn", "shell_lo", "shell_hi", "d_E"],
-            rows, cfg.format,
-        ))
-        extras[f"d2={d2:g}"] = {"spectrum": source, "mid_shell_d_E": vt.d_e}
-    return files, extras
+def _shell_average_rows(c: _Coupling):
+    t, u = c.shells, c.unit
+    c.details["rows"] = t.n_rows
+    gamma = t.gamma_predicted
+    slack = t.concavity_slack
+    rows = [
+        (int(t.shell_index[r]), t.lower[r], t.upper[r], t.midpoint[r],
+         int(t.d_e[r]), t.ln_dos[r], t.mean_svn[r] / u,
+         t.svn_avg_rdm[r] / u, t.std_svn[r] / u, gamma[r], slack[r] / u)
+        for r in range(t.n_rows)
+    ]
+    header = ["shell_index", "lower", "upper", "midpoint", "d_E", "ln_dos",
+              "mean_svn", "svn_avg_rdm", "std_svn", "gamma_predicted",
+              "concavity_slack"]
+    return header, rows
 
 
-def _cmd_gamma_fit(cfg: RunConfig, cache_dir: str):
-    files, extras = [], {}
-    for d2 in cfg.delta2_list:
-        t, source = _shell_table(cfg, d2, cache_dir)
-        rows = []
-        for side in ("left", "right"):
-            try:
-                fit = fit_entropy_vs_lndos(t, side)
-            except ValueError as exc:
-                raise NumericsError(f"d2={d2:g}, {side} side: {exc}") from exc
-            rows.append((side, fit.slope, fit.intercept, fit.r_squared,
-                         fit.n_rows, fit.gamma_predicted_mean))
-        files.append(render_table(
-            f"gamma_fit_d2={d2:g}",
-            ["side", "slope", "intercept", "r_squared", "n_rows",
-             "gamma_predicted_mean"],
-            rows, cfg.format,
-        ))
-        extras[f"d2={d2:g}"] = {"spectrum": source}
-    return files, extras
+def _volume_law_rows(c: _Coupling):
+    vt = run_volume_law(c.spectrum, c.dos, c.cfg.volume_law_range())
+    c.details["mid_shell_d_E"] = vt.d_e
+    rows = [
+        (int(vt.l1[i]), vt.mean_svn[i] / c.unit, vt.shell_lo, vt.shell_hi, vt.d_e)
+        for i in range(len(vt.l1))
+    ]
+    return ["l1", "mean_svn", "shell_lo", "shell_hi", "d_E"], rows
 
 
-def _cmd_degeneracy_census(cfg: RunConfig, cache_dir: str):
+def _gamma_fit_rows(c: _Coupling):
+    rows = []
+    for side in ("left", "right"):
+        try:
+            fit = fit_entropy_vs_lndos(c.shells, side)
+        except ValueError as exc:
+            raise NumericsError(f"d2={c.delta2:g}, {side} side: {exc}") from exc
+        rows.append((side, fit.slope, fit.intercept, fit.r_squared,
+                     fit.n_rows, fit.gamma_predicted_mean))
+    header = ["side", "slope", "intercept", "r_squared", "n_rows",
+              "gamma_predicted_mean"]
+    return header, rows
+
+
+def _degeneracy_census_rows(c: _Coupling):
     """Census the merged eigenvalues of every Sz sector.
 
     Each sector is solved per symmetry block, eigenvalues only.  The spin
@@ -259,54 +239,60 @@ def _cmd_degeneracy_census(cfg: RunConfig, cache_dir: str):
     its spectrum counts for both.  <r> is recorded per block of the middle
     sector n_up = N // 2 (half filling for even N).
     """
-    files, extras = [], {}
-    n = cfg.n_sites
-    for d2 in cfg.delta2_list:
-        params = ModelParams(n_sites=n, delta2=d2)
-        merged, r_mean = [], {}
-        for n_up in range(n // 2 + 1):
-            by_block = block_eigenvalues(
-                build_hamiltonian(enumerate_sector(n, n_up), params)
-            )
-            evals = np.concatenate(list(by_block.values()))
-            merged += [evals] if 2 * n_up == n else [evals, evals]
-            if n_up == n // 2:
-                r_mean = {
-                    label: mean_spacing_ratio(e)
-                    for label, e in by_block.items() if len(e) >= R_MIN_DIM
-                }
-        census = degeneracy_census(np.concatenate(merged))
-        rows = sorted(census.histogram.items())
-        files.append(render_table(
-            f"degeneracy_census_d2={d2:g}", ["size", "count"], rows, cfg.format,
-        ))
-        extras[f"d2={d2:g}"] = {
-            "n_levels": census.n_levels,
-            "fraction_degenerate": census.fraction_degenerate,
-            "r_mean": r_mean,
-        }
-    return files, extras
+    n = c.cfg.n_sites
+    params = ModelParams(n_sites=n, delta2=c.delta2)
+    merged, r_mean = [], {}
+    for n_up in range(n // 2 + 1):
+        by_block = block_eigenvalues(
+            build_hamiltonian(enumerate_sector(n, n_up), params)
+        )
+        evals = np.concatenate(list(by_block.values()))
+        merged += [evals] if 2 * n_up == n else [evals, evals]
+        if n_up == n // 2:
+            r_mean = {
+                label: mean_spacing_ratio(e)
+                for label, e in by_block.items() if len(e) >= R_MIN_DIM
+            }
+    census = degeneracy_census(np.concatenate(merged))
+    c.details.update(
+        n_levels=census.n_levels,
+        fraction_degenerate=census.fraction_degenerate,
+        r_mean=r_mean,
+    )
+    return ["size", "count"], sorted(census.histogram.items())
 
 
-def _cmd_property_suite(cfg: RunConfig, cache_dir: str):
-    results = run_property_suite(seed=cfg.seed)
-    files = [OutFile(name="property_suite.tap", content=format_tap(results))]
-    extras = {"all_ok": all(r.ok for r in results),
-              "checks": {r.name: r.ok for r in results}}
-    if not extras["all_ok"]:
-        failed = [r.name for r in results if not r.ok]
-        extras["failed"] = failed
-    return files, extras
-
-
-_HANDLERS = {
-    "eigenket-scan": _cmd_eigenket_scan,
-    "shell-average": _cmd_shell_average,
-    "volume-law": _cmd_volume_law,
-    "gamma-fit": _cmd_gamma_fit,
-    "degeneracy-census": _cmd_degeneracy_census,
-    "property-suite": _cmd_property_suite,
+# experiment -> {table file prefix: row builder}, in emission order.
+TABLES = {
+    "eigenket-scan": {"eigenket_scan": _eigenket_scan_rows, "dos": _dos_rows},
+    "shell-average": {"shell_average": _shell_average_rows},
+    "volume-law": {"volume_law": _volume_law_rows},
+    "gamma-fit": {"gamma_fit": _gamma_fit_rows},
+    "degeneracy-census": {"degeneracy_census": _degeneracy_census_rows},
 }
+
+
+def _run_tables(cfg: RunConfig, cache_dir: str):
+    """Build the experiment's tables for each coupling in turn."""
+    files, details = [], {}
+    for d2 in cfg.delta2_list:
+        coupling = _Coupling(cfg, d2, cache_dir)
+        for prefix, build in TABLES[cfg.experiment].items():
+            header, rows = build(coupling)
+            files.append(
+                render_table(f"{prefix}_d2={d2:g}", header, rows, cfg.format)
+            )
+        details[f"d2={d2:g}"] = coupling.details
+    return files, details
+
+
+def _run_property_suite(cfg: RunConfig):
+    results = run_property_suite(seed=cfg.seed)
+    failed = [r.name for r in results if not r.ok]
+    extras = {"all_ok": not failed, "checks": {r.name: r.ok for r in results}}
+    if failed:
+        extras["failed"] = failed
+    return [OutFile(name="property_suite.tap", content=format_tap(results))], extras
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +327,10 @@ def run(cfg: RunConfig) -> int:
     lock = _acquire_lock(cfg.out_dir)
     try:
         cache_dir = resolve_cache_dir(cfg)
-        files, extras = _HANDLERS[cfg.experiment](cfg, cache_dir)
+        if cfg.experiment == "property-suite":
+            files, extras = _run_property_suite(cfg)
+        else:
+            files, extras = _run_tables(cfg, cache_dir)
         checksums = {}
         for f in files:
             target = os.path.join(cfg.out_dir, f.name)
@@ -431,13 +420,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_record(exc, EXIT_CONFIG), file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericsError, ValueError) as exc:
-        print(_error_record(exc, EXIT_NUMERICS), file=sys.stderr)
-        return EXIT_NUMERICS
     except (StorageError, OSError) as exc:
         print(_error_record(exc, EXIT_IO), file=sys.stderr)
         return EXIT_IO
-    except EntroscopeError as exc:
+    except EntroscopeError as exc:  # NumericsError and any other package error
         print(_error_record(exc, EXIT_NUMERICS), file=sys.stderr)
         return EXIT_NUMERICS
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields, replace
 
 from .basis import N_SITES_CAP
 from .errors import ConfigError
+from .hamiltonian import DENSE_DIM_CAP
 
 EXPERIMENTS = (
     "eigenket-scan",
@@ -121,6 +122,16 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"n_sites={cfg.n_sites} out of range [2, {N_SITES_CAP}]")
     if not 0 <= cfg.n_up <= cfg.n_sites:
         raise ConfigError(f"n_up={cfg.n_up} out of range [0, {cfg.n_sites}]")
+    if cfg.experiment != "property-suite":
+        # Every table needs a dense solve of sector n_up; the census solves
+        # sectors up to n_up = N // 2, the largest of them.
+        n_up = cfg.n_sites // 2 if cfg.experiment == "degeneracy-census" else cfg.n_up
+        dim = math.comb(cfg.n_sites, n_up)
+        if dim > DENSE_DIM_CAP:
+            raise ConfigError(
+                f"sector n_sites={cfg.n_sites}, n_up={n_up} has dim {dim}, "
+                f"above the dense eigensolver cap {DENSE_DIM_CAP}"
+            )
     if not cfg.delta2_list:
         raise ConfigError("delta2_list is empty")
     names: dict[str, float] = {}

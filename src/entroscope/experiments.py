@@ -83,14 +83,14 @@ class EigenketScan:
 
 def run_eigenket_scan(
     spec: Spectrum, part: BipartitionSpec, dos_table: DosTable
-) -> tuple[EigenketScan, DosTable]:
+) -> EigenketScan:
     """One record {E_n, S_VN(rho_sb), multiplet flag, shell index} per eigenket."""
     s = subsystem_entropies(spec, part)
     flags = multiplet_flags(spec.eigenvalues)
     shell_idx = np.full(spec.dim, -1, dtype=np.int64)
     for j, shell in enumerate(dos_table.shells):
         shell_idx[shell.member_indices] = j
-    scan = EigenketScan(
+    return EigenketScan(
         energies=spec.eigenvalues.copy(),
         s_vn=s,
         in_multiplet=flags,
@@ -98,7 +98,6 @@ def run_eigenket_scan(
         l1=part.l1,
         basis_tag=spec.basis_tag,
     )
-    return scan, dos_table
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,6 @@ class SymmetricOperator:
             (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
         ).tocsr()
 
-    def trace(self) -> float:
-        return float(self.vals[self.rows == self.cols].sum())
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.vals**2)))
-
 
 def build_hamiltonian(basis: SpinBasis, params: ModelParams) -> SymmetricOperator:
     """Assemble the sector matrix of the chain Hamiltonian.
@@ -122,20 +116,3 @@ def build_hamiltonian(basis: SpinBasis, params: ModelParams) -> SymmetricOperato
         vals=np.concatenate(all_vals),
         basis_tag=basis.tag,
     )
-
-
-def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Dense Hamiltonian on the full 2^N space, as a direct sum of sectors.
-
-    Used for small chains only (subsystem thermalization diagnostics); the
-    production path stays sector-restricted.
-    """
-    from .basis import enumerate_sector
-
-    n = params.n_sites
-    full = np.zeros((1 << n, 1 << n))
-    for n_up in range(n + 1):
-        sec = enumerate_sector(n, n_up)
-        block = build_hamiltonian(sec, params).to_dense()
-        full[np.ix_(sec.states, sec.states)] = block
-    return full

@@ -145,17 +145,6 @@ def block_eigenvalues(op: SymmetricOperator) -> dict[str, np.ndarray]:
     return {b.label: e for b, e in zip(blocks, evals)}
 
 
-def diagonalize_model(op: SymmetricOperator, params: ModelParams) -> Spectrum:
-    """diagonalize() with the model parameters attached for caching."""
-    spec = diagonalize(op)
-    return Spectrum(
-        eigenvalues=spec.eigenvalues,
-        eigenvectors=spec.eigenvectors,
-        basis_tag=op.basis_tag,
-        params=params,
-    )
-
-
 def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:
     """Partition the spectrum into n_bins uniform half-open energy shells.
 
@@ -240,11 +229,23 @@ def multiplet_flags(
 # Persistence: magic(8) | version(1) | header_len(4, LE) | header JSON |
 # eigenvalues float64 LE | eigenvectors float64 LE column-major |
 # checksum(8) = first 8 bytes of SHA-256 over everything before it.
+# Both directions stream: the hash runs over each part as it is written or
+# read, so neither builds a copy of the payload.
 # ---------------------------------------------------------------------------
 
 
-def _checksum(blob: bytes) -> bytes:
-    return hashlib.sha256(blob).digest()[:8]
+def _checksum(running) -> bytes:
+    """The trailer: the first 8 bytes of the running SHA-256's digest."""
+    return running.digest()[:8]
+
+
+def _payload_views(evals: np.ndarray, evecs: np.ndarray):
+    """Byte views of the eigenvalues and the F-ordered eigenvectors.
+
+    evecs.T is C-contiguous over the same memory, so its view runs through
+    the column-major bytes without a copy.
+    """
+    return memoryview(evals).cast("B"), memoryview(evecs.T).cast("B")
 
 
 def spectrum_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
@@ -268,21 +269,17 @@ def save_spectrum(spec: Spectrum, path) -> None:
         },
         sort_keys=True,
     ).encode()
+    head = _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header
     evals = np.ascontiguousarray(spec.eigenvalues, dtype="<f8")
     evecs = np.asfortranarray(spec.eigenvectors, dtype="<f8")
-    blob = (
-        _MAGIC
-        + struct.pack("<B", _VERSION)
-        + struct.pack("<I", len(header))
-        + header
-        + evals.tobytes()
-        + evecs.tobytes(order="F")
-    )
+    running = hashlib.sha256()
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.write(_checksum(blob))
+            for part in (head, *_payload_views(evals, evecs)):
+                running.update(part)
+                fh.write(part)
+            fh.write(_checksum(running))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -293,40 +290,47 @@ def save_spectrum(spec: Spectrum, path) -> None:
 def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
     """Read a spectrum cache file, verifying format and checksum.
 
-    With expect_params given, a header that disagrees on N or delta2 raises
+    The payload is read straight into the returned arrays.  With
+    expect_params given, a header that disagrees on N or delta2 raises
     SpectrumFormatError (wrong file loaded into this context).
     """
+    fixed = len(_MAGIC) + 1 + 4
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(_MAGIC) + 1 + 4 + 8:
-        raise SpectrumChecksumError(f"{path}: file too short")
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise SpectrumFormatError(f"{path}: bad magic {raw[:8]!r}")
-    off = len(_MAGIC)
-    version = raw[off]
-    off += 1
-    if version != _VERSION:
-        raise SpectrumFormatError(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    try:
-        header = json.loads(raw[off : off + header_len])
-    except ValueError as err:
-        raise SpectrumFormatError(f"{path}: unreadable header: {err}") from err
-    off += header_len
-    dim = int(header["dim"])
-    payload_bytes = 8 * dim * (dim + 1)
-    if len(raw) != off + payload_bytes + 8:
-        raise SpectrumChecksumError(
-            f"{path}: expected {off + payload_bytes + 8} bytes, got {len(raw)}"
-        )
-    if _checksum(raw[:-8]) != raw[-8:]:
-        raise SpectrumChecksumError(f"{path}: checksum mismatch")
-    evals = np.frombuffer(raw, dtype="<f8", count=dim, offset=off)
-    evecs = np.frombuffer(
-        raw, dtype="<f8", count=dim * dim, offset=off + 8 * dim
-    ).reshape((dim, dim), order="F")
-    params = ModelParams(n_sites=int(header["n_sites"]), delta2=float(header["delta2"]))
+        size = os.fstat(fh.fileno()).st_size
+        if size < fixed + 8:
+            raise SpectrumChecksumError(f"{path}: file too short")
+        head = fh.read(fixed)
+        if head[: len(_MAGIC)] != _MAGIC:
+            raise SpectrumFormatError(f"{path}: bad magic {head[:8]!r}")
+        version = head[len(_MAGIC)]
+        if version != _VERSION:
+            raise SpectrumFormatError(f"{path}: unsupported version {version}")
+        (header_len,) = struct.unpack_from("<I", head, len(_MAGIC) + 1)
+        header_raw = fh.read(header_len)
+        try:
+            header = json.loads(header_raw)
+            dim = int(header["dim"])
+            params = ModelParams(
+                n_sites=int(header["n_sites"]), delta2=float(header["delta2"])
+            )
+            n_up = int(header["n_up"])
+        except (ValueError, TypeError, KeyError) as err:
+            raise SpectrumFormatError(f"{path}: unreadable header: {err}") from err
+        expected = fixed + header_len + 8 * dim * (dim + 1) + 8
+        if dim < 0 or size != expected:
+            raise SpectrumChecksumError(
+                f"{path}: expected {expected} bytes, got {size}"
+            )
+        running = hashlib.sha256(head)
+        running.update(header_raw)
+        evals = np.empty(dim, dtype="<f8")
+        evecs = np.empty((dim, dim), dtype="<f8", order="F")
+        for view in _payload_views(evals, evecs):
+            if fh.readinto(view) != len(view):
+                raise SpectrumChecksumError(f"{path}: file shrank while reading")
+            running.update(view)
+        if _checksum(running) != fh.read(8):
+            raise SpectrumChecksumError(f"{path}: checksum mismatch")
     if expect_params is not None and (
         expect_params.n_sites != params.n_sites
         or expect_params.delta2 != params.delta2
@@ -334,7 +338,7 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
         raise SpectrumFormatError(
             f"{path}: holds {params.tag}, expected {expect_params.tag}"
         )
-    tag = f"N{params.n_sites}_nup{int(header['n_up'])}"
+    tag = f"N{params.n_sites}_nup{n_up}"
     return Spectrum(
         eigenvalues=evals, eigenvectors=evecs, basis_tag=tag, params=params
     )

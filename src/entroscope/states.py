@@ -331,7 +331,7 @@ def measure(rho: DensityMatrix, basis_vectors: np.ndarray) -> DensityMatrix:
     gram_err = np.abs(phi.conj().T @ phi - np.eye(rho.dim)).max()
     if gram_err > 1e-10:
         raise ValueError(f"basis is not orthonormal (max Gram deviation {gram_err:g})")
-    w = np.einsum("ia,ij,ja->a", phi.conj(), rho.matrix, phi).real
+    w = measurement_weights(rho, phi)
     out = (phi * w) @ phi.conj().T
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(matrix=out, space_tag=rho.space_tag)
@@ -413,32 +413,3 @@ def random_decomposition(
             continue
         out.append((p, w[:, i] / np.sqrt(p)))
     return out
-
-
-def reconstruct(components: list[tuple[float, np.ndarray]], dim: int) -> np.ndarray:
-    """Sum p_i |psi_i><psi_i| of a decomposition (cross-check helper)."""
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p, psi in components:
-        rho += p * np.outer(psi, psi.conj())
-    return rho
-
-
-def fit_gibbs_beta(
-    rho: DensityMatrix, subsystem_hamiltonian: np.ndarray
-) -> tuple[float, float]:
-    """Best-fit inverse temperature of a reduced state (diagnostic only).
-
-    Minimizes the Frobenius distance between rho and the canonical state of
-    the given subsystem Hamiltonian.  Returns (beta, distance).
-    """
-    from scipy.optimize import minimize_scalar
-
-    energies, vecs = np.linalg.eigh(subsystem_hamiltonian)
-
-    def distance(beta):
-        p = gibbs_weights(energies, beta)
-        rho_beta = (vecs * p) @ vecs.conj().T
-        return np.linalg.norm(rho.matrix - rho_beta)
-
-    res = minimize_scalar(distance, bounds=(-50.0, 50.0), method="bounded")
-    return float(res.x), float(res.fun)

@@ -9,7 +9,7 @@ import entroscope as es
 def _spectrum(n_sites: int, n_up: int, delta2: float) -> es.Spectrum:
     params = es.ModelParams(n_sites=n_sites, delta2=delta2)
     basis = es.enumerate_sector(n_sites, n_up)
-    return es.diagonalize_model(es.build_hamiltonian(basis, params), params)
+    return es.diagonalize(es.build_hamiltonian(basis, params))
 
 
 @pytest.fixture(scope="session")

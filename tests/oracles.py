@@ -4,9 +4,13 @@ Everything here works on the full 2^N space with explicit Kronecker
 products and per-site tensor contractions, with no sector bookkeeping, so
 agreement with the package is evidence rather than tautology.  Site 1 is
 the leftmost Kronecker factor (most significant bit), bit value 1 is
-up-spin.
+up-spin.  The last two helpers are not independent: they assemble package
+output (sector blocks, decompositions) into full matrices that the oracles
+can be compared against.
 """
 import numpy as np
+
+import entroscope as es
 
 SZ = np.array([[-0.5, 0.0], [0.0, 0.5]])  # diagonal in bit order: 0=down, 1=up
 SPLUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # raises bit 0 -> 1
@@ -96,3 +100,22 @@ def gibbs_direct(energies, beta: float):
     q = np.exp(-beta * e).sum()
     p = np.exp(-beta * e) / q
     return shannon_direct(p), float(p @ e), float(np.log(q))
+
+
+def reconstruct(components, dim: int) -> np.ndarray:
+    """Sum p_i |psi_i><psi_i| of a pure-state decomposition."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    for p, psi in components:
+        rho += p * np.outer(psi, psi.conj())
+    return rho
+
+
+def build_full_hamiltonian(params) -> np.ndarray:
+    """The package's sector blocks placed on the full 2^N space (direct sum)."""
+    n = params.n_sites
+    full = np.zeros((1 << n, 1 << n))
+    for n_up in range(n + 1):
+        sec = es.enumerate_sector(n, n_up)
+        block = es.build_hamiltonian(sec, params).to_dense()
+        full[np.ix_(sec.states, sec.states)] = block
+    return full

@@ -23,7 +23,7 @@ def test_states_ascending_and_popcount_constant():
 def test_mask_1100_sits_at_index_5():
     b = es.enumerate_sector(4, 2)
     assert list(b.states) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    assert es.index_of(b, 0b1100) == 5
+    assert list(es.indices_of(b, np.array([0b1100]))) == [5]
 
 
 def test_polarized_sectors_are_singletons():
@@ -31,19 +31,21 @@ def test_polarized_sectors_are_singletons():
     assert list(es.enumerate_sector(5, 5).states) == [0b11111]
 
 
-def test_index_of_rejects_nonmembers():
+def test_indices_of_rejects_nonmembers():
     b = es.enumerate_sector(4, 2)
     with pytest.raises(ValueError):
-        es.index_of(b, 0b0111)
+        es.indices_of(b, np.array([0b0111]))
     with pytest.raises(ValueError):
-        es.index_of(b, 0b0000)
+        es.indices_of(b, np.array([0b0000]))
+    with pytest.raises(ValueError):
+        es.indices_of(b, np.array([0b1111]))  # above every sector mask
 
 
 def test_indices_of_matches_scalar_lookup():
     b = es.enumerate_sector(8, 3)
     masks = np.asarray(b.states)[[0, 7, 20, b.dim - 1]]
     idx = es.indices_of(b, masks)
-    assert list(idx) == [es.index_of(b, int(m)) for m in masks]
+    assert list(idx) == [list(b.states).index(m) for m in masks]
     with pytest.raises(ValueError):
         es.indices_of(b, np.array([0b00000011, 0b11110000]))
 
@@ -82,7 +84,7 @@ def test_index_round_trip(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n))
     b = es.enumerate_sector(n, k)
     i = data.draw(st.integers(min_value=0, max_value=b.dim - 1))
-    assert es.index_of(b, int(b.states[i])) == i
+    assert list(es.indices_of(b, b.states[i : i + 1])) == [i]
 
 
 def test_symmetry_blocks_split_sectors():

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from entroscope.cli import CACHE_DIR_ENV, _acquire_lock, main
+from entroscope import cli
+from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
+from entroscope.config import EXPERIMENTS
 from entroscope.spectral import load_spectrum
 
 
@@ -233,3 +235,42 @@ def test_config_file_plus_flags(tmp_path):
     assert rc == 0
     _, rows = _read_csv(os.path.join(out, "volume_law_d2=0.5.csv"))
     assert [int(r[0]) for r in rows] == [1, 2]
+
+
+def test_every_experiment_but_the_property_suite_is_a_table_selection():
+    assert set(TABLES) | {"property-suite"} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", sorted(TABLES))
+def test_experiment_writes_its_tables_for_each_coupling(tmp_path, experiment):
+    out = tmp_path / "out"
+    assert main([experiment, "--n-sites", "6", "--delta2", "0", "--delta2", "0.5",
+                 "--bins", "10", "--min-count", "1", "--out", str(out)]) == 0
+    want = {
+        f"{prefix}_d2={d2}.csv" for prefix in TABLES[experiment] for d2 in ("0", "0.5")
+    }
+    m = _manifest(out)
+    assert set(m["files"]) == want
+    assert {p.name for p in out.glob("*.csv")} == want
+    assert set(m["details"]) == {"d2=0", "d2=0.5"}
+
+
+def test_sector_above_dense_cap_exits_2_before_any_work(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["eigenket-scan", "--n-sites", "18", "--cache", "off",
+               "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_bare_value_error_propagates(tmp_path, monkeypatch):
+    # A ValueError that escapes a table builder is a bug, not a numerics
+    # failure: it must not be turned into exit code 3.
+    def broken(coupling):
+        raise ValueError("builder bug")
+
+    monkeypatch.setitem(cli.TABLES["volume-law"], "volume_law", broken)
+    with pytest.raises(ValueError, match="builder bug"):
+        main(["volume-law", "--n-sites", "6", "--delta2", "0", "--bins", "4",
+              "--cache", "off", "--out", str(tmp_path / "o")])

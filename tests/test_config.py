@@ -123,6 +123,27 @@ def test_delta2_values_with_distinct_names_accepted():
     assert cfg.delta2_list == (0.1, 0.100001, 1e-7)
 
 
+
+@pytest.mark.parametrize(
+    "experiment, n_sites, n_up, rejected",
+    [
+        ("eigenket-scan", 18, None, True),  # C(18, 9) = 48620
+        ("shell-average", 18, 3, False),  # C(18, 3) = 816
+        ("degeneracy-census", 18, 3, True),  # the census also solves n_up = 9
+        ("degeneracy-census", 16, None, False),  # C(16, 8) = 12870
+        ("property-suite", 18, None, False),  # solves no chain sector
+    ],
+)
+def test_dense_cap_checked_per_experiment(experiment, n_sites, n_up, rejected):
+    overrides = {"experiment": experiment, "n_sites": n_sites}
+    if n_up is not None:
+        overrides["n_up"] = n_up
+    if rejected:
+        with pytest.raises(ConfigError, match="dense eigensolver cap"):
+            parse_config(None, overrides)
+    else:
+        assert parse_config(None, overrides).n_sites == n_sites
+
 def test_l1_and_range_conflict():
     with pytest.raises(ConfigError):
         parse_config(

@@ -10,13 +10,13 @@ from entroscope.spectral import Spectrum
 def _spec(n, n_up, d2):
     params = es.ModelParams(n_sites=n, delta2=d2)
     b = es.enumerate_sector(n, n_up)
-    return es.diagonalize_model(es.build_hamiltonian(b, params), params)
+    return es.diagonalize(es.build_hamiltonian(b, params))
 
 
 def test_two_site_eigenkets_are_maximally_entangled():
     spec = _spec(2, 1, 0.0)
     dos = es.partition_shells(spec, 2)
-    scan, _ = es.run_eigenket_scan(spec, es.BipartitionSpec(2, 1), dos)
+    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(2, 1), dos)
     assert scan.count == spec.dim
     assert np.allclose(scan.s_vn, np.log(2), atol=1e-12)
 
@@ -24,9 +24,8 @@ def test_two_site_eigenkets_are_maximally_entangled():
 def test_eigenket_scan_record_structure(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    scan, table = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
+    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
     assert scan.count == spec.dim
-    assert table is dos
     assert np.array_equal(np.sort(scan.energies), scan.energies)
     assert (scan.shell_index >= 0).all()
     # scan flags mirror the spectral-module tolerance
@@ -36,7 +35,7 @@ def test_eigenket_scan_record_structure(spec10):
 def test_ground_state_entropy_below_mid_spectrum_mean(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    scan, _ = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
+    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
     mid = dos.shells[dos.peak_index()]
     mid_mean = scan.s_vn[mid.member_indices].mean()
     assert scan.s_vn[0] < mid_mean
@@ -56,7 +55,7 @@ def test_shell_average_singleton_rows(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
     table = es.run_shell_average(spec, es.BipartitionSpec(10, 3), dos, min_count=1)
-    scan, _ = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
+    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
     for r in range(table.n_rows):
         if table.d_e[r] == 1:
             member = dos.shells[int(table.shell_index[r])].member_indices[0]

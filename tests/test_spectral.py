@@ -1,6 +1,10 @@
 """Eigensolver invariants, symmetry blocks, shell binning, degeneracy
 grouping, persistence."""
+import hashlib
 import json
+import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from entroscope.spectral import Spectrum
 def _spec(n, n_up, d2):
     params = es.ModelParams(n_sites=n, delta2=d2)
     b = es.enumerate_sector(n, n_up)
-    return es.diagonalize_model(es.build_hamiltonian(b, params), params), b, params
+    spec = replace(es.diagonalize(es.build_hamiltonian(b, params)), params=params)
+    return spec, b, params
 
 
 def test_eigendecomposition_invariants():
@@ -170,6 +175,17 @@ def test_load_rejects_corruption(tmp_path):
         es.load_spectrum(path, expect_params=wrong)
 
 
+
+def test_load_rejects_header_without_required_keys(tmp_path):
+    # Valid JSON that lacks a key or holds a non-number is a format error,
+    # so the CLI rebuilds the file instead of crashing on it.
+    for header in (b'{"n_sites": 4}', b'{"dim": "six", "n_sites": 4}'):
+        path = tmp_path / "bad_header.spec"
+        path.write_bytes(b"ENTROSPC" + struct.pack("<BI", 1, len(header)) + header
+                         + bytes(16))
+        with pytest.raises(es.SpectrumFormatError, match="header"):
+            es.load_spectrum(path)
+
 @pytest.mark.parametrize("failing", ["_checksum", "replace"])
 def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, failing):
     spec, _, params = _spec(4, 2, 0.0)
@@ -285,3 +301,43 @@ def test_mean_spacing_ratio():
     # the ratio of two zero spacings is skipped; one zero spacing gives 0
     assert es.mean_spacing_ratio(np.array([0.0, 1.0, 1.0, 1.0])) == 0.0
     assert np.isnan(es.mean_spacing_ratio(np.array([1.0, 1.0, 1.0])))
+
+
+def test_cache_io_streams_the_payload(tmp_path):
+    # N=12 half filling: a 6.8 MB payload, so a whole-file copy would show.
+    dim = 924
+    rng = np.random.default_rng(12)
+    params = es.ModelParams(n_sites=12, delta2=0.5)
+    spec = Spectrum(
+        eigenvalues=np.sort(rng.standard_normal(dim)),
+        eigenvectors=np.asfortranarray(rng.standard_normal((dim, dim))),
+        basis_tag="N12_nup6",
+        params=params,
+    )
+    path = tmp_path / "n12.spec"
+    payload = 8 * dim * (dim + 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        es.save_spectrum(spec, path)
+        save_transient = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        again = es.load_spectrum(path, expect_params=params)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert save_transient < 2**20
+    assert load_peak <= payload + 2**20
+    assert np.array_equal(again.eigenvalues, spec.eigenvalues)
+    assert np.array_equal(again.eigenvectors, spec.eigenvectors)
+    # The streamed file keeps the documented layout byte for byte.
+    header = json.dumps(
+        {"checksum": "sha256-trunc8", "delta2": 0.5, "dim": dim, "n_sites": 12,
+         "n_up": 6},
+        sort_keys=True,
+    ).encode()
+    body = (b"ENTROSPC" + struct.pack("<BI", 1, len(header)) + header
+            + spec.eigenvalues.tobytes() + spec.eigenvectors.tobytes(order="F"))
+    assert path.read_bytes() == body + hashlib.sha256(body).digest()[:8]

@@ -11,12 +11,7 @@ import oracles
 from entroscope.errors import NumericsError
 from entroscope.experiments import subsystem_entropies
 from entroscope.spectral import EnergyShell, Spectrum
-from entroscope.states import (
-    full_tag,
-    gibbs_weights,
-    measurement_weights,
-    reconstruct,
-)
+from entroscope.states import full_tag, gibbs_weights, measurement_weights
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -292,7 +287,7 @@ def test_averaged_rdm_singleton_and_linearity(spec10):
 def _sector_spectrum(n_sites, n_up):
     params = es.ModelParams(n_sites=n_sites, delta2=0.5)
     basis = es.enumerate_sector(n_sites, n_up)
-    return es.diagonalize_model(es.build_hamiltonian(basis, params), params)
+    return es.diagonalize(es.build_hamiltonian(basis, params))
 
 
 # Every sector of N = 6, 7 and every cut: this includes one-dimensional
@@ -398,7 +393,7 @@ def test_random_decomposition_reconstructs(rng):
     for dim in (2, 5, 9):
         rho = es.random_density(rng, dim)
         parts = es.random_decomposition(rng, rho)
-        resid = np.linalg.norm(reconstruct(parts, dim) - rho.matrix)
+        resid = np.linalg.norm(oracles.reconstruct(parts, dim) - rho.matrix)
         assert resid <= 1e-9
         assert abs(sum(p for p, _ in parts) - 1.0) < 1e-10
 
@@ -422,12 +417,3 @@ def test_density_matrix_validation():
     bad = es.DensityMatrix(matrix=np.diag([1.5, -0.5]))
     with pytest.raises(NumericsError):
         es.von_neumann(bad)
-
-
-def test_fit_gibbs_beta_recovers_known_temperature():
-    h = np.diag([0.0, 0.4, 1.1])
-    spec = Spectrum(eigenvalues=np.diag(h), eigenvectors=np.eye(3), basis_tag="t")
-    rho = es.gibbs(spec, 0.7)
-    beta, dist = es.fit_gibbs_beta(rho, h)
-    assert abs(beta - 0.7) < 1e-3
-    assert dist < 1e-6
