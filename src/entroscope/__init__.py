@@ -6,6 +6,7 @@ from .basis import (
     enumerate_sector,
     indices_of,
     symmetry_blocks,
+    symmetry_group,
 )
 from .config import EXPERIMENTS, RunConfig, parse_config, read_config_file
 from .entropy import (
@@ -63,10 +64,8 @@ from .states import (
     DensityMatrix,
     StateVector,
     averaged_rdm,
-    embed_sector_state,
     gibbs,
     measure,
-    microcanonical,
     mix,
     partial_trace,
     partial_trace_bath,

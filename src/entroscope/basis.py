@@ -16,7 +16,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-import scipy.sparse
 
 # Above this the full 2^N scan (and everything downstream) stops fitting
 # comfortably in memory.
@@ -79,21 +78,38 @@ def indices_of(basis: SpinBasis, masks: np.ndarray) -> np.ndarray:
 class SymmetryBlock:
     """One irrep of the sector's reflection (x spin-flip) group.
 
-    `isometry` is a sparse dim x block_dim matrix with orthonormal columns,
-    one per orbit whose symmetrized state survives in this irrep.  `label`
-    gives the irrep's R (and F) characters, e.g. "R+F-".
+    The block's isometry U_b (dim x block_dim, orthonormal columns, one per
+    orbit whose symmetrized state survives in this irrep) has at most one
+    nonzero per row, because the orbits partition the sector:
+    U_b[i, col[i]] = coef[i], with coef 0 on the orbits the irrep
+    annihilates.  `label` gives the irrep's R (and F) characters, e.g. "R+F-".
     """
 
     label: str
-    isometry: scipy.sparse.csr_matrix = field(repr=False)
+    dim: int
+    col: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.isometry.shape[1]
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """U_b @ v for a block_dim x k matrix v: one row gather, scaled."""
+        out = v[self.col]
+        out *= self.coef[:, None]
+        # A sparse product's running sum gives 0 + coef*v, which turns -0.0
+        # into +0.0; do the same, so spectrum cache bytes do not change.
+        out += 0.0
+        return out
+
+
+def symmetry_group(basis: SpinBasis) -> tuple[np.ndarray, ...]:
+    """{1, R}, or {1, R, F, RF} when 2*n_up == N, as index permutations.
+
+    Memoised per sector.
+    """
+    return _symmetry_group(basis.n_sites, basis.n_up)
 
 
 def symmetry_blocks(basis: SpinBasis) -> tuple[SymmetryBlock, ...]:
-    """Nonempty irreps of {1, R}, or of {1, R, F, RF} when 2*n_up == N.
+    """Nonempty irreps of symmetry_group(basis).
 
     Together the isometries form an orthogonal matrix; any operator that
     commutes with the group is block-diagonal in them.  Memoised per sector.
@@ -102,44 +118,54 @@ def symmetry_blocks(basis: SpinBasis) -> tuple[SymmetryBlock, ...]:
 
 
 @lru_cache(maxsize=64)
-def _symmetry_blocks(n_sites: int, n_up: int) -> tuple[SymmetryBlock, ...]:
+def _symmetry_group(n_sites: int, n_up: int) -> tuple[np.ndarray, ...]:
     basis = enumerate_sector(n_sites, n_up)
     states = basis.states
     reversed_masks = np.zeros_like(states)
     for k in range(n_sites):
         reversed_masks |= ((states >> k) & 1) << (n_sites - 1 - k)
-    # Each group element as a permutation of sector indices.
     perms = [np.arange(basis.dim), indices_of(basis, reversed_masks)]
-    has_flip = 2 * n_up == n_sites
-    if has_flip:
+    if 2 * n_up == n_sites:
         flip = indices_of(basis, states ^ ((1 << n_sites) - 1))
         perms += [flip, perms[1][flip]]
-    # An orbit is represented by its smallest index.
-    reps = np.flatnonzero(np.min(perms, axis=0) == perms[0])
-    rows = np.concatenate([p[reps] for p in perms])
-    cols = np.tile(np.arange(len(reps)), len(perms))
+    for p in perms:
+        p.setflags(write=False)
+    return tuple(perms)
+
+
+@lru_cache(maxsize=64)
+def _symmetry_blocks(n_sites: int, n_up: int) -> tuple[SymmetryBlock, ...]:
+    perms = _symmetry_group(n_sites, n_up)
+    has_flip = len(perms) == 4
+    # An orbit is represented by its smallest index; orbit columns ascend.
+    rep = np.min(perms, axis=0)
+    reps = np.flatnonzero(rep == perms[0])
+    orbit = np.searchsorted(reps, rep)
     blocks = []
     for r in (1, -1):
         for f in (1, -1) if has_flip else (1,):
             chars = [1, r, f, r * f][: len(perms)]
-            vals = np.repeat(np.array(chars, dtype=float), len(reps))
-            # Duplicate entries add up: orbits with a stabilizer element of
-            # character -1 cancel to an all-zero column, which is dropped.
-            u = scipy.sparse.csc_matrix(
-                (vals, (rows, cols)), shape=(basis.dim, len(reps))
-            )
-            u.eliminate_zeros()
-            norms = np.sqrt(np.asarray(u.multiply(u).sum(axis=0)).ravel())
-            keep = np.flatnonzero(norms)
-            if len(keep) == 0:
+            # The entry at g(rep) sums the characters of every g mapping the
+            # representative there: orbits with a stabilizer element of
+            # character -1 cancel to zero and leave the block.
+            raw = np.zeros(len(rep))
+            for p, c in zip(perms, chars):
+                raw[p[reps]] += c
+            norms = np.sqrt(np.bincount(orbit, raw * raw))
+            keep = norms > 0.0
+            if not keep.any():
                 continue
-            u = (u[:, keep] @ scipy.sparse.diags(1.0 / norms[keep])).tocsr()
-            for arr in (u.data, u.indices, u.indptr):
+            scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=keep)
+            col = np.where(keep, np.cumsum(keep) - 1, 0)[orbit]
+            coef = raw * scale[orbit]
+            for arr in (col, coef):
                 arr.setflags(write=False)
             label = f"R{'+' if r > 0 else '-'}"
             if has_flip:
                 label += f"F{'+' if f > 0 else '-'}"
-            blocks.append(SymmetryBlock(label=label, isometry=u))
+            blocks.append(
+                SymmetryBlock(label=label, dim=int(keep.sum()), col=col, coef=coef)
+            )
     return tuple(blocks)
 
 

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .basis import enumerate_sector
@@ -347,7 +346,6 @@ def run(cfg: RunConfig) -> int:
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "entroscope": __version__,
             },
             "cache_dir": cache_dir if cfg.cache != "off" else None,

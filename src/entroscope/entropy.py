@@ -4,7 +4,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .states import (
     BipartitionSpec,
@@ -89,7 +88,9 @@ def q_gibbs(spec_or_energies, beta: float) -> QGibbsResult:
     p = gibbs_weights(e, beta)
     s = _plogp_sum(p)
     u = float(p @ e)
-    ln_q = float(logsumexp(-beta * e))
+    x = -beta * e
+    top = x.max()
+    ln_q = float(np.log(np.exp(x - top).sum()) + top)
     return QGibbsResult(entropy=s, mean_energy=u, ln_partition=ln_q)
 
 

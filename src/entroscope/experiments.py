@@ -297,10 +297,6 @@ class DegeneracyCensus:
     tol_scale: float
 
     @property
-    def n_multiplets(self) -> int:
-        return sum(self.histogram.values())
-
-    @property
     def fraction_degenerate(self) -> float:
         """Fraction of levels sitting in multiplets of size >= 2."""
         if self.n_levels == 0:

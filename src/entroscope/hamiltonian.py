@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
-import scipy.sparse
 
 from .basis import SpinBasis
 
@@ -62,11 +61,6 @@ class SymmetricOperator:
         # would do; add.at keeps this robust if that changes.
         np.add.at(mat, (self.rows, self.cols), self.vals)
         return mat
-
-    def to_sparse(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-        ).tocsr()
 
 
 def build_hamiltonian(basis: SpinBasis, params: ModelParams) -> SymmetricOperator:

@@ -15,7 +15,6 @@ from .states import (
     mix,
     partial_trace,
     partial_trace_bath,
-    pure_density,
     random_decomposition,
     random_density,
     random_orthonormal_basis,

@@ -7,17 +7,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
-from .basis import basis_from_tag, symmetry_blocks
+from .basis import basis_from_tag, symmetry_blocks, symmetry_group
 from .errors import NumericsError, SpectrumChecksumError, SpectrumFormatError
 from .hamiltonian import DENSE_DIM_CAP, ModelParams, SymmetricOperator
 
 # Eigenvalues closer than this (scaled by max(1, |E|)) form a degenerate
 # multiplet; per-eigenket quantities inside one are basis-dependent.
 DEGENERACY_TOL = 1e-10
-# Largest off-block element of U^T H U tolerated before an operator counts
-# as breaking the sector symmetry.
+# Largest change of a matrix element under a group element tolerated before
+# an operator counts as breaking the sector symmetry.
 SYMMETRY_TOL = 1e-12
 
 _MAGIC = b"ENTROSPC"
@@ -79,9 +78,10 @@ class DosTable:
 def _solve_blocks(op: SymmetricOperator, solver):
     """Apply `solver` to the dense U_b^T H U_b of each symmetry block.
 
-    Raises NumericsError when U^T H U has an entry above SYMMETRY_TOL
-    outside the diagonal blocks: op does not commute with the group, and a
-    block solve would be wrong.
+    Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
+    SYMMETRY_TOL for a group element g: op does not commute with the group,
+    so it is not block-diagonal in the irreps, and a block solve would be
+    wrong.
     """
     if op.dim > DENSE_DIM_CAP:
         raise ValueError(
@@ -91,23 +91,34 @@ def _solve_blocks(op: SymmetricOperator, solver):
     basis = basis_from_tag(op.basis_tag)
     if basis.dim != op.dim:
         raise ValueError(f"operator dim {op.dim} does not match sector {basis.tag}")
-    blocks = symmetry_blocks(basis)
-    u = scipy.sparse.hstack([b.isometry for b in blocks], format="csr")
-    t = (u.T @ (op.to_sparse() @ u)).tocoo()
-    block_of = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])
-    off = block_of[t.row] != block_of[t.col]
-    leak = float(np.abs(t.data[off]).max(initial=0.0))
+    # An operator may repeat an (i, j) triplet: coalesce into sorted entries.
+    keys, inverse = np.unique(op.rows * op.dim + op.cols, return_inverse=True)
+    vals = np.bincount(inverse, op.vals, len(keys))
+    rows, cols = np.divmod(keys, op.dim)
+    leak = 0.0
+    for perm in symmetry_group(basis)[1:]:
+        moved = perm[rows] * op.dim + perm[cols]
+        at = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
+        moved_vals = np.where(keys[at] == moved, vals[at], 0.0)
+        leak = max(leak, float(np.abs(moved_vals - vals).max(initial=0.0)))
     if leak > SYMMETRY_TOL:
         raise NumericsError(
             f"{op.basis_tag}: operator breaks the sector symmetry "
-            f"(off-block element {leak:g})"
+            f"(max |H[gi, gj] - H[i, j]| = {leak:g})"
         )
-    t = t.tocsr()
-    edges = np.cumsum([0] + [b.dim for b in blocks])
+
+    def block_matrix(b):
+        # U_b^T (H U_b), each product summed in the order of a sparse
+        # product: over k for every (i, column) of H U_b, then over i.
+        c, u, d = b.col, b.coef, b.dim
+        pairs, slot = np.unique(rows * d + c[cols], return_inverse=True)
+        h_u = np.bincount(slot, vals * u[cols], len(pairs))
+        i, j = np.divmod(pairs, d)
+        return np.bincount(c[i] * d + j, u[i] * h_u, d * d).reshape(d, d)
+
+    blocks = symmetry_blocks(basis)
     try:
-        return blocks, [
-            solver(t[lo:hi, lo:hi].toarray()) for lo, hi in zip(edges, edges[1:])
-        ]
+        return blocks, [solver(block_matrix(b)) for b in blocks]
     except np.linalg.LinAlgError as err:
         raise NumericsError(
             f"symmetric eigensolver failed for dim={op.dim}, "
@@ -130,7 +141,7 @@ def diagonalize(op: SymmetricOperator) -> Spectrum:
     eigenvectors = np.empty((op.dim, op.dim), order="F")
     start = 0
     for block, (e, v) in zip(blocks, solved):
-        eigenvectors[:, slot[start : start + len(e)]] = block.isometry @ v
+        eigenvectors[:, slot[start : start + len(e)]] = block.expand(v)
         start += len(e)
     return Spectrum(
         eigenvalues=eigenvalues[order],
@@ -173,21 +184,27 @@ def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:
     edges = np.linspace(e_min - eps, e_max, n_bins + 1)
     # (lower, upper] membership: insertion point left of equal elements.
     which = np.searchsorted(edges, energies, side="left") - 1
-    shells = []
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for k in range(n_bins):
-        members = np.nonzero(which == k)[0]
-        counts[k] = len(members)
-        shells.append(
-            EnergyShell(
-                lower=float(edges[k]), upper=float(edges[k + 1]), member_indices=members
-            )
-        )
+    counts = np.bincount(which, minlength=n_bins)
+    # A stable sort keeps each shell's members ascending.
+    members = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
+    shells = [
+        EnergyShell(lower=float(lo), upper=float(hi), member_indices=m)
+        for lo, hi, m in zip(edges[:-1], edges[1:], members)
+    ]
     widths = np.diff(edges)
     dos = counts / widths
     with np.errstate(divide="ignore"):
         ln_dos = np.where(counts > 0, np.log(np.maximum(dos, 1e-300)), np.nan)
     return DosTable(shells=shells, dos=dos, ln_dos=ln_dos)
+
+
+def _multiplet_runs(eigenvalues: np.ndarray, tol_scale: float):
+    """Start and size arrays of the degenerate runs of an ascending spectrum."""
+    n = len(eigenvalues)
+    scale = np.maximum(1.0, np.abs(eigenvalues[:-1]))
+    breaks = np.diff(eigenvalues) > tol_scale * scale
+    starts = np.flatnonzero(np.concatenate(([n > 0], breaks)))
+    return starts, np.diff(starts, append=n)
 
 
 def degenerate_multiplets(
@@ -198,31 +215,16 @@ def degenerate_multiplets(
     Adjacent eigenvalues closer than tol_scale * max(1, |E|) chain into one
     multiplet; tol_scale = 0 makes every eigenvalue its own multiplet.
     """
-    n = len(eigenvalues)
-    if n == 0:
-        return []
-    gaps = np.diff(eigenvalues)
-    scale = np.maximum(1.0, np.abs(eigenvalues[:-1]))
-    close = gaps <= tol_scale * scale
-    multiplets = []
-    start = 0
-    for i in range(n - 1):
-        if not close[i]:
-            multiplets.append((start, i + 1 - start))
-            start = i + 1
-    multiplets.append((start, n - start))
-    return multiplets
+    starts, sizes = _multiplet_runs(eigenvalues, tol_scale)
+    return list(zip(starts.tolist(), sizes.tolist()))
 
 
 def multiplet_flags(
     eigenvalues: np.ndarray, tol_scale: float = DEGENERACY_TOL
 ) -> np.ndarray:
     """Boolean flag per eigenindex: member of a multiplet of size >= 2."""
-    flags = np.zeros(len(eigenvalues), dtype=bool)
-    for start, size in degenerate_multiplets(eigenvalues, tol_scale):
-        if size >= 2:
-            flags[start : start + size] = True
-    return flags
+    _, sizes = _multiplet_runs(eigenvalues, tol_scale)
+    return np.repeat(sizes >= 2, sizes)
 
 
 # ---------------------------------------------------------------------------

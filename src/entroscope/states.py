@@ -43,10 +43,6 @@ class StateVector:
     def dim(self) -> int:
         return len(self.amplitudes)
 
-    @property
-    def is_full(self) -> bool:
-        return self.space_tag.startswith("full:")
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -69,10 +65,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def is_full(self) -> bool:
-        return self.space_tag.startswith("full:")
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues with sub-noise negatives clipped to zero.
@@ -116,16 +108,6 @@ class BipartitionSpec:
         return 1 << (self.n_sites - self.l1)
 
 
-def embed_sector_state(basis: SpinBasis, v: np.ndarray) -> StateVector:
-    """Scatter sector amplitudes into the full 2^N space (an isometry)."""
-    v = np.asarray(v)
-    if len(v) != basis.dim:
-        raise ValueError(f"amplitude count {len(v)} != sector dim {basis.dim}")
-    full = np.zeros(1 << basis.n_sites, dtype=v.dtype)
-    full[basis.states] = v
-    return StateVector(amplitudes=full, space_tag=full_tag(basis.n_sites))
-
-
 def pure_density(psi: StateVector) -> DensityMatrix:
     """Rank-1 projector |psi><psi|."""
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -148,16 +130,6 @@ def mix(components: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
     tag = tags.pop() if len(tags) == 1 else ""
     out = sum(p * rho.matrix for p, rho in components)
     return DensityMatrix(matrix=out, space_tag=tag)
-
-
-def microcanonical(spec: Spectrum, shell: EnergyShell) -> DensityMatrix:
-    """Uniform mixture (1/d_E) sum of shell eigenket projectors."""
-    if shell.count == 0:
-        raise ValueError("microcanonical state of an empty shell is undefined")
-    block = spec.eigenvectors[:, shell.member_indices]
-    rho = (block @ block.conj().T) / shell.count
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
 
 
 def gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:

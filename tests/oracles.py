@@ -4,13 +4,14 @@ Everything here works on the full 2^N space with explicit Kronecker
 products and per-site tensor contractions, with no sector bookkeeping, so
 agreement with the package is evidence rather than tautology.  Site 1 is
 the leftmost Kronecker factor (most significant bit), bit value 1 is
-up-spin.  The last two helpers are not independent: they assemble package
-output (sector blocks, decompositions) into full matrices that the oracles
-can be compared against.
+up-spin.  The last four helpers are not independent: they assemble package
+output (sector blocks, decompositions, eigenkets) into full states and
+matrices that the oracles can be compared against.
 """
 import numpy as np
 
 import entroscope as es
+from entroscope.states import full_tag, sector_tag
 
 SZ = np.array([[-0.5, 0.0], [0.0, 0.5]])  # diagonal in bit order: 0=down, 1=up
 SPLUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # raises bit 0 -> 1
@@ -119,3 +120,23 @@ def build_full_hamiltonian(params) -> np.ndarray:
         block = es.build_hamiltonian(sec, params).to_dense()
         full[np.ix_(sec.states, sec.states)] = block
     return full
+
+
+def embed_sector_state(basis, v: np.ndarray) -> es.StateVector:
+    """Scatter sector amplitudes into the full 2^N space (an isometry)."""
+    v = np.asarray(v)
+    if len(v) != basis.dim:
+        raise ValueError(f"amplitude count {len(v)} != sector dim {basis.dim}")
+    full = np.zeros(1 << basis.n_sites, dtype=v.dtype)
+    full[basis.states] = v
+    return es.StateVector(amplitudes=full, space_tag=full_tag(basis.n_sites))
+
+
+def microcanonical(spec, shell) -> es.DensityMatrix:
+    """Uniform mixture (1/d_E) sum of shell eigenket projectors."""
+    if shell.count == 0:
+        raise ValueError("microcanonical state of an empty shell is undefined")
+    block = spec.eigenvectors[:, shell.member_indices]
+    rho = (block @ block.conj().T) / shell.count
+    rho = 0.5 * (rho + rho.conj().T)
+    return es.DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))

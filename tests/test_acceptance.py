@@ -31,7 +31,7 @@ def test_criterion_1_exact_identities(spec10):
         for shell in dos.shells:
             if shell.count == 0:
                 continue
-            s = es.von_neumann(es.microcanonical(spec, shell))
+            s = es.von_neumann(oracles.microcanonical(spec, shell))
             worst_mc = max(worst_mc, abs(s - np.log(shell.count)))
             assert abs(s - es.q_boltzmann(shell.count)) <= 1e-10
         for beta in BETA_GRID:
@@ -64,7 +64,7 @@ def test_criterion_2_oracle_equivalence():
                 e_oracle = np.linalg.eigvalsh(h_oracle)
                 worst = max(worst, np.abs(spec.eigenvalues - e_oracle).max())
                 for k in range(spec.dim):
-                    psi = es.embed_sector_state(basis, spec.eigenvectors[:, k])
+                    psi = oracles.embed_sector_state(basis, spec.eigenvectors[:, k])
                     for l1 in range(1, n):
                         part = es.BipartitionSpec(n, l1)
                         rho = es.partial_trace(psi, part)

@@ -102,6 +102,12 @@ def test_symmetry_blocks_split_sectors():
     ]
     for n, k in [(6, 3), (7, 2), (8, 4)]:
         blocks = es.symmetry_blocks(es.enumerate_sector(n, k))
-        u = np.hstack([b.isometry.toarray() for b in blocks])
+        u = np.hstack([b.expand(np.eye(b.dim)) for b in blocks])
         assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-15
         assert u.shape[0] == u.shape[1]
+
+
+def test_expand_leaves_no_negative_zero():
+    for block in es.symmetry_blocks(es.enumerate_sector(6, 3)):
+        out = block.expand(-np.eye(block.dim))
+        assert not np.any((out == 0.0) & np.signbit(out))

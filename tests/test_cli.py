@@ -226,6 +226,24 @@ def test_lock_left_by_crashed_run_does_not_block(tmp_path):
                  "--bins", "4", "--out", str(out)]) == 0
 
 
+def test_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every import of scipy raise.
+    script = (
+        "import sys; sys.modules['scipy'] = None; from entroscope import cli; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    out = tmp_path / "out"
+    argv = ["eigenket-scan", "--n-sites", "8", "--delta2", "0.5", "--bins", "6",
+            "--cache", "off", "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "eigenket_scan_d2=0.5.csv").is_file()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "scipy" not in manifest["versions"]
+
+
 def test_config_file_plus_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_sites = 6\ndelta2_list = 0.5\nn_bins = 4\n")

@@ -89,7 +89,7 @@ def test_q_boltzmann_equals_microcanonical_entropy(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
     shell = dos.shells[dos.peak_index()]
-    rho = es.microcanonical(spec, shell)
+    rho = oracles.microcanonical(spec, shell)
     assert abs(es.von_neumann(rho) - es.q_boltzmann(shell.count)) < 1e-10
 
 

@@ -100,6 +100,7 @@ def test_partition_exhaustive_and_disjoint(energies, n_bins):
     for shell in table.shells:
         vals = e[shell.member_indices]
         assert np.all(vals > shell.lower) and np.all(vals <= shell.upper)
+        assert np.all(np.diff(shell.member_indices) > 0)
 
 
 def test_peak_index_first_on_ties():
@@ -123,6 +124,27 @@ def test_degenerate_multiplets_grouping():
     assert es.degenerate_multiplets(e, tol_scale=0.0) == [(0, 3), (3, 1), (4, 2)]
     near = np.array([0.0, 1e-300, 1.0])
     assert es.degenerate_multiplets(near, tol_scale=0.0) == [(0, 1), (1, 1), (2, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    energies=st.lists(st.sampled_from([0.0, 1e-11, 0.5, 1.0, 1.0 + 1e-9, 2.0]),
+                      max_size=12),
+    tol_scale=st.sampled_from([0.0, 1e-10, 1e-8]),
+)
+def test_multiplets_match_a_level_by_level_scan(energies, tol_scale):
+    e = np.sort(np.asarray(energies, dtype=float))
+    want, start = [], 0
+    for i in range(1, len(e) + 1):
+        if i == len(e) or e[i] - e[i - 1] > tol_scale * max(1.0, abs(e[i - 1])):
+            want.append((start, i - start))
+            start = i
+    got = es.degenerate_multiplets(e, tol_scale)
+    assert got == want
+    assert all(type(x) is int for pair in got for x in pair)
+    flags = es.multiplet_flags(e, tol_scale)
+    assert flags.dtype == bool
+    assert flags.tolist() == [size >= 2 for _, size in want for _ in range(size)]
 
 
 def test_degeneracy_tolerance_scales_with_energy():
@@ -253,19 +275,39 @@ def test_eigenvectors_have_definite_reflection_parity(spec10):
         assert np.abs(v[perm] - v * parity).max() < 1e-12
 
 
+def _plus_diagonal(op, diag_vals):
+    diag = np.arange(op.dim)
+    return SymmetricOperator(
+        dim=op.dim,
+        rows=np.concatenate([op.rows, diag]),
+        cols=np.concatenate([op.cols, diag]),
+        vals=np.concatenate([op.vals, diag_vals]),
+        basis_tag=op.basis_tag,
+    )
+
+
 def test_symmetry_breaking_operator_raises():
     basis = es.enumerate_sector(8, 4)
     op = es.build_hamiltonian(basis, es.ModelParams(n_sites=8, delta2=0.5))
     # A field on site 1 (the most significant bit) breaks site reversal.
     sz1 = ((np.asarray(basis.states) >> 7) & 1) - 0.5
-    diag = np.arange(basis.dim)
-    field_op = SymmetricOperator(
-        dim=op.dim,
-        rows=np.concatenate([op.rows, diag]),
-        cols=np.concatenate([op.cols, diag]),
-        vals=np.concatenate([op.vals, 0.3 * sz1]),
-        basis_tag=op.basis_tag,
-    )
+    field_op = _plus_diagonal(op, 0.3 * sz1)
+    with pytest.raises(es.NumericsError, match="symmetry"):
+        es.diagonalize(field_op)
+    with pytest.raises(es.NumericsError, match="symmetry"):
+        es.block_eigenvalues(field_op)
+
+
+def test_spin_flip_breaking_operator_raises():
+    basis = es.enumerate_sector(8, 4)
+    op = es.build_hamiltonian(basis, es.ModelParams(n_sites=8, delta2=0.5))
+    # A field on sites 1 and N keeps site reversal but changes sign under F.
+    states = np.asarray(basis.states)
+    sz_ends = ((states >> 7) & 1) + (states & 1) - 1.0
+    _, reflect, flip, _ = es.symmetry_group(basis)
+    assert np.array_equal(sz_ends[reflect], sz_ends)
+    assert np.array_equal(sz_ends[flip], -sz_ends) and sz_ends.any()
+    field_op = _plus_diagonal(op, 0.3 * sz_ends)
     with pytest.raises(es.NumericsError, match="symmetry"):
         es.diagonalize(field_op)
     with pytest.raises(es.NumericsError, match="symmetry"):
