@@ -48,6 +48,7 @@ from .hamiltonian import (
 from .properties import PropertyResult, format_tap, run_property_suite
 from .spectral import (
     DosTable,
+    EigenBlock,
     EnergyShell,
     Spectrum,
     block_eigenvalues,

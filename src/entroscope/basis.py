@@ -95,7 +95,8 @@ class SymmetryBlock:
         out = v[self.col]
         out *= self.coef[:, None]
         # A sparse product's running sum gives 0 + coef*v, which turns -0.0
-        # into +0.0; do the same, so spectrum cache bytes do not change.
+        # into +0.0; do the same, so amplitudes (and states.gather_blocks,
+        # which repeats this) keep that product's bits.
         out += 0.0
         return out
 

@@ -37,6 +37,7 @@ from .hamiltonian import ModelParams, build_hamiltonian
 from .properties import format_tap, run_property_suite
 from .spectral import (
     Spectrum,
+    atomic_write,
     block_eigenvalues,
     diagonalize,
     load_spectrum,
@@ -316,6 +317,15 @@ def _acquire_lock(out_dir: str) -> int:
     return fd
 
 
+def _write_output(path: str, data: bytes) -> None:
+    """Write one output file atomically; an OSError becomes a StorageError."""
+    try:
+        with atomic_write(path) as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the exit code."""
     t0 = time.perf_counter()
@@ -330,15 +340,14 @@ def run(cfg: RunConfig) -> int:
             files, extras = _run_property_suite(cfg)
         else:
             files, extras = _run_tables(cfg, cache_dir)
+        # A manifest left by an earlier run must not vouch for new tables.
+        manifest_path = os.path.join(cfg.out_dir, "manifest.json")
+        if os.path.exists(manifest_path):
+            os.unlink(manifest_path)
         checksums = {}
         for f in files:
-            target = os.path.join(cfg.out_dir, f.name)
             data = f.content.encode("utf-8")
-            try:
-                with open(target, "wb") as fh:
-                    fh.write(data)
-            except OSError as exc:
-                raise StorageError(f"cannot write {target}: {exc}") from exc
+            _write_output(os.path.join(cfg.out_dir, f.name), data)
             checksums[f.name] = hashlib.sha256(data).hexdigest()
         manifest = {
             "experiment": cfg.experiment,
@@ -353,10 +362,8 @@ def run(cfg: RunConfig) -> int:
             "details": extras,
             "wall_time_s": round(time.perf_counter() - t0, 3),
         }
-        manifest_path = os.path.join(cfg.out_dir, "manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(manifest, indent=2) + "\n"
+        _write_output(manifest_path, text.encode("utf-8"))
     finally:
         os.close(lock)
     if cfg.experiment == "property-suite" and not extras["all_ok"]:

@@ -16,6 +16,7 @@ from .spectral import (
 )
 from .states import (
     PSD_TOL,
+    TRACE_TOL,
     BipartitionSpec,
     averaged_rdm,
     gather_blocks,
@@ -42,7 +43,10 @@ def subsystem_entropies(
     kets each M_k is gathered (states.gather_blocks) and batch-diagonalized
     through the smaller of M_k M_k^T and M_k^T M_k, which share their
     nonzero spectrum; no 2^N vector is formed.  Output order follows
-    `indices` (all eigenkets, ascending, when omitted).
+    `indices` (all eigenkets, ascending, when omitted).  Raises
+    NumericsError when an RDM eigenvalue lies below -PSD_TOL or a ket's
+    eigenvalues (before 0 ln 0 = 0) sum to a trace more than TRACE_TOL
+    from 1.
     """
     if basis is None:
         basis = basis_from_tag(spec.basis_tag)
@@ -53,15 +57,20 @@ def subsystem_entropies(
     indices = np.asarray(indices, dtype=np.int64)
     blocks = sz_blocks(part.n_sites, basis.n_up, part.l1)
     out = np.zeros(len(indices))
-    for start, block, m in gather_blocks(spec.eigenvectors, indices, blocks):
+    trace = np.zeros(len(indices))
+    for start, block, m in gather_blocks(spec, indices, blocks):
         n_a, n_b = block.shape
         mt = m.transpose(0, 2, 1)
         vals = np.linalg.eigvalsh(m @ mt if n_a <= n_b else mt @ m)
         low = vals.min()
         if low < -PSD_TOL:
             raise NumericsError(f"RDM eigenvalue {low:g} below -{PSD_TOL:g}")
+        trace[start : start + len(m)] += vals.sum(axis=1)
         vals = np.where(vals > 0.0, vals, 1.0)  # 0 ln 0 = 0 via ln 1
         out[start : start + len(m)] -= (vals * np.log(vals)).sum(axis=1)
+    drift = np.abs(trace - 1.0).max(initial=0.0)
+    if drift > TRACE_TOL:
+        raise NumericsError(f"RDM trace off by {drift:g}, above {TRACE_TOL:g}")
     return out
 
 

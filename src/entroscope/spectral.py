@@ -4,11 +4,18 @@ import json
 import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import basis_from_tag, symmetry_blocks, symmetry_group
+from .basis import (
+    SymmetryBlock,
+    basis_from_tag,
+    enumerate_sector,
+    symmetry_blocks,
+    symmetry_group,
+)
 from .errors import NumericsError, SpectrumChecksumError, SpectrumFormatError
 from .hamiltonian import DENSE_DIM_CAP, ModelParams, SymmetricOperator
 
@@ -20,21 +27,66 @@ DEGENERACY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 _MAGIC = b"ENTROSPC"
-_VERSION = 1
+_VERSION = 2
+
+
+@dataclass(frozen=True)
+class EigenBlock:
+    """Eigenpairs of one symmetry block: H U_b V_b = U_b V_b diag(E_b).
+
+    `eigenvalues` (E_b) ascend.  `eigenvectors` (V_b, block.dim x block.dim,
+    column-major) holds the eigenvectors in the block's symmetry-reduced
+    basis; block.expand turns them into sector amplitudes.
+    """
+
+    block: SymmetryBlock
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Eigenpairs of a sector operator, kept per symmetry block.
 
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    Eigenindex n runs over the ascending merge of the blocks' eigenvalues (a
+    stable sort, so ties keep block order): eigenket n is column
+    `column_index[n]` of block `block_index[n]`.  No D x D eigenvector
+    matrix is held; eigenvector_matrix() builds one for callers that need
+    every amplitude at once, and the table kernels never call it.
+    """
+
+    blocks: tuple[EigenBlock, ...] = field(repr=False)
     basis_tag: str = ""
     params: ModelParams | None = None
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    block_index: np.ndarray = field(init=False, repr=False)
+    column_index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = [len(b.eigenvalues) for b in self.blocks]
+        energies = np.concatenate([b.eigenvalues for b in self.blocks])
+        order = np.argsort(energies, kind="stable")
+        which = np.repeat(np.arange(len(dims)), dims)
+        column = np.arange(len(energies)) - np.repeat(np.cumsum(dims) - dims, dims)
+        object.__setattr__(self, "eigenvalues", energies[order])
+        object.__setattr__(self, "block_index", which[order])
+        object.__setattr__(self, "column_index", column[order])
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    def eigenvector_matrix(self) -> np.ndarray:
+        """The D x D matrix whose column n is eigenket n (8 D^2 bytes).
+
+        Each U_b V_b lands in its sorted columns of one F-ordered matrix.
+        """
+        out = np.empty((self.dim, self.dim), order="F")
+        for b, part in enumerate(self.blocks):
+            at = np.flatnonzero(self.block_index == b)
+            at = at[np.argsort(self.column_index[at])]
+            out[:, at] = part.block.expand(part.eigenvectors)
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,25 +181,28 @@ def _solve_blocks(op: SymmetricOperator, solver):
 def diagonalize(op: SymmetricOperator) -> Spectrum:
     """Full eigendecomposition of a sector Hamiltonian, block by block.
 
-    Each symmetry block is solved densely; the eigenvalues are merged with
-    a stable sort and each U_b V_b lands in its sorted columns of one
-    F-ordered matrix, so every eigenvector has a definite symmetry.
+    Each symmetry block is solved densely and keeps its eigenvectors in the
+    block's reduced basis, so every eigenvector has a definite symmetry and
+    no D x D matrix is formed.
     """
-    blocks, solved = _solve_blocks(op, np.linalg.eigh)
-    eigenvalues = np.concatenate([e for e, _ in solved])
-    order = np.argsort(eigenvalues, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(op.dim)
-    eigenvectors = np.empty((op.dim, op.dim), order="F")
-    start = 0
-    for block, (e, v) in zip(blocks, solved):
-        eigenvectors[:, slot[start : start + len(e)]] = block.expand(v)
-        start += len(e)
+    blocks, solved = _solve_blocks(op, _eigh_column_major)
     return Spectrum(
-        eigenvalues=eigenvalues[order],
-        eigenvectors=eigenvectors,
+        blocks=tuple(
+            EigenBlock(block=b, eigenvalues=e, eigenvectors=v)
+            for b, (e, v) in zip(blocks, solved)
+        ),
         basis_tag=op.basis_tag,
     )
+
+
+def _eigh_column_major(h: np.ndarray):
+    """eigh with F-ordered eigenvectors, each one contiguous.
+
+    The kernels and the cache read them that way; converting here, block by
+    block, keeps one C-ordered copy resident at a time instead of all.
+    """
+    e, v = np.linalg.eigh(h)
+    return e, np.asfortranarray(v)
 
 
 def block_eigenvalues(op: SymmetricOperator) -> dict[str, np.ndarray]:
@@ -228,9 +283,12 @@ def multiplet_flags(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic(8) | version(1) | header_len(4, LE) | header JSON |
-# eigenvalues float64 LE | eigenvectors float64 LE column-major |
+# Persistence (version 2): magic(8) | version(1) | header_len(4, LE) |
+# header JSON | each block's eigenvalues E_b, float64 LE, in header order |
+# each block's eigenvectors V_b, float64 LE column-major, in header order |
 # checksum(8) = first 8 bytes of SHA-256 over everything before it.
+# The header lists each block's label and dim; the isometries are not
+# stored but rebuilt by symmetry_blocks, which must agree with that list.
 # Both directions stream: the hash runs over each part as it is written or
 # read, so neither builds a copy of the payload.
 # ---------------------------------------------------------------------------
@@ -241,13 +299,33 @@ def _checksum(running) -> bytes:
     return running.digest()[:8]
 
 
-def _payload_views(evals: np.ndarray, evecs: np.ndarray):
-    """Byte views of the eigenvalues and the F-ordered eigenvectors.
+def _payload_views(evals, evecs):
+    """Byte views of every E_b, then of every F-ordered V_b.
 
-    evecs.T is C-contiguous over the same memory, so its view runs through
-    the column-major bytes without a copy.
+    v.T is C-contiguous over the same memory, so its view runs through the
+    column-major bytes without a copy.
     """
-    return memoryview(evals).cast("B"), memoryview(evecs.T).cast("B")
+    return [memoryview(e).cast("B") for e in evals] + [
+        memoryview(v.T).cast("B") for v in evecs
+    ]
+
+
+@contextmanager
+def atomic_write(path):
+    """Open <path>.tmp.<pid> for binary writing; os.replace it onto path.
+
+    On any failure the temporary file is removed and the error re-raised,
+    so no partial file ever carries the final name.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def spectrum_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
@@ -267,34 +345,31 @@ def save_spectrum(spec: Spectrum, path) -> None:
             "n_up": n_up,
             "delta2": spec.params.delta2,
             "dim": spec.dim,
+            "blocks": [
+                {"label": b.block.label, "dim": b.block.dim} for b in spec.blocks
+            ],
             "checksum": "sha256-trunc8",
         },
         sort_keys=True,
     ).encode()
     head = _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header
-    evals = np.ascontiguousarray(spec.eigenvalues, dtype="<f8")
-    evecs = np.asfortranarray(spec.eigenvectors, dtype="<f8")
+    evals = [np.ascontiguousarray(b.eigenvalues, dtype="<f8") for b in spec.blocks]
+    evecs = [np.asfortranarray(b.eigenvectors, dtype="<f8") for b in spec.blocks]
     running = hashlib.sha256()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            for part in (head, *_payload_views(evals, evecs)):
-                running.update(part)
-                fh.write(part)
-            fh.write(_checksum(running))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as fh:
+        for part in (head, *_payload_views(evals, evecs)):
+            running.update(part)
+            fh.write(part)
+        fh.write(_checksum(running))
 
 
 def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
     """Read a spectrum cache file, verifying format and checksum.
 
-    The payload is read straight into the returned arrays.  With
-    expect_params given, a header that disagrees on N or delta2 raises
-    SpectrumFormatError (wrong file loaded into this context).
+    The payload is read straight into the returned arrays.  A header whose
+    blocks disagree with symmetry_blocks of its sector, or, with
+    expect_params given, that disagrees on N or delta2, raises
+    SpectrumFormatError (a stale layout or the wrong file).
     """
     fixed = len(_MAGIC) + 1 + 4
     with open(path, "rb") as fh:
@@ -311,22 +386,28 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
         header_raw = fh.read(header_len)
         try:
             header = json.loads(header_raw)
-            dim = int(header["dim"])
             params = ModelParams(
                 n_sites=int(header["n_sites"]), delta2=float(header["delta2"])
             )
             n_up = int(header["n_up"])
+            listed = [(str(b["label"]), int(b["dim"])) for b in header["blocks"]]
+            blocks = symmetry_blocks(enumerate_sector(params.n_sites, n_up))
         except (ValueError, TypeError, KeyError) as err:
             raise SpectrumFormatError(f"{path}: unreadable header: {err}") from err
-        expected = fixed + header_len + 8 * dim * (dim + 1) + 8
-        if dim < 0 or size != expected:
+        if listed != [(b.label, b.dim) for b in blocks]:
+            raise SpectrumFormatError(
+                f"{path}: header blocks {listed} do not match the symmetry "
+                f"blocks of N{params.n_sites}_nup{n_up}"
+            )
+        expected = fixed + header_len + 8 * sum(d * (d + 1) for _, d in listed) + 8
+        if size != expected:
             raise SpectrumChecksumError(
                 f"{path}: expected {expected} bytes, got {size}"
             )
         running = hashlib.sha256(head)
         running.update(header_raw)
-        evals = np.empty(dim, dtype="<f8")
-        evecs = np.empty((dim, dim), dtype="<f8", order="F")
+        evals = [np.empty(b.dim, dtype="<f8") for b in blocks]
+        evecs = [np.empty((b.dim, b.dim), dtype="<f8", order="F") for b in blocks]
         for view in _payload_views(evals, evecs):
             if fh.readinto(view) != len(view):
                 raise SpectrumChecksumError(f"{path}: file shrank while reading")
@@ -340,9 +421,13 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
         raise SpectrumFormatError(
             f"{path}: holds {params.tag}, expected {expect_params.tag}"
         )
-    tag = f"N{params.n_sites}_nup{n_up}"
     return Spectrum(
-        eigenvalues=evals, eigenvectors=evecs, basis_tag=tag, params=params
+        blocks=tuple(
+            EigenBlock(block=b, eigenvalues=e, eigenvectors=v)
+            for b, e, v in zip(blocks, evals, evecs)
+        ),
+        basis_tag=f"N{params.n_sites}_nup{n_up}",
+        params=params,
     )
 
 

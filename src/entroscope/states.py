@@ -145,7 +145,7 @@ def gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
 def gibbs(spec: Spectrum, beta: float) -> DensityMatrix:
     """Canonical state exp(-beta H)/Q, diagonal in the energy eigenbasis."""
     p = gibbs_weights(spec.eigenvalues, beta)
-    v = spec.eigenvectors
+    v = spec.eigenvector_matrix()
     rho = (v * p) @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
@@ -241,21 +241,37 @@ def sz_blocks(n_sites: int, n_up: int, l1: int) -> tuple[SzBlock, ...]:
     return tuple(blocks)
 
 
-def gather_blocks(eigenvectors: np.ndarray, indices: np.ndarray, blocks):
+def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
     """Yield (start, block, m) for the kets indices[start:start + len(m)].
 
     m holds those kets' M_k for `block`, shape (kets, *block.shape).  Each
-    chunk is first gathered into a C-ordered buffer of its own, so the bytes
-    never depend on the layout of `eigenvectors`.  That buffer holds about
-    1 MB and one block's copy is no larger: bigger chunks ran no faster and
-    left more heap resident, raising peak RSS.
+    chunk's amplitudes are filled straight from the symmetry blocks into a
+    C-ordered buffer of their own, with the S^z blocks' rows laid end to
+    end, and every m is a view of it: at those rows eigenket n (column c of
+    block b) holds coef_b[rows] * V_b[col_b[rows], c] + 0.0, the values
+    SymmetryBlock.expand gives, so col_b[rows] and coef_b[rows] are gathered
+    once per call.  The buffer holds about 1 MB: bigger chunks ran no faster
+    and left more heap resident, raising peak RSS.
     """
-    step = max(1, (1 << 17) // eigenvectors.shape[0])
+    rows = np.concatenate([sz.rows for sz in blocks])
+    ends = np.cumsum([len(sz.rows) for sz in blocks])
+    pieces = [(p.block.col[rows], p.block.coef[rows]) for p in spec.blocks]
+    step = max(1, (1 << 17) // spec.dim)
     for start in range(0, len(indices), step):
-        amps = eigenvectors.T[indices[start : start + step]]
-        for block in blocks:
-            m = np.take(amps, block.rows, axis=1)
-            yield start, block, m.reshape(len(amps), *block.shape)
+        chunk = indices[start : start + step]
+        which = spec.block_index[chunk]
+        column = spec.column_index[chunk]
+        amps = np.empty((len(chunk), len(rows)))
+        for b, (part, (col, coef)) in enumerate(zip(spec.blocks, pieces)):
+            at = np.flatnonzero(which == b)
+            if len(at):
+                block_amps = np.take(part.eigenvectors.T[column[at]], col, axis=1)
+                block_amps *= coef
+                block_amps += 0.0
+                amps[at] = block_amps
+        for sz, end in zip(blocks, ends):
+            m = amps[:, end - len(sz.rows) : end]
+            yield start, sz, m.reshape(len(chunk), *sz.shape)
 
 
 def averaged_rdm(
@@ -280,7 +296,7 @@ def averaged_rdm(
         raise ValueError("basis and bipartition disagree on n_sites")
     blocks = sz_blocks(part.n_sites, basis.n_up, part.l1)
     acc = np.zeros((part.dim_a, part.dim_a))
-    for _, block, m in gather_blocks(spec.eigenvectors, shell.member_indices, blocks):
+    for _, block, m in gather_blocks(spec, shell.member_indices, blocks):
         at = np.ix_(block.a_masks, block.a_masks)
         acc[at] += (m @ m.transpose(0, 2, 1)).sum(axis=0)
     acc /= shell.count

@@ -4,9 +4,10 @@ Everything here works on the full 2^N space with explicit Kronecker
 products and per-site tensor contractions, with no sector bookkeeping, so
 agreement with the package is evidence rather than tautology.  Site 1 is
 the leftmost Kronecker factor (most significant bit), bit value 1 is
-up-spin.  The last four helpers are not independent: they assemble package
+up-spin.  The last five helpers are not independent: they assemble package
 output (sector blocks, decompositions, eigenkets) into full states and
-matrices that the oracles can be compared against.
+matrices that the oracles can be compared against, or wrap given
+eigenpairs as a package Spectrum.
 """
 import numpy as np
 
@@ -136,7 +137,24 @@ def microcanonical(spec, shell) -> es.DensityMatrix:
     """Uniform mixture (1/d_E) sum of shell eigenket projectors."""
     if shell.count == 0:
         raise ValueError("microcanonical state of an empty shell is undefined")
-    block = spec.eigenvectors[:, shell.member_indices]
+    block = spec.eigenvector_matrix()[:, shell.member_indices]
     rho = (block @ block.conj().T) / shell.count
     rho = 0.5 * (rho + rho.conj().T)
     return es.DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
+
+
+def dense_spectrum(eigenvalues, eigenvectors=None, basis_tag="t", params=None):
+    """A Spectrum of one block whose isometry is the identity.
+
+    Its eigenvector_matrix() is `eigenvectors` (the identity when omitted),
+    with columns reordered if the eigenvalues do not ascend.
+    """
+    e = np.asarray(eigenvalues, dtype=float)
+    d = len(e)
+    v = np.eye(d) if eigenvectors is None else np.asarray(eigenvectors)
+    block = es.SymmetryBlock(label="", dim=d, col=np.arange(d), coef=np.ones(d))
+    return es.Spectrum(
+        blocks=(es.EigenBlock(block=block, eigenvalues=e, eigenvectors=v),),
+        basis_tag=basis_tag,
+        params=params,
+    )

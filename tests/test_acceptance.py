@@ -63,8 +63,9 @@ def test_criterion_2_oracle_equivalence():
                 spec = es.diagonalize(es.build_hamiltonian(basis, params))
                 e_oracle = np.linalg.eigvalsh(h_oracle)
                 worst = max(worst, np.abs(spec.eigenvalues - e_oracle).max())
+                v = spec.eigenvector_matrix()
                 for k in range(spec.dim):
-                    psi = oracles.embed_sector_state(basis, spec.eigenvectors[:, k])
+                    psi = oracles.embed_sector_state(basis, v[:, k])
                     for l1 in range(1, n):
                         part = es.BipartitionSpec(n, l1)
                         rho = es.partial_trace(psi, part)

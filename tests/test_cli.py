@@ -4,11 +4,14 @@ import json
 import math
 import os
 import signal
+import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+import entroscope as es
 from entroscope import cli
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS
@@ -292,3 +295,82 @@ def test_bare_value_error_propagates(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="builder bug"):
         main(["volume-law", "--n-sites", "6", "--delta2", "0", "--bins", "4",
               "--cache", "off", "--out", str(tmp_path / "o")])
+
+
+def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
+    # A file in the old layout (one dense column-major eigenvector matrix)
+    # is a format error, so the run rebuilds it and overwrites it.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+    params = es.ModelParams(n_sites=6, delta2=0.5)
+    spec = es.diagonalize(es.build_hamiltonian(es.enumerate_sector(6, 3), params))
+    header = json.dumps(
+        {"checksum": "sha256-trunc8", "delta2": 0.5, "dim": 20, "n_sites": 6,
+         "n_up": 3},
+        sort_keys=True,
+    ).encode()
+    body = (b"ENTROSPC" + struct.pack("<BI", 1, len(header)) + header
+            + spec.eigenvalues.tobytes()
+            + spec.eigenvector_matrix().tobytes(order="F"))
+    path = cache / "N6_nup3_d20.5.spec"
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    out = tmp_path / "out"
+    assert main(["eigenket-scan", "--n-sites", "6", "--delta2", "0.5",
+                 "--bins", "4", "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
+    assert path.read_bytes()[8] == 2
+    assert load_spectrum(str(path), expect_params=params).dim == 20
+
+
+def test_rdm_trace_drift_exits_3(tmp_path, monkeypatch, capsys):
+    # One eigenvector column 1 % too long: its RDM has trace 1.0201.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+    params = es.ModelParams(n_sites=8, delta2=0.5)
+    spec = es.diagonalize(es.build_hamiltonian(es.enumerate_sector(8, 4), params))
+    first = spec.blocks[0]
+    v = first.eigenvectors.copy(order="F")
+    v[:, 3] *= 1.01
+    bad = replace(spec, blocks=(replace(first, eigenvectors=v), *spec.blocks[1:]),
+                  params=params)
+    es.save_spectrum(bad, es.spectrum_cache_path(cache, params, 4))
+    rc = main(["eigenket-scan", "--n-sites", "8", "--delta2", "0.5",
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NumericsError"
+    assert "trace" in record["message"]
+
+
+@pytest.mark.parametrize("failing", ["open", "replace"])
+def test_failed_table_write_leaves_no_manifest(tmp_path, monkeypatch, failing):
+    out = tmp_path / "out"
+    argv = ["eigenket-scan", "--n-sites", "6", "--delta2", "0", "--bins", "4",
+            "--cache", "off", "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "manifest.json").exists()
+    # The second table (dos_*) fails: mid-write, or when renamed into place.
+    real_open, real_replace = open, os.replace
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if os.path.basename(path).startswith("dos_"):
+            fh.write(b"partial")
+            fh.close()
+            raise OSError("disk full")
+        return fh
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst).startswith("dos_"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    if failing == "open":
+        monkeypatch.setattr(es.spectral, "open", failing_open, raising=False)
+    else:
+        monkeypatch.setattr(es.spectral.os, "replace", failing_replace)
+    assert main(argv) == 4
+    assert not (out / "manifest.json").exists()
+    assert list(out.glob("*.tmp.*")) == []

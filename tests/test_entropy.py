@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import entroscope as es
 import oracles
 from entroscope.errors import NumericsError
-from entroscope.spectral import Spectrum
 from entroscope.states import full_tag
 
 # Frozen from an independent direct evaluation of -sum p ln p.
@@ -112,7 +111,7 @@ def test_q_gibbs_infinite_temperature():
 
 def test_q_gibbs_accepts_spectrum_and_matches_state_entropy():
     e = np.array([-0.4, 0.1, 0.75])
-    spec = Spectrum(eigenvalues=e, eigenvectors=np.eye(3), basis_tag="t")
+    spec = oracles.dense_spectrum(e)
     for beta in (-1.0, 0.0, 0.3, 2.0, 10.0):
         out = es.q_gibbs(spec, beta)
         assert abs(out.entropy - es.von_neumann(es.gibbs(spec, beta))) < 1e-9

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entroscope as es
+import oracles
 from entroscope.cli import main
 from entroscope.hamiltonian import SymmetricOperator
 from entroscope.spectral import Spectrum
@@ -26,18 +27,14 @@ def _spec(n, n_up, d2):
 def test_eigendecomposition_invariants():
     spec, b, params = _spec(8, 4, 0.5)
     h = es.build_hamiltonian(b, params).to_dense()
-    v, e = spec.eigenvectors, spec.eigenvalues
+    v, e = spec.eigenvector_matrix(), spec.eigenvalues
     assert np.all(np.diff(e) >= 0)
     assert np.abs(v.T @ v - np.eye(spec.dim)).max() < 1e-12
     assert np.abs(h @ v - v * e).max() < 1e-11
 
 
 def test_partition_worked_example():
-    fake = Spectrum(
-        eigenvalues=np.array([0.0, 0.1, 0.9]),
-        eigenvectors=np.eye(3),
-        basis_tag="N2_nup1",
-    )
+    fake = oracles.dense_spectrum([0.0, 0.1, 0.9], basis_tag="N2_nup1")
     table = es.partition_shells(fake, 2)
     assert list(table.counts) == [2, 1]
     assert np.allclose(table.dos, [2 / 0.45, 1 / 0.45], rtol=1e-6)
@@ -48,29 +45,21 @@ def test_partition_worked_example():
 
 
 def test_partition_single_bin_degenerate_case():
-    fake = Spectrum(
-        eigenvalues=np.array([1.0, 2.0, 3.0]),
-        eigenvectors=np.eye(3),
-        basis_tag="t",
-    )
+    fake = oracles.dense_spectrum([1.0, 2.0, 3.0])
     table = es.partition_shells(fake, 1)
     assert table.n_bins == 1
     assert table.shells[0].count == 3
 
 
 def test_partition_flat_spectrum_uses_token_width():
-    fake = Spectrum(
-        eigenvalues=np.zeros(4), eigenvectors=np.eye(4), basis_tag="t"
-    )
+    fake = oracles.dense_spectrum(np.zeros(4))
     table = es.partition_shells(fake, 3)
     assert table.counts.sum() == 4
     assert np.isfinite(table.dos).all()
 
 
 def test_partition_rejects_bad_input():
-    fake = Spectrum(
-        eigenvalues=np.array([0.0, 1.0]), eigenvectors=np.eye(2), basis_tag="t"
-    )
+    fake = oracles.dense_spectrum([0.0, 1.0])
     with pytest.raises(ValueError):
         es.partition_shells(fake, 0)
     with pytest.warns(UserWarning):
@@ -88,7 +77,7 @@ def test_partition_rejects_bad_input():
 )
 def test_partition_exhaustive_and_disjoint(energies, n_bins):
     e = np.sort(np.asarray(energies))
-    fake = Spectrum(eigenvalues=e, eigenvectors=np.eye(len(e)), basis_tag="t")
+    fake = oracles.dense_spectrum(e)
     import warnings as w
 
     with w.catch_warnings():
@@ -104,11 +93,7 @@ def test_partition_exhaustive_and_disjoint(energies, n_bins):
 
 
 def test_peak_index_first_on_ties():
-    fake = Spectrum(
-        eigenvalues=np.array([0.0, 1.0, 2.0, 3.0]),
-        eigenvectors=np.eye(4),
-        basis_tag="t",
-    )
+    fake = oracles.dense_spectrum([0.0, 1.0, 2.0, 3.0])
     table = es.partition_shells(fake, 2)
     assert list(table.counts) == [2, 2]
     assert table.peak_index() == 0
@@ -166,7 +151,7 @@ def test_save_load_round_trip(tmp_path):
     es.save_spectrum(spec, path)
     again = es.load_spectrum(path, expect_params=params)
     assert np.array_equal(again.eigenvalues, spec.eigenvalues)
-    assert np.array_equal(again.eigenvectors, spec.eigenvectors)
+    assert np.array_equal(again.eigenvector_matrix(), spec.eigenvector_matrix())
     assert again.basis_tag == spec.basis_tag
     assert again.params == params
 
@@ -203,7 +188,7 @@ def test_load_rejects_header_without_required_keys(tmp_path):
     # so the CLI rebuilds the file instead of crashing on it.
     for header in (b'{"n_sites": 4}', b'{"dim": "six", "n_sites": 4}'):
         path = tmp_path / "bad_header.spec"
-        path.write_bytes(b"ENTROSPC" + struct.pack("<BI", 1, len(header)) + header
+        path.write_bytes(b"ENTROSPC" + struct.pack("<BI", 2, len(header)) + header
                          + bytes(16))
         with pytest.raises(es.SpectrumFormatError, match="header"):
             es.load_spectrum(path)
@@ -227,11 +212,7 @@ def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, failing):
 
 def test_save_requires_params(tmp_path):
     spec, _, _ = _spec(4, 2, 0.0)
-    bare = Spectrum(
-        eigenvalues=spec.eigenvalues,
-        eigenvectors=spec.eigenvectors,
-        basis_tag=spec.basis_tag,
-    )
+    bare = Spectrum(blocks=spec.blocks, basis_tag=spec.basis_tag)
     with pytest.raises(ValueError):
         es.save_spectrum(bare, tmp_path / "x.spec")
 
@@ -258,7 +239,7 @@ def test_block_solve_matches_plain_eigh(n):
             op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=d2))
             h = op.to_dense()
             spec = es.diagonalize(op)
-            e, v = spec.eigenvalues, spec.eigenvectors
+            e, v = spec.eigenvalues, spec.eigenvector_matrix()
             assert np.abs(e - np.linalg.eigh(h)[0]).max() <= 1e-12
             assert np.abs(h @ v - v * e).max() <= 1e-12
             assert np.abs(v.T @ v - np.eye(basis.dim)).max() <= 1e-12
@@ -270,7 +251,7 @@ def test_eigenvectors_have_definite_reflection_parity(spec10):
     reversed_masks = sum(((states >> k) & 1) << (9 - k) for k in range(10))
     perm = es.indices_of(basis, reversed_masks)
     for spec in spec10.values():
-        v = spec.eigenvectors
+        v = spec.eigenvector_matrix()
         parity = np.sign(np.einsum("ij,ij->j", v[perm], v))
         assert np.abs(v[perm] - v * parity).max() < 1e-12
 
@@ -345,19 +326,30 @@ def test_mean_spacing_ratio():
     assert np.isnan(es.mean_spacing_ratio(np.array([1.0, 1.0, 1.0])))
 
 
-def test_cache_io_streams_the_payload(tmp_path):
-    # N=12 half filling: a 6.8 MB payload, so a whole-file copy would show.
-    dim = 924
-    rng = np.random.default_rng(12)
-    params = es.ModelParams(n_sites=12, delta2=0.5)
-    spec = Spectrum(
-        eigenvalues=np.sort(rng.standard_normal(dim)),
-        eigenvectors=np.asfortranarray(rng.standard_normal((dim, dim))),
-        basis_tag="N12_nup6",
-        params=params,
+def _random_spectrum(n_sites, n_up, delta2, seed):
+    """Random eigenpairs on the symmetry blocks of a sector, V_b F-ordered."""
+    rng = np.random.default_rng(seed)
+    blocks = es.symmetry_blocks(es.enumerate_sector(n_sites, n_up))
+    return Spectrum(
+        blocks=tuple(
+            es.EigenBlock(
+                block=b,
+                eigenvalues=np.sort(rng.standard_normal(b.dim)),
+                eigenvectors=np.asfortranarray(rng.standard_normal((b.dim, b.dim))),
+            )
+            for b in blocks
+        ),
+        basis_tag=f"N{n_sites}_nup{n_up}",
+        params=es.ModelParams(n_sites=n_sites, delta2=delta2),
     )
-    path = tmp_path / "n12.spec"
-    payload = 8 * dim * (dim + 1)
+
+
+def test_cache_io_streams_the_payload(tmp_path):
+    # N=14 half filling: a 23.6 MB payload, so a whole-file copy would show.
+    spec = _random_spectrum(14, 7, 0.5, seed=14)
+    path = tmp_path / "n14.spec"
+    payload = 8 * sum(b.block.dim * (b.block.dim + 1) for b in spec.blocks)
+    assert payload == 8 * (2 * 890 * 891 + 2 * 826 * 827)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -366,20 +358,73 @@ def test_cache_io_streams_the_payload(tmp_path):
         save_transient = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        again = es.load_spectrum(path, expect_params=params)
+        again = es.load_spectrum(path, expect_params=spec.params)
         load_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert save_transient < 2**20
     assert load_peak <= payload + 2**20
     assert np.array_equal(again.eigenvalues, spec.eigenvalues)
-    assert np.array_equal(again.eigenvectors, spec.eigenvectors)
-    # The streamed file keeps the documented layout byte for byte.
+    for got, want in zip(again.blocks, spec.blocks):
+        assert got.block is want.block
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    # The streamed file keeps the documented version-2 layout byte for byte:
+    # every E_b, then every V_b column-major, in the header's block order.
     header = json.dumps(
-        {"checksum": "sha256-trunc8", "delta2": 0.5, "dim": dim, "n_sites": 12,
-         "n_up": 6},
+        {"blocks": [{"dim": 890, "label": "R+F+"}, {"dim": 826, "label": "R+F-"},
+                    {"dim": 826, "label": "R-F+"}, {"dim": 890, "label": "R-F-"}],
+         "checksum": "sha256-trunc8", "delta2": 0.5, "dim": 3432, "n_sites": 14,
+         "n_up": 7},
         sort_keys=True,
     ).encode()
-    body = (b"ENTROSPC" + struct.pack("<BI", 1, len(header)) + header
-            + spec.eigenvalues.tobytes() + spec.eigenvectors.tobytes(order="F"))
+    body = b"".join(
+        [b"ENTROSPC", struct.pack("<BI", 2, len(header)), header]
+        + [b.eigenvalues.tobytes() for b in spec.blocks]
+        + [b.eigenvectors.tobytes(order="F") for b in spec.blocks]
+    )
     assert path.read_bytes() == body + hashlib.sha256(body).digest()[:8]
+
+
+@pytest.mark.parametrize("edit", ["label", "dims"])
+def test_load_rejects_blocks_that_disagree_with_the_sector(tmp_path, edit):
+    spec, _, _ = _spec(8, 4, 0.5)
+    path = tmp_path / "edited.spec"
+    es.save_spectrum(spec, path)
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 9)
+    header = json.loads(raw[13 : 13 + n])
+    blocks = header["blocks"]
+    if edit == "label":
+        blocks[0]["label"] = "R+"
+    else:
+        blocks[0]["dim"] += 1
+        blocks[1]["dim"] -= 1
+    new = json.dumps(header, sort_keys=True).encode()
+    # A valid checksum, so only the block list can fail.
+    body = raw[:9] + struct.pack("<I", len(new)) + new + raw[13 + n : -8]
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    with pytest.raises(es.SpectrumFormatError, match="symmetry blocks"):
+        es.load_spectrum(path)
+
+
+def test_table_kernels_never_form_the_eigenvector_matrix(monkeypatch):
+    spec, _, _ = _spec(12, 6, 0.5)
+    part = es.BipartitionSpec(12, 6)
+    shell = es.partition_shells(spec, 20).shells[10]
+    expected = (es.subsystem_entropies(spec, part), es.averaged_rdm(spec, shell, part))
+
+    def forbidden(self):
+        raise AssertionError("eigenvector_matrix called")
+
+    monkeypatch.setattr(Spectrum, "eigenvector_matrix", forbidden)
+    tracemalloc.start()
+    try:
+        s = es.subsystem_entropies(spec, part)
+        rho = es.averaged_rdm(spec, shell, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.dim**2
+    assert np.array_equal(s, expected[0])
+    assert np.array_equal(rho.matrix, expected[1].matrix)

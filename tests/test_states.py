@@ -1,5 +1,6 @@
 """State algebra: embedding, mixtures, thermal states, partial trace,
 measurement, and the seeded random generators."""
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -16,10 +17,8 @@ from entroscope.states import full_tag, gibbs_weights, measurement_weights
 RT2 = 1.0 / np.sqrt(2.0)
 
 
-def _toy_spectrum(energies, dim=None):
-    e = np.asarray(energies, dtype=float)
-    d = dim or len(e)
-    return Spectrum(eigenvalues=e, eigenvectors=np.eye(d), basis_tag="toy")
+def _toy_spectrum(energies):
+    return oracles.dense_spectrum(energies, basis_tag="toy")
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +153,10 @@ def test_microcanonical_invariant_under_multiplet_remixing():
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
     vecs = np.eye(3)
-    spec_a = Spectrum(
-        eigenvalues=np.array([1.0, 1.0, 2.0]), eigenvectors=vecs, basis_tag="t"
-    )
+    spec_a = oracles.dense_spectrum([1.0, 1.0, 2.0], vecs)
     mixed = vecs.copy()
     mixed[:, :2] = mixed[:, :2] @ rot
-    spec_b = Spectrum(
-        eigenvalues=np.array([1.0, 1.0, 2.0]), eigenvectors=mixed, basis_tag="t"
-    )
+    spec_b = oracles.dense_spectrum([1.0, 1.0, 2.0], mixed)
     shell = EnergyShell(lower=0.5, upper=1.5, member_indices=np.array([0, 1]))
     rho_a = oracles.microcanonical(spec_a, shell)
     rho_b = oracles.microcanonical(spec_b, shell)
@@ -263,7 +258,7 @@ def test_averaged_rdm_singleton_and_linearity(spec10):
 
     single = EnergyShell(lower=-np.inf, upper=np.inf, member_indices=np.array([7]))
     rho_one = es.averaged_rdm(spec, single, part)
-    psi = oracles.embed_sector_state(basis, spec.eigenvectors[:, 7])
+    psi = oracles.embed_sector_state(basis, spec.eigenvector_matrix()[:, 7])
     direct = es.partial_trace(psi, part)
     assert np.abs(rho_one.matrix - direct.matrix).max() < 1e-12
 
@@ -304,8 +299,9 @@ def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
     part = es.BipartitionSpec(n_sites, l1)
 
     s = subsystem_entropies(spec, part)
+    v = spec.eigenvector_matrix()
     for n in range(spec.dim):
-        psi = oracles.embed_sector_state(basis, spec.eigenvectors[:, n])
+        psi = oracles.embed_sector_state(basis, v[:, n])
         assert abs(s[n] - es.von_neumann(es.partial_trace(psi, part))) <= 1e-12
 
     shell = EnergyShell(
@@ -322,16 +318,18 @@ def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
 
 
 def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
-    # A cache load gives F-ordered eigenvectors, a fresh eigh C-ordered ones;
-    # the tables must not change by a single bit.  N=14 spans several chunks.
+    # A cache load gives F-ordered V_b; a caller may hand in C-ordered ones.
+    # The tables must not change by a single bit.  N=14 spans several chunks.
     spec = spec14[0.5]
     part = es.BipartitionSpec(14, 5)
     shell = es.partition_shells(spec, 40).shells[20]
     outs = []
     for layout in (np.ascontiguousarray, np.asfortranarray):
         copy = Spectrum(
-            eigenvalues=spec.eigenvalues,
-            eigenvectors=layout(spec.eigenvectors.copy()),
+            blocks=tuple(
+                replace(b, eigenvectors=layout(b.eigenvectors.copy()))
+                for b in spec.blocks
+            ),
             basis_tag=spec.basis_tag,
         )
         picked = np.arange(spec.dim)[::-1]
@@ -342,6 +340,19 @@ def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
     (s_c, rho_c), (s_f, rho_f) = outs
     assert s_c.tobytes() == s_f.tobytes()
     assert rho_c.tobytes() == rho_f.tobytes()
+
+
+def test_block_gather_matches_the_expanded_matrix(spec14):
+    # The block gather equals slicing the materialised eigenvector matrix,
+    # bit for bit, for any ket selection and order.
+    spec = spec14[0.5]
+    v = spec.eigenvector_matrix()
+    blocks = es.states.sz_blocks(14, 7, 5)
+    picked = np.random.default_rng(5).permutation(spec.dim)[:500]
+    for start, block, m in es.states.gather_blocks(spec, picked, blocks):
+        kets = picked[start : start + len(m)]
+        want = v[np.ix_(block.rows, kets)].T.reshape(len(kets), *block.shape)
+        assert m.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
