@@ -2,9 +2,9 @@
 from .basis import (
     SpinBasis,
     SymmetryBlock,
-    basis_from_tag,
     enumerate_sector,
     indices_of,
+    sector_of,
     symmetry_blocks,
     symmetry_group,
 )
@@ -73,7 +73,6 @@ from .states import (
     pure_density,
     random_decomposition,
     random_density,
-    random_orthonormal_basis,
     random_pure,
     random_unitary,
 )

@@ -101,25 +101,12 @@ class SymmetryBlock:
         return out
 
 
-def symmetry_group(basis: SpinBasis) -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=64)
+def symmetry_group(n_sites: int, n_up: int) -> tuple[np.ndarray, ...]:
     """{1, R}, or {1, R, F, RF} when 2*n_up == N, as index permutations.
 
     Memoised per sector.
     """
-    return _symmetry_group(basis.n_sites, basis.n_up)
-
-
-def symmetry_blocks(basis: SpinBasis) -> tuple[SymmetryBlock, ...]:
-    """Nonempty irreps of symmetry_group(basis).
-
-    Together the isometries form an orthogonal matrix; any operator that
-    commutes with the group is block-diagonal in them.  Memoised per sector.
-    """
-    return _symmetry_blocks(basis.n_sites, basis.n_up)
-
-
-@lru_cache(maxsize=64)
-def _symmetry_group(n_sites: int, n_up: int) -> tuple[np.ndarray, ...]:
     basis = enumerate_sector(n_sites, n_up)
     states = basis.states
     reversed_masks = np.zeros_like(states)
@@ -135,8 +122,13 @@ def _symmetry_group(n_sites: int, n_up: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=64)
-def _symmetry_blocks(n_sites: int, n_up: int) -> tuple[SymmetryBlock, ...]:
-    perms = _symmetry_group(n_sites, n_up)
+def symmetry_blocks(n_sites: int, n_up: int) -> tuple[SymmetryBlock, ...]:
+    """Nonempty irreps of symmetry_group(n_sites, n_up).
+
+    Together the isometries form an orthogonal matrix; any operator that
+    commutes with the group is block-diagonal in them.  Memoised per sector.
+    """
+    perms = symmetry_group(n_sites, n_up)
     has_flip = len(perms) == 4
     # An orbit is represented by its smallest index; orbit columns ascend.
     rep = np.min(perms, axis=0)
@@ -170,9 +162,9 @@ def _symmetry_blocks(n_sites: int, n_up: int) -> tuple[SymmetryBlock, ...]:
     return tuple(blocks)
 
 
-def basis_from_tag(tag: str) -> SpinBasis:
-    """Rebuild the sector enumeration named by a basis tag like 'N14_nup7'."""
+def sector_of(tag: str) -> tuple[int, int]:
+    """(n_sites, n_up) of a basis tag like 'N14_nup7' (see SpinBasis.tag)."""
     m = re.fullmatch(r"N(\d+)_nup(\d+)", tag)
     if m is None:
         raise ValueError(f"unrecognized basis tag {tag!r}")
-    return enumerate_sector(int(m.group(1)), int(m.group(2)))
+    return int(m.group(1)), int(m.group(2))

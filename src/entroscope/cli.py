@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -55,6 +56,7 @@ EXIT_IO = 4
 CACHE_DIR_ENV = "ENTROSCOPE_CACHE_DIR"
 LOCK_NAME = ".entroscope.lock"
 LN2 = math.log(2.0)
+TAP_NAME = "property_suite.tap"
 # Smallest symmetry block whose level-spacing ratio the census records.
 R_MIN_DIM = 50
 
@@ -270,6 +272,11 @@ TABLES = {
     "gamma-fit": {"gamma_fit": _gamma_fit_rows},
     "degeneracy-census": {"degeneracy_census": _degeneracy_census_rows},
 }
+# Every file name a run may write besides the manifest.
+OUTPUT_NAME = re.compile(
+    r"(%s)_d2=.*\.(csv|json)|%s"
+    % ("|".join(p for tables in TABLES.values() for p in tables), re.escape(TAP_NAME))
+)
 
 
 def _run_tables(cfg: RunConfig, cache_dir: str):
@@ -292,7 +299,7 @@ def _run_property_suite(cfg: RunConfig):
     extras = {"all_ok": not failed, "checks": {r.name: r.ok for r in results}}
     if failed:
         extras["failed"] = failed
-    return [OutFile(name="property_suite.tap", content=format_tap(results))], extras
+    return [OutFile(name=TAP_NAME, content=format_tap(results))], extras
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +351,11 @@ def run(cfg: RunConfig) -> int:
         manifest_path = os.path.join(cfg.out_dir, "manifest.json")
         if os.path.exists(manifest_path):
             os.unlink(manifest_path)
+        # Nor may an earlier run's tables outlive it next to the new ones.
+        written = {f.name for f in files}
+        for name in os.listdir(cfg.out_dir):
+            if name not in written and OUTPUT_NAME.fullmatch(name):
+                os.unlink(os.path.join(cfg.out_dir, name))
         checksums = {}
         for f in files:
             data = f.content.encode("utf-8")

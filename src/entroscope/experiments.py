@@ -5,8 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import SpinBasis, basis_from_tag
-from .entropy import von_neumann
+from .basis import sector_of
 from .spectral import (
     DEGENERACY_TOL,
     DosTable,
@@ -20,7 +19,7 @@ from .states import (
     BipartitionSpec,
     averaged_rdm,
     gather_blocks,
-    sz_blocks,
+    rdm_blocks,
 )
 from .errors import NumericsError
 
@@ -30,48 +29,57 @@ LEFT = "left"
 RIGHT = "right"
 
 
-def subsystem_entropies(
-    spec: Spectrum,
-    part: BipartitionSpec,
-    basis: SpinBasis | None = None,
-    indices: np.ndarray | None = None,
-) -> np.ndarray:
-    """S_VN of the leading-block RDM for each selected eigenket.
+def _rdm_entropies(n_rows: int, pieces) -> np.ndarray:
+    """-sum lambda ln lambda per row over batches of symmetric RDM blocks.
 
-    Inside the sector rho_A = (+)_k M_k M_k^T, block-diagonal in k, the
-    number of up spins on sites 1..l1 (see states.sz_blocks).  Per chunk of
-    kets each M_k is gathered (states.gather_blocks) and batch-diagonalized
-    through the smaller of M_k M_k^T and M_k^T M_k, which share their
-    nonzero spectrum; no 2^N vector is formed.  Output order follows
-    `indices` (all eigenkets, ascending, when omitted).  Raises
-    NumericsError when an RDM eigenvalue lies below -PSD_TOL or a ket's
-    eigenvalues (before 0 ln 0 = 0) sum to a trace more than TRACE_TOL
-    from 1.
+    `pieces` yields (start, mats): mats[i], shape (d, d), is one block (or
+    a matrix with the same nonzero spectrum) of row start + i.  Every RDM
+    the tables report is diagonalized here.  Raises NumericsError when an
+    eigenvalue lies below -PSD_TOL or a row's eigenvalues (before
+    0 ln 0 = 0) sum to a trace more than TRACE_TOL from 1.
     """
-    if basis is None:
-        basis = basis_from_tag(spec.basis_tag)
-    if basis.n_sites != part.n_sites:
-        raise ValueError("basis and bipartition disagree on n_sites")
-    if indices is None:
-        indices = np.arange(spec.dim)
-    indices = np.asarray(indices, dtype=np.int64)
-    blocks = sz_blocks(part.n_sites, basis.n_up, part.l1)
-    out = np.zeros(len(indices))
-    trace = np.zeros(len(indices))
-    for start, block, m in gather_blocks(spec, indices, blocks):
-        n_a, n_b = block.shape
-        mt = m.transpose(0, 2, 1)
-        vals = np.linalg.eigvalsh(m @ mt if n_a <= n_b else mt @ m)
+    out = np.zeros(n_rows)
+    trace = np.zeros(n_rows)
+    for start, mats in pieces:
+        vals = np.linalg.eigvalsh(mats)
         low = vals.min()
         if low < -PSD_TOL:
             raise NumericsError(f"RDM eigenvalue {low:g} below -{PSD_TOL:g}")
-        trace[start : start + len(m)] += vals.sum(axis=1)
+        rows = slice(start, start + len(mats))
+        trace[rows] += vals.sum(axis=1)
         vals = np.where(vals > 0.0, vals, 1.0)  # 0 ln 0 = 0 via ln 1
-        out[start : start + len(m)] -= (vals * np.log(vals)).sum(axis=1)
+        out[rows] -= (vals * np.log(vals)).sum(axis=1)
     drift = np.abs(trace - 1.0).max(initial=0.0)
     if drift > TRACE_TOL:
         raise NumericsError(f"RDM trace off by {drift:g}, above {TRACE_TOL:g}")
     return out
+
+
+def subsystem_entropies(
+    spec: Spectrum, part: BipartitionSpec, indices: np.ndarray | None = None
+) -> np.ndarray:
+    """S_VN of the leading-block RDM for each selected eigenket.
+
+    Inside the sector rho_A = (+)_k M_k M_k^T, block-diagonal in k, the
+    number of up spins on sites 1..l1 (see states.sz_blocks); the sector
+    comes from spec.basis_tag.  Per chunk of kets each M_k is gathered
+    (states.gather_blocks), and the smaller of M_k M_k^T and M_k^T M_k,
+    which share their nonzero spectrum, goes to the one RDM kernel with its
+    PSD and trace gates; no 2^N vector is formed.  Output order follows
+    `indices` (all eigenkets, ascending, when omitted).
+    """
+    if indices is None:
+        indices = np.arange(spec.dim)
+    indices = np.asarray(indices, dtype=np.int64)
+    blocks = rdm_blocks(spec, part)
+
+    def grams():
+        for start, block, m in gather_blocks(spec, indices, blocks):
+            n_a, n_b = block.shape
+            mt = m.transpose(0, 2, 1)
+            yield start, m @ mt if n_a <= n_b else mt @ m
+
+    return _rdm_entropies(len(indices), grams())
 
 
 @dataclass(frozen=True)
@@ -82,8 +90,6 @@ class EigenketScan:
     s_vn: np.ndarray = field(repr=False)
     in_multiplet: np.ndarray = field(repr=False)
     shell_index: np.ndarray = field(repr=False)
-    l1: int = 0
-    basis_tag: str = ""
 
     @property
     def count(self) -> int:
@@ -104,14 +110,12 @@ def run_eigenket_scan(
         s_vn=s,
         in_multiplet=flags,
         shell_index=shell_idx,
-        l1=part.l1,
-        basis_tag=spec.basis_tag,
     )
 
 
 @dataclass(frozen=True)
 class ShellTable:
-    """Shell-resolved entropy summary; rows keep d_E >= min_count only."""
+    """Shell-resolved entropy summary, one row per kept shell."""
 
     shell_index: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
@@ -122,10 +126,7 @@ class ShellTable:
     mean_svn: np.ndarray = field(repr=False)
     svn_avg_rdm: np.ndarray = field(repr=False)
     std_svn: np.ndarray = field(repr=False)
-    n_sites: int = 0
-    l1: int = 0
     sector_dim: int = 0
-    min_count: int = DEFAULT_MIN_COUNT
 
     @property
     def n_rows(self) -> int:
@@ -154,11 +155,12 @@ def run_shell_average(
 ) -> ShellTable:
     """Shell means of per-eigenket entropy plus the averaged-RDM entropy.
 
-    Reductions run in ascending eigenindex order within each shell, so
-    repeat runs are bitwise-stable.
+    Keeps the shells with d_E >= min_count.  Reductions run in ascending
+    eigenindex order within each shell, so repeat runs are bitwise-stable.
+    The averaged RDMs of all kept shells go through the same kernel as the
+    per-ket entropies, one shell's S^z blocks at a time.
     """
-    basis = basis_from_tag(spec.basis_tag)
-    s_all = subsystem_entropies(spec, part, basis=basis)
+    s_all = subsystem_entropies(spec, part)
     rows = [
         (j, shell)
         for j, shell in enumerate(dos_table.shells)
@@ -173,7 +175,6 @@ def run_shell_average(
         "d_e": np.empty(n, dtype=np.int64),
         "ln_dos": np.empty(n),
         "mean_svn": np.empty(n),
-        "svn_avg_rdm": np.empty(n),
         "std_svn": np.empty(n),
     }
     for r, (j, shell) in enumerate(rows):
@@ -187,14 +188,13 @@ def run_shell_average(
         out["ln_dos"][r] = dos_table.ln_dos[j]
         out["mean_svn"][r] = s.mean()
         out["std_svn"][r] = s.std()
-        out["svn_avg_rdm"][r] = von_neumann(averaged_rdm(spec, shell, part, basis))
-    return ShellTable(
-        **out,
-        n_sites=part.n_sites,
-        l1=part.l1,
-        sector_dim=spec.dim,
-        min_count=min_count,
+    averaged = (
+        (r, rho[None])
+        for r, (_, shell) in enumerate(rows)
+        for _, rho in averaged_rdm(spec, shell, part)
     )
+    out["svn_avg_rdm"] = _rdm_entropies(n, averaged)
+    return ShellTable(**out, sector_dim=spec.dim)
 
 
 @dataclass(frozen=True)
@@ -267,14 +267,13 @@ class VolumeLawTable:
     shell_lo: float = float("nan")
     shell_hi: float = float("nan")
     d_e: int = 0
-    basis_tag: str = ""
 
 
 def run_volume_law(
     spec: Spectrum, dos_table: DosTable, l1_range
 ) -> VolumeLawTable:
     """Sweep l1 over the maximal-DOS (mid-spectrum) shell of one spectrum."""
-    basis = basis_from_tag(spec.basis_tag)
+    n_sites, _ = sector_of(spec.basis_tag)
     peak = dos_table.peak_index()
     shell = dos_table.shells[peak]
     if shell.count == 0:
@@ -284,8 +283,8 @@ def run_volume_law(
         raise ValueError("l1_range is empty")
     means = np.empty(len(l1_values))
     for i, l1 in enumerate(l1_values):
-        part = BipartitionSpec(n_sites=basis.n_sites, l1=int(l1))
-        s = subsystem_entropies(spec, part, basis=basis, indices=shell.member_indices)
+        part = BipartitionSpec(n_sites=n_sites, l1=int(l1))
+        s = subsystem_entropies(spec, part, indices=shell.member_indices)
         means[i] = s.mean()
     return VolumeLawTable(
         l1=l1_values,
@@ -293,7 +292,6 @@ def run_volume_law(
         shell_lo=shell.lower,
         shell_hi=shell.upper,
         d_e=shell.count,
-        basis_tag=spec.basis_tag,
     )
 
 
@@ -303,7 +301,6 @@ class DegeneracyCensus:
 
     histogram: dict[int, int]
     n_levels: int
-    tol_scale: float
 
     @property
     def fraction_degenerate(self) -> float:
@@ -327,7 +324,7 @@ def degeneracy_census(
     hist: dict[int, int] = {}
     for _, size in degenerate_multiplets(e, tol_scale=tol_scale):
         hist[size] = hist.get(size, 0) + 1
-    return DegeneracyCensus(histogram=hist, n_levels=len(e), tol_scale=tol_scale)
+    return DegeneracyCensus(histogram=hist, n_levels=len(e))
 
 
 def mean_spacing_ratio(eigenvalues: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from .states import (
     partial_trace_bath,
     random_decomposition,
     random_density,
-    random_orthonormal_basis,
     random_pure,
     random_unitary,
 )
@@ -85,7 +84,7 @@ def check_measurement_monotonicity(seed: int, trials: int) -> PropertyResult:
     for _ in range(trials):
         dim = int(rng.integers(DIM_LO, DIM_HI + 1))
         rho = random_density(rng, dim)
-        phi = random_orthonormal_basis(rng, dim)
+        phi = random_unitary(rng, dim)
         worst = min(worst, von_neumann(measure(rho, phi)) - von_neumann(rho))
     return PropertyResult(
         name="measurement-monotonicity",
@@ -131,7 +130,7 @@ def check_basis_infimum(seed: int, trials: int) -> PropertyResult:
         dim = int(rng.integers(DIM_LO, DIM_HI + 1))
         rho = random_density(rng, dim)
         s = von_neumann(rho)
-        phi = random_orthonormal_basis(rng, dim)
+        phi = random_unitary(rng, dim)
         w = measurement_weights(rho, phi)
         w = np.where(w < 0.0, 0.0, w)
         worst = min(worst, shannon(w / w.sum()) - s)

@@ -6,16 +6,11 @@ import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
-from .basis import (
-    SymmetryBlock,
-    basis_from_tag,
-    enumerate_sector,
-    symmetry_blocks,
-    symmetry_group,
-)
+from .basis import SymmetryBlock, sector_of, symmetry_blocks, symmetry_group
 from .errors import NumericsError, SpectrumChecksumError, SpectrumFormatError
 from .hamiltonian import DENSE_DIM_CAP, ModelParams, SymmetricOperator
 
@@ -140,15 +135,15 @@ def _solve_blocks(op: SymmetricOperator, solver):
             f"dim {op.dim} exceeds dense cap {DENSE_DIM_CAP}; full spectra "
             "need dense storage"
         )
-    basis = basis_from_tag(op.basis_tag)
-    if basis.dim != op.dim:
-        raise ValueError(f"operator dim {op.dim} does not match sector {basis.tag}")
+    n_sites, n_up = sector_of(op.basis_tag)
+    if comb(n_sites, n_up) != op.dim:
+        raise ValueError(f"operator dim {op.dim} does not match {op.basis_tag}")
     # An operator may repeat an (i, j) triplet: coalesce into sorted entries.
     keys, inverse = np.unique(op.rows * op.dim + op.cols, return_inverse=True)
     vals = np.bincount(inverse, op.vals, len(keys))
     rows, cols = np.divmod(keys, op.dim)
     leak = 0.0
-    for perm in symmetry_group(basis)[1:]:
+    for perm in symmetry_group(n_sites, n_up)[1:]:
         moved = perm[rows] * op.dim + perm[cols]
         at = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
         moved_vals = np.where(keys[at] == moved, vals[at], 0.0)
@@ -168,7 +163,7 @@ def _solve_blocks(op: SymmetricOperator, solver):
         i, j = np.divmod(pairs, d)
         return np.bincount(c[i] * d + j, u[i] * h_u, d * d).reshape(d, d)
 
-    blocks = symmetry_blocks(basis)
+    blocks = symmetry_blocks(n_sites, n_up)
     try:
         return blocks, [solver(block_matrix(b)) for b in blocks]
     except np.linalg.LinAlgError as err:
@@ -338,7 +333,7 @@ def save_spectrum(spec: Spectrum, path) -> None:
     """Write a spectrum cache file (bit-exact round trip)."""
     if spec.params is None:
         raise ValueError("spectrum has no model params attached; cannot cache")
-    n_up = _n_up_from_tag(spec.basis_tag)
+    _, n_up = sector_of(spec.basis_tag)
     header = json.dumps(
         {
             "n_sites": spec.params.n_sites,
@@ -391,7 +386,7 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
             )
             n_up = int(header["n_up"])
             listed = [(str(b["label"]), int(b["dim"])) for b in header["blocks"]]
-            blocks = symmetry_blocks(enumerate_sector(params.n_sites, n_up))
+            blocks = symmetry_blocks(params.n_sites, n_up)
         except (ValueError, TypeError, KeyError) as err:
             raise SpectrumFormatError(f"{path}: unreadable header: {err}") from err
         if listed != [(b.label, b.dim) for b in blocks]:
@@ -429,10 +424,3 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
         basis_tag=f"N{params.n_sites}_nup{n_up}",
         params=params,
     )
-
-
-def _n_up_from_tag(basis_tag: str) -> int:
-    try:
-        return int(basis_tag.rsplit("nup", 1)[1])
-    except (IndexError, ValueError) as err:
-        raise ValueError(f"basis_tag {basis_tag!r} carries no n_up") from err

@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 
-from .basis import SpinBasis, basis_from_tag, enumerate_sector
+from .basis import enumerate_sector, sector_of
 from .errors import NumericsError
 from .spectral import EnergyShell, Spectrum
 
@@ -199,7 +199,7 @@ def partial_trace_bath(
     return DensityMatrix(matrix=rho_b, space_tag=full_tag(part.n_sites - part.l1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SzBlock:
     """Rows of one S^z block of rho_A inside a fixed-n_up sector.
 
@@ -207,7 +207,8 @@ class SzBlock:
     sector order.  Ascending A-major masks give every A-part one run of the
     same C(N-l1, n_up-k) bath configurations, so a ket's amplitudes at `rows`
     reshape to M_k of `shape`, with row i belonging to leading-block mask
-    `a_masks[i]`.
+    `a_masks[i]`.  Blocks compare and hash by identity (sz_blocks memoises
+    them).
     """
 
     rows: np.ndarray = field(repr=False)
@@ -274,34 +275,35 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
             yield start, sz, m.reshape(len(chunk), *sz.shape)
 
 
+def rdm_blocks(spec: Spectrum, part: BipartitionSpec) -> tuple[SzBlock, ...]:
+    """sz_blocks of the spectrum's sector at the cut `part`."""
+    n_sites, n_up = sector_of(spec.basis_tag)
+    if n_sites != part.n_sites:
+        raise ValueError(f"{spec.basis_tag} and the bipartition disagree on n_sites")
+    return sz_blocks(n_sites, n_up, part.l1)
+
+
 def averaged_rdm(
-    spec: Spectrum,
-    shell: EnergyShell,
-    part: BipartitionSpec,
-    basis: SpinBasis | None = None,
-) -> DensityMatrix:
+    spec: Spectrum, shell: EnergyShell, part: BipartitionSpec
+) -> list[tuple[SzBlock, np.ndarray]]:
     """Shell-averaged reduced density matrix (1/d_E) sum_n Tr_B |n><n|.
 
     Equals Tr_B of the microcanonical state by linearity.  Inside the sector
-    the average is block-diagonal in k (see sz_blocks): block k sums the
-    members' M_k M_k^T, computed as one batched product per chunk, and sits
-    at its `a_masks` rows and columns of the 2^l1 matrix.  No 2^N vector is
-    formed.
+    the average is block-diagonal in k (see sz_blocks), so it is returned as
+    one (block, (1/d_E) sum_n M_k M_k^T) pair per S^z block, the matrix
+    indexed by block.a_masks.  Each chunk of kets adds one tensordot over
+    its ket and bath axes, so neither a 2^N vector nor a (kets, n_a, n_a)
+    array is formed.
     """
     if shell.count == 0:
         raise ValueError("averaged RDM of an empty shell is undefined")
-    if basis is None:
-        basis = basis_from_tag(spec.basis_tag)
-    if basis.n_sites != part.n_sites:
-        raise ValueError("basis and bipartition disagree on n_sites")
-    blocks = sz_blocks(part.n_sites, basis.n_up, part.l1)
-    acc = np.zeros((part.dim_a, part.dim_a))
+    blocks = rdm_blocks(spec, part)
+    acc = {b: np.zeros((len(b.a_masks),) * 2) for b in blocks}
     for _, block, m in gather_blocks(spec, shell.member_indices, blocks):
-        at = np.ix_(block.a_masks, block.a_masks)
-        acc[at] += (m @ m.transpose(0, 2, 1)).sum(axis=0)
-    acc /= shell.count
-    acc = 0.5 * (acc + acc.T)
-    return DensityMatrix(matrix=acc, space_tag=full_tag(part.l1))
+        acc[block] += np.tensordot(m, m, axes=([0, 2], [0, 2]))
+    for total in acc.values():
+        total /= shell.count
+    return [(b, 0.5 * (rho + rho.T)) for b, rho in acc.items()]
 
 
 def measure(rho: DensityMatrix, basis_vectors: np.ndarray) -> DensityMatrix:
@@ -367,11 +369,6 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases
-
-
-def random_orthonormal_basis(rng, dim: int) -> np.ndarray:
-    """Random orthonormal basis, kets as columns."""
-    return random_unitary(rng, dim)
 
 
 def random_decomposition(

@@ -4,10 +4,10 @@ Everything here works on the full 2^N space with explicit Kronecker
 products and per-site tensor contractions, with no sector bookkeeping, so
 agreement with the package is evidence rather than tautology.  Site 1 is
 the leftmost Kronecker factor (most significant bit), bit value 1 is
-up-spin.  The last five helpers are not independent: they assemble package
-output (sector blocks, decompositions, eigenkets) into full states and
-matrices that the oracles can be compared against, or wrap given
-eigenpairs as a package Spectrum.
+up-spin.  The last six helpers are not independent: they assemble package
+output (sector blocks, decompositions, eigenkets, S^z blocks of an RDM)
+into full states and matrices that the oracles can be compared against,
+or wrap given eigenpairs as a package Spectrum.
 """
 import numpy as np
 
@@ -141,6 +141,14 @@ def microcanonical(spec, shell) -> es.DensityMatrix:
     rho = (block @ block.conj().T) / shell.count
     rho = 0.5 * (rho + rho.conj().T)
     return es.DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
+
+
+def assemble_rdm(blocks, l1: int) -> np.ndarray:
+    """The 2^l1 matrix of averaged_rdm's S^z blocks, each at its a_masks."""
+    rho = np.zeros((1 << l1, 1 << l1))
+    for block, mat in blocks:
+        rho[np.ix_(block.a_masks, block.a_masks)] = mat
+    return rho
 
 
 def dense_spectrum(eigenvalues, eigenvectors=None, basis_tag="t", params=None):

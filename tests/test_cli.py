@@ -324,24 +324,25 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
 
 
 def test_rdm_trace_drift_exits_3(tmp_path, monkeypatch, capsys):
-    # One eigenvector column 1 % too long: its RDM has trace 1.0201.
+    # Every eigenvector of one block 1 % too long: their RDMs, and the
+    # averages of every shell holding one of them, have traces above 1.
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
     params = es.ModelParams(n_sites=8, delta2=0.5)
     spec = es.diagonalize(es.build_hamiltonian(es.enumerate_sector(8, 4), params))
     first = spec.blocks[0]
-    v = first.eigenvectors.copy(order="F")
-    v[:, 3] *= 1.01
+    v = first.eigenvectors * 1.01
     bad = replace(spec, blocks=(replace(first, eigenvectors=v), *spec.blocks[1:]),
                   params=params)
     es.save_spectrum(bad, es.spectrum_cache_path(cache, params, 4))
-    rc = main(["eigenket-scan", "--n-sites", "8", "--delta2", "0.5",
-               "--out", str(tmp_path / "out")])
-    assert rc == 3
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "NumericsError"
-    assert "trace" in record["message"]
+    for experiment in ("eigenket-scan", "shell-average", "volume-law"):
+        rc = main([experiment, "--n-sites", "8", "--delta2", "0.5", "--bins", "4",
+                   "--min-count", "1", "--out", str(tmp_path / experiment)])
+        assert rc == 3, experiment
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NumericsError"
+        assert "trace" in record["message"]
 
 
 @pytest.mark.parametrize("failing", ["open", "replace"])
@@ -374,3 +375,23 @@ def test_failed_table_write_leaves_no_manifest(tmp_path, monkeypatch, failing):
     assert main(argv) == 4
     assert not (out / "manifest.json").exists()
     assert list(out.glob("*.tmp.*")) == []
+
+
+def test_rerun_leaves_only_the_tables_of_its_manifest(tmp_path):
+    out = tmp_path / "out"
+    base = ["--n-sites", "6", "--bins", "4", "--cache", "off", "--out", str(out)]
+    assert main(["eigenket-scan", "--delta2", "0", "--delta2", "0.5"] + base) == 0
+    assert (out / "dos_d2=0.5.csv").exists()
+    # Files no run writes are left alone, whatever their names resemble.
+    keep = {"notes.txt", "dos_d2=0.5.txt", "my_dos_d2=0.csv"}
+    for name in keep:
+        (out / name).write_text("mine\n")
+    assert main(["eigenket-scan", "--delta2", "0"] + base) == 0
+    files = {p.name for p in out.iterdir() if p.is_file()}
+    assert files == set(_manifest(out)["files"]) | keep | {
+        "manifest.json", cli.LOCK_NAME
+    }
+    assert set(_manifest(out)["files"]) == {"eigenket_scan_d2=0.csv", "dos_d2=0.csv"}
+    assert main(["property-suite", "--seed", "1"] + base) == 0
+    files = {p.name for p in out.iterdir() if p.is_file()}
+    assert files == {"property_suite.tap", "manifest.json", cli.LOCK_NAME} | keep

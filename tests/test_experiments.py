@@ -1,4 +1,6 @@
 """Pipeline behavior: scans, shell tables, fits, volume law, census."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,28 @@ def test_shell_average_singleton_rows(spec10):
         pytest.skip("no singleton shell in this binning")
 
 
+def test_shell_average_at_a_large_cut_stays_small():
+    # At l1 = N - 1 the two S^z blocks of rho_A are 462 x 462: each chunk
+    # of kets must add one summed product to them, since a batch of per-ket
+    # products, (kets, 462, 462), would take about 195 MB.
+    params = es.ModelParams(n_sites=12, delta2=0.5)
+    spec = es.diagonalize(es.build_hamiltonian(es.enumerate_sector(12, 6), params))
+    part = es.BipartitionSpec(12, 11)
+    dos = es.partition_shells(spec, 20)
+    tracemalloc.start()
+    try:
+        table = es.run_shell_average(spec, part, dos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n_rows > 0
+    assert peak < 32 * 2**20
+    # Araki-Lieb and subadditivity with a one-site bath: S(rho_A) is within
+    # ln 2 of the microcanonical entropy ln d_E.
+    gap = np.abs(table.svn_avg_rdm - np.log(table.d_e))
+    assert np.all(gap <= np.log(2) + 1e-12)
+
+
 def test_shell_table_invariants(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
@@ -94,10 +118,7 @@ def test_fit_synthetic_line():
         mean_svn=np.array([2.0, 4.0, 6.0, 5.0, 3.0]),
         svn_avg_rdm=np.zeros(5),
         std_svn=np.zeros(5),
-        n_sites=10,
-        l1=3,
         sector_dim=252,
-        min_count=1,
     )
     left = es.fit_entropy_vs_lndos(table, "left")
     assert abs(left.slope - 2.0) < 1e-12
@@ -122,10 +143,7 @@ def test_fit_insufficient_rows():
         mean_svn=np.array([1.0, 2.0]),
         svn_avg_rdm=np.zeros(2),
         std_svn=np.zeros(2),
-        n_sites=4,
-        l1=1,
         sector_dim=6,
-        min_count=1,
     )
     with pytest.raises(ValueError):
         es.fit_entropy_vs_lndos(table, "left")
@@ -142,10 +160,7 @@ def test_gamma_predicted_mean_is_population_weighted():
         mean_svn=np.array([1.0, 2.0, 3.0]),
         svn_avg_rdm=np.zeros(3),
         std_svn=np.zeros(3),
-        n_sites=10,
-        l1=3,
         sector_dim=252,
-        min_count=1,
     )
     fit = es.fit_entropy_vs_lndos(table, "left")
     g = np.log(table.d_e) / np.log(252)

@@ -11,7 +11,7 @@ import entroscope as es
 import oracles
 from entroscope.errors import NumericsError
 from entroscope.experiments import subsystem_entropies
-from entroscope.spectral import EnergyShell, Spectrum
+from entroscope.spectral import DosTable, EnergyShell, Spectrum
 from entroscope.states import full_tag, gibbs_weights, measurement_weights
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -249,18 +249,16 @@ def test_complement_symmetry_random_pure(n, seed, data):
 
 def test_averaged_rdm_singleton_and_linearity(spec10):
     spec = spec10[0.5]
-    basis = es.basis_from_tag(spec.basis_tag)
+    basis = es.enumerate_sector(10, 5)
     part = es.BipartitionSpec(10, 3)
     dos = es.partition_shells(spec, 25)
     shell = dos.shells[dos.peak_index()]
-
-    from entroscope.spectral import EnergyShell
 
     single = EnergyShell(lower=-np.inf, upper=np.inf, member_indices=np.array([7]))
     rho_one = es.averaged_rdm(spec, single, part)
     psi = oracles.embed_sector_state(basis, spec.eigenvector_matrix()[:, 7])
     direct = es.partial_trace(psi, part)
-    assert np.abs(rho_one.matrix - direct.matrix).max() < 1e-12
+    assert np.abs(oracles.assemble_rdm(rho_one, 3) - direct.matrix).max() < 1e-12
 
     # Linearity: averaged RDM equals Tr_B of the microcanonical state.
     rho_bar = es.averaged_rdm(spec, shell, part)
@@ -270,7 +268,7 @@ def test_averaged_rdm_singleton_and_linearity(spec10):
     traced = es.partial_trace(
         es.DensityMatrix(matrix=full, space_tag=full_tag(10)), part
     )
-    assert np.linalg.norm(rho_bar.matrix - traced.matrix) < 1e-10
+    assert np.linalg.norm(oracles.assemble_rdm(rho_bar, 3) - traced.matrix) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +293,7 @@ SZ_CASES = [
 @pytest.mark.parametrize("n_sites,n_up,l1", SZ_CASES)
 def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
     spec = _sector_spectrum(n_sites, n_up)
-    basis = es.basis_from_tag(spec.basis_tag)
+    basis = es.enumerate_sector(n_sites, n_up)
     part = es.BipartitionSpec(n_sites, l1)
 
     s = subsystem_entropies(spec, part)
@@ -314,7 +312,11 @@ def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
     traced = es.partial_trace(
         es.DensityMatrix(matrix=full, space_tag=full_tag(n_sites)), part
     )
-    assert np.abs(rho_bar.matrix - traced.matrix).max() <= 1e-12
+    assert np.abs(oracles.assemble_rdm(rho_bar, l1) - traced.matrix).max() <= 1e-12
+    # The shell table's entropy of that average comes from the same kernel.
+    dos = DosTable(shells=[shell], dos=np.ones(1), ln_dos=np.zeros(1))
+    table = es.run_shell_average(spec, part, dos, min_count=1)
+    assert abs(table.svn_avg_rdm[0] - es.von_neumann(traced)) <= 1e-12
 
 
 def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
@@ -335,11 +337,11 @@ def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
         picked = np.arange(spec.dim)[::-1]
         outs.append((
             subsystem_entropies(copy, part, indices=picked),
-            es.averaged_rdm(copy, shell, part).matrix,
+            [mat.tobytes() for _, mat in es.averaged_rdm(copy, shell, part)],
         ))
     (s_c, rho_c), (s_f, rho_f) = outs
     assert s_c.tobytes() == s_f.tobytes()
-    assert rho_c.tobytes() == rho_f.tobytes()
+    assert rho_c == rho_f
 
 
 def test_block_gather_matches_the_expanded_matrix(spec14):
