@@ -4,7 +4,7 @@
 Runs every experiment through the CLI entry point so each output directory
 gets its own checksummed manifest.  Spectra are shared through one cache,
 so the two eigensolves (dim 3432, four symmetry blocks each) happen once.
-About seven seconds end to end on a 2-core machine (6.9 s at 95 MB peak
+About five seconds end to end on a 2-core machine (4.9-5.3 s at 99 MB peak
 RSS, 2-core Xeon); each cached spectrum is 23.6 MB.
 
 Usage: python3 scripts/run_desk_scale.py [out_root]

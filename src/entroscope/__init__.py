@@ -38,6 +38,8 @@ from .experiments import (
     run_eigenket_scan,
     run_shell_average,
     run_volume_law,
+    shell_rdm_entropies,
+    shell_statistics,
     subsystem_entropies,
 )
 from .hamiltonian import (

@@ -33,6 +33,7 @@ from .experiments import (
     run_eigenket_scan,
     run_shell_average,
     run_volume_law,
+    shell_statistics,
 )
 from .hamiltonian import ModelParams, build_hamiltonian
 from .properties import format_tap, run_property_suite
@@ -144,7 +145,7 @@ def obtain_spectrum(
 
 
 class _Coupling:
-    """One coupling's spectrum, DOS table and shell table, each built once."""
+    """One coupling's spectrum and DOS table, each built once."""
 
     def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
         self.cfg = cfg
@@ -165,12 +166,6 @@ class _Coupling:
     @cached_property
     def dos(self):
         return partition_shells(self.spectrum, self.cfg.n_bins)
-
-    @cached_property
-    def shells(self):
-        return run_shell_average(
-            self.spectrum, self.part, self.dos, min_count=self.cfg.min_shell_count
-        )
 
 
 def _eigenket_scan_rows(c: _Coupling):
@@ -193,7 +188,8 @@ def _dos_rows(c: _Coupling):
 
 
 def _shell_average_rows(c: _Coupling):
-    t, u = c.shells, c.unit
+    t = run_shell_average(c.spectrum, c.part, c.dos, c.cfg.min_shell_count)
+    u = c.unit
     c.details["rows"] = t.n_rows
     gamma = t.gamma_predicted
     slack = t.concavity_slack
@@ -220,10 +216,11 @@ def _volume_law_rows(c: _Coupling):
 
 
 def _gamma_fit_rows(c: _Coupling):
+    table = shell_statistics(c.spectrum, c.part, c.dos, c.cfg.min_shell_count)
     rows = []
     for side in ("left", "right"):
         try:
-            fit = fit_entropy_vs_lndos(c.shells, side)
+            fit = fit_entropy_vs_lndos(table, side)
         except ValueError as exc:
             raise NumericsError(f"d2={c.delta2:g}, {side} side: {exc}") from exc
         rows.append((side, fit.slope, fit.intercept, fit.r_squared,
@@ -236,18 +233,23 @@ def _gamma_fit_rows(c: _Coupling):
 def _degeneracy_census_rows(c: _Coupling):
     """Census the merged eigenvalues of every Sz sector.
 
-    Each sector is solved per symmetry block, eigenvalues only.  The spin
-    flip maps sector n_up onto N - n_up, so only n_up <= N/2 is solved and
-    its spectrum counts for both.  <r> is recorded per block of the middle
-    sector n_up = N // 2 (half filling for even N).
+    Each sector is solved per symmetry block, eigenvalues only, except the
+    table sector n_up = cfg.n_up, whose per-block eigenvalues come from the
+    coupling's spectrum (cache or solve).  The spin flip maps sector n_up
+    onto N - n_up, so only n_up <= N/2 is solved and its spectrum counts for
+    both.  <r> is recorded per block of the middle sector n_up = N // 2
+    (half filling for even N).
     """
     n = c.cfg.n_sites
     params = ModelParams(n_sites=n, delta2=c.delta2)
     merged, r_mean = [], {}
     for n_up in range(n // 2 + 1):
-        by_block = block_eigenvalues(
-            build_hamiltonian(enumerate_sector(n, n_up), params)
-        )
+        if n_up == c.cfg.n_up:
+            by_block = {b.block.label: b.eigenvalues for b in c.spectrum.blocks}
+        else:
+            by_block = block_eigenvalues(
+                build_hamiltonian(enumerate_sector(n, n_up), params)
+            )
         evals = np.concatenate(list(by_block.values()))
         merged += [evals] if 2 * n_up == n else [evals, evals]
         if n_up == n // 2:

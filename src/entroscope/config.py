@@ -156,6 +156,10 @@ def validate(cfg: RunConfig) -> RunConfig:
     if cfg.l1_range is not None:
         if not cfg.l1_range:
             raise ConfigError("l1_range is empty")
+        if len(set(cfg.l1_range)) != len(cfg.l1_range):
+            # Each entry is one volume-law row; a repeat would scan twice
+            # and write two rows for one l1.
+            raise ConfigError(f"l1_range {list(cfg.l1_range)} repeats an entry")
         for l1 in cfg.l1_range:
             if not 1 <= l1 <= cfg.n_sites - 1:
                 raise ConfigError(

@@ -1,7 +1,7 @@
 """Figure-level pipelines: per-eigenket entropy scans, shell averages,
 entropy-vs-ln(DOS) fits, the volume-law sweep, the degeneracy census and
 the level-spacing ratio."""
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -9,6 +9,7 @@ from .basis import sector_of
 from .spectral import (
     DEGENERACY_TOL,
     DosTable,
+    EnergyShell,
     Spectrum,
     degenerate_multiplets,
     multiplet_flags,
@@ -32,23 +33,28 @@ RIGHT = "right"
 def _rdm_entropies(n_rows: int, pieces) -> np.ndarray:
     """-sum lambda ln lambda per row over batches of symmetric RDM blocks.
 
-    `pieces` yields (start, mats): mats[i], shape (d, d), is one block (or
-    a matrix with the same nonzero spectrum) of row start + i.  Every RDM
-    the tables report is diagonalized here.  Raises NumericsError when an
-    eigenvalue lies below -PSD_TOL or a row's eigenvalues (before
-    0 ln 0 = 0) sum to a trace more than TRACE_TOL from 1.
+    `pieces` yields (start, count, mats): mats[i], shape (d, d), is one
+    block (or a matrix with the same nonzero spectrum) of row start + i, and
+    it stands for `count` blocks of that row.  At half filling the spin flip
+    maps S^z block k of a ket of definite flip parity, or of an average of
+    such kets, onto block l1 - k with the same spectrum (states.rdm_blocks),
+    so only one of the two is diagonalized and its entropy and trace count
+    twice.  Every RDM the tables report is diagonalized here.  Raises
+    NumericsError when an eigenvalue lies below -PSD_TOL or a row's
+    eigenvalues (before 0 ln 0 = 0), weighted by count, sum to a trace more
+    than TRACE_TOL from 1.
     """
     out = np.zeros(n_rows)
     trace = np.zeros(n_rows)
-    for start, mats in pieces:
+    for start, count, mats in pieces:
         vals = np.linalg.eigvalsh(mats)
         low = vals.min()
         if low < -PSD_TOL:
             raise NumericsError(f"RDM eigenvalue {low:g} below -{PSD_TOL:g}")
         rows = slice(start, start + len(mats))
-        trace[rows] += vals.sum(axis=1)
+        trace[rows] += count * vals.sum(axis=1)
         vals = np.where(vals > 0.0, vals, 1.0)  # 0 ln 0 = 0 via ln 1
-        out[rows] -= (vals * np.log(vals)).sum(axis=1)
+        out[rows] -= count * (vals * np.log(vals)).sum(axis=1)
     drift = np.abs(trace - 1.0).max(initial=0.0)
     if drift > TRACE_TOL:
         raise NumericsError(f"RDM trace off by {drift:g}, above {TRACE_TOL:g}")
@@ -62,22 +68,23 @@ def subsystem_entropies(
 
     Inside the sector rho_A = (+)_k M_k M_k^T, block-diagonal in k, the
     number of up spins on sites 1..l1 (see states.sz_blocks); the sector
-    comes from spec.basis_tag.  Per chunk of kets each M_k is gathered
+    comes from spec.basis_tag.  Per chunk of kets the M_k of the blocks
+    states.rdm_blocks keeps (half of them at half filling) are gathered
     (states.gather_blocks), and the smaller of M_k M_k^T and M_k^T M_k,
     which share their nonzero spectrum, goes to the one RDM kernel with its
-    PSD and trace gates; no 2^N vector is formed.  Output order follows
-    `indices` (all eigenkets, ascending, when omitted).
+    count and its PSD and trace gates; no 2^N vector is formed.  Output
+    order follows `indices` (all eigenkets, ascending, when omitted).
     """
     if indices is None:
         indices = np.arange(spec.dim)
     indices = np.asarray(indices, dtype=np.int64)
-    blocks = rdm_blocks(spec, part)
+    counts = dict(rdm_blocks(spec, part))
 
     def grams():
-        for start, block, m in gather_blocks(spec, indices, blocks):
+        for start, block, m in gather_blocks(spec, indices, counts):
             n_a, n_b = block.shape
             mt = m.transpose(0, 2, 1)
-            yield start, m @ mt if n_a <= n_b else mt @ m
+            yield start, counts[block], m @ mt if n_a <= n_b else mt @ m
 
     return _rdm_entropies(len(indices), grams())
 
@@ -115,7 +122,10 @@ def run_eigenket_scan(
 
 @dataclass(frozen=True)
 class ShellTable:
-    """Shell-resolved entropy summary, one row per kept shell."""
+    """Shell-resolved entropy summary, one row per kept shell.
+
+    svn_avg_rdm is None in the tables shell_statistics returns.
+    """
 
     shell_index: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
@@ -124,7 +134,7 @@ class ShellTable:
     d_e: np.ndarray = field(repr=False)
     ln_dos: np.ndarray = field(repr=False)
     mean_svn: np.ndarray = field(repr=False)
-    svn_avg_rdm: np.ndarray = field(repr=False)
+    svn_avg_rdm: np.ndarray | None = field(repr=False)
     std_svn: np.ndarray = field(repr=False)
     sector_dim: int = 0
 
@@ -147,18 +157,18 @@ class ShellTable:
         return int(np.argmax(self.d_e))
 
 
-def run_shell_average(
+def shell_statistics(
     spec: Spectrum,
     part: BipartitionSpec,
     dos_table: DosTable,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> ShellTable:
-    """Shell means of per-eigenket entropy plus the averaged-RDM entropy.
+    """Shell rows with the means of per-eigenket entropy; no averaged RDM.
 
     Keeps the shells with d_E >= min_count.  Reductions run in ascending
     eigenindex order within each shell, so repeat runs are bitwise-stable.
-    The averaged RDMs of all kept shells go through the same kernel as the
-    per-ket entropies, one shell's S^z blocks at a time.
+    svn_avg_rdm is None: the entropy fit needs only these columns, and
+    run_shell_average adds the averaged-RDM column.
     """
     s_all = subsystem_entropies(spec, part)
     rows = [
@@ -188,13 +198,39 @@ def run_shell_average(
         out["ln_dos"][r] = dos_table.ln_dos[j]
         out["mean_svn"][r] = s.mean()
         out["std_svn"][r] = s.std()
-    averaged = (
-        (r, rho[None])
-        for r, (_, shell) in enumerate(rows)
-        for _, rho in averaged_rdm(spec, shell, part)
-    )
-    out["svn_avg_rdm"] = _rdm_entropies(n, averaged)
-    return ShellTable(**out, sector_dim=spec.dim)
+    return ShellTable(**out, svn_avg_rdm=None, sector_dim=spec.dim)
+
+
+def shell_rdm_entropies(
+    spec: Spectrum, part: BipartitionSpec, shells: list[EnergyShell]
+) -> np.ndarray:
+    """S_VN of each shell's averaged RDM (states.averaged_rdm).
+
+    All shells go through the same kernel as the per-ket entropies, one
+    shell's kept S^z blocks at a time.  A block that averaged_rdm returns as
+    its factor F (rank d_E n_b < n_a) is fed as the smaller F^T F, which has
+    the same nonzero spectrum, as subsystem_entropies does per ket.
+    """
+
+    def blocks():
+        for r, shell in enumerate(shells):
+            for _, count, mat in averaged_rdm(spec, shell, part):
+                n_a, d = mat.shape
+                yield r, count, (mat if n_a == d else mat.T @ mat)[None]
+
+    return _rdm_entropies(len(shells), blocks())
+
+
+def run_shell_average(
+    spec: Spectrum,
+    part: BipartitionSpec,
+    dos_table: DosTable,
+    min_count: int = DEFAULT_MIN_COUNT,
+) -> ShellTable:
+    """shell_statistics plus the entropy of each kept shell's averaged RDM."""
+    table = shell_statistics(spec, part, dos_table, min_count)
+    kept = [dos_table.shells[j] for j in table.shell_index]
+    return replace(table, svn_avg_rdm=shell_rdm_entropies(spec, part, kept))
 
 
 @dataclass(frozen=True)

@@ -251,8 +251,10 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
     end, and every m is a view of it: at those rows eigenket n (column c of
     block b) holds coef_b[rows] * V_b[col_b[rows], c] + 0.0, the values
     SymmetryBlock.expand gives, so col_b[rows] and coef_b[rows] are gathered
-    once per call.  The buffer holds about 1 MB: bigger chunks ran no faster
-    and left more heap resident, raising peak RSS.
+    once per call.  A chunk holds 2^17 / D kets, so the buffer is at most
+    1 MB (about half that for the half of the blocks rdm_blocks keeps at
+    half filling): bigger chunks ran no faster and left more heap resident,
+    raising peak RSS.
     """
     rows = np.concatenate([sz.rows for sz in blocks])
     ends = np.cumsum([len(sz.rows) for sz in blocks])
@@ -275,35 +277,71 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
             yield start, sz, m.reshape(len(chunk), *sz.shape)
 
 
-def rdm_blocks(spec: Spectrum, part: BipartitionSpec) -> tuple[SzBlock, ...]:
-    """sz_blocks of the spectrum's sector at the cut `part`."""
+def rdm_blocks(
+    spec: Spectrum, part: BipartitionSpec
+) -> tuple[tuple[SzBlock, int], ...]:
+    """The S^z blocks of rho_A the kernels read, each with how often it counts.
+
+    At half filling (2 n_up = N) the spin flip F maps a configuration (a, b)
+    to (~a, ~b), so block k goes to block l1 - k.  A ket of flip parity f
+    then has M_{l1-k} = f P M_k Q, with P and Q the permutations a -> ~a and
+    b -> ~b, and blocks k and l1 - k of its rho_A, and of any average of
+    such RDMs, share their spectrum.  When every symmetry block of `spec`
+    carries an F label, so every eigenket has a definite f, only the first
+    ceil(len/2) blocks of sz_blocks are returned: each counts twice, except
+    the self-mirror middle block (k = l1/2) when the count is odd.  Any
+    other spectrum (n_up != N/2, odd N, blocks without F labels) gets every
+    block, counted once.
+    """
     n_sites, n_up = sector_of(spec.basis_tag)
     if n_sites != part.n_sites:
         raise ValueError(f"{spec.basis_tag} and the bipartition disagree on n_sites")
-    return sz_blocks(n_sites, n_up, part.l1)
+    blocks = sz_blocks(n_sites, n_up, part.l1)
+    paired = 2 * n_up == n_sites and all("F" in b.block.label for b in spec.blocks)
+    if not paired:
+        return tuple((b, 1) for b in blocks)
+    n = len(blocks)
+    return tuple(
+        (b, 1 if 2 * i + 1 == n else 2) for i, b in enumerate(blocks[: (n + 1) // 2])
+    )
 
 
 def averaged_rdm(
     spec: Spectrum, shell: EnergyShell, part: BipartitionSpec
-) -> list[tuple[SzBlock, np.ndarray]]:
+) -> list[tuple[SzBlock, int, np.ndarray]]:
     """Shell-averaged reduced density matrix (1/d_E) sum_n Tr_B |n><n|.
 
     Equals Tr_B of the microcanonical state by linearity.  Inside the sector
     the average is block-diagonal in k (see sz_blocks), so it is returned as
-    one (block, (1/d_E) sum_n M_k M_k^T) pair per S^z block, the matrix
-    indexed by block.a_masks.  Each chunk of kets adds one tensordot over
-    its ket and bath axes, so neither a 2^N vector nor a (kets, n_a, n_a)
-    array is formed.
+    one (block, count, matrix) triple per block of rdm_blocks, which also
+    gives the count (2 for a block that stands for its spin-flip mirror).
+    The matrix is the averaged block (1/d_E) sum_n M_k M_k^T, indexed by
+    block.a_masks.  When d_E n_b < n_a that block has rank at most d_E n_b,
+    and the matrix is its factor F = W / sqrt(d_E) instead, n_a x d_E n_b
+    with W = [M_k of every member], so the block is F F^T and its nonzero
+    spectrum is that of the smaller F^T F.  Each chunk of kets adds one
+    tensordot over its ket and bath axes (or its rows of W^T), so neither a
+    2^N vector nor a (kets, n_a, n_a) array is formed.
     """
     if shell.count == 0:
         raise ValueError("averaged RDM of an empty shell is undefined")
-    blocks = rdm_blocks(spec, part)
-    acc = {b: np.zeros((len(b.a_masks),) * 2) for b in blocks}
-    for _, block, m in gather_blocks(spec, shell.member_indices, blocks):
-        acc[block] += np.tensordot(m, m, axes=([0, 2], [0, 2]))
-    for total in acc.values():
-        total /= shell.count
-    return [(b, 0.5 * (rho + rho.T)) for b, rho in acc.items()]
+    counts = dict(rdm_blocks(spec, part))
+    wide = {b: [] for b in counts if b.shape[0] > shell.count * b.shape[1]}
+    acc = {b: np.zeros((b.shape[0],) * 2) for b in counts if b not in wide}
+    for _, block, m in gather_blocks(spec, shell.member_indices, counts):
+        if block in wide:
+            wide[block].append(m.transpose(0, 2, 1).reshape(-1, block.shape[0]))
+        else:
+            acc[block] += np.tensordot(m, m, axes=([0, 2], [0, 2]))
+    out = []
+    for block, count in counts.items():
+        if block in wide:
+            mat = np.concatenate(wide[block]).T / np.sqrt(shell.count)
+        else:
+            rho = acc[block] / shell.count
+            mat = 0.5 * (rho + rho.T)
+        out.append((block, count, mat))
+    return out
 
 
 def measure(rho: DensityMatrix, basis_vectors: np.ndarray) -> DensityMatrix:

@@ -4,10 +4,11 @@ Everything here works on the full 2^N space with explicit Kronecker
 products and per-site tensor contractions, with no sector bookkeeping, so
 agreement with the package is evidence rather than tautology.  Site 1 is
 the leftmost Kronecker factor (most significant bit), bit value 1 is
-up-spin.  The last six helpers are not independent: they assemble package
-output (sector blocks, decompositions, eigenkets, S^z blocks of an RDM)
-into full states and matrices that the oracles can be compared against,
-or wrap given eigenpairs as a package Spectrum.
+up-spin.  The helpers from `reconstruct` on are not independent: they
+assemble package output (sector blocks, decompositions, eigenkets, S^z
+blocks of an RDM) into full states and matrices that the oracles can be
+compared against, redo the RDM kernel over every S^z block without the
+spin-flip pairing, or wrap given eigenpairs as a package Spectrum.
 """
 import numpy as np
 
@@ -144,11 +145,59 @@ def microcanonical(spec, shell) -> es.DensityMatrix:
 
 
 def assemble_rdm(blocks, l1: int) -> np.ndarray:
-    """The 2^l1 matrix of averaged_rdm's S^z blocks, each at its a_masks."""
+    """The 2^l1 matrix of averaged_rdm's S^z blocks, each at its a_masks.
+
+    A block given as its factor F (n_a x r, r < n_a) is F F^T.  A block that
+    counts twice also fills its spin-flip mirror: the entry (a, a') of block
+    k is the entry (~a, ~a') of block l1 - k.
+    """
     rho = np.zeros((1 << l1, 1 << l1))
-    for block, mat in blocks:
+    full = (1 << l1) - 1
+    for block, count, mat in blocks:
+        if mat.shape[0] != mat.shape[1]:
+            mat = mat @ mat.T
         rho[np.ix_(block.a_masks, block.a_masks)] = mat
+        if count == 2:
+            mirror = block.a_masks ^ full
+            rho[np.ix_(mirror, mirror)] = mat
     return rho
+
+
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """-sum lambda ln lambda of each matrix of a stack, with 0 ln 0 = 0."""
+    vals = np.linalg.eigvalsh(mats)
+    vals = np.where(vals > 0.0, vals, 1.0)
+    return -(vals * np.log(vals)).sum(axis=1)
+
+
+def unpaired_entropies(spec, part, indices=None) -> np.ndarray:
+    """Per-ket S_VN summed over every S^z block k, none standing for another.
+
+    The reference for the package kernel's spin-flip pairing: the smaller of
+    M_k M_k^T and M_k^T M_k of every block is diagonalized.
+    """
+    n_sites, n_up = es.sector_of(spec.basis_tag)
+    indices = np.arange(spec.dim) if indices is None else np.asarray(indices)
+    blocks = es.states.sz_blocks(n_sites, n_up, part.l1)
+    out = np.zeros(len(indices))
+    for start, block, m in es.states.gather_blocks(spec, indices, blocks):
+        n_a, n_b = block.shape
+        mt = m.transpose(0, 2, 1)
+        out[start : start + len(m)] += _entropies(m @ mt if n_a <= n_b else mt @ m)
+    return out
+
+
+def unpaired_svn_avg_rdm(spec, shell, part) -> float:
+    """S_VN of the shell-averaged RDM, summed over every S^z block.
+
+    Each block is (1/d_E) sum_n M_k M_k^T, diagonalized at the n_a side.
+    """
+    n_sites, n_up = es.sector_of(spec.basis_tag)
+    blocks = es.states.sz_blocks(n_sites, n_up, part.l1)
+    acc = {b: np.zeros((len(b.a_masks),) * 2) for b in blocks}
+    for _, block, m in es.states.gather_blocks(spec, shell.member_indices, blocks):
+        acc[block] += np.tensordot(m, m, axes=([0, 2], [0, 2]))
+    return float(sum(_entropies(rho[None] / shell.count)[0] for rho in acc.values()))
 
 
 def dense_spectrum(eigenvalues, eigenvectors=None, basis_tag="t", params=None):

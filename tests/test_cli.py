@@ -165,6 +165,41 @@ def test_degeneracy_census_cli(tmp_path):
     assert details["n_levels"] == sum(int(s) * int(c) for s, c in rows)
 
 
+def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
+    # The sector n_up = cfg.n_up comes from the coupling's spectrum (here a
+    # cache hit), not from a fresh per-block solve; the table is unchanged.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    base = ["degeneracy-census", "--n-sites", "8", "--delta2", "0.5"]
+    assert main(base + ["--cache", "off", "--out", str(tmp_path / "a")]) == 0
+    assert main(["volume-law", "--n-sites", "8", "--delta2", "0.5",
+                 "--out", str(tmp_path / "fill")]) == 0
+    solved = []
+    block_eigenvalues = cli.block_eigenvalues
+
+    def recording(op):
+        solved.append(op.basis_tag)
+        return block_eigenvalues(op)
+
+    monkeypatch.setattr(cli, "block_eigenvalues", recording)
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    assert solved == [f"N8_nup{k}" for k in range(4)]
+    details = _manifest(tmp_path / "b")["details"]["d2=0.5"]
+    assert details["spectrum"] == "cache"
+    name = "degeneracy_census_d2=0.5.csv"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_gamma_fit_builds_no_averaged_rdm(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("averaged_rdm called")
+
+    monkeypatch.setattr(es.states, "averaged_rdm", forbidden)
+    monkeypatch.setattr(es.experiments, "averaged_rdm", forbidden)
+    assert main(["gamma-fit", "--n-sites", "8", "--delta2", "0.5", "--bins", "6",
+                 "--min-count", "1", "--cache", "off",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     rc = main(["shell-average", "--l1", "0", "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -197,6 +197,18 @@ def test_l1_range_entries_validated():
         )
 
 
+def test_l1_range_repeats_rejected(tmp_path):
+    # Each entry is one volume-law row: a repeat would scan its cut twice
+    # and write two rows for one l1.
+    with pytest.raises(ConfigError, match="repeats"):
+        parse_config(None, {"experiment": "volume-law", "l1_range": (3, 3)})
+    out = tmp_path / "o"
+    rc = main(["volume-law", "--n-sites", "6", "--l1-range", "1,2,1",
+               "--cache", "off", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_experiment_required():
     with pytest.raises(ConfigError):
         parse_config(None, {})

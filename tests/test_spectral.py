@@ -428,6 +428,6 @@ def test_table_kernels_never_form_the_eigenvector_matrix(monkeypatch):
     assert peak < 8 * spec.dim**2
     assert s.tobytes() == expected[0].tobytes()
     assert len(rho) == len(expected[1])
-    for (block, mat), (want_block, want) in zip(rho, expected[1]):
+    for (block, _, mat), (want_block, _, want) in zip(rho, expected[1]):
         assert block is want_block
         assert mat.tobytes() == want.tobytes()

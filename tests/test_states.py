@@ -337,7 +337,7 @@ def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
         picked = np.arange(spec.dim)[::-1]
         outs.append((
             subsystem_entropies(copy, part, indices=picked),
-            [mat.tobytes() for _, mat in es.averaged_rdm(copy, shell, part)],
+            [mat.tobytes() for *_, mat in es.averaged_rdm(copy, shell, part)],
         ))
     (s_c, rho_c), (s_f, rho_f) = outs
     assert s_c.tobytes() == s_f.tobytes()
@@ -355,6 +355,96 @@ def test_block_gather_matches_the_expanded_matrix(spec14):
         kets = picked[start : start + len(m)]
         want = v[np.ix_(block.rows, kets)].T.reshape(len(kets), *block.shape)
         assert m.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Spin-flip pairing: at half filling S^z blocks k and l1 - k share a spectrum.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _half_filled(n_sites, delta2):
+    params = es.ModelParams(n_sites=n_sites, delta2=delta2)
+    basis = es.enumerate_sector(n_sites, n_sites // 2)
+    return es.diagonalize(es.build_hamiltonian(basis, params))
+
+
+@pytest.mark.parametrize("n_sites", [6, 8, 10, 12, 14])
+@pytest.mark.parametrize("delta2", [0.0, 0.5, 1.3])
+def test_flip_paired_kernel_matches_every_block_oracle(n_sites, delta2, request):
+    shared = {10: "spec10", 14: "spec14"}.get(n_sites)
+    if shared and delta2 in (0.0, 0.5):
+        spec = request.getfixturevalue(shared)[delta2]  # solved once per session
+    else:
+        spec = _half_filled(n_sites, delta2)
+    # Pairing acts ket by ket, so a spread of about 200 kets covers it; the
+    # DOS peak mixes kets of both flip parities.
+    kets = np.arange(0, spec.dim, max(1, spec.dim // 200))
+    dos = es.partition_shells(spec, 12)
+    peak = dos.shells[dos.peak_index()]
+    for l1 in range(1, n_sites):
+        part = es.BipartitionSpec(n_sites, l1)
+        kept = es.states.rdm_blocks(spec, part)
+        every = es.states.sz_blocks(n_sites, n_sites // 2, l1)
+        assert sum(count for _, count in kept) == len(every)
+        assert [b for b, _ in kept] == list(every[: len(kept)])
+        assert len(kept) == (len(every) + 1) // 2
+        s = subsystem_entropies(spec, part, indices=kets)
+        want = oracles.unpaired_entropies(spec, part, kets)
+        assert np.abs(s - want).max() <= 1e-13, l1
+        (got,) = es.shell_rdm_entropies(spec, part, [peak])
+        want = oracles.unpaired_svn_avg_rdm(spec, peak, part)
+        # A large cut reads the smaller F^T F, whose eigenvalues carry less
+        # rounding than the oracle's n_a x n_a block: that switch has its
+        # own bound (test_large_cut_averages_take_the_smaller_gram).
+        wide = any(b.shape[0] > peak.count * b.shape[1] for b, _ in kept)
+        assert abs(got - want) <= (1e-12 if wide else 1e-13), l1
+
+
+@pytest.mark.parametrize("n_sites,n_up", [(8, 3), (7, 3), (7, 4)])
+def test_sectors_off_half_filling_count_every_block_once(n_sites, n_up):
+    spec = _sector_spectrum(n_sites, n_up)
+    for l1 in range(1, n_sites):
+        kept = es.states.rdm_blocks(spec, es.BipartitionSpec(n_sites, l1))
+        every = es.states.sz_blocks(n_sites, n_up, l1)
+        assert kept == tuple((b, 1) for b in every)
+
+
+def test_spectrum_without_flip_labels_counts_every_block_once(spec10):
+    # The same eigenkets as one unlabelled block: no flip parity is known,
+    # so no block may stand for its mirror; the entropies agree anyway.
+    spec = spec10[0.5]
+    plain = oracles.dense_spectrum(
+        spec.eigenvalues, spec.eigenvector_matrix(), basis_tag=spec.basis_tag
+    )
+    shell = es.partition_shells(spec, 12).shells[6]
+    for l1 in range(1, 10):
+        part = es.BipartitionSpec(10, l1)
+        every = es.states.sz_blocks(10, 5, l1)
+        assert es.states.rdm_blocks(plain, part) == tuple((b, 1) for b in every)
+        assert len(es.states.rdm_blocks(spec, part)) < len(every)
+        s_plain = subsystem_entropies(plain, part)
+        assert np.abs(s_plain - subsystem_entropies(spec, part)).max() <= 1e-13
+        s_avg = [es.shell_rdm_entropies(x, part, [shell])[0] for x in (plain, spec)]
+        assert abs(s_avg[0] - s_avg[1]) <= 1e-13
+
+
+@pytest.mark.parametrize("l1", [10, 11])
+def test_large_cut_averages_take_the_smaller_gram(l1):
+    # When d_E n_b < n_a averaged_rdm gives the factor F = W / sqrt(d_E) and
+    # the kernel reads F^T F (d_E n_b square); its entropy is that of the
+    # n_a x n_a averaged block.
+    spec = _half_filled(12, 0.5)
+    part = es.BipartitionSpec(12, l1)
+    dos = es.partition_shells(spec, 20)
+    table = es.run_shell_average(spec, part, dos, min_count=1)
+    for r, j in enumerate(table.shell_index):
+        shell = dos.shells[j]
+        want = oracles.unpaired_svn_avg_rdm(spec, shell, part)
+        assert abs(table.svn_avg_rdm[r] - want) <= 1e-12
+    peak = dos.shells[dos.peak_index()]
+    factors = [mat.shape for _, _, mat in es.averaged_rdm(spec, peak, part)]
+    assert any(n_a > d for n_a, d in factors)
 
 
 # ---------------------------------------------------------------------------
