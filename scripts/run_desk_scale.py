@@ -3,9 +3,11 @@
 
 Runs every experiment through the CLI entry point so each output directory
 gets its own checksummed manifest.  Spectra are shared through one cache,
-so the two eigensolves (dim 3432, four symmetry blocks each) happen once.
-About five seconds end to end on a 2-core machine (4.9-5.3 s at 99 MB peak
-RSS, 2-core Xeon); each cached spectrum is 23.6 MB.
+so the two eigensolves (dim 3432, four symmetry blocks each) happen once,
+and so is each coupling's full entropy scan (eigenket-scan computes it,
+shell-average and gamma-fit load it).  About four seconds end to end on a
+2-core machine (3.8-4.2 s at 99 MB peak RSS, 2-core Xeon); each cached
+spectrum is 23.6 MB and each scan file 27.6 kB.
 
 Usage: python3 scripts/run_desk_scale.py [out_root]
 """

@@ -2,10 +2,12 @@
 """Full-scale run: N=16 half filling (sector dim 12870), both couplings.
 
 Each eigensolve (four symmetry blocks of about 3200) takes about 23 s on
-2 cores.  The whole run took 70-77 s at 0.71 GB peak RSS on a 2-core Xeon;
+2 cores.  The whole run took 41-48 s at 0.71 GB peak RSS on a 2-core Xeon;
 each cached spectrum (the blocks' eigenvectors) is 0.33 GB.  Everything
-downstream reuses the cached spectra.  Defaults (n_up=8, l1=6, 50 bins, min_count=10) already describe
-this geometry, so only the couplings are spelled out.
+downstream reuses the cached spectra, and shell-average and gamma-fit load
+the full entropy scan that eigenket-scan cached (0.1 MB per coupling).
+Defaults (n_up=8, l1=6, 50 bins, min_count=10) already describe this
+geometry, so only the couplings are spelled out.
 
 Usage: python3 scripts/run_full_scale.py [out_root]
 """

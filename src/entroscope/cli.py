@@ -34,6 +34,7 @@ from .experiments import (
     run_shell_average,
     run_volume_law,
     shell_statistics,
+    subsystem_entropies,
 )
 from .hamiltonian import ModelParams, build_hamiltonian
 from .properties import format_tap, run_property_suite
@@ -42,9 +43,12 @@ from .spectral import (
     atomic_write,
     block_eigenvalues,
     diagonalize,
+    load_scan,
     load_spectrum,
     partition_shells,
+    save_scan,
     save_spectrum,
+    scan_cache_path,
     spectrum_cache_path,
 )
 from .states import BipartitionSpec
@@ -114,26 +118,35 @@ def resolve_cache_dir(cfg: RunConfig) -> str:
     return env if env else os.path.join(cfg.out_dir, "cache")
 
 
+def _cached_spectrum(cfg: RunConfig, params: ModelParams, path: str):
+    """The cached spectrum when the policy allows and the file is valid, else None."""
+    if cfg.cache == "use" and os.path.exists(path):
+        try:
+            return load_spectrum(path, expect_params=params)
+        except StorageError:
+            pass
+    return None
+
+
 def obtain_spectrum(
     cfg: RunConfig, delta2: float, n_up: int, cache_dir: str
 ) -> tuple[Spectrum, str]:
     """Load from cache when allowed and keyed identically, else build.
 
     A cache file that fails to load (corrupt, wrong params) is rebuilt and
-    overwritten rather than trusted.
+    overwritten rather than trusted.  The returned spectrum carries the
+    trailer of the file it was read from or written to.
     """
     params = ModelParams(n_sites=cfg.n_sites, delta2=delta2)
     path = spectrum_cache_path(cache_dir, params, n_up)
-    if cfg.cache == "use" and os.path.exists(path):
-        try:
-            return load_spectrum(path, expect_params=params), "cache"
-        except StorageError:
-            pass
+    spec = _cached_spectrum(cfg, params, path)
+    if spec is not None:
+        return spec, "cache"
     basis = enumerate_sector(cfg.n_sites, n_up)
     spec = replace(diagonalize(build_hamiltonian(basis, params)), params=params)
     if cfg.cache != "off":
         os.makedirs(cache_dir, exist_ok=True)
-        save_spectrum(spec, path)
+        spec = replace(spec, checksum=save_spectrum(spec, path))
     return spec, "built"
 
 
@@ -145,12 +158,13 @@ def obtain_spectrum(
 
 
 class _Coupling:
-    """One coupling's spectrum and DOS table, each built once."""
+    """One coupling's spectrum, full S_VN scan and DOS table, each built once."""
 
     def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
         self.cfg = cfg
         self.delta2 = delta2
         self.cache_dir = cache_dir
+        self.params = ModelParams(n_sites=cfg.n_sites, delta2=delta2)
         self.unit = LN2 if cfg.bits else 1.0
         self.part = BipartitionSpec(cfg.n_sites, cfg.l1)
         self.details: dict = {}
@@ -163,13 +177,51 @@ class _Coupling:
         self.details["spectrum"] = source
         return spec
 
+    def spectrum_at_hand(self) -> Spectrum | None:
+        """The spectrum if this run holds it already or the cache does.
+
+        Never solves: None when the spectrum would have to be built.
+        """
+        if "spectrum" not in vars(self):
+            path = spectrum_cache_path(self.cache_dir, self.params, self.cfg.n_up)
+            spec = _cached_spectrum(self.cfg, self.params, path)
+            if spec is None:
+                return None
+            vars(self)["spectrum"] = spec
+            self.details["spectrum"] = "cache"
+        return self.spectrum
+
+    @cached_property
+    def s_vn(self) -> np.ndarray:
+        """S_VN of every eigenket at cfg.l1, in eigenindex order.
+
+        The scan file beside the spectrum follows the spectrum's cache
+        policy; one that fails to load, or was computed from another
+        spectrum file, is recomputed and overwritten.  A scan that trips
+        the kernel's gates raises before anything is written.
+        """
+        spec, l1 = self.spectrum, self.cfg.l1
+        path = scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1)
+        if self.cfg.cache == "use" and os.path.exists(path):
+            try:
+                s = load_scan(path, spec, l1)
+                self.details["scan"] = "cache"
+                return s
+            except StorageError:
+                pass
+        s = subsystem_entropies(spec, self.part)
+        if self.cfg.cache != "off":
+            save_scan(s, path, spec, l1)
+        self.details["scan"] = "built"
+        return s
+
     @cached_property
     def dos(self):
         return partition_shells(self.spectrum, self.cfg.n_bins)
 
 
 def _eigenket_scan_rows(c: _Coupling):
-    scan = run_eigenket_scan(c.spectrum, c.part, c.dos)
+    scan = run_eigenket_scan(c.spectrum, c.s_vn, c.dos)
     c.details["records"] = scan.count
     rows = [
         (n, scan.energies[n], scan.s_vn[n] / c.unit,
@@ -188,7 +240,7 @@ def _dos_rows(c: _Coupling):
 
 
 def _shell_average_rows(c: _Coupling):
-    t = run_shell_average(c.spectrum, c.part, c.dos, c.cfg.min_shell_count)
+    t = run_shell_average(c.spectrum, c.part, c.s_vn, c.dos, c.cfg.min_shell_count)
     u = c.unit
     c.details["rows"] = t.n_rows
     gamma = t.gamma_predicted
@@ -216,7 +268,7 @@ def _volume_law_rows(c: _Coupling):
 
 
 def _gamma_fit_rows(c: _Coupling):
-    table = shell_statistics(c.spectrum, c.part, c.dos, c.cfg.min_shell_count)
+    table = shell_statistics(c.spectrum, c.s_vn, c.dos, c.cfg.min_shell_count)
     rows = []
     for side in ("left", "right"):
         try:
@@ -233,22 +285,24 @@ def _gamma_fit_rows(c: _Coupling):
 def _degeneracy_census_rows(c: _Coupling):
     """Census the merged eigenvalues of every Sz sector.
 
-    Each sector is solved per symmetry block, eigenvalues only, except the
-    table sector n_up = cfg.n_up, whose per-block eigenvalues come from the
-    coupling's spectrum (cache or solve).  The spin flip maps sector n_up
-    onto N - n_up, so only n_up <= N/2 is solved and its spectrum counts for
-    both.  <r> is recorded per block of the middle sector n_up = N // 2
-    (half filling for even N).
+    Each sector is solved per symmetry block, eigenvalues only.  The table
+    sector n_up = cfg.n_up takes its per-block eigenvalues from the
+    coupling's spectrum instead when that is at hand (built in this run or
+    cached); a census never builds the spectrum.  The spin flip maps sector
+    n_up onto N - n_up, so only n_up <= N/2 is solved and its spectrum
+    counts for both.  <r> is recorded per block of the middle sector
+    n_up = N // 2 (half filling for even N).
     """
     n = c.cfg.n_sites
-    params = ModelParams(n_sites=n, delta2=c.delta2)
     merged, r_mean = [], {}
     for n_up in range(n // 2 + 1):
-        if n_up == c.cfg.n_up:
-            by_block = {b.block.label: b.eigenvalues for b in c.spectrum.blocks}
+        # Fetched in its turn, so no spectrum is held while others solve.
+        spec = c.spectrum_at_hand() if n_up == c.cfg.n_up else None
+        if spec is not None:
+            by_block = {b.block.label: b.eigenvalues for b in spec.blocks}
         else:
             by_block = block_eigenvalues(
-                build_hamiltonian(enumerate_sector(n, n_up), params)
+                build_hamiltonian(enumerate_sector(n, n_up), c.params)
             )
         evals = np.concatenate(list(by_block.values()))
         merged += [evals] if 2 * n_up == n else [evals, evals]
@@ -258,6 +312,7 @@ def _degeneracy_census_rows(c: _Coupling):
                 for label, e in by_block.items() if len(e) >= R_MIN_DIM
             }
     census = degeneracy_census(np.concatenate(merged))
+    c.details.setdefault("spectrum", "skipped")
     c.details.update(
         n_levels=census.n_levels,
         fraction_degenerate=census.fraction_degenerate,

@@ -73,6 +73,14 @@ def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _parse_bool(key: str, raw: str) -> bool:
+    if raw in ("1", "true"):
+        return True
+    if raw in ("0", "false"):
+        return False
+    raise ConfigError(f"key {key!r}: expected 0, 1, true or false, got {raw!r}")
+
+
 _FILE_PARSERS = {
     "experiment": lambda k, v: v,
     "n_sites": _parse_int,
@@ -86,6 +94,7 @@ _FILE_PARSERS = {
     "out_dir": lambda k, v: v,
     "cache": lambda k, v: v,
     "format": lambda k, v: v,
+    "bits": _parse_bool,
 }
 
 

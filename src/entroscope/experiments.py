@@ -104,17 +104,19 @@ class EigenketScan:
 
 
 def run_eigenket_scan(
-    spec: Spectrum, part: BipartitionSpec, dos_table: DosTable
+    spec: Spectrum, s_vn: np.ndarray, dos_table: DosTable
 ) -> EigenketScan:
-    """One record {E_n, S_VN(rho_sb), multiplet flag, shell index} per eigenket."""
-    s = subsystem_entropies(spec, part)
+    """One record {E_n, S_VN(rho_sb), multiplet flag, shell index} per eigenket.
+
+    s_vn is the full scan, subsystem_entropies(spec, part).
+    """
     flags = multiplet_flags(spec.eigenvalues)
     shell_idx = np.full(spec.dim, -1, dtype=np.int64)
     for j, shell in enumerate(dos_table.shells):
         shell_idx[shell.member_indices] = j
     return EigenketScan(
         energies=spec.eigenvalues.copy(),
-        s_vn=s,
+        s_vn=s_vn,
         in_multiplet=flags,
         shell_index=shell_idx,
     )
@@ -159,18 +161,18 @@ class ShellTable:
 
 def shell_statistics(
     spec: Spectrum,
-    part: BipartitionSpec,
+    s_vn: np.ndarray,
     dos_table: DosTable,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> ShellTable:
     """Shell rows with the means of per-eigenket entropy; no averaged RDM.
 
-    Keeps the shells with d_E >= min_count.  Reductions run in ascending
-    eigenindex order within each shell, so repeat runs are bitwise-stable.
+    s_vn is the full scan, subsystem_entropies(spec, part).  Keeps the
+    shells with d_E >= min_count.  Reductions run in ascending eigenindex
+    order within each shell, so repeat runs are bitwise-stable.
     svn_avg_rdm is None: the entropy fit needs only these columns, and
     run_shell_average adds the averaged-RDM column.
     """
-    s_all = subsystem_entropies(spec, part)
     rows = [
         (j, shell)
         for j, shell in enumerate(dos_table.shells)
@@ -189,7 +191,7 @@ def shell_statistics(
     }
     for r, (j, shell) in enumerate(rows):
         members = shell.member_indices
-        s = s_all[members]
+        s = s_vn[members]
         out["shell_index"][r] = j
         out["lower"][r] = shell.lower
         out["upper"][r] = shell.upper
@@ -224,11 +226,16 @@ def shell_rdm_entropies(
 def run_shell_average(
     spec: Spectrum,
     part: BipartitionSpec,
+    s_vn: np.ndarray,
     dos_table: DosTable,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> ShellTable:
-    """shell_statistics plus the entropy of each kept shell's averaged RDM."""
-    table = shell_statistics(spec, part, dos_table, min_count)
+    """shell_statistics plus the entropy of each kept shell's averaged RDM.
+
+    s_vn is the full scan at the same bipartition, subsystem_entropies(spec,
+    part).
+    """
+    table = shell_statistics(spec, s_vn, dos_table, min_count)
     kept = [dos_table.shells[j] for j in table.shell_index]
     return replace(table, svn_avg_rdm=shell_rdm_entropies(spec, part, kept))
 

@@ -23,6 +23,8 @@ SYMMETRY_TOL = 1e-12
 
 _MAGIC = b"ENTROSPC"
 _VERSION = 2
+_SCAN_MAGIC = b"ENTROSVN"
+_SCAN_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ class Spectrum:
     blocks: tuple[EigenBlock, ...] = field(repr=False)
     basis_tag: str = ""
     params: ModelParams | None = None
+    # Trailer of the cache file this spectrum was read from or written to;
+    # empty when it never touched the cache.  Scan files are keyed by it.
+    checksum: bytes = field(default=b"", repr=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)
     block_index: np.ndarray = field(init=False, repr=False)
     column_index: np.ndarray = field(init=False, repr=False)
@@ -329,8 +334,8 @@ def spectrum_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
     )
 
 
-def save_spectrum(spec: Spectrum, path) -> None:
-    """Write a spectrum cache file (bit-exact round trip)."""
+def save_spectrum(spec: Spectrum, path) -> bytes:
+    """Write a spectrum cache file (bit-exact round trip); returns its trailer."""
     if spec.params is None:
         raise ValueError("spectrum has no model params attached; cannot cache")
     _, n_up = sector_of(spec.basis_tag)
@@ -355,7 +360,9 @@ def save_spectrum(spec: Spectrum, path) -> None:
         for part in (head, *_payload_views(evals, evecs)):
             running.update(part)
             fh.write(part)
-        fh.write(_checksum(running))
+        trailer = _checksum(running)
+        fh.write(trailer)
+    return trailer
 
 
 def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
@@ -407,7 +414,8 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
             if fh.readinto(view) != len(view):
                 raise SpectrumChecksumError(f"{path}: file shrank while reading")
             running.update(view)
-        if _checksum(running) != fh.read(8):
+        trailer = _checksum(running)
+        if trailer != fh.read(8):
             raise SpectrumChecksumError(f"{path}: checksum mismatch")
     if expect_params is not None and (
         expect_params.n_sites != params.n_sites
@@ -423,4 +431,79 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
         ),
         basis_tag=f"N{params.n_sites}_nup{n_up}",
         params=params,
+        checksum=trailer,
     )
+
+
+# ---------------------------------------------------------------------------
+# Scan files (version 1): magic(8) | version(1) | header_len(4, LE) | header
+# JSON | S_VN of every eigenket, float64 LE, in eigenindex order |
+# checksum(8), as for spectra.  The header names the sector, l1 and the
+# trailer of the spectrum file the scan was computed from, so a scan never
+# outlives its spectrum.
+# ---------------------------------------------------------------------------
+
+
+def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
+    return os.path.join(
+        str(cache_dir),
+        f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}_l1={l1}.svn",
+    )
+
+
+def _scan_head(spec: Spectrum, l1: int) -> bytes:
+    """Magic, version and header of the scan file of (spec, l1)."""
+    if not spec.checksum:
+        raise ValueError("spectrum was never cached; its scan has no key")
+    n_sites, n_up = sector_of(spec.basis_tag)
+    header = json.dumps(
+        {
+            "n_sites": n_sites,
+            "n_up": n_up,
+            "delta2": spec.params.delta2,
+            "l1": l1,
+            "dim": spec.dim,
+            "spectrum": spec.checksum.hex(),
+            "checksum": "sha256-trunc8",
+        },
+        sort_keys=True,
+    ).encode()
+    return _SCAN_MAGIC + struct.pack("<BI", _SCAN_VERSION, len(header)) + header
+
+
+def save_scan(s_vn: np.ndarray, path, spec: Spectrum, l1: int) -> None:
+    """Write the full S_VN scan of a cached spectrum at l1."""
+    payload = np.ascontiguousarray(s_vn, dtype="<f8")
+    head = _scan_head(spec, l1)
+    running = hashlib.sha256(head)
+    running.update(payload)
+    with atomic_write(path) as fh:
+        fh.write(head)
+        fh.write(payload)
+        fh.write(_checksum(running))
+
+
+def load_scan(path, spec: Spectrum, l1: int) -> np.ndarray:
+    """Read the scan file of (spec, l1), verifying format and checksum.
+
+    Magic, version or header other than those save_scan writes for
+    (spec, l1), including a header naming another spectrum trailer, raises
+    SpectrumFormatError; a wrong size or checksum raises
+    SpectrumChecksumError.
+    """
+    head = _scan_head(spec, l1)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(head):
+        raise SpectrumFormatError(
+            f"{path}: magic, version or header is not that of this spectrum "
+            f"at l1={l1}"
+        )
+    expected = len(head) + 8 * spec.dim + 8
+    if len(data) != expected:
+        raise SpectrumChecksumError(
+            f"{path}: expected {expected} bytes, got {len(data)}"
+        )
+    if _checksum(hashlib.sha256(data[:-8])) != data[-8:]:
+        raise SpectrumChecksumError(f"{path}: checksum mismatch")
+    return np.frombuffer(data, dtype="<f8", count=spec.dim, offset=len(head)).copy()

@@ -30,8 +30,9 @@ def shell14(spec14):
     out = {}
     for d2, spec in spec14.items():
         dos = es.partition_shells(spec, 40)
+        part = es.BipartitionSpec(14, 5)
         out[d2] = es.run_shell_average(
-            spec, es.BipartitionSpec(14, 5), dos, min_count=10
+            spec, part, es.subsystem_entropies(spec, part), dos, min_count=10
         )
     return out
 

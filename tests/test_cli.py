@@ -15,7 +15,7 @@ import entroscope as es
 from entroscope import cli
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS
-from entroscope.spectral import load_spectrum
+from entroscope.spectral import load_scan, load_spectrum, scan_cache_path
 
 
 @pytest.fixture(autouse=True)
@@ -101,10 +101,11 @@ def test_corrupt_cache_rebuilt(tmp_path, monkeypatch):
 
 def test_cache_off_writes_nothing(tmp_path):
     out = str(tmp_path / "out")
-    assert main(["volume-law", "--n-sites", "6", "--delta2", "0",
-                 "--bins", "4", "--cache", "off", "--out", out]) == 0
-    assert not os.path.exists(os.path.join(out, "cache"))
-    assert _manifest(out)["cache_dir"] is None
+    for experiment in ("volume-law", "eigenket-scan", "shell-average", "gamma-fit"):
+        assert main([experiment, "--n-sites", "8", "--delta2", "0.5", "--bins", "6",
+                     "--min-count", "1", "--cache", "off", "--out", out]) == 0
+        assert not os.path.exists(os.path.join(out, "cache"))
+        assert _manifest(out)["cache_dir"] is None
 
 
 def test_manifest_checksums_match_files(tmp_path):
@@ -371,13 +372,140 @@ def test_rdm_trace_drift_exits_3(tmp_path, monkeypatch, capsys):
     bad = replace(spec, blocks=(replace(first, eigenvectors=v), *spec.blocks[1:]),
                   params=params)
     es.save_spectrum(bad, es.spectrum_cache_path(cache, params, 4))
-    for experiment in ("eigenket-scan", "shell-average", "volume-law"):
+    for experiment in ("eigenket-scan", "shell-average", "gamma-fit", "volume-law"):
         rc = main([experiment, "--n-sites", "8", "--delta2", "0.5", "--bins", "4",
                    "--min-count", "1", "--out", str(tmp_path / experiment)])
         assert rc == 3, experiment
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "NumericsError"
         assert "trace" in record["message"]
+    # A scan that trips the gate is never cached.
+    assert list(cache.glob("*.svn")) == []
+
+
+# ---------------------------------------------------------------------------
+# The full S_VN scan, cached beside its spectrum.
+# ---------------------------------------------------------------------------
+
+SCAN_TABLES = {
+    "eigenket-scan": "eigenket_scan_d2=0.5.csv",
+    "shell-average": "shell_average_d2=0.5.csv",
+    "gamma-fit": "gamma_fit_d2=0.5.csv",
+}
+SCAN_ARGS = ["--n-sites", "8", "--delta2", "0.5", "--bins", "6", "--min-count", "1"]
+SCAN_PARAMS = es.ModelParams(n_sites=8, delta2=0.5)
+
+
+@pytest.fixture()
+def scan_calls(monkeypatch):
+    """Every subsystem_entropies call the CLI makes, as (tag, indices)."""
+    calls = []
+    real = cli.subsystem_entropies
+
+    def recording(spec, part, indices=None):
+        calls.append((spec.basis_tag, indices))
+        return real(spec, part, indices)
+
+    monkeypatch.setattr(cli, "subsystem_entropies", recording)
+    return calls
+
+
+def _scan_tables(out_root, *extra):
+    """Run the three scan experiments; their table bytes and scan sources."""
+    tables, sources = {}, []
+    for experiment, name in SCAN_TABLES.items():
+        out = out_root / experiment
+        assert main([experiment, *SCAN_ARGS, *extra, "--out", str(out)]) == 0
+        tables[name] = (out / name).read_bytes()
+        sources.append(_manifest(out)["details"]["d2=0.5"]["scan"])
+    return tables, sources
+
+
+def test_scan_cache_keeps_tables_byte_identical(tmp_path, monkeypatch, scan_calls):
+    off, sources = _scan_tables(tmp_path / "off", "--cache", "off")
+    assert sources == ["built"] * 3
+    assert len(scan_calls) == 3
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    cold, sources = _scan_tables(tmp_path / "cold")
+    assert sources == ["built", "cache", "cache"]
+    warm, sources = _scan_tables(tmp_path / "warm")
+    assert sources == ["cache"] * 3
+    assert off == cold == warm
+    assert len(scan_calls) == 4
+
+
+def test_one_full_scan_per_coupling_and_cache(tmp_path, monkeypatch, scan_calls):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    couplings = ["--delta2", "0", "--delta2", "0.5"]
+    for experiment in SCAN_TABLES:
+        assert main([experiment, "--n-sites", "8", *couplings, "--bins", "6",
+                     "--min-count", "1", "--out", str(tmp_path / experiment)]) == 0
+    assert scan_calls == [("N8_nup4", None)] * 2
+    assert sorted(p.name for p in (tmp_path / "cache").glob("*.svn")) == [
+        "N8_nup4_d20.5_l1=2.svn", "N8_nup4_d20_l1=2.svn"
+    ]
+
+
+def _damage_truncated(path, tmp_path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _damage_flipped_byte(path, tmp_path):
+    raw = bytearray(path.read_bytes())
+    raw[-20] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _damage_wrong_l1(path, tmp_path):
+    # A valid scan of the same spectrum at l1=3, under the l1=2 name.
+    out = tmp_path / "l1=3"
+    assert main(["eigenket-scan", *SCAN_ARGS, "--l1", "3", "--out", str(out)]) == 0
+    other = scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 3)
+    os.replace(other, path)
+
+
+def _damage_other_spectrum(path, tmp_path):
+    # A valid spectrum file of another coupling under this one's name: its
+    # trailer differs, so the scan beside it is stale.
+    spec = es.diagonalize(es.build_hamiltonian(
+        es.enumerate_sector(8, 4), es.ModelParams(n_sites=8, delta2=0.7)))
+    es.save_spectrum(replace(spec, params=SCAN_PARAMS),
+                     es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
+
+
+@pytest.mark.parametrize("damage", [_damage_truncated, _damage_flipped_byte,
+                                    _damage_wrong_l1, _damage_other_spectrum])
+def test_bad_scan_file_is_recomputed_and_overwritten(
+    tmp_path, monkeypatch, scan_calls, damage
+):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    path = tmp_path / "cache" / "N8_nup4_d20.5_l1=2.svn"
+    argv = ["eigenket-scan", *SCAN_ARGS]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    damage(path, tmp_path)
+    scan_calls.clear()
+    out = tmp_path / "b"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["scan"] == "built"
+    assert scan_calls == [("N8_nup4", None)]
+    spec = load_spectrum(es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
+    want = es.subsystem_entropies(spec, es.BipartitionSpec(8, 2))
+    assert load_scan(path, spec, 2).tobytes() == want.tobytes()
+    _, rows = _read_csv(out / "eigenket_scan_d2=0.5.csv")
+    assert [float(r[2]) for r in rows] == want.tolist()
+
+
+def test_rebuild_recomputes_the_scan(tmp_path, monkeypatch, scan_calls):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    first, _ = _scan_tables(tmp_path / "a")
+    scan_calls.clear()
+    out = tmp_path / "b"
+    assert main(["gamma-fit", *SCAN_ARGS, "--cache", "rebuild",
+                 "--out", str(out)]) == 0
+    details = _manifest(out)["details"]["d2=0.5"]
+    assert (details["spectrum"], details["scan"]) == ("built", "built")
+    assert scan_calls == [("N8_nup4", None)]
+    assert (out / "gamma_fit_d2=0.5.csv").read_bytes() == first["gamma_fit_d2=0.5.csv"]
 
 
 @pytest.mark.parametrize("failing", ["open", "replace"])

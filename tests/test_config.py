@@ -70,6 +70,38 @@ def test_type_mismatch_rejected(tmp_path):
         read_config_file(str(p))
 
 
+@pytest.mark.parametrize(
+    "raw,want", [("1", True), ("true", True), ("0", False), ("false", False)]
+)
+def test_bits_file_key(tmp_path, raw, want):
+    p = tmp_path / "run.cfg"
+    p.write_text(f"bits = {raw}\n")
+    assert read_config_file(str(p)) == {"bits": want}
+    assert parse_config(str(p), {"experiment": "gamma-fit"}).bits is want
+
+
+@pytest.mark.parametrize("raw", ["yes", "True", "2", ""])
+def test_bits_file_key_rejects_other_values(tmp_path, raw):
+    p = tmp_path / "run.cfg"
+    p.write_text(f"bits = {raw}\n")
+    with pytest.raises(ConfigError, match="bits"):
+        read_config_file(str(p))
+
+
+def test_bits_flag_wins_over_file(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text("bits = 0\n")
+    assert parse_config(str(p), {"experiment": "gamma-fit", "bits": True}).bits
+    out = tmp_path / "out"
+    argv = ["volume-law", "--n-sites", "4", "--delta2", "0", "--bins", "2",
+            "--cache", "off", "--config", str(p), "--out", str(out)]
+    assert main(argv + ["--bits"]) == 0
+    assert (out / "manifest.json").read_text().count('"bits": true') == 1
+    p.write_text("bits = on\n")
+    assert main(argv) == 2
+    assert "unknown key" not in capsys.readouterr().err
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         read_config_file("/nonexistent/run.cfg")

@@ -18,7 +18,9 @@ def _spec(n, n_up, d2):
 def test_two_site_eigenkets_are_maximally_entangled():
     spec = _spec(2, 1, 0.0)
     dos = es.partition_shells(spec, 2)
-    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(2, 1), dos)
+    scan = es.run_eigenket_scan(
+        spec, subsystem_entropies(spec, es.BipartitionSpec(2, 1)), dos
+    )
     assert scan.count == spec.dim
     assert np.allclose(scan.s_vn, np.log(2), atol=1e-12)
 
@@ -26,7 +28,9 @@ def test_two_site_eigenkets_are_maximally_entangled():
 def test_eigenket_scan_record_structure(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
+    scan = es.run_eigenket_scan(
+        spec, subsystem_entropies(spec, es.BipartitionSpec(10, 3)), dos
+    )
     assert scan.count == spec.dim
     assert np.array_equal(np.sort(scan.energies), scan.energies)
     assert (scan.shell_index >= 0).all()
@@ -37,7 +41,9 @@ def test_eigenket_scan_record_structure(spec10):
 def test_ground_state_entropy_below_mid_spectrum_mean(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
+    scan = es.run_eigenket_scan(
+        spec, subsystem_entropies(spec, es.BipartitionSpec(10, 3)), dos
+    )
     mid = dos.shells[dos.peak_index()]
     mid_mean = scan.s_vn[mid.member_indices].mean()
     assert scan.s_vn[0] < mid_mean
@@ -56,8 +62,10 @@ def test_subsystem_entropies_chunking_consistency(spec10):
 def test_shell_average_singleton_rows(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    table = es.run_shell_average(spec, es.BipartitionSpec(10, 3), dos, min_count=1)
-    scan = es.run_eigenket_scan(spec, es.BipartitionSpec(10, 3), dos)
+    part = es.BipartitionSpec(10, 3)
+    s_vn = subsystem_entropies(spec, part)
+    table = es.run_shell_average(spec, part, s_vn, dos, min_count=1)
+    scan = es.run_eigenket_scan(spec, s_vn, dos)
     for r in range(table.n_rows):
         if table.d_e[r] == 1:
             member = dos.shells[int(table.shell_index[r])].member_indices[0]
@@ -78,7 +86,7 @@ def test_shell_average_at_a_large_cut_stays_small():
     dos = es.partition_shells(spec, 20)
     tracemalloc.start()
     try:
-        table = es.run_shell_average(spec, part, dos)
+        table = es.run_shell_average(spec, part, subsystem_entropies(spec, part), dos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -93,13 +101,15 @@ def test_shell_average_at_a_large_cut_stays_small():
 def test_shell_table_invariants(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    full = es.run_shell_average(spec, es.BipartitionSpec(10, 3), dos, min_count=1)
+    part = es.BipartitionSpec(10, 3)
+    s_vn = subsystem_entropies(spec, part)
+    full = es.run_shell_average(spec, part, s_vn, dos, min_count=1)
     # exhaustiveness: with min_count=1 every eigenket lands in some row
     assert full.d_e.sum() == spec.dim
     # concavity per row
     assert (full.concavity_slack >= -1e-8).all()
     # min_count filtering keeps a subset of rows
-    filtered = es.run_shell_average(spec, es.BipartitionSpec(10, 3), dos, min_count=10)
+    filtered = es.run_shell_average(spec, part, s_vn, dos, min_count=10)
     assert set(filtered.shell_index).issubset(set(full.shell_index))
     assert (filtered.d_e >= 10).all()
     # gamma_predicted stays in (0, 1] for shells no larger than the sector
@@ -213,7 +223,10 @@ def test_census_integrable_dominates_chaotic():
 def test_determinism_of_pipelines(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    t1 = es.run_shell_average(spec, es.BipartitionSpec(10, 3), dos, min_count=5)
-    t2 = es.run_shell_average(spec, es.BipartitionSpec(10, 3), dos, min_count=5)
+    part = es.BipartitionSpec(10, 3)
+    t1, t2 = (
+        es.run_shell_average(spec, part, subsystem_entropies(spec, part), dos, 5)
+        for _ in range(2)
+    )
     assert np.array_equal(t1.mean_svn, t2.mean_svn)
     assert np.array_equal(t1.svn_avg_rdm, t2.svn_avg_rdm)

@@ -14,7 +14,7 @@ import entroscope as es
 import oracles
 from entroscope.cli import main
 from entroscope.hamiltonian import SymmetricOperator
-from entroscope.spectral import Spectrum
+from entroscope.spectral import Spectrum, load_scan, save_scan, scan_cache_path
 
 
 def _spec(n, n_up, d2):
@@ -154,6 +154,40 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(again.eigenvector_matrix(), spec.eigenvector_matrix())
     assert again.basis_tag == spec.basis_tag
     assert again.params == params
+
+
+def test_cache_files_give_the_spectrum_its_trailer(tmp_path):
+    spec, _, params = _spec(6, 3, 0.5)
+    path = es.spectrum_cache_path(tmp_path, params, 3)
+    assert spec.checksum == b""
+    trailer = es.save_spectrum(spec, path)
+    with open(path, "rb") as fh:
+        assert trailer == fh.read()[-8:]
+    assert es.load_spectrum(path).checksum == trailer
+
+
+def test_scan_file_round_trip_and_key(tmp_path):
+    spec, _, params = _spec(6, 3, 0.5)
+    s_vn = es.subsystem_entropies(spec, es.BipartitionSpec(6, 2))
+    scan = scan_cache_path(tmp_path, params, 3, 2)
+    assert scan.endswith("N6_nup3_d20.5_l1=2.svn")
+    with pytest.raises(ValueError, match="never cached"):
+        save_scan(s_vn, scan, spec, 2)
+    path = es.spectrum_cache_path(tmp_path, params, 3)
+    spec = replace(spec, checksum=es.save_spectrum(spec, path))
+    save_scan(s_vn, scan, spec, 2)
+    with open(scan, "rb") as fh:
+        raw = fh.read()
+    assert raw[:9] == b"ENTROSVN\x01"
+    (header_len,) = struct.unpack_from("<I", raw, 9)
+    header = json.loads(raw[13 : 13 + header_len])
+    assert header["l1"] == 2 and header["spectrum"] == spec.checksum.hex()
+    assert len(raw) == 13 + header_len + 8 * spec.dim + 8
+    assert load_scan(scan, spec, 2).tobytes() == s_vn.tobytes()
+    with pytest.raises(es.SpectrumFormatError):
+        load_scan(scan, spec, 3)
+    with pytest.raises(es.SpectrumFormatError):
+        load_scan(scan, replace(spec, checksum=bytes(8)), 2)
 
 
 def test_load_rejects_corruption(tmp_path):

@@ -315,7 +315,7 @@ def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
     assert np.abs(oracles.assemble_rdm(rho_bar, l1) - traced.matrix).max() <= 1e-12
     # The shell table's entropy of that average comes from the same kernel.
     dos = DosTable(shells=[shell], dos=np.ones(1), ln_dos=np.zeros(1))
-    table = es.run_shell_average(spec, part, dos, min_count=1)
+    table = es.run_shell_average(spec, part, s, dos, min_count=1)
     assert abs(table.svn_avg_rdm[0] - es.von_neumann(traced)) <= 1e-12
 
 
@@ -437,7 +437,9 @@ def test_large_cut_averages_take_the_smaller_gram(l1):
     spec = _half_filled(12, 0.5)
     part = es.BipartitionSpec(12, l1)
     dos = es.partition_shells(spec, 20)
-    table = es.run_shell_average(spec, part, dos, min_count=1)
+    table = es.run_shell_average(
+        spec, part, subsystem_entropies(spec, part), dos, min_count=1
+    )
     for r, j in enumerate(table.shell_index):
         shell = dos.shells[j]
         want = oracles.unpaired_svn_avg_rdm(spec, shell, part)
