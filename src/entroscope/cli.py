@@ -118,11 +118,15 @@ def resolve_cache_dir(cfg: RunConfig) -> str:
     return env if env else os.path.join(cfg.out_dir, "cache")
 
 
-def _cached_spectrum(cfg: RunConfig, params: ModelParams, path: str):
-    """The cached spectrum when the policy allows and the file is valid, else None."""
+def _cached(cfg: RunConfig, load, path: str, *args):
+    """load(path, *args) when --cache use and the file is valid, else None.
+
+    A file that fails to load (corrupt, stale, another key) counts as
+    absent, so the caller rebuilds and overwrites it rather than trusting it.
+    """
     if cfg.cache == "use" and os.path.exists(path):
         try:
-            return load_spectrum(path, expect_params=params)
+            return load(path, *args)
         except StorageError:
             pass
     return None
@@ -133,13 +137,12 @@ def obtain_spectrum(
 ) -> tuple[Spectrum, str]:
     """Load from cache when allowed and keyed identically, else build.
 
-    A cache file that fails to load (corrupt, wrong params) is rebuilt and
-    overwritten rather than trusted.  The returned spectrum carries the
-    trailer of the file it was read from or written to.
+    The returned spectrum carries the trailer of the file it was read from
+    or written to.
     """
     params = ModelParams(n_sites=cfg.n_sites, delta2=delta2)
     path = spectrum_cache_path(cache_dir, params, n_up)
-    spec = _cached_spectrum(cfg, params, path)
+    spec = _cached(cfg, load_spectrum, path, params)
     if spec is not None:
         return spec, "cache"
     basis = enumerate_sector(cfg.n_sites, n_up)
@@ -184,7 +187,7 @@ class _Coupling:
         """
         if "spectrum" not in vars(self):
             path = spectrum_cache_path(self.cache_dir, self.params, self.cfg.n_up)
-            spec = _cached_spectrum(self.cfg, self.params, path)
+            spec = _cached(self.cfg, load_spectrum, path, self.params)
             if spec is None:
                 return None
             vars(self)["spectrum"] = spec
@@ -196,23 +199,18 @@ class _Coupling:
         """S_VN of every eigenket at cfg.l1, in eigenindex order.
 
         The scan file beside the spectrum follows the spectrum's cache
-        policy; one that fails to load, or was computed from another
-        spectrum file, is recomputed and overwritten.  A scan that trips
-        the kernel's gates raises before anything is written.
+        policy; one computed from another spectrum file counts as invalid.
+        A scan that trips the kernel's gates raises before anything is
+        written.
         """
         spec, l1 = self.spectrum, self.cfg.l1
         path = scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1)
-        if self.cfg.cache == "use" and os.path.exists(path):
-            try:
-                s = load_scan(path, spec, l1)
-                self.details["scan"] = "cache"
-                return s
-            except StorageError:
-                pass
-        s = subsystem_entropies(spec, self.part)
-        if self.cfg.cache != "off":
-            save_scan(s, path, spec, l1)
-        self.details["scan"] = "built"
+        s = _cached(self.cfg, load_scan, path, spec, l1)
+        self.details["scan"] = "built" if s is None else "cache"
+        if s is None:
+            s = subsystem_entropies(spec, self.part)
+            if self.cfg.cache != "off":
+                save_scan(s, path, spec, l1)
         return s
 
     @cached_property

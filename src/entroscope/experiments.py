@@ -278,6 +278,8 @@ def fit_entropy_vs_lndos(table: ShellTable, side: str) -> FitResult:
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
+    if table.n_rows == 0:
+        raise ValueError("no shell kept: none has d_E >= min_count")
     peak = table.peak_row()
     sel = slice(0, peak + 1) if side == LEFT else slice(peak, table.n_rows)
     x = table.ln_dos[sel]

@@ -282,16 +282,21 @@ def multiplet_flags(
     return np.repeat(sizes >= 2, sizes)
 
 
+# Cache records, spectra (.spec) and scans (.svn) alike: magic(8) |
+# version(1) | header_len(4, LE) | header JSON | float64 LE arrays, each in
+# memory order | checksum(8) = first 8 bytes of SHA-256 over everything
+# before it.  Both directions stream: the hash runs over each part as it is
+# written or read, so neither builds a copy of the payload.
+# Spectrum, version 2: the header lists each block's label and dim; the
+# arrays are every E_b, then every V_b column-major, in header order.  The
+# isometries are not stored but rebuilt by symmetry_blocks, which must
+# agree with that list.
+# Scan, version 1: the header names the sector, l1 and the trailer of the
+# spectrum file the scan came from, so a scan never outlives its spectrum;
+# the one array is S_VN of every eigenket in eigenindex order.
 # ---------------------------------------------------------------------------
-# Persistence (version 2): magic(8) | version(1) | header_len(4, LE) |
-# header JSON | each block's eigenvalues E_b, float64 LE, in header order |
-# each block's eigenvectors V_b, float64 LE column-major, in header order |
-# checksum(8) = first 8 bytes of SHA-256 over everything before it.
-# The header lists each block's label and dim; the isometries are not
-# stored but rebuilt by symmetry_blocks, which must agree with that list.
-# Both directions stream: the hash runs over each part as it is written or
-# read, so neither builds a copy of the payload.
-# ---------------------------------------------------------------------------
+
+_FIXED = 8 + 1 + 4  # magic, version, header length
 
 
 def _checksum(running) -> bytes:
@@ -299,15 +304,10 @@ def _checksum(running) -> bytes:
     return running.digest()[:8]
 
 
-def _payload_views(evals, evecs):
-    """Byte views of every E_b, then of every F-ordered V_b.
-
-    v.T is C-contiguous over the same memory, so its view runs through the
-    column-major bytes without a copy.
-    """
-    return [memoryview(e).cast("B") for e in evals] + [
-        memoryview(v.T).cast("B") for v in evecs
-    ]
+def _memory_bytes(a: np.ndarray) -> memoryview:
+    """Byte view of a C- or F-ordered array in memory order (a.T of an
+    F-ordered array is C-contiguous over the same memory), no copy."""
+    return memoryview(a if a.flags.c_contiguous else a.T).cast("B")
 
 
 @contextmanager
@@ -328,10 +328,87 @@ def atomic_write(path):
         raise
 
 
+def _write_record(path, magic: bytes, version: int, header: dict, arrays) -> bytes:
+    """Write one cache record atomically; returns its trailer."""
+    raw = json.dumps(header, sort_keys=True).encode()
+    head = magic + struct.pack("<BI", version, len(raw)) + raw
+    running = hashlib.sha256()
+    with atomic_write(path) as fh:
+        for part in (head, *map(_memory_bytes, arrays)):
+            running.update(part)
+            fh.write(part)
+        trailer = _checksum(running)
+        fh.write(trailer)
+    return trailer
+
+
+def _read_record(path, magic: bytes, version: int, layout):
+    """Read one cache record; returns (header, arrays, trailer).
+
+    layout(header) returns the empty arrays the payload fills, or raises
+    SpectrumFormatError to reject the header, as do a wrong magic or
+    version; a wrong size or checksum raises SpectrumChecksumError.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _FIXED + 8:
+            raise SpectrumChecksumError(f"{path}: file too short")
+        head = fh.read(_FIXED)
+        if head[:8] != magic:
+            raise SpectrumFormatError(f"{path}: bad magic {head[:8]!r}")
+        if head[8] != version:
+            raise SpectrumFormatError(f"{path}: unsupported version {head[8]}")
+        (header_len,) = struct.unpack_from("<I", head, 9)
+        header_raw = fh.read(header_len)
+        try:
+            header = json.loads(header_raw)
+            arrays = layout(header)
+        except (ValueError, TypeError, KeyError, SpectrumFormatError) as err:
+            raise SpectrumFormatError(f"{path}: bad header: {err}") from err
+        expected = _FIXED + header_len + sum(a.nbytes for a in arrays) + 8
+        if size != expected:
+            raise SpectrumChecksumError(
+                f"{path}: expected {expected} bytes, got {size}"
+            )
+        running = hashlib.sha256(head)
+        running.update(header_raw)
+        for view in map(_memory_bytes, arrays):
+            if fh.readinto(view) != len(view):
+                raise SpectrumChecksumError(f"{path}: file shrank while reading")
+            running.update(view)
+        trailer = _checksum(running)
+        if trailer != fh.read(8):
+            raise SpectrumChecksumError(f"{path}: checksum mismatch")
+    return header, arrays, trailer
+
+
 def spectrum_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
     return os.path.join(
         str(cache_dir), f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}.spec"
     )
+
+
+def _spectrum_sector(header: dict):
+    """(params, n_up, symmetry blocks) of a spectrum header's sector."""
+    params = ModelParams(
+        n_sites=int(header["n_sites"]), delta2=float(header["delta2"])
+    )
+    n_up = int(header["n_up"])
+    listed = [(str(b["label"]), int(b["dim"])) for b in header["blocks"]]
+    blocks = symmetry_blocks(params.n_sites, n_up)
+    if listed != [(b.label, b.dim) for b in blocks]:
+        raise SpectrumFormatError(
+            f"blocks {listed} do not match the symmetry blocks of "
+            f"N{params.n_sites}_nup{n_up}"
+        )
+    return params, n_up, blocks
+
+
+def _spectrum_arrays(header: dict) -> list[np.ndarray]:
+    blocks = _spectrum_sector(header)[2]
+    return [np.empty(b.dim, dtype="<f8") for b in blocks] + [
+        np.empty((b.dim, b.dim), dtype="<f8", order="F") for b in blocks
+    ]
 
 
 def save_spectrum(spec: Spectrum, path) -> bytes:
@@ -339,30 +416,17 @@ def save_spectrum(spec: Spectrum, path) -> bytes:
     if spec.params is None:
         raise ValueError("spectrum has no model params attached; cannot cache")
     _, n_up = sector_of(spec.basis_tag)
-    header = json.dumps(
-        {
-            "n_sites": spec.params.n_sites,
-            "n_up": n_up,
-            "delta2": spec.params.delta2,
-            "dim": spec.dim,
-            "blocks": [
-                {"label": b.block.label, "dim": b.block.dim} for b in spec.blocks
-            ],
-            "checksum": "sha256-trunc8",
-        },
-        sort_keys=True,
-    ).encode()
-    head = _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header
-    evals = [np.ascontiguousarray(b.eigenvalues, dtype="<f8") for b in spec.blocks]
-    evecs = [np.asfortranarray(b.eigenvectors, dtype="<f8") for b in spec.blocks]
-    running = hashlib.sha256()
-    with atomic_write(path) as fh:
-        for part in (head, *_payload_views(evals, evecs)):
-            running.update(part)
-            fh.write(part)
-        trailer = _checksum(running)
-        fh.write(trailer)
-    return trailer
+    header = {
+        "n_sites": spec.params.n_sites,
+        "n_up": n_up,
+        "delta2": spec.params.delta2,
+        "dim": spec.dim,
+        "blocks": [{"label": b.block.label, "dim": b.block.dim} for b in spec.blocks],
+        "checksum": "sha256-trunc8",
+    }
+    arrays = [np.ascontiguousarray(b.eigenvalues, dtype="<f8") for b in spec.blocks]
+    arrays += [np.asfortranarray(b.eigenvectors, dtype="<f8") for b in spec.blocks]
+    return _write_record(path, _MAGIC, _VERSION, header, arrays)
 
 
 def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
@@ -373,50 +437,8 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
     expect_params given, that disagrees on N or delta2, raises
     SpectrumFormatError (a stale layout or the wrong file).
     """
-    fixed = len(_MAGIC) + 1 + 4
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < fixed + 8:
-            raise SpectrumChecksumError(f"{path}: file too short")
-        head = fh.read(fixed)
-        if head[: len(_MAGIC)] != _MAGIC:
-            raise SpectrumFormatError(f"{path}: bad magic {head[:8]!r}")
-        version = head[len(_MAGIC)]
-        if version != _VERSION:
-            raise SpectrumFormatError(f"{path}: unsupported version {version}")
-        (header_len,) = struct.unpack_from("<I", head, len(_MAGIC) + 1)
-        header_raw = fh.read(header_len)
-        try:
-            header = json.loads(header_raw)
-            params = ModelParams(
-                n_sites=int(header["n_sites"]), delta2=float(header["delta2"])
-            )
-            n_up = int(header["n_up"])
-            listed = [(str(b["label"]), int(b["dim"])) for b in header["blocks"]]
-            blocks = symmetry_blocks(params.n_sites, n_up)
-        except (ValueError, TypeError, KeyError) as err:
-            raise SpectrumFormatError(f"{path}: unreadable header: {err}") from err
-        if listed != [(b.label, b.dim) for b in blocks]:
-            raise SpectrumFormatError(
-                f"{path}: header blocks {listed} do not match the symmetry "
-                f"blocks of N{params.n_sites}_nup{n_up}"
-            )
-        expected = fixed + header_len + 8 * sum(d * (d + 1) for _, d in listed) + 8
-        if size != expected:
-            raise SpectrumChecksumError(
-                f"{path}: expected {expected} bytes, got {size}"
-            )
-        running = hashlib.sha256(head)
-        running.update(header_raw)
-        evals = [np.empty(b.dim, dtype="<f8") for b in blocks]
-        evecs = [np.empty((b.dim, b.dim), dtype="<f8", order="F") for b in blocks]
-        for view in _payload_views(evals, evecs):
-            if fh.readinto(view) != len(view):
-                raise SpectrumChecksumError(f"{path}: file shrank while reading")
-            running.update(view)
-        trailer = _checksum(running)
-        if trailer != fh.read(8):
-            raise SpectrumChecksumError(f"{path}: checksum mismatch")
+    header, arrays, trailer = _read_record(path, _MAGIC, _VERSION, _spectrum_arrays)
+    params, n_up, blocks = _spectrum_sector(header)
     if expect_params is not None and (
         expect_params.n_sites != params.n_sites
         or expect_params.delta2 != params.delta2
@@ -427,21 +449,12 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
     return Spectrum(
         blocks=tuple(
             EigenBlock(block=b, eigenvalues=e, eigenvectors=v)
-            for b, e, v in zip(blocks, evals, evecs)
+            for b, e, v in zip(blocks, arrays, arrays[len(blocks):])
         ),
         basis_tag=f"N{params.n_sites}_nup{n_up}",
         params=params,
         checksum=trailer,
     )
-
-
-# ---------------------------------------------------------------------------
-# Scan files (version 1): magic(8) | version(1) | header_len(4, LE) | header
-# JSON | S_VN of every eigenket, float64 LE, in eigenindex order |
-# checksum(8), as for spectra.  The header names the sector, l1 and the
-# trailer of the spectrum file the scan was computed from, so a scan never
-# outlives its spectrum.
-# ---------------------------------------------------------------------------
 
 
 def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
@@ -451,36 +464,26 @@ def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
     )
 
 
-def _scan_head(spec: Spectrum, l1: int) -> bytes:
-    """Magic, version and header of the scan file of (spec, l1)."""
+def _scan_header(spec: Spectrum, l1: int) -> dict:
+    """The header of the scan file of (spec, l1)."""
     if not spec.checksum:
         raise ValueError("spectrum was never cached; its scan has no key")
     n_sites, n_up = sector_of(spec.basis_tag)
-    header = json.dumps(
-        {
-            "n_sites": n_sites,
-            "n_up": n_up,
-            "delta2": spec.params.delta2,
-            "l1": l1,
-            "dim": spec.dim,
-            "spectrum": spec.checksum.hex(),
-            "checksum": "sha256-trunc8",
-        },
-        sort_keys=True,
-    ).encode()
-    return _SCAN_MAGIC + struct.pack("<BI", _SCAN_VERSION, len(header)) + header
+    return {
+        "n_sites": n_sites,
+        "n_up": n_up,
+        "delta2": spec.params.delta2,
+        "l1": l1,
+        "dim": spec.dim,
+        "spectrum": spec.checksum.hex(),
+        "checksum": "sha256-trunc8",
+    }
 
 
 def save_scan(s_vn: np.ndarray, path, spec: Spectrum, l1: int) -> None:
     """Write the full S_VN scan of a cached spectrum at l1."""
     payload = np.ascontiguousarray(s_vn, dtype="<f8")
-    head = _scan_head(spec, l1)
-    running = hashlib.sha256(head)
-    running.update(payload)
-    with atomic_write(path) as fh:
-        fh.write(head)
-        fh.write(payload)
-        fh.write(_checksum(running))
+    _write_record(path, _SCAN_MAGIC, _SCAN_VERSION, _scan_header(spec, l1), [payload])
 
 
 def load_scan(path, spec: Spectrum, l1: int) -> np.ndarray:
@@ -491,19 +494,11 @@ def load_scan(path, spec: Spectrum, l1: int) -> np.ndarray:
     SpectrumFormatError; a wrong size or checksum raises
     SpectrumChecksumError.
     """
-    head = _scan_head(spec, l1)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(head):
-        raise SpectrumFormatError(
-            f"{path}: magic, version or header is not that of this spectrum "
-            f"at l1={l1}"
-        )
-    expected = len(head) + 8 * spec.dim + 8
-    if len(data) != expected:
-        raise SpectrumChecksumError(
-            f"{path}: expected {expected} bytes, got {len(data)}"
-        )
-    if _checksum(hashlib.sha256(data[:-8])) != data[-8:]:
-        raise SpectrumChecksumError(f"{path}: checksum mismatch")
-    return np.frombuffer(data, dtype="<f8", count=spec.dim, offset=len(head)).copy()
+    expected = _scan_header(spec, l1)
+
+    def layout(header):
+        if header != expected:
+            raise SpectrumFormatError(f"not that of this spectrum at l1={l1}")
+        return [np.empty(spec.dim, dtype="<f8")]
+
+    return _read_record(path, _SCAN_MAGIC, _SCAN_VERSION, layout)[1][0]

@@ -229,6 +229,16 @@ def test_exit_code_numerics_error(tmp_path, capsys):
     assert record["error"] == "NumericsError"
 
 
+def test_gamma_fit_with_no_kept_shell_names_the_cause(tmp_path, capsys):
+    # N=4 has 6 levels, so no shell reaches the default min_count of 10.
+    rc = main(["gamma-fit", "--n-sites", "4", "--bins", "2", "--cache", "off",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NumericsError"
+    assert "no shell kept: none has d_E >= min_count" in record["message"]
+
+
 def test_exit_code_lock_contention(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

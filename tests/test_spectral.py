@@ -154,6 +154,9 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(again.eigenvector_matrix(), spec.eigenvector_matrix())
     assert again.basis_tag == spec.basis_tag
     assert again.params == params
+    wrong = es.ModelParams(n_sites=6, delta2=0.25)
+    with pytest.raises(es.SpectrumFormatError):
+        es.load_spectrum(path, expect_params=wrong)
 
 
 def test_cache_files_give_the_spectrum_its_trailer(tmp_path):
@@ -190,47 +193,63 @@ def test_scan_file_round_trip_and_key(tmp_path):
         load_scan(scan, replace(spec, checksum=bytes(8)), 2)
 
 
-def test_load_rejects_corruption(tmp_path):
-    spec, _, params = _spec(4, 2, 0.0)
-    path = es.spectrum_cache_path(tmp_path, params, 2)
-    es.save_spectrum(spec, path)
-    raw = bytearray(open(path, "rb").read())
+RECORD_KINDS = ["spectrum", "scan"]
 
-    bad_magic = bytes(raw).replace(b"ENTROSPC", b"NOTSPECX", 1)
-    (tmp_path / "bad_magic.spec").write_bytes(bad_magic)
-    with pytest.raises(es.SpectrumFormatError):
-        es.load_spectrum(tmp_path / "bad_magic.spec")
 
+def _record(kind):
+    """(magic, version, save(path), load(path)) of a small cache record."""
+    spec, _, _ = _spec(4, 2, 0.0)
+    if kind == "spectrum":
+        return (b"ENTROSPC", 2, lambda path: es.save_spectrum(spec, path),
+                es.load_spectrum)
+    spec = replace(spec, checksum=bytes(range(8)))  # any trailer keys a scan
+    s_vn = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1))
+    return (b"ENTROSVN", 1, lambda path: save_scan(s_vn, path, spec, 1),
+            lambda path: load_scan(path, spec, 1))
+
+
+@pytest.mark.parametrize("kind", RECORD_KINDS)
+def test_load_rejects_corruption(tmp_path, kind):
+    magic, version, save, load = _record(kind)
+    save(tmp_path / "good")
+    raw = (tmp_path / "good").read_bytes()
     flipped = bytearray(raw)
-    flipped[-20] ^= 0xFF  # inside the eigenvector payload, before the trailer
-    (tmp_path / "flipped.spec").write_bytes(bytes(flipped))
-    with pytest.raises(es.SpectrumChecksumError):
-        es.load_spectrum(tmp_path / "flipped.spec")
+    flipped[-20] ^= 0xFF  # inside the payload, before the trailer
+    damaged = {
+        "bad_magic": (b"NOTMAGIC" + raw[8:], es.SpectrumFormatError),
+        "bad_version": (magic + bytes([version + 1]) + raw[9:], es.SpectrumFormatError),
+        "flipped": (bytes(flipped), es.SpectrumChecksumError),
+        "short": (raw[:-20], es.SpectrumChecksumError),
+        "long": (raw + bytes(8), es.SpectrumChecksumError),
+    }
+    for name, (data, error) in damaged.items():
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(es.StorageError) as info:
+            load(tmp_path / name)
+        assert info.type is error, name
 
-    (tmp_path / "short.spec").write_bytes(bytes(raw[:-20]))
-    with pytest.raises(es.SpectrumChecksumError):
-        es.load_spectrum(tmp_path / "short.spec")
 
-    wrong = es.ModelParams(n_sites=4, delta2=0.25)
-    with pytest.raises(es.SpectrumFormatError):
-        es.load_spectrum(path, expect_params=wrong)
-
-
-
-def test_load_rejects_header_without_required_keys(tmp_path):
+@pytest.mark.parametrize("kind", RECORD_KINDS)
+def test_load_rejects_header_without_required_keys(tmp_path, kind):
     # Valid JSON that lacks a key or holds a non-number is a format error,
     # so the CLI rebuilds the file instead of crashing on it.
+    magic, version, _, load = _record(kind)
+    path = tmp_path / "bad_header"
     for header in (b'{"n_sites": 4}', b'{"dim": "six", "n_sites": 4}'):
-        path = tmp_path / "bad_header.spec"
-        path.write_bytes(b"ENTROSPC" + struct.pack("<BI", 2, len(header)) + header
+        path.write_bytes(magic + struct.pack("<BI", version, len(header)) + header
                          + bytes(16))
-        with pytest.raises(es.SpectrumFormatError, match="header"):
-            es.load_spectrum(path)
+        with pytest.raises(es.StorageError, match="header") as info:
+            load(path)
+        assert info.type is es.SpectrumFormatError
 
-@pytest.mark.parametrize("failing", ["_checksum", "replace"])
-def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, failing):
-    spec, _, params = _spec(4, 2, 0.0)
-    path = es.spectrum_cache_path(tmp_path, params, 2)
+
+@pytest.mark.parametrize(
+    "kind, failing",
+    [(k, f) for k in RECORD_KINDS for f in ("_checksum", "replace")],
+    ids=["_checksum", "replace", "scan-_checksum", "scan-replace"],
+)
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, kind, failing):
+    _, _, save, _ = _record(kind)
 
     def boom(*args):
         raise OSError("forced failure")
@@ -240,7 +259,7 @@ def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, failing):
     else:  # raises mid-write, after the payload went to the temp file
         monkeypatch.setattr(es.spectral, failing, boom)
     with pytest.raises(OSError, match="forced failure"):
-        es.save_spectrum(spec, path)
+        save(tmp_path / "record")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,13 +3,19 @@ outside: each one it names must still exist, with the parameters its work
 counters read, or a traced run silently loses that metric."""
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from entroscope.cli import OutFile, render_table
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 # Parameters each counter reads from a call's bound arguments.
 COUNTER_PARAMS = {
@@ -65,3 +71,29 @@ def test_render_table_result_has_content():
     out = render_table("t", ["a"], [(1,)], "csv")
     assert isinstance(out, OutFile)
     assert out.content == "a\n1\n"
+
+
+def test_traced_repetition_reports_every_layer(tmp_path):
+    # One traced sweep-n12 repetition, run as the benchmark runs it: a
+    # result without a per-layer metric, or with a NaN one, is malformed.
+    work = tmp_path / "work"
+    subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "worker.py"), "--mode", "rep",
+         "--workload", "sweep-n12", "--seed", "42", "--work", str(work),
+         "--cache", str(tmp_path / "cache"), "--t0", str(time.time()), "--trace"],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        check=True,
+        timeout=300,
+    )
+    result = json.loads((work / "result.json").read_text(encoding="utf-8"))
+    assert result["codes"] and set(result["codes"]) == {0}
+    layers = result["layers"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    wanted = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_s"}
+    assert sorted(wanted - set(layers)) == []
+    json.dumps(layers, allow_nan=False)
+    for name in ("spectral.save_spectrum.calls", "spectral.load_spectrum.calls",
+                 "cli.obtain_spectrum.calls"):
+        assert layers[name] > 0, name
+    # About 3.4 if every table experiment recomputed the scan.
+    assert layers["experiments.svn_kets_per_eigenket"] < 2
