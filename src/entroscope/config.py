@@ -156,6 +156,9 @@ def validate(cfg: RunConfig) -> RunConfig:
                 f"{name!r} in file names; give distinct couplings"
             )
         names[name] = d2
+    if cfg.seed < 0:
+        # numpy seeds each check's stream with [seed, i]: no negative entry.
+        raise ConfigError(f"seed={cfg.seed} must be >= 0")
     if cfg.n_bins < 1:
         raise ConfigError(f"n_bins={cfg.n_bins} must be >= 1")
     if cfg.min_shell_count < 1:

@@ -45,191 +45,135 @@ class PropertyResult:
         )
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng([seed, stream])
+def _random_dim(rng) -> int:
+    return int(rng.integers(DIM_LO, DIM_HI + 1))
 
 
 def _random_full_state(rng, pure: bool):
     n = int(rng.integers(SITES_LO, SITES_HI + 1))
     l1 = int(rng.integers(1, n))
     part = BipartitionSpec(n_sites=n, l1=l1)
-    if pure:
-        state = random_pure(rng, 1 << n, space_tag=full_tag(n))
-    else:
-        state = random_density(rng, 1 << n, space_tag=full_tag(n))
-    return state, part
+    draw = random_pure if pure else random_density
+    return draw(rng, 1 << n, space_tag=full_tag(n)), part
 
 
-def check_subadditivity_battery(seed: int, trials: int) -> PropertyResult:
-    """S(A) + S(B) - S(AB) >= -1e-9 for random mixed full-space states."""
-    rng = _rng_for(seed, 1)
-    worst = np.inf
-    for _ in range(trials):
-        rho, part = _random_full_state(rng, pure=False)
-        worst = min(worst, check_subadditivity(rho, part).slack)
-    return PropertyResult(
-        name="subadditivity",
-        n_trials=trials,
-        worst=worst,
-        bound=-1e-9,
-        ok=worst >= -1e-9,
-        detail="min slack S_A+S_B-S_AB",
-    )
+# Each trial draws one random instance from rng and returns its value; the
+# infimum trials return (gap, equality gap).  Trials call von_neumann by its
+# module-global name, so a wrapper installed on this module sees every call.
 
 
-def check_measurement_monotonicity(seed: int, trials: int) -> PropertyResult:
-    """S_VN never drops by more than 1e-9 under a projective measurement."""
-    rng = _rng_for(seed, 2)
-    worst = np.inf
-    for _ in range(trials):
-        dim = int(rng.integers(DIM_LO, DIM_HI + 1))
-        rho = random_density(rng, dim)
-        phi = random_unitary(rng, dim)
-        worst = min(worst, von_neumann(measure(rho, phi)) - von_neumann(rho))
-    return PropertyResult(
-        name="measurement-monotonicity",
-        n_trials=trials,
-        worst=worst,
-        bound=-1e-9,
-        ok=worst >= -1e-9,
-        detail="min S(rho')-S(rho)",
-    )
+def _subadditivity(rng) -> float:
+    """S(A) + S(B) - S(AB) for a random mixed full-space state."""
+    rho, part = _random_full_state(rng, pure=False)
+    return check_subadditivity(rho, part).slack
 
 
-def check_decomposition_infimum(seed: int, trials: int) -> PropertyResult:
-    """Shannon of any pure-state decomposition >= S_VN; equality at the
-    eigendecomposition (identity rotation)."""
-    rng = _rng_for(seed, 3)
-    worst = np.inf
-    eq_worst = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(DIM_LO, DIM_HI + 1))
-        rho = random_density(rng, dim)
-        s = von_neumann(rho)
-        parts = random_decomposition(rng, rho)
-        worst = min(worst, shannon([p for p, _ in parts]) - s)
-        eigen = random_decomposition(rng, rho, unitary=np.eye(dim))
-        eq_worst = max(eq_worst, abs(shannon([p for p, _ in eigen]) - s))
-    ok = worst >= -1e-9 and eq_worst <= 1e-9
-    return PropertyResult(
-        name="decomposition-infimum",
-        n_trials=trials,
-        worst=min(worst, -eq_worst),
-        bound=-1e-9,
-        ok=ok,
-        detail=f"min Shannon-S_VN; eigendecomposition gap {eq_worst:.1e}",
-    )
+def _measurement_monotonicity(rng) -> float:
+    """Change of S_VN under a random projective measurement."""
+    dim = _random_dim(rng)
+    rho = random_density(rng, dim)
+    phi = random_unitary(rng, dim)
+    return von_neumann(measure(rho, phi)) - von_neumann(rho)
 
 
-def check_basis_infimum(seed: int, trials: int) -> PropertyResult:
-    """Shannon of measurement weights >= S_VN; equality at the eigenbasis."""
-    rng = _rng_for(seed, 4)
-    worst = np.inf
-    eq_worst = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(DIM_LO, DIM_HI + 1))
-        rho = random_density(rng, dim)
-        s = von_neumann(rho)
-        phi = random_unitary(rng, dim)
-        w = measurement_weights(rho, phi)
-        w = np.where(w < 0.0, 0.0, w)
-        worst = min(worst, shannon(w / w.sum()) - s)
-        _, eigvecs = np.linalg.eigh(rho.matrix)
-        w_eig = measurement_weights(rho, eigvecs)
-        w_eig = np.where(w_eig < 0.0, 0.0, w_eig)
-        eq_worst = max(eq_worst, abs(shannon(w_eig / w_eig.sum()) - s))
-    ok = worst >= -1e-9 and eq_worst <= 1e-9
-    return PropertyResult(
-        name="basis-infimum",
-        n_trials=trials,
-        worst=min(worst, -eq_worst),
-        bound=-1e-9,
-        ok=ok,
-        detail=f"min Shannon(w)-S_VN; eigenbasis gap {eq_worst:.1e}",
-    )
+def _decomposition_infimum(rng) -> tuple[float, float]:
+    """Shannon of a random pure-state decomposition minus S_VN, and the same
+    gap at the eigendecomposition (identity rotation), where it vanishes."""
+    dim = _random_dim(rng)
+    rho = random_density(rng, dim)
+    s = von_neumann(rho)
+    parts = random_decomposition(rng, rho)
+    eigen = random_decomposition(rng, rho, unitary=np.eye(dim))
+    gap = shannon([p for p, _ in parts]) - s
+    return gap, abs(shannon([p for p, _ in eigen]) - s)
 
 
-def check_unitary_invariance(seed: int, trials: int) -> PropertyResult:
-    """|S_VN(U rho U+) - S_VN(rho)| <= 1e-9 for random unitaries."""
-    rng = _rng_for(seed, 5)
-    worst = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(DIM_LO, DIM_HI + 1))
-        rho = random_density(rng, dim)
-        u = random_unitary(rng, dim)
-        rot = u @ rho.matrix @ u.conj().T
-        rot = 0.5 * (rot + rot.conj().T)
-        rotated = DensityMatrix(matrix=rot, space_tag=rho.space_tag)
-        worst = max(worst, abs(von_neumann(rotated) - von_neumann(rho)))
-    return PropertyResult(
-        name="unitary-invariance",
-        n_trials=trials,
-        worst=worst,
-        bound=1e-9,
-        ok=worst <= 1e-9,
-        detail="max |S(U rho U+)-S(rho)|",
-    )
+def _weights_gap(rho: DensityMatrix, vectors: np.ndarray, s: float) -> float:
+    w = measurement_weights(rho, vectors)
+    w = np.where(w < 0.0, 0.0, w)
+    return shannon(w / w.sum()) - s
 
 
-def check_complement_symmetry(seed: int, trials: int) -> PropertyResult:
-    """|S(rho_A) - S(rho_B)| <= 1e-8 for random pure full-space states."""
-    rng = _rng_for(seed, 6)
-    worst = 0.0
-    for _ in range(trials):
-        psi, part = _random_full_state(rng, pure=True)
-        s_a = von_neumann(partial_trace(psi, part))
-        s_b = von_neumann(partial_trace_bath(psi, part))
-        worst = max(worst, abs(s_a - s_b))
-    return PropertyResult(
-        name="complement-symmetry",
-        n_trials=trials,
-        worst=worst,
-        bound=1e-8,
-        ok=worst <= 1e-8,
-        detail="max |S_A-S_B| over pure states",
-    )
+def _basis_infimum(rng) -> tuple[float, float]:
+    """Shannon of measurement weights in a random basis minus S_VN, and the
+    same gap in the eigenbasis, where it vanishes."""
+    dim = _random_dim(rng)
+    rho = random_density(rng, dim)
+    s = von_neumann(rho)
+    phi = random_unitary(rng, dim)
+    gap = _weights_gap(rho, phi, s)
+    _, eigvecs = np.linalg.eigh(rho.matrix)
+    return gap, abs(_weights_gap(rho, eigvecs, s))
 
 
-def check_mixing_concavity(seed: int, trials: int) -> PropertyResult:
-    """S_VN(sum p_i rho_i) >= sum p_i S_VN(rho_i) - 1e-9."""
-    rng = _rng_for(seed, 7)
-    worst = np.inf
-    for _ in range(trials):
-        dim = int(rng.integers(DIM_LO, DIM_HI + 1))
-        k = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(k))
-        comps = [(float(p), random_density(rng, dim)) for p in weights]
-        mixed = mix(comps)
-        avg = sum(p * von_neumann(rho) for p, rho in comps)
-        worst = min(worst, von_neumann(mixed) - avg)
-    return PropertyResult(
-        name="mixing-concavity",
-        n_trials=trials,
-        worst=worst,
-        bound=-1e-9,
-        ok=worst >= -1e-9,
-        detail="min S(mix)-sum p S(rho)",
-    )
+def _unitary_invariance(rng) -> float:
+    """|S_VN(U rho U+) - S_VN(rho)| for a random unitary."""
+    dim = _random_dim(rng)
+    rho = random_density(rng, dim)
+    u = random_unitary(rng, dim)
+    rot = u @ rho.matrix @ u.conj().T
+    rot = 0.5 * (rot + rot.conj().T)
+    rotated = DensityMatrix(matrix=rot, space_tag=rho.space_tag)
+    return abs(von_neumann(rotated) - von_neumann(rho))
 
 
-ALL_CHECKS = (
-    check_subadditivity_battery,
-    check_measurement_monotonicity,
-    check_decomposition_infimum,
-    check_basis_infimum,
-    check_unitary_invariance,
-    check_complement_symmetry,
-    check_mixing_concavity,
+def _complement_symmetry(rng) -> float:
+    """|S(rho_A) - S(rho_B)| for a random pure full-space state."""
+    psi, part = _random_full_state(rng, pure=True)
+    s_a = von_neumann(partial_trace(psi, part))
+    s_b = von_neumann(partial_trace_bath(psi, part))
+    return abs(s_a - s_b)
+
+
+def _mixing_concavity(rng) -> float:
+    """S_VN(sum p_i rho_i) - sum p_i S_VN(rho_i) for 2 to 4 random states."""
+    dim = _random_dim(rng)
+    k = int(rng.integers(2, 5))
+    weights = rng.dirichlet(np.ones(k))
+    comps = [(float(p), random_density(rng, dim)) for p in weights]
+    mixed = mix(comps)
+    avg = sum(p * von_neumann(rho) for p, rho in comps)
+    return von_neumann(mixed) - avg
+
+
+# (name, trial, bound, detail), in TAP order; check i (from 1) draws from
+# default_rng([seed, i]).  A negative bound is a floor on the smallest value,
+# a positive one a ceiling on the largest.
+CHECKS = (
+    ("subadditivity", _subadditivity, -1e-9, "min slack S_A+S_B-S_AB"),
+    ("measurement-monotonicity", _measurement_monotonicity, -1e-9,
+     "min S(rho')-S(rho)"),
+    ("decomposition-infimum", _decomposition_infimum, -1e-9,
+     "min Shannon-S_VN; eigendecomposition gap"),
+    ("basis-infimum", _basis_infimum, -1e-9,
+     "min Shannon(w)-S_VN; eigenbasis gap"),
+    ("unitary-invariance", _unitary_invariance, 1e-9, "max |S(U rho U+)-S(rho)|"),
+    ("complement-symmetry", _complement_symmetry, 1e-8,
+     "max |S_A-S_B| over pure states"),
+    ("mixing-concavity", _mixing_concavity, -1e-9, "min S(mix)-sum p S(rho)"),
 )
 
 
 def run_property_suite(
     seed: int = 42, trials: int = DEFAULT_TRIALS
 ) -> list[PropertyResult]:
-    """Run every invariant check with per-check derived RNG streams."""
+    """Run every check in CHECKS for `trials` trials on its own RNG stream."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    return [check(seed, trials) for check in ALL_CHECKS]
+    results = []
+    for stream, (name, trial, bound, detail) in enumerate(CHECKS, start=1):
+        rng = np.random.default_rng([seed, stream])
+        values = [trial(rng) for _ in range(trials)]
+        if isinstance(values[0], tuple):
+            # The equality gap must vanish: its negation joins the floor test.
+            gaps, eq_gaps = zip(*values)
+            eq_worst = max(eq_gaps)
+            values = [*gaps, -eq_worst]
+            detail = f"{detail} {eq_worst:.1e}"
+        worst = min(values) if bound < 0 else max(values)
+        ok = worst >= bound if bound < 0 else worst <= bound
+        results.append(PropertyResult(name, trials, worst, bound, ok, detail))
+    return results
 
 
 def format_tap(results: list[PropertyResult]) -> str:

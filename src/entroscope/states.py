@@ -163,40 +163,40 @@ def _require_full(space_tag: str, part: BipartitionSpec, dim: int):
         )
 
 
+def _reduce(
+    rho_or_psi: DensityMatrix | StateVector, part: BipartitionSpec, keep_bath: bool
+) -> DensityMatrix:
+    """Reduced density matrix of the leading block, or of the bath.
+
+    For a pure state the amplitudes reshape to a (2^l1, 2^(N-l1)) matrix M
+    with rho_A = M M+ and rho_B = M^T M*; mixed inputs reduce by the linear
+    extension.
+    """
+    _require_full(rho_or_psi.space_tag, part, rho_or_psi.dim)
+    if isinstance(rho_or_psi, StateVector):
+        m = rho_or_psi.amplitudes.reshape(part.dim_a, part.dim_b)
+        m = m.T if keep_bath else m
+        rho = m @ m.conj().T
+    else:
+        t = rho_or_psi.matrix.reshape(part.dim_a, part.dim_b, part.dim_a, part.dim_b)
+        rho = np.einsum("abad->bd" if keep_bath else "abcb->ac", t)
+    rho = 0.5 * (rho + rho.conj().T)
+    n_kept = part.n_sites - part.l1 if keep_bath else part.l1
+    return DensityMatrix(matrix=rho, space_tag=full_tag(n_kept))
+
+
 def partial_trace(
     rho_or_psi: DensityMatrix | StateVector, part: BipartitionSpec
 ) -> DensityMatrix:
-    """Trace out the bath (sites l1+1..N), keeping the leading block.
-
-    For a pure state the amplitudes reshape to a (2^l1, 2^(N-l1)) matrix M
-    with rho_A = M M+; mixed inputs reduce by the linear extension.
-    """
-    if isinstance(rho_or_psi, StateVector):
-        _require_full(rho_or_psi.space_tag, part, rho_or_psi.dim)
-        m = rho_or_psi.amplitudes.reshape(part.dim_a, part.dim_b)
-        rho_a = m @ m.conj().T
-    else:
-        _require_full(rho_or_psi.space_tag, part, rho_or_psi.dim)
-        t = rho_or_psi.matrix.reshape(part.dim_a, part.dim_b, part.dim_a, part.dim_b)
-        rho_a = np.einsum("abcb->ac", t)
-    rho_a = 0.5 * (rho_a + rho_a.conj().T)
-    return DensityMatrix(matrix=rho_a, space_tag=full_tag(part.l1))
+    """Trace out the bath (sites l1+1..N), keeping the leading block."""
+    return _reduce(rho_or_psi, part, keep_bath=False)
 
 
 def partial_trace_bath(
     rho_or_psi: DensityMatrix | StateVector, part: BipartitionSpec
 ) -> DensityMatrix:
     """Complementary reduction: trace out sites 1..l1, keep the trailing block."""
-    if isinstance(rho_or_psi, StateVector):
-        _require_full(rho_or_psi.space_tag, part, rho_or_psi.dim)
-        m = rho_or_psi.amplitudes.reshape(part.dim_a, part.dim_b)
-        rho_b = m.T @ m.conj()
-    else:
-        _require_full(rho_or_psi.space_tag, part, rho_or_psi.dim)
-        t = rho_or_psi.matrix.reshape(part.dim_a, part.dim_b, part.dim_a, part.dim_b)
-        rho_b = np.einsum("abad->bd", t)
-    rho_b = 0.5 * (rho_b + rho_b.conj().T)
-    return DensityMatrix(matrix=rho_b, space_tag=full_tag(part.n_sites - part.l1))
+    return _reduce(rho_or_psi, part, keep_bath=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -12,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 import entroscope as es
-from entroscope import cli
+from entroscope import cli, properties
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS
 from entroscope.spectral import load_scan, load_spectrum, scan_cache_path
@@ -145,14 +146,77 @@ def test_bits_flag_rescales_entropy(tmp_path):
         assert abs(float(rb[1]) - float(rn[1]) / math.log(2)) < 1e-12
 
 
+# (name, bound, detail pattern) of each TAP line, in order.  The worst
+# values depend on the LAPACK build, so only their shape is matched.
+TAP_CHECKS = [
+    ("subadditivity", "-1e-09", re.escape("min slack S_A+S_B-S_AB")),
+    ("measurement-monotonicity", "-1e-09", re.escape("min S(rho')-S(rho)")),
+    ("decomposition-infimum", "-1e-09",
+     re.escape("min Shannon-S_VN; eigendecomposition gap ") + r"\d\.\de-\d\d"),
+    ("basis-infimum", "-1e-09",
+     re.escape("min Shannon(w)-S_VN; eigenbasis gap ") + r"\d\.\de-\d\d"),
+    ("unitary-invariance", "1e-09", re.escape("max |S(U rho U+)-S(rho)|")),
+    ("complement-symmetry", "1e-08", re.escape("max |S_A-S_B| over pure states")),
+    ("mixing-concavity", "-1e-09", re.escape("min S(mix)-sum p S(rho)")),
+]
+
+
 def test_property_suite_tap(tmp_path):
     out = str(tmp_path / "out")
     assert main(["property-suite", "--out", out, "--seed", "42"]) == 0
     tap = open(os.path.join(out, "property_suite.tap"), encoding="utf-8").read()
     lines = tap.splitlines()
     assert lines[0] == "1..7"
-    assert all(line.startswith("ok ") for line in lines[1:])
+    assert len(lines) == 1 + len(TAP_CHECKS)
+    for index, (line, (name, bound, detail)) in enumerate(
+        zip(lines[1:], TAP_CHECKS), start=1
+    ):
+        pattern = (
+            rf"ok {index} - {re.escape(name)} \(worst -?\d\.\d{{3}}e[+-]\d\d, "
+            rf"bound {re.escape(bound)}, 200 trials; {detail}\)"
+        )
+        assert re.fullmatch(pattern, line), line
     assert _manifest(out)["details"]["all_ok"] is True
+
+
+def _break_check(monkeypatch, name, value):
+    """Swap one check's trial for one that always returns `value`."""
+    checks = tuple(
+        (n, (lambda rng: value) if n == name else trial, bound, detail)
+        for n, trial, bound, detail in properties.CHECKS
+    )
+    monkeypatch.setattr(properties, "CHECKS", checks)
+
+
+@pytest.mark.parametrize(
+    "name, value, index, worst",
+    [
+        ("mixing-concavity", -1e-6, 7, -1e-6),  # below a floor
+        ("unitary-invariance", 2e-9, 5, 2e-9),  # above a ceiling
+        ("decomposition-infimum", (0.0, 2e-9), 3, -2e-9),  # equality gap
+    ],
+)
+def test_property_suite_reports_a_broken_bound(monkeypatch, name, value, index, worst):
+    _break_check(monkeypatch, name, value)
+    results = properties.run_property_suite(seed=42, trials=2)
+    assert [r.name for r in results if not r.ok] == [name]
+    assert results[index - 1].worst == worst
+    lines = properties.format_tap(results).splitlines()
+    assert lines[index].startswith(f"not ok {index} - {name} (")
+    assert sum(line.startswith("ok ") for line in lines) == 6
+
+
+def test_property_suite_failure_exits_3_with_manifest(tmp_path, monkeypatch, capsys):
+    _break_check(monkeypatch, "mixing-concavity", -1e-6)
+    out = str(tmp_path / "out")
+    assert main(["property-suite", "--out", out, "--seed", "42"]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NumericsError"
+    tap = open(os.path.join(out, "property_suite.tap"), encoding="utf-8").read()
+    assert tap.splitlines()[7].startswith("not ok 7 - mixing-concavity (")
+    details = _manifest(out)["details"]
+    assert details["all_ok"] is False
+    assert details["failed"] == ["mixing-concavity"]
 
 
 def test_degeneracy_census_cli(tmp_path):
@@ -218,6 +282,23 @@ def test_exit_code_config_file_errors(tmp_path, capsys):
     assert main(["shell-average", "--config", str(bad)]) == 2
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert all(json.loads(line)["exit_code"] == 2 for line in err_lines)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, source):
+    # numpy refuses a negative stream seed, so it must fail as a bad value.
+    argv = ["property-suite", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == 2
+    assert "seed" in record["message"]
 
 
 def test_exit_code_numerics_error(tmp_path, capsys):

@@ -97,3 +97,35 @@ def test_traced_repetition_reports_every_layer(tmp_path):
         assert layers[name] > 0, name
     # About 3.4 if every table experiment recomputed the scan.
     assert layers["experiments.svn_kets_per_eigenket"] < 2
+
+
+TRACED_PROPERTY_SUITE = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import entroscope.cli
+import tracing
+tracer = tracing.install()
+rc = entroscope.cli.main(["property-suite", "--seed", "42", "--out", sys.argv[3]])
+print(json.dumps({"rc": rc, "metrics": tracer.metrics()}))
+"""
+
+
+def test_traced_property_suite_counts_every_entropy(tmp_path):
+    # desk-cold is the one workload that runs the property suite: its traced
+    # run must still see every von_neumann call the trials make.
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_PROPERTY_SUITE, str(ROOT / "benchmarks"),
+         str(ROOT / "src"), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+             "ENTROSCOPE_CACHE_DIR": str(tmp_path / "cache")},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    metrics = result["metrics"]
+    json.dumps(metrics, allow_nan=False)
+    assert metrics["properties.run_property_suite.calls"] == 1
+    assert metrics["entropy.von_neumann.calls"] == 3005
