@@ -4,7 +4,11 @@
 Runs every experiment through the CLI entry point so each output directory
 gets its own checksummed manifest.  Spectra are shared through one cache,
 so each coupling's eigensolve happens once, and so is its full entropy scan
-(eigenket-scan computes it, shell-average and gamma-fit load it).
+(eigenket-scan computes it, shell-average and gamma-fit load it).  Per
+coupling, eigenket-scan solves and saves the spectrum; shell-average and
+volume-law each load it whole (eigenvalues and eigenvectors); gamma-fit and
+the census read only its eigenvalue section, so they never load an
+eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
 About four seconds end to end on a 2-core machine (3.8-4.2 s at 99 MB peak

@@ -56,6 +56,7 @@ from .spectral import (
     block_eigenvalues,
     degenerate_multiplets,
     diagonalize,
+    load_levels,
     load_spectrum,
     multiplet_flags,
     partition_shells,

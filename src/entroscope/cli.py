@@ -43,6 +43,7 @@ from .spectral import (
     atomic_write,
     block_eigenvalues,
     diagonalize,
+    load_levels,
     load_scan,
     load_spectrum,
     partition_shells,
@@ -74,36 +75,66 @@ class OutFile:
     content: str
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _kind(cls: type) -> str:
+    """How a cell of this type renders: as str, then bool, int or float."""
+    if issubclass(cls, str):
+        return "str"
+    if issubclass(cls, (bool, np.bool_)):
+        return "bool"
+    if issubclass(cls, (int, np.integer)):
+        return "int"
+    return "float"
 
 
-def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    return None if math.isnan(v) else v
+def _csv_cells(kind: str, cells) -> list[str]:
+    if kind == "str":
+        return list(cells)
+    if kind == "bool":
+        return ["1" if v else "0" for v in cells]
+    if kind == "int":
+        return [str(int(v)) for v in cells]
+    return [f"{float(v):.17g}" for v in cells]
+
+
+def _json_cells(kind: str, cells) -> list:
+    if kind == "str":
+        return list(cells)
+    if kind in ("bool", "int"):
+        return [int(v) for v in cells]
+    return [None if math.isnan(v) else v for v in map(float, cells)]
+
+
+# Rows rendered per batch: few enough that a batch's cell strings add little
+# to the heap (all of an N=14 eigenket table's at once left 0.9 MB more).
+_BATCH = 256
+
+
+def _rendered_rows(rows: list[tuple], render):
+    """Yield each row's cells as render(kind, cells) gives them.
+
+    The kind is chosen once per column of a batch of rows; a column whose
+    cells differ in kind is rendered cell by cell.
+    """
+    for start in range(0, len(rows), _BATCH):
+        columns = []
+        for cells in zip(*rows[start : start + _BATCH]):
+            kinds = {_kind(cls) for cls in set(map(type, cells))}
+            if len(kinds) == 1:
+                columns.append(render(kinds.pop(), cells))
+            else:
+                columns.append([render(_kind(type(v)), (v,))[0] for v in cells])
+        yield from zip(*columns)
 
 
 def render_table(name: str, header: list[str], rows: list[tuple], fmt: str) -> OutFile:
     """Render rows as CSV (17-significant-digit floats) or as wrapped JSON."""
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
+        lines += map(",".join, _rendered_rows(rows, _csv_cells))
         return OutFile(name=f"{name}.csv", content="\n".join(lines) + "\n")
     payload = {
         "columns": header,
-        "rows": [[_json_cell(v) for v in row] for row in rows],
+        "rows": [list(row) for row in _rendered_rows(rows, _json_cells)],
     }
     return OutFile(name=f"{name}.json", content=json.dumps(payload, indent=2) + "\n")
 
@@ -161,7 +192,15 @@ def obtain_spectrum(
 
 
 class _Coupling:
-    """One coupling's spectrum, full S_VN scan and DOS table, each built once."""
+    """One coupling's spectrum, eigenvalue view, full S_VN scan and DOS
+    table, each built or read at most once.
+
+    The eigenvalue view (levels) serves every table that reads only E_n; the
+    full spectrum is read only for amplitudes.  Once read, the spectrum is
+    the view too, since it may come from another file than an earlier view
+    (one whose damaged eigenvector section was rebuilt): so row builders
+    take s_vn, which may read the spectrum, before levels() and dos.
+    """
 
     def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
         self.cfg = cfg
@@ -171,6 +210,7 @@ class _Coupling:
         self.unit = LN2 if cfg.bits else 1.0
         self.part = BipartitionSpec(cfg.n_sites, cfg.l1)
         self.details: dict = {}
+        self._levels: Spectrum | None = None
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -178,36 +218,41 @@ class _Coupling:
             self.cfg, self.delta2, self.cfg.n_up, self.cache_dir
         )
         self.details["spectrum"] = source
+        self._levels = spec
         return spec
 
-    def spectrum_at_hand(self) -> Spectrum | None:
-        """The spectrum if this run holds it already or the cache does.
+    def levels(self, solve: bool = True) -> Spectrum | None:
+        """Every E_b and their merged order, read without V_b where it can be.
 
-        Never solves: None when the spectrum would have to be built.
+        The spectrum when this run holds it, else the eigenvalue section of
+        its cache file, else the spectrum, solved; with solve False (the
+        census never solves) None instead.
         """
-        if "spectrum" not in vars(self):
+        if self._levels is None:
             path = spectrum_cache_path(self.cache_dir, self.params, self.cfg.n_up)
-            spec = _cached(self.cfg, load_spectrum, path, self.params)
-            if spec is None:
-                return None
-            vars(self)["spectrum"] = spec
-            self.details["spectrum"] = "cache"
-        return self.spectrum
+            self._levels = _cached(self.cfg, load_levels, path, self.params)
+            if self._levels is not None:
+                self.details["spectrum"] = "cache-eigenvalues"
+            elif solve:
+                return self.spectrum
+        return self._levels
 
     @cached_property
     def s_vn(self) -> np.ndarray:
         """S_VN of every eigenket at cfg.l1, in eigenindex order.
 
         The scan file beside the spectrum follows the spectrum's cache
-        policy; one computed from another spectrum file counts as invalid.
-        A scan that trips the kernel's gates raises before anything is
-        written.
+        policy and is found by the view's trailer; one computed from another
+        spectrum file counts as invalid.  Only a scan that has to be built
+        reads the spectrum.  A scan that trips the kernel's gates raises
+        before anything is written.
         """
-        spec, l1 = self.spectrum, self.cfg.l1
+        l1 = self.cfg.l1
         path = scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1)
-        s = _cached(self.cfg, load_scan, path, spec, l1)
+        s = _cached(self.cfg, load_scan, path, self.levels(), l1)
         self.details["scan"] = "built" if s is None else "cache"
         if s is None:
+            spec = self.spectrum
             s = subsystem_entropies(spec, self.part)
             if self.cfg.cache != "off":
                 save_scan(s, path, spec, l1)
@@ -215,11 +260,12 @@ class _Coupling:
 
     @cached_property
     def dos(self):
-        return partition_shells(self.spectrum, self.cfg.n_bins)
+        return partition_shells(self.levels(), self.cfg.n_bins)
 
 
 def _eigenket_scan_rows(c: _Coupling):
-    scan = run_eigenket_scan(c.spectrum, c.s_vn, c.dos)
+    s_vn = c.s_vn
+    scan = run_eigenket_scan(c.levels(), s_vn, c.dos)
     c.details["records"] = scan.count
     rows = [
         (n, scan.energies[n], scan.s_vn[n] / c.unit,
@@ -266,7 +312,8 @@ def _volume_law_rows(c: _Coupling):
 
 
 def _gamma_fit_rows(c: _Coupling):
-    table = shell_statistics(c.spectrum, c.s_vn, c.dos, c.cfg.min_shell_count)
+    s_vn = c.s_vn
+    table = shell_statistics(c.levels(), s_vn, c.dos, c.cfg.min_shell_count)
     rows = []
     for side in ("left", "right"):
         try:
@@ -285,8 +332,8 @@ def _degeneracy_census_rows(c: _Coupling):
 
     Each sector is solved per symmetry block, eigenvalues only.  The table
     sector n_up = cfg.n_up takes its per-block eigenvalues from the
-    coupling's spectrum instead when that is at hand (built in this run or
-    cached); a census never builds the spectrum.  The spin flip maps sector
+    coupling's eigenvalue view instead when the cache holds the spectrum; a
+    census never builds the spectrum.  The spin flip maps sector
     n_up onto N - n_up, so only n_up <= N/2 is solved and its spectrum
     counts for both.  <r> is recorded per block of the middle sector
     n_up = N // 2 (half filling for even N).
@@ -295,7 +342,7 @@ def _degeneracy_census_rows(c: _Coupling):
     merged, r_mean = [], {}
     for n_up in range(n // 2 + 1):
         # Fetched in its turn, so no spectrum is held while others solve.
-        spec = c.spectrum_at_hand() if n_up == c.cfg.n_up else None
+        spec = c.levels(solve=False) if n_up == c.cfg.n_up else None
         if spec is not None:
             by_block = {b.block.label: b.eigenvalues for b in spec.blocks}
         else:

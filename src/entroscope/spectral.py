@@ -1,6 +1,7 @@
 """Symmetry-resolved eigendecomposition, DOS binning, and spectrum persistence."""
 import hashlib
 import json
+import math
 import os
 import struct
 import warnings
@@ -22,7 +23,7 @@ DEGENERACY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 _MAGIC = b"ENTROSPC"
-_VERSION = 2
+_VERSION = 3
 _SCAN_MAGIC = b"ENTROSVN"
 _SCAN_VERSION = 1
 
@@ -33,12 +34,13 @@ class EigenBlock:
 
     `eigenvalues` (E_b) ascend.  `eigenvectors` (V_b, block.dim x block.dim,
     column-major) holds the eigenvectors in the block's symmetry-reduced
-    basis; block.expand turns them into sector amplitudes.
+    basis; block.expand turns them into sector amplitudes.  It is None in a
+    spectrum read by load_levels.
     """
 
     block: SymmetryBlock
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray | None = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,20 @@ class Spectrum:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    def require_eigenvectors(self) -> None:
+        """Raise ValueError when the blocks hold eigenvalues only."""
+        if any(b.eigenvectors is None for b in self.blocks):
+            raise ValueError(
+                f"{self.basis_tag}: spectrum holds eigenvalues only (read by "
+                "load_levels); amplitudes need load_spectrum"
+            )
+
     def eigenvector_matrix(self) -> np.ndarray:
         """The D x D matrix whose column n is eigenket n (8 D^2 bytes).
 
         Each U_b V_b lands in its sorted columns of one F-ordered matrix.
         """
+        self.require_eigenvectors()
         out = np.empty((self.dim, self.dim), order="F")
         for b, part in enumerate(self.blocks):
             at = np.flatnonzero(self.block_index == b)
@@ -283,24 +294,27 @@ def multiplet_flags(
 
 
 # Cache records, spectra (.spec) and scans (.svn) alike: magic(8) |
-# version(1) | header_len(4, LE) | header JSON | float64 LE arrays, each in
-# memory order | checksum(8) = first 8 bytes of SHA-256 over everything
-# before it.  Both directions stream: the hash runs over each part as it is
-# written or read, so neither builds a copy of the payload.
-# Spectrum, version 2: the header lists each block's label and dim; the
-# arrays are every E_b, then every V_b column-major, in header order.  The
-# isometries are not stored but rebuilt by symmetry_blocks, which must
-# agree with that list.
-# Scan, version 1: the header names the sector, l1 and the trailer of the
-# spectrum file the scan came from, so a scan never outlives its spectrum;
-# the one array is S_VN of every eigenket in eigenindex order.
+# version(1) | header_len(4, LE) | header JSON | one or more sections, each
+# float64 LE arrays in memory order followed by its checksum(8) = first 8
+# bytes of SHA-256 over everything before it, earlier checksums included.
+# The last checksum is the record's trailer.  Both directions stream: the
+# hash runs over each part as it is written or read, so neither builds a
+# copy of the payload.
+# Spectrum, version 3: the header lists each block's label and dim; the
+# first section is every E_b, the second every V_b column-major, in header
+# order, so the eigenvalues can be verified and read alone.  The isometries
+# are not stored but rebuilt by symmetry_blocks, which must agree with that
+# list.
+# Scan, version 1, one section: the header names the sector, l1 and the
+# trailer of the spectrum file the scan came from, so a scan never outlives
+# its spectrum; the one array is S_VN of every eigenket in eigenindex order.
 # ---------------------------------------------------------------------------
 
 _FIXED = 8 + 1 + 4  # magic, version, header length
 
 
 def _checksum(running) -> bytes:
-    """The trailer: the first 8 bytes of the running SHA-256's digest."""
+    """A section's checksum: the first 8 bytes of the running SHA-256's digest."""
     return running.digest()[:8]
 
 
@@ -328,26 +342,36 @@ def atomic_write(path):
         raise
 
 
-def _write_record(path, magic: bytes, version: int, header: dict, arrays) -> bytes:
-    """Write one cache record atomically; returns its trailer."""
+def _write_record(path, magic: bytes, version: int, header: dict, sections) -> bytes:
+    """Write one cache record atomically; returns its trailer.
+
+    `sections` is a list of array lists, each followed by its checksum.
+    """
     raw = json.dumps(header, sort_keys=True).encode()
     head = magic + struct.pack("<BI", version, len(raw)) + raw
-    running = hashlib.sha256()
+    running = hashlib.sha256(head)
     with atomic_write(path) as fh:
-        for part in (head, *map(_memory_bytes, arrays)):
-            running.update(part)
-            fh.write(part)
-        trailer = _checksum(running)
-        fh.write(trailer)
+        fh.write(head)
+        for arrays in sections:
+            for part in map(_memory_bytes, arrays):
+                running.update(part)
+                fh.write(part)
+            trailer = _checksum(running)
+            running.update(trailer)
+            fh.write(trailer)
     return trailer
 
 
-def _read_record(path, magic: bytes, version: int, layout):
-    """Read one cache record; returns (header, arrays, trailer).
+def _read_record(path, magic: bytes, version: int, layout, first_only=False):
+    """Read one cache record; returns (header, sections, trailer).
 
-    layout(header) returns the empty arrays the payload fills, or raises
+    layout(header) returns the shapes of the float64 arrays of each section,
+    filled in F order (1-D and column-major arrays alike), or raises
     SpectrumFormatError to reject the header, as do a wrong magic or
-    version; a wrong size or checksum raises SpectrumChecksumError.
+    version; a wrong size or section checksum raises SpectrumChecksumError.
+    With first_only the read stops after the first section, which it
+    verifies; the size is still checked, and the trailer is taken unverified
+    from the file's last 8 bytes.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -362,24 +386,34 @@ def _read_record(path, magic: bytes, version: int, layout):
         header_raw = fh.read(header_len)
         try:
             header = json.loads(header_raw)
-            arrays = layout(header)
+            shapes = layout(header)
         except (ValueError, TypeError, KeyError, SpectrumFormatError) as err:
             raise SpectrumFormatError(f"{path}: bad header: {err}") from err
-        expected = _FIXED + header_len + sum(a.nbytes for a in arrays) + 8
+        expected = _FIXED + header_len + sum(
+            8 * sum(map(math.prod, section)) + 8 for section in shapes
+        )
         if size != expected:
             raise SpectrumChecksumError(
                 f"{path}: expected {expected} bytes, got {size}"
             )
         running = hashlib.sha256(head)
         running.update(header_raw)
-        for view in map(_memory_bytes, arrays):
-            if fh.readinto(view) != len(view):
-                raise SpectrumChecksumError(f"{path}: file shrank while reading")
-            running.update(view)
-        trailer = _checksum(running)
-        if trailer != fh.read(8):
-            raise SpectrumChecksumError(f"{path}: checksum mismatch")
-    return header, arrays, trailer
+        sections = []
+        for section in shapes[:1] if first_only else shapes:
+            arrays = [np.empty(shape, dtype="<f8", order="F") for shape in section]
+            for view in map(_memory_bytes, arrays):
+                if fh.readinto(view) != len(view):
+                    raise SpectrumChecksumError(f"{path}: file shrank while reading")
+                running.update(view)
+            trailer = _checksum(running)
+            if trailer != fh.read(8):
+                raise SpectrumChecksumError(f"{path}: checksum mismatch")
+            running.update(trailer)
+            sections.append(arrays)
+        if len(sections) < len(shapes):
+            fh.seek(size - 8)
+            trailer = fh.read(8)
+    return header, sections, trailer
 
 
 def spectrum_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
@@ -404,17 +438,17 @@ def _spectrum_sector(header: dict):
     return params, n_up, blocks
 
 
-def _spectrum_arrays(header: dict) -> list[np.ndarray]:
+def _spectrum_layout(header: dict):
+    """Array shapes of a spectrum record: every E_b, then every V_b."""
     blocks = _spectrum_sector(header)[2]
-    return [np.empty(b.dim, dtype="<f8") for b in blocks] + [
-        np.empty((b.dim, b.dim), dtype="<f8", order="F") for b in blocks
-    ]
+    return [[(b.dim,) for b in blocks], [(b.dim, b.dim) for b in blocks]]
 
 
 def save_spectrum(spec: Spectrum, path) -> bytes:
     """Write a spectrum cache file (bit-exact round trip); returns its trailer."""
     if spec.params is None:
         raise ValueError("spectrum has no model params attached; cannot cache")
+    spec.require_eigenvectors()
     _, n_up = sector_of(spec.basis_tag)
     header = {
         "n_sites": spec.params.n_sites,
@@ -424,20 +458,17 @@ def save_spectrum(spec: Spectrum, path) -> bytes:
         "blocks": [{"label": b.block.label, "dim": b.block.dim} for b in spec.blocks],
         "checksum": "sha256-trunc8",
     }
-    arrays = [np.ascontiguousarray(b.eigenvalues, dtype="<f8") for b in spec.blocks]
-    arrays += [np.asfortranarray(b.eigenvectors, dtype="<f8") for b in spec.blocks]
-    return _write_record(path, _MAGIC, _VERSION, header, arrays)
+    sections = [
+        [np.ascontiguousarray(b.eigenvalues, dtype="<f8") for b in spec.blocks],
+        [np.asfortranarray(b.eigenvectors, dtype="<f8") for b in spec.blocks],
+    ]
+    return _write_record(path, _MAGIC, _VERSION, header, sections)
 
 
-def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
-    """Read a spectrum cache file, verifying format and checksum.
-
-    The payload is read straight into the returned arrays.  A header whose
-    blocks disagree with symmetry_blocks of its sector, or, with
-    expect_params given, that disagrees on N or delta2, raises
-    SpectrumFormatError (a stale layout or the wrong file).
-    """
-    header, arrays, trailer = _read_record(path, _MAGIC, _VERSION, _spectrum_arrays)
+def _read_spectrum(path, expect_params, levels_only: bool) -> Spectrum:
+    header, sections, trailer = _read_record(
+        path, _MAGIC, _VERSION, _spectrum_layout, first_only=levels_only
+    )
     params, n_up, blocks = _spectrum_sector(header)
     if expect_params is not None and (
         expect_params.n_sites != params.n_sites
@@ -446,15 +477,38 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
         raise SpectrumFormatError(
             f"{path}: holds {params.tag}, expected {expect_params.tag}"
         )
+    vectors = sections[1] if len(sections) > 1 else [None] * len(blocks)
     return Spectrum(
         blocks=tuple(
             EigenBlock(block=b, eigenvalues=e, eigenvectors=v)
-            for b, e, v in zip(blocks, arrays, arrays[len(blocks):])
+            for b, e, v in zip(blocks, sections[0], vectors)
         ),
         basis_tag=f"N{params.n_sites}_nup{n_up}",
         params=params,
         checksum=trailer,
     )
+
+
+def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
+    """Read a spectrum cache file, verifying format and both checksums.
+
+    The payload is read straight into the returned arrays.  A header whose
+    blocks disagree with symmetry_blocks of its sector, or, with
+    expect_params given, that disagrees on N or delta2, raises
+    SpectrumFormatError (a stale layout or the wrong file).
+    """
+    return _read_spectrum(path, expect_params, levels_only=False)
+
+
+def load_levels(path, expect_params: ModelParams | None = None) -> Spectrum:
+    """Read only the eigenvalue section of a spectrum cache file.
+
+    Checks what load_spectrum checks except the eigenvector section's
+    checksum; the blocks hold no eigenvectors, and `checksum` is the file's
+    trailer as stored, so a scan keyed by it is found.  A damaged eigenvector
+    section is caught by the next load_spectrum of the file.
+    """
+    return _read_spectrum(path, expect_params, levels_only=True)
 
 
 def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
@@ -483,7 +537,9 @@ def _scan_header(spec: Spectrum, l1: int) -> dict:
 def save_scan(s_vn: np.ndarray, path, spec: Spectrum, l1: int) -> None:
     """Write the full S_VN scan of a cached spectrum at l1."""
     payload = np.ascontiguousarray(s_vn, dtype="<f8")
-    _write_record(path, _SCAN_MAGIC, _SCAN_VERSION, _scan_header(spec, l1), [payload])
+    _write_record(
+        path, _SCAN_MAGIC, _SCAN_VERSION, _scan_header(spec, l1), [[payload]]
+    )
 
 
 def load_scan(path, spec: Spectrum, l1: int) -> np.ndarray:
@@ -499,6 +555,6 @@ def load_scan(path, spec: Spectrum, l1: int) -> np.ndarray:
     def layout(header):
         if header != expected:
             raise SpectrumFormatError(f"not that of this spectrum at l1={l1}")
-        return [np.empty(spec.dim, dtype="<f8")]
+        return [[(spec.dim,)]]
 
-    return _read_record(path, _SCAN_MAGIC, _SCAN_VERSION, layout)[1][0]
+    return _read_record(path, _SCAN_MAGIC, _SCAN_VERSION, layout)[1][0][0]

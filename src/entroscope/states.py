@@ -254,8 +254,9 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
     once per call.  A chunk holds 2^17 / D kets, so the buffer is at most
     1 MB (about half that for the half of the blocks rdm_blocks keeps at
     half filling): bigger chunks ran no faster and left more heap resident,
-    raising peak RSS.
+    raising peak RSS.  A spectrum without eigenvectors raises ValueError.
     """
+    spec.require_eigenvectors()
     rows = np.concatenate([sz.rows for sz in blocks])
     ends = np.cumsum([len(sz.rows) for sz in blocks])
     pieces = [(p.block.col[rows], p.block.coef[rows]) for p in spec.blocks]

@@ -9,7 +9,9 @@ import struct
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entroscope as es
@@ -73,6 +75,47 @@ def test_cache_reuse_and_byte_identical_output(tmp_path):
                "--bins", "8", "--min-count", "1", "--out", str(tmp_path / "c")])
     assert rc == 0
     assert _manifest(str(tmp_path / "c"))["details"]["d2=0.7"]["spectrum"] == "built"
+
+
+def _cell_csv(value) -> str:
+    """The per-cell CSV rule render_table applies column by column."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def _cell_json(value):
+    """The per-cell JSON rule: NaN becomes null."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return int(value)
+    if isinstance(value, str):
+        return value
+    v = float(value)
+    return None if math.isnan(v) else v
+
+
+def test_column_rendering_matches_the_per_cell_rules():
+    rows = [
+        (0, np.int64(3), 0.1, np.float64(math.nan), True, "left", 7, 1.5),
+        (1, np.int64(-2), 1e-300, np.float64(2 / 3), np.bool_(False), "right",
+         np.float64(0.25), np.int32(4)),
+        (2, np.int64(0), -math.inf, np.float64(-0.0), np.bool_(True), "x",
+         "mixed", False),
+    ]
+    header = [f"c{i}" for i in range(8)]
+    csv = "\n".join([",".join(header)]
+                    + [",".join(map(_cell_csv, row)) for row in rows]) + "\n"
+    assert cli.render_table("t", header, rows, "csv").content == csv
+    want = json.dumps({"columns": header,
+                       "rows": [[_cell_json(v) for v in row] for row in rows]},
+                      indent=2) + "\n"
+    assert cli.render_table("t", header, rows, "json").content == want
+    assert "null" in want and "NaN" not in want
+    assert cli.render_table("t", header, [], "csv").content == ",".join(header) + "\n"
 
 
 def test_cache_dir_env_honored(tmp_path, monkeypatch):
@@ -231,8 +274,9 @@ def test_degeneracy_census_cli(tmp_path):
 
 
 def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
-    # The sector n_up = cfg.n_up comes from the coupling's spectrum (here a
-    # cache hit), not from a fresh per-block solve; the table is unchanged.
+    # The sector n_up = cfg.n_up comes from the eigenvalue section of the
+    # coupling's cached spectrum, not from a fresh per-block solve; the table
+    # is unchanged.
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     base = ["degeneracy-census", "--n-sites", "8", "--delta2", "0.5"]
     assert main(base + ["--cache", "off", "--out", str(tmp_path / "a")]) == 0
@@ -249,7 +293,7 @@ def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
     assert solved == [f"N8_nup{k}" for k in range(4)]
     details = _manifest(tmp_path / "b")["details"]["d2=0.5"]
-    assert details["spectrum"] == "cache"
+    assert details["spectrum"] == "cache-eigenvalues"
     name = "degeneracy_census_d2=0.5.csv"
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -446,7 +490,7 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
     assert main(["eigenket-scan", "--n-sites", "6", "--delta2", "0.5",
                  "--bins", "4", "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
-    assert path.read_bytes()[8] == 2
+    assert path.read_bytes()[8] == 3
     assert load_spectrum(str(path), expect_params=params).dim == 20
 
 
@@ -485,6 +529,27 @@ SCAN_TABLES = {
 }
 SCAN_ARGS = ["--n-sites", "8", "--delta2", "0.5", "--bins", "6", "--min-count", "1"]
 SCAN_PARAMS = es.ModelParams(n_sites=8, delta2=0.5)
+
+
+def test_version_2_cache_file_is_rebuilt(tmp_path, monkeypatch):
+    # The version-2 layout (every E_b, then every V_b, one trailer) has no
+    # eigenvalue checksum: a format error for both readers, so even a run
+    # that reads only eigenvalues rebuilds the file and overwrites it.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    assert main(["volume-law", *SCAN_ARGS, "--out", str(tmp_path / "fill")]) == 0
+    path = Path(es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 9)
+    e_end = 13 + header_len + 8 * 70
+    body = raw[:8] + bytes([2]) + raw[9:e_end] + raw[e_end + 8 : -8]
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    out = tmp_path / "out"
+    assert main(["degeneracy-census", *SCAN_ARGS, "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "skipped"
+    assert main(["gamma-fit", *SCAN_ARGS, "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
+    assert path.read_bytes()[8] == 3
+    assert load_spectrum(path, expect_params=SCAN_PARAMS).dim == 70
 
 
 @pytest.fixture()
@@ -584,6 +649,120 @@ def test_bad_scan_file_is_recomputed_and_overwritten(
     assert load_scan(path, spec, 2).tobytes() == want.tobytes()
     _, rows = _read_csv(out / "eigenket_scan_d2=0.5.csv")
     assert [float(r[2]) for r in rows] == want.tolist()
+
+
+# Experiments whose tables read only eigenvalues once the scan is cached.
+ENERGY_ONLY = {
+    "eigenket-scan": ("eigenket_scan_d2=0.5.csv", "dos_d2=0.5.csv"),
+    "gamma-fit": ("gamma_fit_d2=0.5.csv",),
+    "degeneracy-census": ("degeneracy_census_d2=0.5.csv",),
+}
+
+
+def test_warm_energy_only_tables_never_read_eigenvectors(tmp_path, monkeypatch):
+    cold = {}
+    for experiment, names in ENERGY_ONLY.items():
+        out = tmp_path / "cold" / experiment
+        assert main([experiment, *SCAN_ARGS, "--cache", "off", "--out", str(out)]) == 0
+        cold.update((name, (out / name).read_bytes()) for name in names)
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(tmp_path / "fill")]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full spectrum read or solve")
+
+    monkeypatch.setattr(cli, "load_spectrum", forbidden)
+    monkeypatch.setattr(cli, "diagonalize", forbidden)
+    for experiment, names in ENERGY_ONLY.items():
+        out = tmp_path / "warm" / experiment
+        assert main([experiment, *SCAN_ARGS, "--out", str(out)]) == 0
+        assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "cache-eigenvalues"
+        for name in names:
+            assert (out / name).read_bytes() == cold[name], name
+
+
+def _flip_eigenvector_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-20] ^= 0x01  # in the last V_b, before the trailer
+    path.write_bytes(bytes(raw))
+
+
+def _rebuilt_with(monkeypatch, change):
+    """Make the CLI's solves return change(first block) as their first block."""
+    real = cli.diagonalize
+
+    def other(op):
+        spec = real(op)
+        return replace(spec, blocks=(change(spec.blocks[0]), *spec.blocks[1:]))
+
+    monkeypatch.setattr(cli, "diagonalize", other)
+
+
+@pytest.mark.parametrize("rebuilder", ["shell-average", "volume-law"])
+def test_damaged_eigenvector_section_is_rebuilt_and_rekeys_the_scan(
+    tmp_path, monkeypatch, scan_calls, rebuilder
+):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    path = Path(es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
+    first, _ = _scan_tables(tmp_path / "a")
+    old_trailer = path.read_bytes()[-8:]
+    _flip_eigenvector_byte(path)
+    # Eigenvalue reads still trust the file: its E section is intact, and
+    # the scan is keyed by the trailer, which was computed from sound V_b.
+    out = tmp_path / "b"
+    assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(out)]) == 0
+    details = _manifest(out)["details"]["d2=0.5"]
+    assert (details["spectrum"], details["scan"]) == ("cache-eigenvalues", "cache")
+    # The full reader rejects it, and the run rebuilds it.  Its eigenvectors
+    # come back with other signs, as another LAPACK may return them, so the
+    # new file has another trailer and the old scan no longer counts.
+    _rebuilt_with(monkeypatch, lambda b: replace(b, eigenvectors=-b.eigenvectors))
+    scan_calls.clear()
+    out = tmp_path / "c"
+    assert main([rebuilder, *SCAN_ARGS, "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
+    assert path.read_bytes()[-8:] != old_trailer
+    load_spectrum(path, expect_params=SCAN_PARAMS)
+    tables, sources = _scan_tables(tmp_path / "d")
+    assert tables == first
+    assert scan_calls[:1] == [("N8_nup4", None)]
+    if rebuilder == "shell-average":  # it needed the scan, so it rebuilt it
+        assert sources == ["cache"] * 3
+    else:
+        assert sources == ["built", "cache", "cache"]
+
+
+def test_tables_follow_the_file_a_damaged_spectrum_is_rebuilt_into(
+    tmp_path, monkeypatch
+):
+    # The eigenvalues were read from the damaged file before its full read
+    # failed; the rebuild's differ in the last bits (another machine, say).
+    # Every table of the run must come from the rebuilt file, as a run
+    # without any cache gives them.
+    solve = cli.diagonalize
+    for experiment in ("eigenket-scan", "gamma-fit"):
+        monkeypatch.setattr(cli, "diagonalize", solve)
+        cache = tmp_path / experiment / "cache"
+        monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+        path = Path(es.spectrum_cache_path(cache, SCAN_PARAMS, 4))
+        assert main(["volume-law", *SCAN_ARGS,
+                     "--out", str(tmp_path / experiment / "fill")]) == 0
+        _flip_eigenvector_byte(path)
+        _rebuilt_with(monkeypatch,
+                      lambda b: replace(b, eigenvalues=b.eigenvalues + 1e-9))
+        tables = {}
+        for policy in ("use", "off"):
+            out = tmp_path / experiment / policy
+            assert main([experiment, *SCAN_ARGS, "--cache", policy,
+                         "--out", str(out)]) == 0
+            assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
+            tables[policy] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        assert tables["use"] == tables["off"]
+        if experiment == "eigenket-scan":
+            table = tmp_path / experiment / "use" / "eigenket_scan_d2=0.5.csv"
+            _, rows = _read_csv(table)
+            energies = load_spectrum(path).eigenvalues
+            assert [float(r[1]) for r in rows] == energies.tolist()
 
 
 def test_rebuild_recomputes_the_scan(tmp_path, monkeypatch, scan_calls):

@@ -200,7 +200,7 @@ def _record(kind):
     """(magic, version, save(path), load(path)) of a small cache record."""
     spec, _, _ = _spec(4, 2, 0.0)
     if kind == "spectrum":
-        return (b"ENTROSPC", 2, lambda path: es.save_spectrum(spec, path),
+        return (b"ENTROSPC", 3, lambda path: es.save_spectrum(spec, path),
                 es.load_spectrum)
     spec = replace(spec, checksum=bytes(range(8)))  # any trailer keys a scan
     s_vn = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1))
@@ -214,7 +214,7 @@ def test_load_rejects_corruption(tmp_path, kind):
     save(tmp_path / "good")
     raw = (tmp_path / "good").read_bytes()
     flipped = bytearray(raw)
-    flipped[-20] ^= 0xFF  # inside the payload, before the trailer
+    flipped[-20] ^= 0xFF  # inside the last section, before the trailer
     damaged = {
         "bad_magic": (b"NOTMAGIC" + raw[8:], es.SpectrumFormatError),
         "bad_version": (magic + bytes([version + 1]) + raw[9:], es.SpectrumFormatError),
@@ -227,6 +227,81 @@ def test_load_rejects_corruption(tmp_path, kind):
         with pytest.raises(es.StorageError) as info:
             load(tmp_path / name)
         assert info.type is error, name
+
+
+def _spectrum_sections(path):
+    """A spectrum file's bytes and the offsets of its E section, the end of
+    that section (where its checksum starts) and its V section."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 9)
+    dims = [b["dim"] for b in json.loads(raw[13 : 13 + header_len])["blocks"]]
+    e_start = 13 + header_len
+    e_end = e_start + 8 * sum(dims)
+    assert len(raw) == e_end + 8 + 8 * sum(d * d for d in dims) + 8
+    return raw, e_start, e_end, e_end + 8
+
+
+def test_each_reader_checks_its_sections(tmp_path):
+    _, _, save, _ = _record("spectrum")
+    good = tmp_path / "good"
+    save(good)
+    raw, e_start, e_end, v_start = _spectrum_sections(good)
+    spec = es.load_spectrum(good)
+    levels = es.load_levels(good)
+    assert levels.checksum == spec.checksum == raw[-8:]
+    assert levels.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+    assert [b.block for b in levels.blocks] == [b.block for b in spec.blocks]
+    assert all(b.eigenvectors is None for b in levels.blocks)
+
+    def flipped(at):
+        data = bytearray(raw)
+        data[at] ^= 0x01
+        return bytes(data)
+
+    # Damage to the eigenvalue section or its checksum, or to the file's
+    # size, is rejected by both readers.
+    for name, data in {
+        "e_section": flipped(e_start + 3),
+        "e_checksum": flipped(e_end + 2),
+        "short": raw[:-8],
+        "long": raw + bytes(8),
+    }.items():
+        (tmp_path / name).write_bytes(data)
+        for load in (es.load_spectrum, es.load_levels):
+            with pytest.raises(es.SpectrumChecksumError):
+                load(tmp_path / name)
+    # Damage after it is seen only by the full reader; the eigenvalue read
+    # still hands back the stored trailer.
+    for name, data in {"v_section": flipped(v_start + 5),
+                       "trailer": flipped(len(raw) - 3)}.items():
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(es.SpectrumChecksumError):
+            es.load_spectrum(tmp_path / name)
+        assert es.load_levels(tmp_path / name).checksum == data[-8:]
+    (tmp_path / "v2").write_bytes(raw[:8] + bytes([2]) + raw[9:])
+    for load in (es.load_spectrum, es.load_levels):
+        with pytest.raises(es.SpectrumFormatError, match="version 2"):
+            load(tmp_path / "v2")
+    with pytest.raises(es.SpectrumFormatError, match="expected"):
+        es.load_levels(good, expect_params=es.ModelParams(n_sites=4, delta2=0.5))
+
+
+def test_a_spectrum_without_eigenvectors_says_so(tmp_path):
+    spec, _, params = _spec(6, 3, 0.5)
+    path = es.spectrum_cache_path(tmp_path, params, 3)
+    es.save_spectrum(spec, path)
+    levels = es.load_levels(path, expect_params=params)
+    part = es.BipartitionSpec(6, 2)
+    blocks = dict(es.states.rdm_blocks(levels, part))
+    with pytest.raises(ValueError, match="eigenvalues only"):
+        levels.eigenvector_matrix()
+    with pytest.raises(ValueError, match="eigenvalues only"):
+        next(es.states.gather_blocks(levels, np.arange(levels.dim), blocks))
+    # So do the kernels and the writer that read amplitudes through them.
+    with pytest.raises(ValueError, match="eigenvalues only"):
+        es.subsystem_entropies(levels, part)
+    with pytest.raises(ValueError, match="eigenvalues only"):
+        es.save_spectrum(levels, tmp_path / "copy.spec")
 
 
 @pytest.mark.parametrize("kind", RECORD_KINDS)
@@ -413,17 +488,25 @@ def test_cache_io_streams_the_payload(tmp_path):
         base = tracemalloc.get_traced_memory()[0]
         again = es.load_spectrum(path, expect_params=spec.params)
         load_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        levels = es.load_levels(path, expect_params=spec.params)
+        levels_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert save_transient < 2**20
     assert load_peak <= payload + 2**20
+    assert levels_peak < 2**20  # the 27 kB of eigenvalues, no V_b
+    assert levels.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+    assert levels.checksum == again.checksum
     assert np.array_equal(again.eigenvalues, spec.eigenvalues)
     for got, want in zip(again.blocks, spec.blocks):
         assert got.block is want.block
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
-    # The streamed file keeps the documented version-2 layout byte for byte:
-    # every E_b, then every V_b column-major, in the header's block order.
+    # The streamed file keeps the documented version-3 layout byte for byte:
+    # every E_b and their checksum, then every V_b column-major and the
+    # trailer over everything before it, in the header's block order.
     header = json.dumps(
         {"blocks": [{"dim": 890, "label": "R+F+"}, {"dim": 826, "label": "R+F-"},
                     {"dim": 826, "label": "R-F+"}, {"dim": 890, "label": "R-F-"}],
@@ -431,9 +514,12 @@ def test_cache_io_streams_the_payload(tmp_path):
          "n_up": 7},
         sort_keys=True,
     ).encode()
-    body = b"".join(
-        [b"ENTROSPC", struct.pack("<BI", 2, len(header)), header]
+    levels = b"".join(
+        [b"ENTROSPC", struct.pack("<BI", 3, len(header)), header]
         + [b.eigenvalues.tobytes() for b in spec.blocks]
+    )
+    body = b"".join(
+        [levels, hashlib.sha256(levels).digest()[:8]]
         + [b.eigenvectors.tobytes(order="F") for b in spec.blocks]
     )
     assert path.read_bytes() == body + hashlib.sha256(body).digest()[:8]
