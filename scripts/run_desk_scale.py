@@ -11,9 +11,10 @@ the census read only its eigenvalue section, so they never load an
 eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-About four seconds end to end on a 2-core machine (3.8-4.2 s at 99 MB peak
-RSS, 2-core Xeon); each cached spectrum (dim 3432, four symmetry blocks) is
-23.6 MB and each scan file 27.6 kB.
+Three to four and a half seconds end to end on a 2-core machine (2.9-4.5 s
+over six cold-cache runs, 98 MB peak RSS, 2-core Xeon; the first run of a
+series is the slowest); each cached spectrum (dim 3432, four symmetry
+blocks) is 23.6 MB and each scan file 27.6 kB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
 (four symmetry blocks of about 3200) takes about 23 s on 2 cores.  The

@@ -75,67 +75,54 @@ class OutFile:
     content: str
 
 
-def _kind(cls: type) -> str:
-    """How a cell of this type renders: as str, then bool, int or float."""
-    if issubclass(cls, str):
-        return "str"
-    if issubclass(cls, (bool, np.bool_)):
-        return "bool"
-    if issubclass(cls, (int, np.integer)):
-        return "int"
-    return "float"
-
-
-def _csv_cells(kind: str, cells) -> list[str]:
-    if kind == "str":
-        return list(cells)
-    if kind == "bool":
-        return ["1" if v else "0" for v in cells]
-    if kind == "int":
-        return [str(int(v)) for v in cells]
-    return [f"{float(v):.17g}" for v in cells]
-
-
-def _json_cells(kind: str, cells) -> list:
-    if kind == "str":
-        return list(cells)
-    if kind in ("bool", "int"):
-        return [int(v) for v in cells]
-    return [None if math.isnan(v) else v for v in map(float, cells)]
-
+# dtype kind -> (CSV rule, JSON rule), each turning a list of a column's
+# values into its cells.  JSON has no NaN, so a NaN float becomes null.
+_INT = (lambda vs: [str(v) for v in vs], list)
+_RULES = {
+    "U": (list, list),
+    "b": (lambda vs: ["1" if v else "0" for v in vs], lambda vs: [int(v) for v in vs]),
+    "i": _INT,
+    "u": _INT,
+    "f": (
+        lambda vs: [f"{v:.17g}" for v in vs],
+        lambda vs: [None if math.isnan(v) else v for v in vs],
+    ),
+}
 
 # Rows rendered per batch: few enough that a batch's cell strings add little
 # to the heap (all of an N=14 eigenket table's at once left 0.9 MB more).
 _BATCH = 256
 
 
-def _rendered_rows(rows: list[tuple], render):
-    """Yield each row's cells as render(kind, cells) gives them.
+def render_table(name: str, columns: dict, fmt: str) -> OutFile:
+    """Render {header: column} as CSV (17-significant-digit floats) or as
+    wrapped JSON.
 
-    The kind is chosen once per column of a batch of rows; a column whose
-    cells differ in kind is rendered cell by cell.
+    Each column is an array, or a list np.asarray turns into one, whose
+    dtype kind picks its rule: str, bool as 1/0, integer, or float.  Any
+    other kind, or columns of unequal length, raise ValueError.
     """
-    for start in range(0, len(rows), _BATCH):
-        columns = []
-        for cells in zip(*rows[start : start + _BATCH]):
-            kinds = {_kind(cls) for cls in set(map(type, cells))}
-            if len(kinds) == 1:
-                columns.append(render(kinds.pop(), cells))
-            else:
-                columns.append([render(_kind(type(v)), (v,))[0] for v in cells])
-        yield from zip(*columns)
+    header = list(columns)
+    arrays = [np.asarray(col) for col in columns.values()]
+    # zip would cut the table to its shortest column without a word.
+    if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays}) > 1:
+        shapes = {head: a.shape for head, a in zip(header, arrays)}
+        raise ValueError(f"table {name}: columns are not one length: {shapes}")
+    rules = []
+    for head, a in zip(header, arrays):
+        if a.dtype.kind not in _RULES:
+            raise ValueError(f"table {name}: column {head!r} has dtype {a.dtype}")
+        rules.append(_RULES[a.dtype.kind][fmt == "json"])
 
+    def rows():
+        for start in range(0, len(arrays[0]), _BATCH):
+            stop = start + _BATCH
+            yield from zip(*(r(a[start:stop].tolist()) for r, a in zip(rules, arrays)))
 
-def render_table(name: str, header: list[str], rows: list[tuple], fmt: str) -> OutFile:
-    """Render rows as CSV (17-significant-digit floats) or as wrapped JSON."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += map(",".join, _rendered_rows(rows, _csv_cells))
+        lines = [",".join(header), *map(",".join, rows())]
         return OutFile(name=f"{name}.csv", content="\n".join(lines) + "\n")
-    payload = {
-        "columns": header,
-        "rows": [list(row) for row in _rendered_rows(rows, _json_cells)],
-    }
+    payload = {"columns": header, "rows": [list(row) for row in rows()]}
     return OutFile(name=f"{name}.json", content=json.dumps(payload, indent=2) + "\n")
 
 
@@ -186,8 +173,8 @@ def obtain_spectrum(
 
 # ---------------------------------------------------------------------------
 # Tables.  Every experiment but property-suite is a selection of per-coupling
-# tables; a row builder returns (header, rows) and adds its manifest keys to
-# the coupling's details.
+# tables; a row builder returns the table as {header: column} and adds its
+# manifest keys to the coupling's details.
 # ---------------------------------------------------------------------------
 
 
@@ -267,64 +254,64 @@ def _eigenket_scan_rows(c: _Coupling):
     s_vn = c.s_vn
     scan = run_eigenket_scan(c.levels(), s_vn, c.dos)
     c.details["records"] = scan.count
-    rows = [
-        (n, scan.energies[n], scan.s_vn[n] / c.unit,
-         bool(scan.in_multiplet[n]), int(scan.shell_index[n]))
-        for n in range(scan.count)
-    ]
-    return ["n", "energy", "s_vn", "in_multiplet", "shell_index"], rows
+    return {
+        "n": np.arange(scan.count), "energy": scan.energies,
+        "s_vn": scan.s_vn / c.unit, "in_multiplet": scan.in_multiplet,
+        "shell_index": scan.shell_index,
+    }
 
 
 def _dos_rows(c: _Coupling):
-    rows = [
-        (j, s.lower, s.upper, s.count, c.dos.dos[j], c.dos.ln_dos[j])
-        for j, s in enumerate(c.dos.shells)
-    ]
-    return ["shell_index", "lower", "upper", "count", "dos", "ln_dos"], rows
+    shells = c.dos.shells
+    return {
+        "shell_index": np.arange(len(shells)), "lower": [s.lower for s in shells],
+        "upper": [s.upper for s in shells], "count": c.dos.counts,
+        "dos": c.dos.dos, "ln_dos": c.dos.ln_dos,
+    }
 
 
 def _shell_average_rows(c: _Coupling):
     t = run_shell_average(c.spectrum, c.part, c.s_vn, c.dos, c.cfg.min_shell_count)
     u = c.unit
     c.details["rows"] = t.n_rows
-    gamma = t.gamma_predicted
-    slack = t.concavity_slack
-    rows = [
-        (int(t.shell_index[r]), t.lower[r], t.upper[r], t.midpoint[r],
-         int(t.d_e[r]), t.ln_dos[r], t.mean_svn[r] / u,
-         t.svn_avg_rdm[r] / u, t.std_svn[r] / u, gamma[r], slack[r] / u)
-        for r in range(t.n_rows)
-    ]
-    header = ["shell_index", "lower", "upper", "midpoint", "d_E", "ln_dos",
-              "mean_svn", "svn_avg_rdm", "std_svn", "gamma_predicted",
-              "concavity_slack"]
-    return header, rows
+    return {
+        "shell_index": t.shell_index, "lower": t.lower, "upper": t.upper,
+        "midpoint": t.midpoint, "d_E": t.d_e, "ln_dos": t.ln_dos,
+        "mean_svn": t.mean_svn / u, "svn_avg_rdm": t.svn_avg_rdm / u,
+        "std_svn": t.std_svn / u, "gamma_predicted": t.gamma_predicted,
+        "concavity_slack": t.concavity_slack / u,
+    }
 
 
 def _volume_law_rows(c: _Coupling):
     vt = run_volume_law(c.spectrum, c.dos, c.cfg.volume_law_range())
     c.details["mid_shell_d_E"] = vt.d_e
-    rows = [
-        (int(vt.l1[i]), vt.mean_svn[i] / c.unit, vt.shell_lo, vt.shell_hi, vt.d_e)
-        for i in range(len(vt.l1))
-    ]
-    return ["l1", "mean_svn", "shell_lo", "shell_hi", "d_E"], rows
+    n = len(vt.l1)
+    return {
+        "l1": vt.l1, "mean_svn": vt.mean_svn / c.unit,
+        "shell_lo": np.full(n, vt.shell_lo), "shell_hi": np.full(n, vt.shell_hi),
+        "d_E": np.full(n, vt.d_e),
+    }
 
 
 def _gamma_fit_rows(c: _Coupling):
     s_vn = c.s_vn
     table = shell_statistics(c.levels(), s_vn, c.dos, c.cfg.min_shell_count)
-    rows = []
+    fits = []
     for side in ("left", "right"):
         try:
-            fit = fit_entropy_vs_lndos(table, side)
+            fits.append(fit_entropy_vs_lndos(table, side))
         except ValueError as exc:
             raise NumericsError(f"d2={c.delta2:g}, {side} side: {exc}") from exc
-        rows.append((side, fit.slope, fit.intercept, fit.r_squared,
-                     fit.n_rows, fit.gamma_predicted_mean))
-    header = ["side", "slope", "intercept", "r_squared", "n_rows",
-              "gamma_predicted_mean"]
-    return header, rows
+    # The intercept is an entropy, the mean S_VN at ln rho = 0; the slope
+    # keeps its value when the fit reads against log2 rho.
+    return {
+        "side": [f.side for f in fits], "slope": [f.slope for f in fits],
+        "intercept": [f.intercept / c.unit for f in fits],
+        "r_squared": [f.r_squared for f in fits],
+        "n_rows": [f.n_rows for f in fits],
+        "gamma_predicted_mean": [f.gamma_predicted_mean for f in fits],
+    }
 
 
 def _degeneracy_census_rows(c: _Coupling):
@@ -363,7 +350,8 @@ def _degeneracy_census_rows(c: _Coupling):
         fraction_degenerate=census.fraction_degenerate,
         r_mean=r_mean,
     )
-    return ["size", "count"], sorted(census.histogram.items())
+    sizes = sorted(census.histogram)
+    return {"size": sizes, "count": [census.histogram[k] for k in sizes]}
 
 
 # experiment -> {table file prefix: row builder}, in emission order.
@@ -387,9 +375,8 @@ def _run_tables(cfg: RunConfig, cache_dir: str):
     for d2 in cfg.delta2_list:
         coupling = _Coupling(cfg, d2, cache_dir)
         for prefix, build in TABLES[cfg.experiment].items():
-            header, rows = build(coupling)
             files.append(
-                render_table(f"{prefix}_d2={d2:g}", header, rows, cfg.format)
+                render_table(f"{prefix}_d2={d2:g}", build(coupling), cfg.format)
             )
         details[f"d2={d2:g}"] = coupling.details
     return files, details

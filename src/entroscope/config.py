@@ -141,6 +141,14 @@ def validate(cfg: RunConfig) -> RunConfig:
                 f"sector n_sites={cfg.n_sites}, n_up={n_up} has dim {dim}, "
                 f"above the dense eigensolver cap {DENSE_DIM_CAP}"
             )
+        # One state has no spread of energies to bin and ln D = 0 in
+        # gamma_predicted; the census ignores n_up.
+        dim = math.comb(cfg.n_sites, cfg.n_up)
+        if dim < 2 and cfg.experiment != "degeneracy-census":
+            raise ConfigError(
+                f"sector n_sites={cfg.n_sites}, n_up={cfg.n_up} has dim {dim}; "
+                f"{cfg.experiment} needs at least 2 states"
+            )
     if not cfg.delta2_list:
         raise ConfigError("delta2_list is empty")
     names: dict[str, float] = {}

@@ -173,34 +173,25 @@ def shell_statistics(
     svn_avg_rdm is None: the entropy fit needs only these columns, and
     run_shell_average adds the averaged-RDM column.
     """
-    rows = [
-        (j, shell)
-        for j, shell in enumerate(dos_table.shells)
-        if shell.count >= max(min_count, 1)
-    ]
-    n = len(rows)
-    out = {
-        "shell_index": np.empty(n, dtype=np.int64),
-        "lower": np.empty(n),
-        "upper": np.empty(n),
-        "midpoint": np.empty(n),
-        "d_e": np.empty(n, dtype=np.int64),
-        "ln_dos": np.empty(n),
-        "mean_svn": np.empty(n),
-        "std_svn": np.empty(n),
-    }
-    for r, (j, shell) in enumerate(rows):
-        members = shell.member_indices
-        s = s_vn[members]
-        out["shell_index"][r] = j
-        out["lower"][r] = shell.lower
-        out["upper"][r] = shell.upper
-        out["midpoint"][r] = shell.midpoint
-        out["d_e"][r] = shell.count
-        out["ln_dos"][r] = dos_table.ln_dos[j]
-        out["mean_svn"][r] = s.mean()
-        out["std_svn"][r] = s.std()
-    return ShellTable(**out, svn_avg_rdm=None, sector_dim=spec.dim)
+    kept = np.array(
+        [j for j, shell in enumerate(dos_table.shells)
+         if shell.count >= max(min_count, 1)],
+        dtype=np.int64,
+    )
+    shells = [dos_table.shells[j] for j in kept]
+    members = [s_vn[shell.member_indices] for shell in shells]
+    return ShellTable(
+        shell_index=kept,
+        lower=np.array([shell.lower for shell in shells]),
+        upper=np.array([shell.upper for shell in shells]),
+        midpoint=np.array([shell.midpoint for shell in shells]),
+        d_e=np.array([shell.count for shell in shells], dtype=np.int64),
+        ln_dos=dos_table.ln_dos[kept],
+        mean_svn=np.array([s.mean() for s in members]),
+        svn_avg_rdm=None,
+        std_svn=np.array([s.std() for s in members]),
+        sector_dim=spec.dim,
+    )
 
 
 def shell_rdm_entropies(

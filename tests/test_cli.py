@@ -99,23 +99,51 @@ def _cell_json(value):
 
 
 def test_column_rendering_matches_the_per_cell_rules():
-    rows = [
-        (0, np.int64(3), 0.1, np.float64(math.nan), True, "left", 7, 1.5),
-        (1, np.int64(-2), 1e-300, np.float64(2 / 3), np.bool_(False), "right",
-         np.float64(0.25), np.int32(4)),
-        (2, np.int64(0), -math.inf, np.float64(-0.0), np.bool_(True), "x",
-         "mixed", False),
-    ]
-    header = [f"c{i}" for i in range(8)]
+    base = {
+        "n": [0, 1, 2],
+        "i64": np.array([3, -2, 0], dtype=np.int64),
+        "i32": np.array([4, -7, 0], dtype=np.int32),
+        "u8": np.array([255, 0, 1], dtype=np.uint8),
+        "x": np.array([0.1, 1e-300, -math.inf]),
+        "y": [math.nan, 2 / 3, -0.0],
+        "z": np.array([math.inf, 0.25, 1.5]),
+        "flag": np.array([True, False, True]),
+        "flag_list": [np.bool_(False), True, False],
+        "side": ["left", "right", "x"],
+    }
+    # 300 rows, so a batch boundary falls inside the table.
+    columns = {
+        h: c * 100 if isinstance(c, list) else np.tile(c, 100)
+        for h, c in base.items()
+    }
+    header = list(columns)
+    rows = list(zip(*map(np.asarray, columns.values())))
     csv = "\n".join([",".join(header)]
                     + [",".join(map(_cell_csv, row)) for row in rows]) + "\n"
-    assert cli.render_table("t", header, rows, "csv").content == csv
+    assert cli.render_table("t", columns, "csv").content == csv
     want = json.dumps({"columns": header,
                        "rows": [[_cell_json(v) for v in row] for row in rows]},
                       indent=2) + "\n"
-    assert cli.render_table("t", header, rows, "json").content == want
+    assert cli.render_table("t", columns, "json").content == want
     assert "null" in want and "NaN" not in want
-    assert cli.render_table("t", header, [], "csv").content == ",".join(header) + "\n"
+    empty = {h: np.asarray(c)[:0] for h, c in base.items()}
+    assert cli.render_table("t", empty, "csv").content == ",".join(header) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"a": [1, 2], "b": np.array([0.5, None], dtype=object)},
+        {"a": [1, 2], "b": np.array([1j, 2.0])},
+        {"a": [1, 2], "b": [0.5]},
+        {"a": [1, 2], "b": np.zeros((2, 1))},
+    ],
+    ids=["object", "complex", "unequal-length", "2-d"],
+)
+def test_render_table_refuses_untyped_or_ragged_columns(columns, fmt):
+    with pytest.raises(ValueError, match="column"):
+        cli.render_table("t", columns, fmt)
 
 
 def test_cache_dir_env_honored(tmp_path, monkeypatch):
@@ -178,15 +206,55 @@ def test_json_format(tmp_path):
     assert all(len(r) == 5 for r in payload["rows"])
 
 
-def test_bits_flag_rescales_entropy(tmp_path):
-    args = ["volume-law", "--n-sites", "6", "--delta2", "0.5", "--bins", "4"]
+# experiment -> (table file prefix, its entropy column).
+BITS_TABLES = {
+    "volume-law": ("volume_law", "mean_svn"),
+    "gamma-fit": ("gamma_fit", "intercept"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BITS_TABLES))
+def test_bits_flag_rescales_entropy(tmp_path, experiment):
+    prefix, column = BITS_TABLES[experiment]
+    args = [experiment, "--n-sites", "8", "--delta2", "0.5", "--bins", "12",
+            "--min-count", "1"]
     out_n, out_b = str(tmp_path / "nats"), str(tmp_path / "bits")
     assert main(args + ["--out", out_n]) == 0
     assert main(args + ["--bits", "--out", out_b]) == 0
-    _, rows_n = _read_csv(os.path.join(out_n, "volume_law_d2=0.5.csv"))
-    _, rows_b = _read_csv(os.path.join(out_b, "volume_law_d2=0.5.csv"))
+    header, rows_n = _read_csv(os.path.join(out_n, f"{prefix}_d2=0.5.csv"))
+    _, rows_b = _read_csv(os.path.join(out_b, f"{prefix}_d2=0.5.csv"))
+    j = header.index(column)
+    assert len(rows_n) == len(rows_b) > 0
     for rn, rb in zip(rows_n, rows_b):
-        assert abs(float(rb[1]) - float(rn[1]) / math.log(2)) < 1e-12
+        assert abs(float(rb[j]) - float(rn[j]) / math.log(2)) < 1e-12
+        # Every other column, the fit's slope included, is unit-free.
+        assert rb[:j] + rb[j + 1:] == rn[:j] + rn[j + 1:]
+
+
+@pytest.mark.parametrize("experiment", sorted(TABLES))
+def test_csv_and_json_carry_the_same_table(tmp_path, experiment):
+    args = [experiment, "--n-sites", "8", "--delta2", "0", "--delta2", "0.5",
+            "--bins", "12", "--min-count", "1"]
+    out_c, out_j = tmp_path / "csv", tmp_path / "json"
+    assert main(args + ["--format", "csv", "--out", str(out_c)]) == 0
+    assert main(args + ["--format", "json", "--out", str(out_j)]) == 0
+    names = sorted(p.stem for p in out_c.glob("*_d2=*.csv"))
+    assert names == sorted(p.stem for p in out_j.glob("*_d2=*.json"))
+    assert len(names) == 2 * len(TABLES[experiment])
+    for stem in names:
+        header, rows = _read_csv(out_c / f"{stem}.csv")
+        payload = json.loads((out_j / f"{stem}.json").read_text(encoding="utf-8"))
+        assert payload["columns"] == header
+        assert len(payload["rows"]) == len(rows) > 0
+        for row_c, row_j in zip(rows, payload["rows"]):
+            assert len(row_c) == len(row_j) == len(header)
+            for cell, value in zip(row_c, row_j):
+                if value is None:
+                    assert cell == "nan"
+                elif isinstance(value, (str, int)):
+                    assert cell == str(value)
+                else:
+                    assert float(cell) == value
 
 
 # (name, bound, detail pattern) of each TAP line, in order.  The worst

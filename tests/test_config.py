@@ -2,7 +2,13 @@
 import pytest
 
 from entroscope.cli import main
-from entroscope.config import RunConfig, parse_config, read_config_file, validate
+from entroscope.config import (
+    EXPERIMENTS,
+    RunConfig,
+    parse_config,
+    read_config_file,
+    validate,
+)
 from entroscope.errors import ConfigError
 
 
@@ -175,6 +181,29 @@ def test_dense_cap_checked_per_experiment(experiment, n_sites, n_up, rejected):
             parse_config(None, overrides)
     else:
         assert parse_config(None, overrides).n_sites == n_sites
+
+
+@pytest.mark.parametrize("n_up", [0, 6])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_one_state_sector_refused_by_the_tables(experiment, n_up):
+    # C(6, 0) = C(6, 6) = 1: no energy spread to bin, and ln D = 0 in
+    # gamma_predicted.  The census ignores n_up; the suite solves no sector.
+    overrides = {"experiment": experiment, "n_sites": 6, "n_up": n_up}
+    if experiment in ("degeneracy-census", "property-suite"):
+        assert parse_config(None, overrides).n_up == n_up
+    else:
+        with pytest.raises(ConfigError, match=f"n_up={n_up} has dim 1"):
+            parse_config(None, overrides)
+
+
+def test_one_state_sector_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["shell-average", "--n-sites", "6", "--n-up", "0",
+               "--cache", "off", "--out", str(out)])
+    assert rc == 2
+    assert "has dim 1" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_l1_and_range_conflict():
     with pytest.raises(ConfigError):

@@ -68,7 +68,7 @@ def test_every_counter_binds_its_parameters(tracing):
 
 
 def test_render_table_result_has_content():
-    out = render_table("t", ["a"], [(1,)], "csv")
+    out = render_table("t", {"a": [1]}, "csv")
     assert isinstance(out, OutFile)
     assert out.content == "a\n1\n"
 
