@@ -6,14 +6,15 @@ gets its own checksummed manifest.  Spectra are shared through one cache,
 so each coupling's eigensolve happens once, and so is its full entropy scan
 (eigenket-scan computes it, shell-average and gamma-fit load it).  Per
 coupling, eigenket-scan solves and saves the spectrum; shell-average and
-volume-law each load it whole (eigenvalues and eigenvectors); gamma-fit and
-the census read only its eigenvalue section, so they never load an
-eigenvector.
+volume-law each load it whole (eigenvalues and eigenvectors); gamma-fit
+reads only its eigenvalue section, and so does the census at delta2=0.5.
+At delta2=0 the census solves the middle sector alone, resolved by total
+spin, and reads no cache file.  Neither loads an eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-Three to four and a half seconds end to end on a 2-core machine (2.9-4.5 s
-over six cold-cache runs, 98 MB peak RSS, 2-core Xeon; the first run of a
-series is the slowest); each cached spectrum (dim 3432, four symmetry
+About three and a half seconds end to end on a 2-core machine (3.2-3.6 s
+over three cold-cache runs, 98.6 MB peak RSS, 2-core Xeon; the census call
+took 1.0-1.2 s of it); each cached spectrum (dim 3432, four symmetry
 blocks) is 23.6 MB and each scan file 27.6 kB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
@@ -41,8 +42,9 @@ PIPELINES = {
         ["shell-average", *SCAN_14],
         ["gamma-fit", *SCAN_14],
         ["volume-law", "--n-sites", "14", "--bins", "40", *BOTH],
-        # census: eigenvalues per symmetry block of the 8 sectors n_up <= 7;
-        # spin flip gives the other 7
+        # census: at delta2=0 the 4 symmetry blocks of H + c S^2 in sector
+        # n_up = 7; at 0.5 eigenvalues per block of the 8 sectors n_up <= 7,
+        # spin flip giving the other 7
         ["degeneracy-census", "--n-sites", "14", *BOTH],
         ["property-suite", "--seed", "42"],
     ]),

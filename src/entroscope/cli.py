@@ -51,6 +51,7 @@ from .spectral import (
     save_spectrum,
     scan_cache_path,
     spectrum_cache_path,
+    spin_resolved_eigenvalues,
 )
 from .states import BipartitionSpec
 
@@ -317,35 +318,46 @@ def _gamma_fit_rows(c: _Coupling):
 def _degeneracy_census_rows(c: _Coupling):
     """Census the merged eigenvalues of every Sz sector.
 
-    Each sector is solved per symmetry block, eigenvalues only.  The table
-    sector n_up = cfg.n_up takes its per-block eigenvalues from the
-    coupling's eigenvalue view instead when the cache holds the spectrum; a
-    census never builds the spectrum.  The spin flip maps sector
-    n_up onto N - n_up, so only n_up <= N/2 is solved and its spectrum
-    counts for both.  <r> is recorded per block of the middle sector
-    n_up = N // 2 (half filling for even N).
+    The middle sector n_up = N // 2 (half filling for even N) holds one
+    member of every SU(2) multiplet.  When the coupling commutes with S^2,
+    it alone is solved, per symmetry block of H + c S^2, and each level
+    counts 2S + 1 times.  Otherwise each sector is solved per symmetry
+    block, eigenvalues only; the table sector n_up = cfg.n_up takes its
+    per-block eigenvalues from the coupling's eigenvalue view instead when
+    the cache holds the spectrum, and the spin flip maps sector n_up onto
+    N - n_up, so only n_up <= N/2 is solved and counts for both.  A census
+    never builds the spectrum.  <r> is recorded per block of the middle
+    sector.
     """
     n = c.cfg.n_sites
-    merged, r_mean = [], {}
-    for n_up in range(n // 2 + 1):
-        # Fetched in its turn, so no spectrum is held while others solve.
-        spec = c.levels(solve=False) if n_up == c.cfg.n_up else None
-        if spec is not None:
-            by_block = {b.block.label: b.eigenvalues for b in spec.blocks}
-        else:
-            by_block = block_eigenvalues(
-                build_hamiltonian(enumerate_sector(n, n_up), c.params)
-            )
-        evals = np.concatenate(list(by_block.values()))
-        merged += [evals] if 2 * n_up == n else [evals, evals]
-        if n_up == n // 2:
-            r_mean = {
-                label: mean_spacing_ratio(e)
-                for label, e in by_block.items() if len(e) >= R_MIN_DIM
-            }
+    middle = build_hamiltonian(enumerate_sector(n, n // 2), c.params)
+    resolved = spin_resolved_eigenvalues(middle)
+    if resolved is not None:
+        by_block = {label: e for label, (e, _) in resolved.items()}
+        merged = [np.repeat(e, two_s + 1) for e, two_s in resolved.values()]
+    else:
+        merged = []
+        for n_up in range(n // 2 + 1):
+            # Fetched in its turn, so no spectrum is held while others solve.
+            spec = c.levels(solve=False) if n_up == c.cfg.n_up else None
+            if spec is not None:
+                by_block = {b.block.label: b.eigenvalues for b in spec.blocks}
+            else:
+                by_block = block_eigenvalues(
+                    middle if n_up == n // 2
+                    else build_hamiltonian(enumerate_sector(n, n_up), c.params)
+                )
+            evals = np.concatenate(list(by_block.values()))
+            merged += [evals] if 2 * n_up == n else [evals, evals]
+    # Either way by_block holds the middle sector (the loop ends on it).
+    r_mean = {
+        label: mean_spacing_ratio(e)
+        for label, e in by_block.items() if len(e) >= R_MIN_DIM
+    }
     census = degeneracy_census(np.concatenate(merged))
     c.details.setdefault("spectrum", "skipped")
     c.details.update(
+        census="per-sector" if resolved is None else "spin-resolved",
         n_levels=census.n_levels,
         fraction_degenerate=census.fraction_degenerate,
         r_mean=r_mean,

@@ -221,6 +221,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if "l1_range" in merged:
         merged["l1_range"] = tuple(merged["l1_range"])
     if "delta2_list" in merged:
-        merged["delta2_list"] = tuple(float(x) for x in merged["delta2_list"])
+        # -0.0 + 0.0 is 0.0: a signed zero is coupling 0, named "0".
+        merged["delta2_list"] = tuple(float(x) + 0.0 for x in merged["delta2_list"])
     cfg = replace(RunConfig(), **merged)
     return validate(cfg)

@@ -11,7 +11,13 @@ from math import comb
 
 import numpy as np
 
-from .basis import SymmetryBlock, sector_of, symmetry_blocks, symmetry_group
+from .basis import (
+    SymmetryBlock,
+    enumerate_sector,
+    sector_of,
+    symmetry_blocks,
+    symmetry_group,
+)
 from .errors import NumericsError, SpectrumChecksumError, SpectrumFormatError
 from .hamiltonian import DENSE_DIM_CAP, ModelParams, SymmetricOperator
 
@@ -138,14 +144,9 @@ class DosTable:
         return int(np.argmax(self.counts))
 
 
-def _solve_blocks(op: SymmetricOperator, solver):
-    """Apply `solver` to the dense U_b^T H U_b of each symmetry block.
-
-    Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
-    SYMMETRY_TOL for a group element g: op does not commute with the group,
-    so it is not block-diagonal in the irreps, and a block solve would be
-    wrong.
-    """
+def _dense_sector(op: SymmetricOperator) -> tuple[int, int]:
+    """(n_sites, n_up) of op; ValueError past the dense cap or on a dim that
+    does not match its sector."""
     if op.dim > DENSE_DIM_CAP:
         raise ValueError(
             f"dim {op.dim} exceeds dense cap {DENSE_DIM_CAP}; full spectra "
@@ -154,6 +155,19 @@ def _solve_blocks(op: SymmetricOperator, solver):
     n_sites, n_up = sector_of(op.basis_tag)
     if comb(n_sites, n_up) != op.dim:
         raise ValueError(f"operator dim {op.dim} does not match {op.basis_tag}")
+    return n_sites, n_up
+
+
+def _solve_blocks(op: SymmetricOperator, solver, add=None):
+    """Apply `solver` to the dense U_b^T H U_b of each symmetry block.
+
+    With `add` given, add(block, matrix) first adds to each block matrix in
+    place.  Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
+    SYMMETRY_TOL for a group element g: op does not commute with the group,
+    so it is not block-diagonal in the irreps, and a block solve would be
+    wrong.
+    """
+    n_sites, n_up = _dense_sector(op)
     # An operator may repeat an (i, j) triplet: coalesce into sorted entries.
     keys, inverse = np.unique(op.rows * op.dim + op.cols, return_inverse=True)
     vals = np.bincount(inverse, op.vals, len(keys))
@@ -177,7 +191,10 @@ def _solve_blocks(op: SymmetricOperator, solver):
         pairs, slot = np.unique(rows * d + c[cols], return_inverse=True)
         h_u = np.bincount(slot, vals * u[cols], len(pairs))
         i, j = np.divmod(pairs, d)
-        return np.bincount(c[i] * d + j, u[i] * h_u, d * d).reshape(d, d)
+        h = np.bincount(c[i] * d + j, u[i] * h_u, d * d).reshape(d, d)
+        if add is not None:
+            add(b, h)
+        return h
 
     blocks = symmetry_blocks(n_sites, n_up)
     try:
@@ -220,6 +237,99 @@ def block_eigenvalues(op: SymmetricOperator) -> dict[str, np.ndarray]:
     """Ascending eigenvalues of each symmetry block, keyed by block label."""
     blocks, evals = _solve_blocks(op, np.linalg.eigvalsh)
     return {b.label: e for b, e in zip(blocks, evals)}
+
+
+def _spin_swaps(n_sites: int, n_up: int):
+    """S^2 of a sector as (s, t, diag): S^2 = diag * I + sum of |t><s|.
+
+    S^2 = sum_{i<j} P_ij + 3N/4 - N(N-1)/4, where P_ij swaps sites i and j.
+    A swap of two aligned spins is the identity, and every state of the
+    sector has C(n_up, 2) + C(N - n_up, 2) aligned pairs, so that count joins
+    the constant; each anti-aligned pair of state s moves it to state t.
+    """
+    states = enumerate_sector(n_sites, n_up).states
+    i, j = np.triu_indices(n_sites, 1)
+    masks = (1 << i) | (1 << j)
+    s, pair = np.nonzero(np.bitwise_count(states[:, None] & masks) == 1)
+    # A table over all 2^N masks (enumerate_sector scans as many) makes each
+    # target one gather instead of a binary search.
+    index = np.empty(1 << n_sites, dtype=np.int64)
+    index[states] = np.arange(len(states))
+    t = index[states[s] ^ masks[pair]]
+    aligned = comb(n_up, 2) + comb(n_sites - n_up, 2)
+    return s, t, aligned + 3 * n_sites / 4 - n_sites * (n_sites - 1) / 4
+
+
+def _spin_penalty(op: SymmetricOperator) -> float:
+    """2R + 1 for the Gershgorin radius R of op (its largest row abs sum).
+
+    Every eigenvalue E of op has |E| <= R < c / 2 for this c.
+    """
+    return 2.0 * float(np.bincount(op.rows, np.abs(op.vals), op.dim).max()) + 1.0
+
+
+def spin_resolved_eigenvalues(op: SymmetricOperator):
+    """{block label: (E_b, 2S_b)} of a sector operator that commutes with S^2.
+
+    None when it does not: H (S^2 x) - S^2 (H x) is measured for two integer
+    probe columns x, exactly for any H of multiples of 1/4, against
+    SYMMETRY_TOL.  Otherwise each symmetry block of H + c S^2, with c =
+    _spin_penalty(op), is solved for its eigenvalues alone.  Each eigenvalue
+    lambda decodes to the allowed S(S+1) nearest lambda / c and to
+    E = lambda - c S(S+1); E_b ascends and 2S_b follows it.
+
+    The allowed S are those with S >= |S_z| of the sector.  Raises
+    NumericsError when a lambda / c lies 1/2 or more from every allowed
+    S(S+1), or when the count of levels of some allowed S is not
+    C(N, N/2 - S) - C(N, N/2 - S - 1), the number of spin-S multiplets of
+    the chain; in the middle sector those counts hold 2^N states in all.
+    """
+    n_sites, n_up = _dense_sector(op)
+    s, t, diag = _spin_swaps(n_sites, n_up)
+
+    def spin_sq(x):
+        return diag * x + np.bincount(t, x[s], op.dim)
+
+    def ham(x):
+        return np.bincount(op.rows, op.vals * x[op.cols], op.dim)
+
+    probes = np.random.default_rng(0).integers(-3, 4, (2, op.dim)).astype(float)
+    leak = max(float(np.abs(ham(spin_sq(x)) - spin_sq(ham(x))).max()) for x in probes)
+    if leak > SYMMETRY_TOL:
+        return None
+    c = _spin_penalty(op)
+
+    def add_spin_sq(b, h):
+        # U_b^T (c S^2) U_b: U_b has orthonormal columns, so diag stays on
+        # the diagonal, and swap s -> t lands at (col[t], col[s]).
+        np.add.at(h, (b.col[t], b.col[s]), c * b.coef[t] * b.coef[s])
+        h[np.diag_indices(b.dim)] += c * diag
+
+    blocks, lambdas = _solve_blocks(op, np.linalg.eigvalsh, add_spin_sq)
+    two_s_allowed = np.arange(abs(2 * n_up - n_sites), n_sites + 1, 2)
+    allowed = two_s_allowed * (two_s_allowed + 2) / 4.0
+    resolved, counts = {}, np.zeros(len(allowed), dtype=np.int64)
+    for b, lam in zip(blocks, lambdas):
+        x = lam / c
+        k = np.abs(x[:, None] - allowed).argmin(axis=1)
+        miss = float(np.abs(x - allowed[k]).max(initial=0.0))
+        if miss >= 0.5:
+            raise NumericsError(
+                f"{op.basis_tag} {b.label}: an eigenvalue of H + {c:g} S^2 lies "
+                f"{miss:g} c from every allowed S(S+1)"
+            )
+        energies = lam - c * allowed[k]
+        order = np.argsort(energies, kind="stable")
+        resolved[b.label] = (energies[order], two_s_allowed[k][order])
+        counts += np.bincount(k, minlength=len(allowed))
+    downs = (n_sites - two_s_allowed) // 2
+    want = [comb(n_sites, d) - (comb(n_sites, d - 1) if d else 0) for d in downs]
+    if counts.tolist() != want:
+        raise NumericsError(
+            f"{op.basis_tag}: levels per 2S = {two_s_allowed.tolist()} are "
+            f"{counts.tolist()}, not the multiplet counts {want}"
+        )
+    return resolved
 
 
 def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:

@@ -366,6 +366,69 @@ def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("d2", [0.0, 0.5, 1e-6])
+def test_census_solves_the_middle_sector_alone_when_su2_holds(
+    tmp_path, monkeypatch, d2
+):
+    # At d2 = 0 the chain commutes with S^2: the census solves the middle
+    # sector alone, spin-resolved, and reads no cache file even with the
+    # spectrum cached.  Any other coupling solves every n_up <= N/2, the
+    # table sector from the cached eigenvalues.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    args = ["--n-sites", "8", "--delta2", repr(d2)]
+    assert main(["volume-law", *args, "--out", str(tmp_path / "fill")]) == 0
+    solved = []
+    solve_blocks = es.spectral._solve_blocks
+
+    def recording(op, solver, add=None):
+        solved.append((op.basis_tag, add is not None))
+        return solve_blocks(op, solver, add)
+
+    monkeypatch.setattr(es.spectral, "_solve_blocks", recording)
+    assert main(["degeneracy-census", *args, "--out", str(tmp_path / "c")]) == 0
+    details = _manifest(tmp_path / "c")["details"][f"d2={d2:g}"]
+    if d2 == 0.0:
+        assert solved == [("N8_nup4", True)]
+        assert (details["census"], details["spectrum"]) == ("spin-resolved", "skipped")
+    else:
+        assert solved == [(f"N8_nup{k}", False) for k in range(4)]
+        assert details["census"] == "per-sector"
+        assert details["spectrum"] == "cache-eigenvalues"
+
+
+@pytest.mark.parametrize("shift, gate", [(1, "allowed S(S+1)"), (2, "multiplet counts")])
+def test_census_refuses_levels_that_decode_to_no_spin(
+    tmp_path, monkeypatch, capsys, shift, gate
+):
+    # The lowest eigenvalue of H + c S^2 in the first block (R+F+), the
+    # ground-state singlet, moved by c lies halfway between two allowed
+    # S(S+1); moved by 2c it decodes as a triplet, which the per-spin counts
+    # catch.  Either way no table and no manifest.
+    op = es.build_hamiltonian(
+        es.enumerate_sector(8, 4), es.ModelParams(n_sites=8, delta2=0.0)
+    )
+    c = es.spectral._spin_penalty(op)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def moved(h):
+        e = eigvalsh(h)
+        if not calls:
+            e[0] += shift * c
+        calls.append(len(e))
+        return e
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    out = tmp_path / "out"
+    assert main(["degeneracy-census", "--n-sites", "8", "--delta2", "0",
+                 "--cache", "off", "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NumericsError"
+    assert gate in record["message"]
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.csv"))
+
+
 def test_gamma_fit_builds_no_averaged_rdm(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("averaged_rdm called")

@@ -154,6 +154,26 @@ def test_delta2_collision_exits_2_before_writing(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_negative_zero_delta2_is_coupling_zero(tmp_path, monkeypatch):
+    # -0 renders as "-0" but is the coupling 0: with 0 beside it, it would
+    # solve and write the same tables twice under two names.
+    monkeypatch.setenv("ENTROSCOPE_CACHE_DIR", str(tmp_path / "cache"))
+    base = ["gamma-fit", "--n-sites", "8", "--bins", "6", "--min-count", "1",
+            "--delta2", "-0"]
+    out = tmp_path / "both"
+    assert main([*base, "--delta2", "0", "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    cfg = parse_config(None, {"experiment": "gamma-fit", "delta2_list": (-0.0,)})
+    assert str(cfg.delta2_list) == "(0.0,)"
+    assert main([*base, "--out", str(tmp_path / "alone")]) == 0
+    assert sorted(p.name for p in (tmp_path / "alone").glob("*.csv")) == [
+        "gamma_fit_d2=0.csv"
+    ]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "N8_nup4_d20.spec", "N8_nup4_d20_l1=2.svn"
+    ]
+
+
 def test_delta2_values_with_distinct_names_accepted():
     cfg = parse_config(
         None, {"experiment": "shell-average", "delta2_list": (0.1, 0.100001, 1e-7)}

@@ -423,9 +423,38 @@ def test_spin_flip_breaking_operator_raises():
         es.block_eigenvalues(field_op)
 
 
-@pytest.mark.parametrize("d2", [0.0, 0.5])
-def test_census_matches_unresolved_merge(tmp_path, d2):
-    n = 10
+@pytest.mark.parametrize("n", [3, 6, 7])
+def test_spin_resolved_levels_match_a_plain_solve_in_every_sector(n):
+    # E_b per block against eigvalsh of the dense sector matrix; every 2S is
+    # at least |2 S_z|, and it has the parity of N.  A coupling that breaks
+    # SU(2) gets None.
+    for n_up in range(n + 1):
+        basis = es.enumerate_sector(n, n_up)
+        op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.0))
+        resolved = es.spectral.spin_resolved_eigenvalues(op)
+        levels = np.concatenate([e for e, _ in resolved.values()])
+        two_s = np.concatenate([s for _, s in resolved.values()])
+        assert np.abs(np.sort(levels) - np.linalg.eigvalsh(op.to_dense())).max() < 1e-12
+        assert two_s.min() >= abs(2 * n_up - n) and np.all(two_s % 2 == n % 2)
+        chaotic = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.5))
+        if 0 < n_up < n:
+            assert es.spectral.spin_resolved_eigenvalues(chaotic) is None
+
+
+# Multiplet histograms of the smallest odd chains, worked by hand: N=3 has
+# two doublets and a quartet, N=5 five doublets, four quartets and a sextet.
+KNOWN_CENSUS = {3: [(2, 2), (4, 1)], 5: [(2, 5), (4, 4), (6, 1)]}
+
+
+@pytest.mark.parametrize(
+    "n, d2",
+    [pytest.param(10, 0.0, id="0.0"), pytest.param(10, 0.5, id="0.5")]
+    + [pytest.param(n, 0.0, id=f"N{n}-0.0") for n in (2, 3, 5, 8, 9)],
+)
+def test_census_matches_unresolved_merge(tmp_path, n, d2):
+    # The oracle solves every sector densely, using no symmetry; at d2 = 0
+    # the census solves only the middle sector, resolved by S^2, and odd N
+    # gives half-integer spins.
     params = es.ModelParams(n_sites=n, delta2=d2)
     merged = np.concatenate([
         np.linalg.eigvalsh(
@@ -434,16 +463,27 @@ def test_census_matches_unresolved_merge(tmp_path, d2):
         for k in range(n + 1)
     ])
     want = sorted(es.degeneracy_census(merged).histogram.items())
+    assert want == KNOWN_CENSUS.get(n, want)
     out = tmp_path / "out"
     assert main(["degeneracy-census", "--n-sites", str(n), "--delta2", str(d2),
                  "--out", str(out)]) == 0
     lines = (out / f"degeneracy_census_d2={d2:g}.csv").read_text().splitlines()
     assert [tuple(map(int, line.split(","))) for line in lines[1:]] == want
-    details = json.loads((out / "manifest.json").read_text())["details"]
-    r_mean = details[f"d2={d2:g}"]["r_mean"]
-    # blocks of the half-filled sector (dim 252) with at least 50 levels
-    assert set(r_mean) == {"R+F+", "R-F-", "R+F-", "R-F+"}
-    assert all(0.0 < r < 1.0 for r in r_mean.values())
+    details = json.loads((out / "manifest.json").read_text())["details"][f"d2={d2:g}"]
+    assert details["census"] == ("spin-resolved" if d2 == 0.0 else "per-sector")
+    assert details["n_levels"] == 2**n
+    # <r> per block of the middle sector with at least 50 levels, against
+    # that block's plain eigenvalues.
+    middle = es.block_eigenvalues(
+        es.build_hamiltonian(es.enumerate_sector(n, n // 2), params)
+    )
+    want_r = {
+        label: es.mean_spacing_ratio(e) for label, e in middle.items() if len(e) >= 50
+    }
+    if n == 10:  # the four blocks of dim 252
+        assert set(want_r) == {"R+F+", "R-F-", "R+F-", "R-F+"}
+    assert details["r_mean"] == pytest.approx(want_r, rel=1e-9)
+    assert all(0.0 < r < 1.0 for r in details["r_mean"].values())
 
 
 def test_mean_spacing_ratio():
