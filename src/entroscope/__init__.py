@@ -13,7 +13,6 @@ from .entropy import (
     QGibbsResult,
     SubadditivityReport,
     check_subadditivity,
-    q_boltzmann,
     q_gibbs,
     shannon,
     von_neumann,
@@ -28,14 +27,12 @@ from .errors import (
 )
 from .experiments import (
     DegeneracyCensus,
-    EigenketScan,
     FitResult,
     ShellTable,
     VolumeLawTable,
     degeneracy_census,
     fit_entropy_vs_lndos,
     mean_spacing_ratio,
-    run_eigenket_scan,
     run_shell_average,
     run_volume_law,
     shell_rdm_entropies,
@@ -68,12 +65,10 @@ from .states import (
     DensityMatrix,
     StateVector,
     averaged_rdm,
-    gibbs,
     measure,
     mix,
     partial_trace,
     partial_trace_bath,
-    pure_density,
     random_decomposition,
     random_density,
     random_pure,

@@ -39,17 +39,17 @@ class SpinBasis:
         return f"N{self.n_sites}_nup{self.n_up}"
 
 
-def enumerate_sector(n_sites: int, n_up: int, cap: int = N_SITES_CAP) -> SpinBasis:
+def enumerate_sector(n_sites: int, n_up: int) -> SpinBasis:
     """Enumerate all n_sites-bit masks with exactly n_up set bits, ascending.
 
-    Raises ValueError if n_up is out of range or n_sites exceeds the cap
+    Raises ValueError if n_up is out of range or n_sites exceeds N_SITES_CAP
     (the cap guards against accidental memory blow-up).
     """
     if n_sites < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    if n_sites > cap:
+    if n_sites > N_SITES_CAP:
         raise ValueError(
-            f"n_sites={n_sites} exceeds cap {cap}; full-space scan would "
+            f"n_sites={n_sites} exceeds cap {N_SITES_CAP}; full-space scan would "
             f"allocate 2^{n_sites} entries"
         )
     if not 0 <= n_up <= n_sites:
@@ -89,16 +89,6 @@ class SymmetryBlock:
     dim: int
     col: np.ndarray = field(repr=False)
     coef: np.ndarray = field(repr=False)
-
-    def expand(self, v: np.ndarray) -> np.ndarray:
-        """U_b @ v for a block_dim x k matrix v: one row gather, scaled."""
-        out = v[self.col]
-        out *= self.coef[:, None]
-        # A sparse product's running sum gives 0 + coef*v, which turns -0.0
-        # into +0.0; do the same, so amplitudes (and states.gather_blocks,
-        # which repeats this) keep that product's bits.
-        out += 0.0
-        return out
 
 
 @lru_cache(maxsize=64)

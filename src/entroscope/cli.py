@@ -30,7 +30,6 @@ from .experiments import (
     degeneracy_census,
     fit_entropy_vs_lndos,
     mean_spacing_ratio,
-    run_eigenket_scan,
     run_shell_average,
     run_volume_law,
     shell_statistics,
@@ -46,6 +45,7 @@ from .spectral import (
     load_levels,
     load_scan,
     load_spectrum,
+    multiplet_flags,
     partition_shells,
     save_scan,
     save_spectrum,
@@ -253,12 +253,12 @@ class _Coupling:
 
 def _eigenket_scan_rows(c: _Coupling):
     s_vn = c.s_vn
-    scan = run_eigenket_scan(c.levels(), s_vn, c.dos)
-    c.details["records"] = scan.count
+    energies = c.levels().eigenvalues
+    c.details["records"] = len(energies)
     return {
-        "n": np.arange(scan.count), "energy": scan.energies,
-        "s_vn": scan.s_vn / c.unit, "in_multiplet": scan.in_multiplet,
-        "shell_index": scan.shell_index,
+        "n": np.arange(len(energies)), "energy": energies,
+        "s_vn": s_vn / c.unit, "in_multiplet": multiplet_flags(energies),
+        "shell_index": c.dos.shell_of,
     }
 
 
@@ -374,9 +374,11 @@ TABLES = {
     "gamma-fit": {"gamma_fit": _gamma_fit_rows},
     "degeneracy-census": {"degeneracy_census": _degeneracy_census_rows},
 }
-# Every file name a run may write besides the manifest.
+# Every file name a run may write besides the manifest, and the temporary
+# file atomic_write fills for it or for the manifest (<name>.tmp.<pid>),
+# which a killed run leaves behind.
 OUTPUT_NAME = re.compile(
-    r"(%s)_d2=.*\.(csv|json)|%s"
+    r"((%s)_d2=.*\.(csv|json)|%s)(\.tmp\.\d+)?|manifest\.json\.tmp\.\d+"
     % ("|".join(p for tables in TABLES.values() for p in tables), re.escape(TAP_NAME))
 )
 
@@ -452,7 +454,9 @@ def run(cfg: RunConfig) -> int:
         manifest_path = os.path.join(cfg.out_dir, "manifest.json")
         if os.path.exists(manifest_path):
             os.unlink(manifest_path)
-        # Nor may an earlier run's tables outlive it next to the new ones.
+        # Nor may an earlier run's tables, or the temporary files of a run
+        # killed mid-write, outlive it next to the new ones.  The lock keeps
+        # out every live writer.
         written = {f.name for f in files}
         for name in os.listdir(cfg.out_dir):
             if name not in written and OUTPUT_NAME.fullmatch(name):

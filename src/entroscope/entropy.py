@@ -1,5 +1,5 @@
 """Entropy functionals in nats with k_B = 1: Shannon, von Neumann, and the
-quantum Boltzmann and Gibbs surprisals."""
+canonical (Gibbs) entropy of a spectrum."""
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,13 +61,6 @@ def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
     return _plogp_sum(vals)
 
 
-def q_boltzmann(dim: int) -> float:
-    """Quantum Boltzmann entropy ln(d) of a d-dimensional uniform mixture."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return float(np.log(dim))
-
-
 class QGibbsResult(NamedTuple):
     entropy: float
     mean_energy: float
@@ -105,10 +98,6 @@ class SubadditivityReport:
     @property
     def slack(self) -> float:
         return self.s_a + self.s_b - self.s_ab
-
-    @property
-    def holds(self) -> bool:
-        return self.slack >= -1e-9
 
 
 def check_subadditivity(

@@ -6,14 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import sector_of
-from .spectral import (
-    DEGENERACY_TOL,
-    DosTable,
-    EnergyShell,
-    Spectrum,
-    degenerate_multiplets,
-    multiplet_flags,
-)
+from .spectral import DosTable, EnergyShell, Spectrum, degenerate_multiplets
 from .states import (
     PSD_TOL,
     TRACE_TOL,
@@ -87,39 +80,6 @@ def subsystem_entropies(
             yield start, counts[block], m @ mt if n_a <= n_b else mt @ m
 
     return _rdm_entropies(len(indices), grams())
-
-
-@dataclass(frozen=True)
-class EigenketScan:
-    """Per-eigenket records of one spectrum at a fixed bipartition."""
-
-    energies: np.ndarray = field(repr=False)
-    s_vn: np.ndarray = field(repr=False)
-    in_multiplet: np.ndarray = field(repr=False)
-    shell_index: np.ndarray = field(repr=False)
-
-    @property
-    def count(self) -> int:
-        return len(self.energies)
-
-
-def run_eigenket_scan(
-    spec: Spectrum, s_vn: np.ndarray, dos_table: DosTable
-) -> EigenketScan:
-    """One record {E_n, S_VN(rho_sb), multiplet flag, shell index} per eigenket.
-
-    s_vn is the full scan, subsystem_entropies(spec, part).
-    """
-    flags = multiplet_flags(spec.eigenvalues)
-    shell_idx = np.full(spec.dim, -1, dtype=np.int64)
-    for j, shell in enumerate(dos_table.shells):
-        shell_idx[shell.member_indices] = j
-    return EigenketScan(
-        energies=spec.eigenvalues.copy(),
-        s_vn=s_vn,
-        in_multiplet=flags,
-        shell_index=shell_idx,
-    )
 
 
 @dataclass(frozen=True)
@@ -240,12 +200,7 @@ class FitResult:
     r_squared: float
     side: str
     n_rows: int
-    gamma_predicted: np.ndarray = field(repr=False, default=None)
     gamma_predicted_mean: float = float("nan")
-
-    @property
-    def gamma_fit(self) -> float:
-        return self.slope
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -289,7 +244,6 @@ def fit_entropy_vs_lndos(table: ShellTable, side: str) -> FitResult:
         r_squared=r2,
         side=side,
         n_rows=len(x),
-        gamma_predicted=gamma,
         gamma_predicted_mean=gamma_mean,
     )
 
@@ -347,18 +301,15 @@ class DegeneracyCensus:
         return deg / self.n_levels
 
 
-def degeneracy_census(
-    spec_or_eigenvalues, tol_scale: float = DEGENERACY_TOL
-) -> DegeneracyCensus:
-    """Count degenerate multiplets of a spectrum or a merged eigenvalue list.
+def degeneracy_census(eigenvalues) -> DegeneracyCensus:
+    """Count degenerate multiplets of a merged eigenvalue list.
 
-    Raw arrays are sorted first, so sector spectra can be concatenated and
+    The list is sorted first, so sector spectra can be concatenated and
     censused together.
     """
-    e = getattr(spec_or_eigenvalues, "eigenvalues", spec_or_eigenvalues)
-    e = np.sort(np.asarray(e, dtype=float))
+    e = np.sort(np.asarray(eigenvalues, dtype=float))
     hist: dict[int, int] = {}
-    for _, size in degenerate_multiplets(e, tol_scale=tol_scale):
+    for _, size in degenerate_multiplets(e):
         hist[size] = hist.get(size, 0) + 1
     return DegeneracyCensus(histogram=hist, n_levels=len(e))
 

@@ -40,7 +40,7 @@ class EigenBlock:
 
     `eigenvalues` (E_b) ascend.  `eigenvectors` (V_b, block.dim x block.dim,
     column-major) holds the eigenvectors in the block's symmetry-reduced
-    basis; block.expand turns them into sector amplitudes.  It is None in a
+    basis; U_b V_b gives their sector amplitudes.  It is None in a
     spectrum read by load_levels.
     """
 
@@ -56,8 +56,7 @@ class Spectrum:
     Eigenindex n runs over the ascending merge of the blocks' eigenvalues (a
     stable sort, so ties keep block order): eigenket n is column
     `column_index[n]` of block `block_index[n]`.  No D x D eigenvector
-    matrix is held; eigenvector_matrix() builds one for callers that need
-    every amplitude at once, and the table kernels never call it.
+    matrix is held or built: the kernels read amplitudes block by block.
     """
 
     blocks: tuple[EigenBlock, ...] = field(repr=False)
@@ -92,19 +91,6 @@ class Spectrum:
                 "load_levels); amplitudes need load_spectrum"
             )
 
-    def eigenvector_matrix(self) -> np.ndarray:
-        """The D x D matrix whose column n is eigenket n (8 D^2 bytes).
-
-        Each U_b V_b lands in its sorted columns of one F-ordered matrix.
-        """
-        self.require_eigenvectors()
-        out = np.empty((self.dim, self.dim), order="F")
-        for b, part in enumerate(self.blocks):
-            at = np.flatnonzero(self.block_index == b)
-            at = at[np.argsort(self.column_index[at])]
-            out[:, at] = part.block.expand(part.eigenvectors)
-        return out
-
 
 @dataclass(frozen=True)
 class EnergyShell:
@@ -125,15 +111,15 @@ class EnergyShell:
 
 @dataclass(frozen=True)
 class DosTable:
-    """Uniform-width energy shells with count/width density of states."""
+    """Uniform-width energy shells with count/width density of states.
+
+    shell_of[n] is the shell holding eigenket n.
+    """
 
     shells: list[EnergyShell]
     dos: np.ndarray
     ln_dos: np.ndarray  # NaN where a shell is empty
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.shells)
+    shell_of: np.ndarray = field(repr=False)
 
     @property
     def counts(self) -> np.ndarray:
@@ -371,7 +357,7 @@ def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:
     dos = counts / widths
     with np.errstate(divide="ignore"):
         ln_dos = np.where(counts > 0, np.log(np.maximum(dos, 1e-300)), np.nan)
-    return DosTable(shells=shells, dos=dos, ln_dos=ln_dos)
+    return DosTable(shells=shells, dos=dos, ln_dos=ln_dos, shell_of=which)
 
 
 def _multiplet_runs(eigenvalues: np.ndarray, tol_scale: float):

@@ -1,4 +1,4 @@
-"""Density-matrix algebra: pure states, mixtures, thermal states, partial
+"""Density-matrix algebra: pure states, mixtures, canonical weights, partial
 trace, projective measurement, and seeded random generators for property
 sweeps."""
 from dataclasses import dataclass, field
@@ -21,10 +21,6 @@ NORM_TOL = 1e-12
 
 def full_tag(n_sites: int) -> str:
     return f"full:{n_sites}"
-
-
-def sector_tag(basis_tag: str) -> str:
-    return f"sector:{basis_tag}"
 
 
 @dataclass(frozen=True)
@@ -108,12 +104,6 @@ class BipartitionSpec:
         return 1 << (self.n_sites - self.l1)
 
 
-def pure_density(psi: StateVector) -> DensityMatrix:
-    """Rank-1 projector |psi><psi|."""
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(matrix=rho, space_tag=psi.space_tag)
-
-
 def mix(components: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
     """Convex combination sum_i p_i rho_i."""
     if not components:
@@ -140,15 +130,6 @@ def gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     shifted -= shifted.max()
     w = np.exp(shifted)
     return w / w.sum()
-
-
-def gibbs(spec: Spectrum, beta: float) -> DensityMatrix:
-    """Canonical state exp(-beta H)/Q, diagonal in the energy eigenbasis."""
-    p = gibbs_weights(spec.eigenvalues, beta)
-    v = spec.eigenvector_matrix()
-    rho = (v * p) @ v.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
 
 
 def _require_full(space_tag: str, part: BipartitionSpec, dim: int):
@@ -249,12 +230,14 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
     chunk's amplitudes are filled straight from the symmetry blocks into a
     C-ordered buffer of their own, with the S^z blocks' rows laid end to
     end, and every m is a view of it: at those rows eigenket n (column c of
-    block b) holds coef_b[rows] * V_b[col_b[rows], c] + 0.0, the values
-    SymmetryBlock.expand gives, so col_b[rows] and coef_b[rows] are gathered
-    once per call.  A chunk holds 2^17 / D kets, so the buffer is at most
-    1 MB (about half that for the half of the blocks rdm_blocks keeps at
-    half filling): bigger chunks ran no faster and left more heap resident,
-    raising peak RSS.  A spectrum without eigenvectors raises ValueError.
+    block b) holds coef_b[rows] * V_b[col_b[rows], c] + 0.0, the entries of
+    U_b V_b (the + 0.0 turns -0.0 into +0.0, as the running sum 0 + coef*v
+    of a sparse product does, so the bits are that product's), and
+    col_b[rows] and coef_b[rows] are gathered once per call.  A chunk holds
+    2^17 / D kets, so the buffer is at most 1 MB (about half that for the
+    half of the blocks rdm_blocks keeps at half filling): bigger chunks ran
+    no faster and left more heap resident, raising peak RSS.  A spectrum
+    without eigenvectors raises ValueError.
     """
     spec.require_eigenvectors()
     rows = np.concatenate([sz.rows for sz in blocks])

@@ -13,7 +13,7 @@ spin-flip pairing, or wrap given eigenpairs as a package Spectrum.
 import numpy as np
 
 import entroscope as es
-from entroscope.states import full_tag, sector_tag
+from entroscope.states import full_tag, gibbs_weights
 
 SZ = np.array([[-0.5, 0.0], [0.0, 0.5]])  # diagonal in bit order: 0=down, 1=up
 SPLUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # raises bit 0 -> 1
@@ -134,11 +134,57 @@ def embed_sector_state(basis, v: np.ndarray) -> es.StateVector:
     return es.StateVector(amplitudes=full, space_tag=full_tag(basis.n_sites))
 
 
+def sector_tag(basis_tag: str) -> str:
+    return f"sector:{basis_tag}"
+
+
+def expand(block, v: np.ndarray) -> np.ndarray:
+    """U_b @ v for a block_dim x k matrix v: one row gather, scaled.
+
+    A sparse product's running sum gives 0 + coef*v, which turns -0.0 into
+    +0.0; so does this, as states.gather_blocks does, so the two agree bit
+    for bit.
+    """
+    out = v[block.col] * block.coef[:, None]
+    out += 0.0
+    return out
+
+
+def eigenvector_matrix(spec) -> np.ndarray:
+    """The D x D matrix whose column n is eigenket n of a package Spectrum.
+
+    Each U_b V_b lands in its sorted columns; a spectrum without eigenvectors
+    raises the package's ValueError.
+    """
+    spec.require_eigenvectors()
+    out = np.empty((spec.dim, spec.dim), order="F")
+    for b, part in enumerate(spec.blocks):
+        at = np.flatnonzero(spec.block_index == b)
+        at = at[np.argsort(spec.column_index[at])]
+        out[:, at] = expand(part.block, part.eigenvectors)
+    return out
+
+
+def pure_density(psi: es.StateVector) -> es.DensityMatrix:
+    """Rank-1 projector |psi><psi|."""
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    return es.DensityMatrix(matrix=rho, space_tag=psi.space_tag)
+
+
+def gibbs(spec, beta: float) -> es.DensityMatrix:
+    """Canonical state exp(-beta H)/Q, diagonal in the energy eigenbasis."""
+    p = gibbs_weights(spec.eigenvalues, beta)
+    v = eigenvector_matrix(spec)
+    rho = (v * p) @ v.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return es.DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
+
+
 def microcanonical(spec, shell) -> es.DensityMatrix:
     """Uniform mixture (1/d_E) sum of shell eigenket projectors."""
     if shell.count == 0:
         raise ValueError("microcanonical state of an empty shell is undefined")
-    block = spec.eigenvector_matrix()[:, shell.member_indices]
+    block = eigenvector_matrix(spec)[:, shell.member_indices]
     rho = (block @ block.conj().T) / shell.count
     rho = 0.5 * (rho + rho.conj().T)
     return es.DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
@@ -203,7 +249,7 @@ def unpaired_svn_avg_rdm(spec, shell, part) -> float:
 def dense_spectrum(eigenvalues, eigenvectors=None, basis_tag="t", params=None):
     """A Spectrum of one block whose isometry is the identity.
 
-    Its eigenvector_matrix() is `eigenvectors` (the identity when omitted),
+    Its eigenvector_matrix is `eigenvectors` (the identity when omitted),
     with columns reordered if the eigenvalues do not ascend.
     """
     e = np.asarray(eigenvalues, dtype=float)

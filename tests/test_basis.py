@@ -1,4 +1,5 @@
 """Sector enumeration and indexing."""
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import entroscope as es
+import oracles
 
 
 def test_dimensions_match_binomials():
@@ -100,12 +102,24 @@ def test_symmetry_blocks_split_sectors():
     ]
     for n, k in [(6, 3), (7, 2), (8, 4)]:
         blocks = es.symmetry_blocks(n, k)
-        u = np.hstack([b.expand(np.eye(b.dim)) for b in blocks])
+        u = np.hstack([oracles.expand(b, np.eye(b.dim)) for b in blocks])
         assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-15
         assert u.shape[0] == u.shape[1]
 
 
 def test_expand_leaves_no_negative_zero():
+    # U_b v as a sparse product sums 0 + coef*v, never -0.0: the block gather
+    # behind the kernels, and the tests' dense expansion, keep those bits.
+    params = es.ModelParams(n_sites=6, delta2=0.5)
+    spec = es.diagonalize(es.build_hamiltonian(es.enumerate_sector(6, 3), params))
+    negated = replace(spec, blocks=tuple(
+        replace(b, eigenvectors=-np.eye(b.block.dim)) for b in spec.blocks
+    ))
+    gathered = es.states.gather_blocks(
+        negated, np.arange(spec.dim), es.states.sz_blocks(6, 3, 2)
+    )
+    for _, _, m in gathered:
+        assert not np.any((m == 0.0) & np.signbit(m))
     for block in es.symmetry_blocks(6, 3):
-        out = block.expand(-np.eye(block.dim))
+        out = oracles.expand(block, -np.eye(block.dim))
         assert not np.any((out == 0.0) & np.signbit(out))

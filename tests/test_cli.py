@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import entroscope as es
+import oracles
 from entroscope import cli, properties
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS
@@ -614,7 +615,7 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
     ).encode()
     body = (b"ENTROSPC" + struct.pack("<BI", 1, len(header)) + header
             + spec.eigenvalues.tobytes()
-            + spec.eigenvector_matrix().tobytes(order="F"))
+            + oracles.eigenvector_matrix(spec).tobytes(order="F"))
     path = cache / "N6_nup3_d20.5.spec"
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
     out = tmp_path / "out"
@@ -938,6 +939,44 @@ def test_failed_table_write_leaves_no_manifest(tmp_path, monkeypatch, failing):
         monkeypatch.setattr(es.spectral.os, "replace", failing_replace)
     assert main(argv) == 4
     assert not (out / "manifest.json").exists()
+    assert list(out.glob("*.tmp.*")) == []
+
+
+KILL_MID_WRITE = """
+import os, signal, sys
+from entroscope import cli, spectral
+real_open = open
+
+def killing_open(path, *args, **kwargs):
+    fh = real_open(path, *args, **kwargs)
+    if os.path.basename(path).startswith("dos_"):
+        fh.write(b"partial")
+        fh.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return fh
+
+spectral.open = killing_open
+cli.main(sys.argv[1:])
+"""
+
+
+def test_run_killed_mid_write_leaves_no_manifest_and_no_temp_file(tmp_path):
+    out = tmp_path / "out"
+    argv = ["eigenket-scan", "--n-sites", "6", "--delta2", "0", "--bins", "4",
+            "--cache", "off", "--out", str(out)]
+    assert main(argv) == 0
+    # A rerun is killed inside the write of its second table (dos_*).
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_MID_WRITE, *argv], env=env, timeout=120
+    )
+    assert proc.returncode == -signal.SIGKILL
+    assert not (out / "manifest.json").exists()
+    assert [p.name.split(".tmp.")[0] for p in out.glob("*.tmp.*")] == ["dos_d2=0.csv"]
+    # The next run sweeps the dead run's temporary file away.
+    assert main(argv) == 0
+    files = {p.name for p in out.iterdir()}
+    assert files == set(_manifest(out)["files"]) | {"manifest.json", cli.LOCK_NAME}
     assert list(out.glob("*.tmp.*")) == []
 
 

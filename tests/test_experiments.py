@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import entroscope as es
+from entroscope.cli import main
 from entroscope.experiments import ShellTable, subsystem_entropies
-from entroscope.spectral import Spectrum
 
 
 def _spec(n, n_up, d2):
@@ -17,36 +17,41 @@ def _spec(n, n_up, d2):
 
 def test_two_site_eigenkets_are_maximally_entangled():
     spec = _spec(2, 1, 0.0)
-    dos = es.partition_shells(spec, 2)
-    scan = es.run_eigenket_scan(
-        spec, subsystem_entropies(spec, es.BipartitionSpec(2, 1)), dos
-    )
-    assert scan.count == spec.dim
-    assert np.allclose(scan.s_vn, np.log(2), atol=1e-12)
+    s_vn = subsystem_entropies(spec, es.BipartitionSpec(2, 1))
+    assert len(s_vn) == spec.dim
+    assert np.allclose(s_vn, np.log(2), atol=1e-12)
 
 
-def test_eigenket_scan_record_structure(spec10):
+def test_eigenket_scan_record_structure(spec10, tmp_path):
+    # The CLI's eigenket table holds one row per eigenket, in eigenindex
+    # order: its energy, its S_VN, its multiplet flag and its shell.
     spec = spec10[0.5]
+    out = tmp_path / "out"
+    assert main(["eigenket-scan", "--n-sites", "10", "--delta2", "0.5", "--l1", "3",
+                 "--bins", "25", "--cache", "off", "--out", str(out)]) == 0
+    path = out / "eigenket_scan_d2=0.5.csv"
+    assert path.read_text().splitlines()[0] == "n,energy,s_vn,in_multiplet,shell_index"
+    n, energy, s_vn, flags, shell = np.loadtxt(path, delimiter=",", skiprows=1).T
+    assert np.array_equal(n, np.arange(spec.dim))
+    assert np.array_equal(np.sort(energy), energy)
+    assert np.abs(energy - spec.eigenvalues).max() <= 1e-12
+    want = subsystem_entropies(spec, es.BipartitionSpec(10, 3))
+    assert np.abs(s_vn - want).max() <= 1e-12
+    # flags mirror the spectral-module tolerance
+    assert np.array_equal(flags, es.multiplet_flags(spec.eigenvalues))
     dos = es.partition_shells(spec, 25)
-    scan = es.run_eigenket_scan(
-        spec, subsystem_entropies(spec, es.BipartitionSpec(10, 3)), dos
-    )
-    assert scan.count == spec.dim
-    assert np.array_equal(np.sort(scan.energies), scan.energies)
-    assert (scan.shell_index >= 0).all()
-    # scan flags mirror the spectral-module tolerance
-    assert np.array_equal(scan.in_multiplet, es.multiplet_flags(spec.eigenvalues))
+    assert (shell >= 0).all()
+    assert np.array_equal(shell, dos.shell_of)
+    for j, members in enumerate(s.member_indices for s in dos.shells):
+        assert (shell[members] == j).all()
 
 
 def test_ground_state_entropy_below_mid_spectrum_mean(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    scan = es.run_eigenket_scan(
-        spec, subsystem_entropies(spec, es.BipartitionSpec(10, 3)), dos
-    )
+    s_vn = subsystem_entropies(spec, es.BipartitionSpec(10, 3))
     mid = dos.shells[dos.peak_index()]
-    mid_mean = scan.s_vn[mid.member_indices].mean()
-    assert scan.s_vn[0] < mid_mean
+    assert s_vn[0] < s_vn[mid.member_indices].mean()
 
 
 def test_subsystem_entropies_chunking_consistency(spec10):
@@ -65,11 +70,11 @@ def test_shell_average_singleton_rows(spec10):
     part = es.BipartitionSpec(10, 3)
     s_vn = subsystem_entropies(spec, part)
     table = es.run_shell_average(spec, part, s_vn, dos, min_count=1)
-    scan = es.run_eigenket_scan(spec, s_vn, dos)
     for r in range(table.n_rows):
         if table.d_e[r] == 1:
             member = dos.shells[int(table.shell_index[r])].member_indices[0]
-            assert abs(table.mean_svn[r] - scan.s_vn[member]) < 1e-12
+            assert dos.shell_of[member] == table.shell_index[r]
+            assert abs(table.mean_svn[r] - s_vn[member]) < 1e-12
             assert table.std_svn[r] == 0.0
             break
     else:
@@ -176,7 +181,7 @@ def test_gamma_predicted_mean_is_population_weighted():
     g = np.log(table.d_e) / np.log(252)
     expected = (table.d_e * g).sum() / table.d_e.sum()
     assert abs(fit.gamma_predicted_mean - expected) < 1e-14
-    assert np.allclose(fit.gamma_predicted, g)
+    assert np.allclose(table.gamma_predicted, g)
 
 
 def test_volume_law_complement_symmetry():
@@ -203,7 +208,11 @@ def test_census_two_site_triplet():
 
 
 def test_census_tolerance_zero_all_singletons(spec10):
-    census = es.degeneracy_census(spec10[0.0], tol_scale=0.0)
+    # Tolerance 0 leaves every level of the sector its own multiplet; a
+    # census of levels that far apart, given in any order, finds no multiplet.
+    e = spec10[0.0].eigenvalues
+    assert es.degenerate_multiplets(e, tol_scale=0.0) == [(n, 1) for n in range(252)]
+    census = es.degeneracy_census(np.linspace(-1.0, 1.0, 252)[::-1])
     assert census.histogram == {1: 252}
     assert census.fraction_degenerate == 0.0
 
