@@ -48,14 +48,13 @@ from .properties import PropertyResult, format_tap, run_property_suite
 from .spectral import (
     DosTable,
     EigenBlock,
-    EnergyShell,
     Spectrum,
     block_eigenvalues,
-    degenerate_multiplets,
     diagonalize,
     load_levels,
     load_spectrum,
     multiplet_flags,
+    multiplet_sizes,
     partition_shells,
     save_spectrum,
     spectrum_cache_path,

@@ -263,11 +263,11 @@ def _eigenket_scan_rows(c: _Coupling):
 
 
 def _dos_rows(c: _Coupling):
-    shells = c.dos.shells
+    dos = c.dos
     return {
-        "shell_index": np.arange(len(shells)), "lower": [s.lower for s in shells],
-        "upper": [s.upper for s in shells], "count": c.dos.counts,
-        "dos": c.dos.dos, "ln_dos": c.dos.ln_dos,
+        "shell_index": np.arange(len(dos.counts)), "lower": dos.edges[:-1],
+        "upper": dos.edges[1:], "count": dos.counts, "dos": dos.dos,
+        "ln_dos": dos.ln_dos,
     }
 
 

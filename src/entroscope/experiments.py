@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import sector_of
-from .spectral import DosTable, EnergyShell, Spectrum, degenerate_multiplets
+from .spectral import DosTable, Spectrum, multiplet_sizes
 from .states import (
     PSD_TOL,
     TRACE_TOL,
@@ -128,24 +128,21 @@ def shell_statistics(
     """Shell rows with the means of per-eigenket entropy; no averaged RDM.
 
     s_vn is the full scan, subsystem_entropies(spec, part).  Keeps the
-    shells with d_E >= min_count.  Reductions run in ascending eigenindex
-    order within each shell, so repeat runs are bitwise-stable.
-    svn_avg_rdm is None: the entropy fit needs only these columns, and
-    run_shell_average adds the averaged-RDM column.
+    shells with d_E >= min_count; a kept shell's bounds are its two edges,
+    and its means run over its run of s_vn (dos_table.members) in ascending
+    eigenindex order, so repeat runs are bitwise-stable.  svn_avg_rdm is
+    None: the entropy fit needs only these columns, and run_shell_average
+    adds the averaged-RDM column.
     """
-    kept = np.array(
-        [j for j, shell in enumerate(dos_table.shells)
-         if shell.count >= max(min_count, 1)],
-        dtype=np.int64,
-    )
-    shells = [dos_table.shells[j] for j in kept]
-    members = [s_vn[shell.member_indices] for shell in shells]
+    kept = np.flatnonzero(dos_table.counts >= max(min_count, 1))
+    lower, upper = dos_table.edges[kept], dos_table.edges[kept + 1]
+    members = [s_vn[dos_table.members(j)] for j in kept]
     return ShellTable(
         shell_index=kept,
-        lower=np.array([shell.lower for shell in shells]),
-        upper=np.array([shell.upper for shell in shells]),
-        midpoint=np.array([shell.midpoint for shell in shells]),
-        d_e=np.array([shell.count for shell in shells], dtype=np.int64),
+        lower=lower,
+        upper=upper,
+        midpoint=0.5 * (lower + upper),
+        d_e=dos_table.counts[kept],
         ln_dos=dos_table.ln_dos[kept],
         mean_svn=np.array([s.mean() for s in members]),
         svn_avg_rdm=None,
@@ -155,23 +152,25 @@ def shell_statistics(
 
 
 def shell_rdm_entropies(
-    spec: Spectrum, part: BipartitionSpec, shells: list[EnergyShell]
+    spec: Spectrum, part: BipartitionSpec, members: list[np.ndarray]
 ) -> np.ndarray:
-    """S_VN of each shell's averaged RDM (states.averaged_rdm).
+    """S_VN of the averaged RDM of each eigenindex set (states.averaged_rdm).
 
-    All shells go through the same kernel as the per-ket entropies, one
-    shell's kept S^z blocks at a time.  A block that averaged_rdm returns as
-    its factor F (rank d_E n_b < n_a) is fed as the smaller F^T F, which has
-    the same nonzero spectrum, as subsystem_entropies does per ket.
+    members[r] lists the eigenkets averaged in row r, a shell's
+    DosTable.members for the shell tables.  All rows go through the same
+    kernel as the per-ket entropies, one row's kept S^z blocks at a time.  A
+    block that averaged_rdm returns as its factor F (rank d_E n_b < n_a) is
+    fed as the smaller F^T F, which has the same nonzero spectrum, as
+    subsystem_entropies does per ket.
     """
 
     def blocks():
-        for r, shell in enumerate(shells):
-            for _, count, mat in averaged_rdm(spec, shell, part):
+        for r, indices in enumerate(members):
+            for _, count, mat in averaged_rdm(spec, part, indices):
                 n_a, d = mat.shape
                 yield r, count, (mat if n_a == d else mat.T @ mat)[None]
 
-    return _rdm_entropies(len(shells), blocks())
+    return _rdm_entropies(len(members), blocks())
 
 
 def run_shell_average(
@@ -187,8 +186,8 @@ def run_shell_average(
     part).
     """
     table = shell_statistics(spec, s_vn, dos_table, min_count)
-    kept = [dos_table.shells[j] for j in table.shell_index]
-    return replace(table, svn_avg_rdm=shell_rdm_entropies(spec, part, kept))
+    members = [dos_table.members(j) for j in table.shell_index]
+    return replace(table, svn_avg_rdm=shell_rdm_entropies(spec, part, members))
 
 
 @dataclass(frozen=True)
@@ -265,8 +264,8 @@ def run_volume_law(
     """Sweep l1 over the maximal-DOS (mid-spectrum) shell of one spectrum."""
     n_sites, _ = sector_of(spec.basis_tag)
     peak = dos_table.peak_index()
-    shell = dos_table.shells[peak]
-    if shell.count == 0:
+    members = dos_table.members(peak)
+    if len(members) == 0:
         raise ValueError("mid-spectrum shell is empty")
     l1_values = np.asarray(sorted(l1_range), dtype=np.int64)
     if len(l1_values) == 0:
@@ -274,14 +273,13 @@ def run_volume_law(
     means = np.empty(len(l1_values))
     for i, l1 in enumerate(l1_values):
         part = BipartitionSpec(n_sites=n_sites, l1=int(l1))
-        s = subsystem_entropies(spec, part, indices=shell.member_indices)
-        means[i] = s.mean()
+        means[i] = subsystem_entropies(spec, part, indices=members).mean()
     return VolumeLawTable(
         l1=l1_values,
         mean_svn=means,
-        shell_lo=shell.lower,
-        shell_hi=shell.upper,
-        d_e=shell.count,
+        shell_lo=float(dos_table.edges[peak]),
+        shell_hi=float(dos_table.edges[peak + 1]),
+        d_e=len(members),
     )
 
 
@@ -305,13 +303,13 @@ def degeneracy_census(eigenvalues) -> DegeneracyCensus:
     """Count degenerate multiplets of a merged eigenvalue list.
 
     The list is sorted first, so sector spectra can be concatenated and
-    censused together.
+    censused together; the histogram's sizes ascend.
     """
     e = np.sort(np.asarray(eigenvalues, dtype=float))
-    hist: dict[int, int] = {}
-    for _, size in degenerate_multiplets(e):
-        hist[size] = hist.get(size, 0) + 1
-    return DegeneracyCensus(histogram=hist, n_levels=len(e))
+    sizes, counts = np.unique(multiplet_sizes(e), return_counts=True)
+    return DegeneracyCensus(
+        histogram=dict(zip(sizes.tolist(), counts.tolist())), n_levels=len(e)
+    )
 
 
 def mean_spacing_ratio(eigenvalues: np.ndarray) -> float:

@@ -1,11 +1,13 @@
 """Symmetry-resolved eigendecomposition, DOS binning, and spectrum persistence."""
+import fcntl
+import glob
 import hashlib
 import json
 import math
 import os
 import struct
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from math import comb
 
@@ -93,37 +95,24 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class EnergyShell:
-    """Eigenindices n with E_n in the half-open interval (lower, upper]."""
-
-    lower: float
-    upper: float
-    member_indices: np.ndarray = field(repr=False)
-
-    @property
-    def count(self) -> int:
-        return len(self.member_indices)
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-
-@dataclass(frozen=True)
 class DosTable:
     """Uniform-width energy shells with count/width density of states.
 
-    shell_of[n] is the shell holding eigenket n.
+    Shell j is the half-open interval (edges[j], edges[j + 1]] and holds
+    counts[j] eigenkets.  The spectrum ascends, so those are one run of
+    eigenindices, members(j); shell_of[n] is the shell holding eigenket n.
     """
 
-    shells: list[EnergyShell]
+    edges: np.ndarray
+    counts: np.ndarray
     dos: np.ndarray
     ln_dos: np.ndarray  # NaN where a shell is empty
     shell_of: np.ndarray = field(repr=False)
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([s.count for s in self.shells])
+    def members(self, j: int) -> np.ndarray:
+        """The eigenindices of shell j, ascending."""
+        start = int(self.counts[:j].sum())
+        return np.arange(start, start + self.counts[j])
 
     def peak_index(self) -> int:
         """Index of the maximum-count shell (first one on ties)."""
@@ -323,7 +312,9 @@ def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:
 
     Bins span [E_min - eps, E_max] with eps = width * 1e-9, so the lowest
     eigenvalue falls in shell 1 under (lower, upper] membership.  n_bins = 1
-    is permitted as degenerate binning.
+    is permitted as degenerate binning.  The table is columns over the
+    shells: n_bins + 1 edges, and per shell its count, count / width and
+    the log of that; no per-shell index array is built.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
@@ -347,45 +338,29 @@ def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:
     # (lower, upper] membership: insertion point left of equal elements.
     which = np.searchsorted(edges, energies, side="left") - 1
     counts = np.bincount(which, minlength=n_bins)
-    # A stable sort keeps each shell's members ascending.
-    members = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
-    shells = [
-        EnergyShell(lower=float(lo), upper=float(hi), member_indices=m)
-        for lo, hi, m in zip(edges[:-1], edges[1:], members)
-    ]
-    widths = np.diff(edges)
-    dos = counts / widths
+    dos = counts / np.diff(edges)
     with np.errstate(divide="ignore"):
         ln_dos = np.where(counts > 0, np.log(np.maximum(dos, 1e-300)), np.nan)
-    return DosTable(shells=shells, dos=dos, ln_dos=ln_dos, shell_of=which)
+    return DosTable(edges=edges, counts=counts, dos=dos, ln_dos=ln_dos, shell_of=which)
 
 
-def _multiplet_runs(eigenvalues: np.ndarray, tol_scale: float):
-    """Start and size arrays of the degenerate runs of an ascending spectrum."""
+def multiplet_sizes(eigenvalues: np.ndarray) -> np.ndarray:
+    """Sizes of the degenerate multiplets of an ascending spectrum, in order.
+
+    Adjacent eigenvalues closer than DEGENERACY_TOL * max(1, |E|) chain into
+    one multiplet, so each multiplet is a run of eigenindices and the sizes
+    sum to len(eigenvalues).
+    """
     n = len(eigenvalues)
     scale = np.maximum(1.0, np.abs(eigenvalues[:-1]))
-    breaks = np.diff(eigenvalues) > tol_scale * scale
+    breaks = np.diff(eigenvalues) > DEGENERACY_TOL * scale
     starts = np.flatnonzero(np.concatenate(([n > 0], breaks)))
-    return starts, np.diff(starts, append=n)
+    return np.diff(starts, append=n)
 
 
-def degenerate_multiplets(
-    eigenvalues: np.ndarray, tol_scale: float = DEGENERACY_TOL
-) -> list[tuple[int, int]]:
-    """Group an ascending spectrum into (start, size) degenerate multiplets.
-
-    Adjacent eigenvalues closer than tol_scale * max(1, |E|) chain into one
-    multiplet; tol_scale = 0 makes every eigenvalue its own multiplet.
-    """
-    starts, sizes = _multiplet_runs(eigenvalues, tol_scale)
-    return list(zip(starts.tolist(), sizes.tolist()))
-
-
-def multiplet_flags(
-    eigenvalues: np.ndarray, tol_scale: float = DEGENERACY_TOL
-) -> np.ndarray:
+def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
     """Boolean flag per eigenindex: member of a multiplet of size >= 2."""
-    _, sizes = _multiplet_runs(eigenvalues, tol_scale)
+    sizes = multiplet_sizes(eigenvalues)
     return np.repeat(sizes >= 2, sizes)
 
 
@@ -424,28 +399,61 @@ def _memory_bytes(a: np.ndarray) -> memoryview:
 def atomic_write(path):
     """Open <path>.tmp.<pid> for binary writing; os.replace it onto path.
 
-    On any failure the temporary file is removed and the error re-raised,
-    so no partial file ever carries the final name.
+    The temporary file carries an exclusive flock from just after it is
+    opened until it has its final name.  The kernel drops the lock when the
+    writer dies, so a temporary file whose lock can be taken belongs to no
+    live writer (see _remove_dead_temps).  On any failure the temporary file
+    is removed and the error re-raised, so no partial file ever carries the
+    final name.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
+        while True:
+            fh = open(tmp, "wb")
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            # A sweep that locked the file between its open and our flock
+            # has unlinked it: start over on a new one.
+            if os.fstat(fh.fileno()).st_nlink:
+                break
+            fh.close()
+        with fh:
             yield fh
-        os.replace(tmp, path)
+            fh.flush()
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
 
+def _remove_dead_temps(path) -> None:
+    """Remove the <path>.tmp.* files whose writers died.
+
+    A file whose flock is taken without blocking has no live writer
+    (atomic_write); it is unlinked while that lock is held, so a writer
+    that opened it a moment before sees it gone.  Any other is left alone.
+    """
+    for temp in glob.glob(glob.escape(str(path)) + ".tmp.*"):
+        with suppress(BlockingIOError, FileNotFoundError):
+            fd = os.open(temp, os.O_RDONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                os.unlink(temp)
+            finally:
+                os.close(fd)
+
+
 def _write_record(path, magic: bytes, version: int, header: dict, sections) -> bytes:
     """Write one cache record atomically; returns its trailer.
 
-    `sections` is a list of array lists, each followed by its checksum.
+    `sections` is a list of array lists, each followed by its checksum.  The
+    temporary files that dead writers of the same record left are removed
+    first.
     """
     raw = json.dumps(header, sort_keys=True).encode()
     head = magic + struct.pack("<BI", version, len(raw)) + raw
     running = hashlib.sha256(head)
+    _remove_dead_temps(path)
     with atomic_write(path) as fh:
         fh.write(head)
         for arrays in sections:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import enumerate_sector, sector_of
 from .errors import NumericsError
-from .spectral import EnergyShell, Spectrum
+from .spectral import Spectrum
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -291,28 +291,30 @@ def rdm_blocks(
 
 
 def averaged_rdm(
-    spec: Spectrum, shell: EnergyShell, part: BipartitionSpec
+    spec: Spectrum, part: BipartitionSpec, indices: np.ndarray
 ) -> list[tuple[SzBlock, int, np.ndarray]]:
-    """Shell-averaged reduced density matrix (1/d_E) sum_n Tr_B |n><n|.
+    """Averaged reduced density matrix (1/d_E) sum_n Tr_B |n><n| of eigenkets.
 
-    Equals Tr_B of the microcanonical state by linearity.  Inside the sector
-    the average is block-diagonal in k (see sz_blocks), so it is returned as
-    one (block, count, matrix) triple per block of rdm_blocks, which also
-    gives the count (2 for a block that stands for its spin-flip mirror).
-    The matrix is the averaged block (1/d_E) sum_n M_k M_k^T, indexed by
-    block.a_masks.  When d_E n_b < n_a that block has rank at most d_E n_b,
-    and the matrix is its factor F = W / sqrt(d_E) instead, n_a x d_E n_b
-    with W = [M_k of every member], so the block is F F^T and its nonzero
-    spectrum is that of the smaller F^T F.  Each chunk of kets adds one
-    tensordot over its ket and bath axes (or its rows of W^T), so neither a
-    2^N vector nor a (kets, n_a, n_a) array is formed.
+    The d_E eigenkets n are `indices` (an energy shell's, for the shell
+    tables), and the average equals Tr_B of their uniform mixture by
+    linearity.  Inside the sector it is block-diagonal in k (see sz_blocks),
+    so it is returned as one (block, count, matrix) triple per block of
+    rdm_blocks, which also gives the count (2 for a block that stands for
+    its spin-flip mirror).  The matrix is the averaged block (1/d_E) sum_n
+    M_k M_k^T, indexed by block.a_masks.  When d_E n_b < n_a that block has
+    rank at most d_E n_b, and the matrix is its factor F = W / sqrt(d_E)
+    instead, n_a x d_E n_b with W = [M_k of every member], so the block is
+    F F^T and its nonzero spectrum is that of the smaller F^T F.  Each chunk
+    of kets adds one tensordot over its ket and bath axes (or its rows of
+    W^T), so neither a 2^N vector nor a (kets, n_a, n_a) array is formed.
     """
-    if shell.count == 0:
-        raise ValueError("averaged RDM of an empty shell is undefined")
+    d_e = len(indices)
+    if d_e == 0:
+        raise ValueError("averaged RDM of no eigenket is undefined")
     counts = dict(rdm_blocks(spec, part))
-    wide = {b: [] for b in counts if b.shape[0] > shell.count * b.shape[1]}
+    wide = {b: [] for b in counts if b.shape[0] > d_e * b.shape[1]}
     acc = {b: np.zeros((b.shape[0],) * 2) for b in counts if b not in wide}
-    for _, block, m in gather_blocks(spec, shell.member_indices, counts):
+    for _, block, m in gather_blocks(spec, indices, counts):
         if block in wide:
             wide[block].append(m.transpose(0, 2, 1).reshape(-1, block.shape[0]))
         else:
@@ -320,9 +322,9 @@ def averaged_rdm(
     out = []
     for block, count in counts.items():
         if block in wide:
-            mat = np.concatenate(wide[block]).T / np.sqrt(shell.count)
+            mat = np.concatenate(wide[block]).T / np.sqrt(d_e)
         else:
-            rho = acc[block] / shell.count
+            rho = acc[block] / d_e
             mat = 0.5 * (rho + rho.T)
         out.append((block, count, mat))
     return out

@@ -180,12 +180,12 @@ def gibbs(spec, beta: float) -> es.DensityMatrix:
     return es.DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
 
 
-def microcanonical(spec, shell) -> es.DensityMatrix:
-    """Uniform mixture (1/d_E) sum of shell eigenket projectors."""
-    if shell.count == 0:
-        raise ValueError("microcanonical state of an empty shell is undefined")
-    block = eigenvector_matrix(spec)[:, shell.member_indices]
-    rho = (block @ block.conj().T) / shell.count
+def microcanonical(spec, indices) -> es.DensityMatrix:
+    """Uniform mixture (1/d_E) sum of the projectors on eigenkets `indices`."""
+    if len(indices) == 0:
+        raise ValueError("microcanonical state of no eigenket is undefined")
+    block = eigenvector_matrix(spec)[:, indices]
+    rho = (block @ block.conj().T) / len(indices)
     rho = 0.5 * (rho + rho.conj().T)
     return es.DensityMatrix(matrix=rho, space_tag=sector_tag(spec.basis_tag))
 
@@ -233,17 +233,18 @@ def unpaired_entropies(spec, part, indices=None) -> np.ndarray:
     return out
 
 
-def unpaired_svn_avg_rdm(spec, shell, part) -> float:
-    """S_VN of the shell-averaged RDM, summed over every S^z block.
+def unpaired_svn_avg_rdm(spec, part, indices) -> float:
+    """S_VN of the RDM averaged over eigenkets `indices`, summed over every
+    S^z block.
 
     Each block is (1/d_E) sum_n M_k M_k^T, diagonalized at the n_a side.
     """
     n_sites, n_up = es.sector_of(spec.basis_tag)
     blocks = es.states.sz_blocks(n_sites, n_up, part.l1)
     acc = {b: np.zeros((len(b.a_masks),) * 2) for b in blocks}
-    for _, block, m in es.states.gather_blocks(spec, shell.member_indices, blocks):
+    for _, block, m in es.states.gather_blocks(spec, indices, blocks):
         acc[block] += np.tensordot(m, m, axes=([0, 2], [0, 2]))
-    return float(sum(_entropies(rho[None] / shell.count)[0] for rho in acc.values()))
+    return float(sum(_entropies(rho[None] / len(indices))[0] for rho in acc.values()))
 
 
 def dense_spectrum(eigenvalues, eigenvectors=None, basis_tag="t", params=None):

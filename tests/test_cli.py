@@ -1,4 +1,5 @@
 """End-to-end CLI runs, in process, against temporary output directories."""
+import fcntl
 import hashlib
 import json
 import math
@@ -946,18 +947,29 @@ KILL_MID_WRITE = """
 import os, signal, sys
 from entroscope import cli, spectral
 real_open = open
+prefix = sys.argv[1]
 
 def killing_open(path, *args, **kwargs):
     fh = real_open(path, *args, **kwargs)
-    if os.path.basename(path).startswith("dos_"):
+    if os.path.basename(path).startswith(prefix):
         fh.write(b"partial")
         fh.flush()
         os.kill(os.getpid(), signal.SIGKILL)
     return fh
 
 spectral.open = killing_open
-cli.main(sys.argv[1:])
+cli.main(sys.argv[2:])
 """
+
+
+def _killed_in_write(prefix, argv):
+    """Run main(argv) in a subprocess that SIGKILLs itself once it opens a
+    file whose name starts with prefix; asserts that it died so."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_MID_WRITE, prefix, *argv], env=env, timeout=120
+    )
+    assert proc.returncode == -signal.SIGKILL
 
 
 def test_run_killed_mid_write_leaves_no_manifest_and_no_temp_file(tmp_path):
@@ -966,11 +978,7 @@ def test_run_killed_mid_write_leaves_no_manifest_and_no_temp_file(tmp_path):
             "--cache", "off", "--out", str(out)]
     assert main(argv) == 0
     # A rerun is killed inside the write of its second table (dos_*).
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-c", KILL_MID_WRITE, *argv], env=env, timeout=120
-    )
-    assert proc.returncode == -signal.SIGKILL
+    _killed_in_write("dos_", argv)
     assert not (out / "manifest.json").exists()
     assert [p.name.split(".tmp.")[0] for p in out.glob("*.tmp.*")] == ["dos_d2=0.csv"]
     # The next run sweeps the dead run's temporary file away.
@@ -978,6 +986,42 @@ def test_run_killed_mid_write_leaves_no_manifest_and_no_temp_file(tmp_path):
     files = {p.name for p in out.iterdir()}
     assert files == set(_manifest(out)["files"]) | {"manifest.json", cli.LOCK_NAME}
     assert list(out.glob("*.tmp.*")) == []
+
+
+N6_RECORDS = ["N6_nup3_d20.spec", "N6_nup3_d20_l1=1.svn"]
+
+
+@pytest.mark.parametrize("record", N6_RECORDS)
+def test_run_killed_mid_cache_write_leaves_no_temp_file(tmp_path, record):
+    out = tmp_path / "out"
+    cache = out / "cache"
+    argv = ["eigenket-scan", "--n-sites", "6", "--delta2", "0", "--bins", "4",
+            "--out", str(out)]
+    _killed_in_write(record, argv)
+    assert [p.name.split(".tmp.")[0] for p in cache.glob("*.tmp.*")] == [record]
+    # The rerun writes that record again and first removes the dead temp file.
+    assert main(argv) == 0
+    assert list(cache.glob("*.tmp.*")) == []
+    assert sorted(p.name for p in cache.iterdir()) == N6_RECORDS
+
+
+def test_cache_write_keeps_a_temp_file_whose_writer_holds_its_lock(tmp_path):
+    out = tmp_path / "out"
+    cache = out / "cache"
+    cache.mkdir(parents=True)
+    live, dead = (cache / f"N6_nup3_d20.spec.tmp.{pid}" for pid in (1, 2))
+    other = cache / "N6_nup3_d20.5.spec.tmp.3"  # another record's
+    for path in (live, dead, other):
+        path.write_bytes(b"partial")
+    argv = ["eigenket-scan", "--n-sites", "6", "--delta2", "0", "--bins", "4",
+            "--out", str(out)]
+    with open(live, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        assert main(argv) == 0
+        assert live.read_bytes() == b"partial"
+    assert not dead.exists()
+    assert other.read_bytes() == b"partial"
+    assert load_spectrum(cache / "N6_nup3_d20.spec").dim == 20
 
 
 def test_rerun_leaves_only_the_tables_of_its_manifest(tmp_path):

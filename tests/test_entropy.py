@@ -80,9 +80,9 @@ def test_von_neumann_rejects_indefinite():
 def test_q_boltzmann_equals_microcanonical_entropy(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    shell = dos.shells[dos.peak_index()]
+    shell = dos.members(dos.peak_index())
     rho = oracles.microcanonical(spec, shell)
-    assert abs(es.von_neumann(rho) - np.log(shell.count)) < 1e-10
+    assert abs(es.von_neumann(rho) - np.log(len(shell))) < 1e-10
 
 
 def test_q_gibbs_worked_example():

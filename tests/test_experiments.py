@@ -42,16 +42,15 @@ def test_eigenket_scan_record_structure(spec10, tmp_path):
     dos = es.partition_shells(spec, 25)
     assert (shell >= 0).all()
     assert np.array_equal(shell, dos.shell_of)
-    for j, members in enumerate(s.member_indices for s in dos.shells):
-        assert (shell[members] == j).all()
+    for j in range(25):
+        assert (shell[dos.members(j)] == j).all()
 
 
 def test_ground_state_entropy_below_mid_spectrum_mean(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
     s_vn = subsystem_entropies(spec, es.BipartitionSpec(10, 3))
-    mid = dos.shells[dos.peak_index()]
-    assert s_vn[0] < s_vn[mid.member_indices].mean()
+    assert s_vn[0] < s_vn[dos.members(dos.peak_index())].mean()
 
 
 def test_subsystem_entropies_chunking_consistency(spec10):
@@ -72,7 +71,7 @@ def test_shell_average_singleton_rows(spec10):
     table = es.run_shell_average(spec, part, s_vn, dos, min_count=1)
     for r in range(table.n_rows):
         if table.d_e[r] == 1:
-            member = dos.shells[int(table.shell_index[r])].member_indices[0]
+            (member,) = dos.members(table.shell_index[r])
             assert dos.shell_of[member] == table.shell_index[r]
             assert abs(table.mean_svn[r] - s_vn[member]) < 1e-12
             assert table.std_svn[r] == 0.0
@@ -192,7 +191,9 @@ def test_volume_law_complement_symmetry():
     by_l1 = dict(zip(vt.l1.tolist(), vt.mean_svn.tolist()))
     for l1 in (1, 2, 3):
         assert abs(by_l1[l1] - by_l1[8 - l1]) <= 1e-8
-    assert vt.d_e == dos.shells[dos.peak_index()].count
+    assert vt.d_e == dos.counts[dos.peak_index()]
+    peak = dos.peak_index()
+    assert (vt.shell_lo, vt.shell_hi) == tuple(dos.edges[peak : peak + 2])
     with pytest.raises(ValueError):
         es.run_volume_law(spec, dos, [])
 
@@ -207,11 +208,8 @@ def test_census_two_site_triplet():
     assert abs(census.fraction_degenerate - 0.75) < 1e-15
 
 
-def test_census_tolerance_zero_all_singletons(spec10):
-    # Tolerance 0 leaves every level of the sector its own multiplet; a
-    # census of levels that far apart, given in any order, finds no multiplet.
-    e = spec10[0.0].eigenvalues
-    assert es.degenerate_multiplets(e, tol_scale=0.0) == [(n, 1) for n in range(252)]
+def test_census_of_distinct_levels_all_singletons():
+    # Levels far apart, given in any order, form no multiplet.
     census = es.degeneracy_census(np.linspace(-1.0, 1.0, 252)[::-1])
     assert census.histogram == {1: 252}
     assert census.fraction_degenerate == 0.0

@@ -2,8 +2,12 @@
 grouping, persistence."""
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 import entroscope as es
 import oracles
+from entroscope import spectral
 from entroscope.cli import main
 from entroscope.hamiltonian import SymmetricOperator
-from entroscope.spectral import Spectrum, load_scan, save_scan, scan_cache_path
+from entroscope.spectral import (
+    Spectrum,
+    atomic_write,
+    load_scan,
+    save_scan,
+    scan_cache_path,
+)
 
 
 def _spec(n, n_up, d2):
@@ -39,16 +50,17 @@ def test_partition_worked_example():
     assert list(table.counts) == [2, 1]
     assert np.allclose(table.dos, [2 / 0.45, 1 / 0.45], rtol=1e-6)
     # membership is (lower, upper]
-    for shell in table.shells:
-        members = fake.eigenvalues[shell.member_indices]
-        assert np.all(members > shell.lower) and np.all(members <= shell.upper)
+    for j, (lower, upper) in enumerate(zip(table.edges[:-1], table.edges[1:])):
+        members = fake.eigenvalues[table.members(j)]
+        assert np.all(members > lower) and np.all(members <= upper)
 
 
 def test_partition_single_bin_degenerate_case():
     fake = oracles.dense_spectrum([1.0, 2.0, 3.0])
     table = es.partition_shells(fake, 1)
-    assert len(table.shells) == 1
-    assert table.shells[0].count == 3
+    assert len(table.edges) == 2
+    assert list(table.counts) == [3]
+    assert list(table.members(0)) == [0, 1, 2]
 
 
 def test_partition_flat_spectrum_uses_token_width():
@@ -83,18 +95,20 @@ def test_partition_exhaustive_and_disjoint(energies, n_bins):
     with w.catch_warnings():
         w.simplefilter("ignore")
         table = es.partition_shells(fake, n_bins)
-    seen = np.concatenate([s.member_indices for s in table.shells])
+    assert len(table.edges) == n_bins + 1
+    members = [table.members(j) for j in range(n_bins)]
+    seen = np.concatenate(members)
     assert sorted(seen) == list(range(len(e)))
     assert len(set(seen.tolist())) == len(e)
     # shell_of names each eigenket's one shell, so none is left at -1.
     assert len(table.shell_of) == len(e)
     assert (table.shell_of >= 0).all()
-    for j, shell in enumerate(table.shells):
-        assert (table.shell_of[shell.member_indices] == j).all()
-    for shell in table.shells:
-        vals = e[shell.member_indices]
-        assert np.all(vals > shell.lower) and np.all(vals <= shell.upper)
-        assert np.all(np.diff(shell.member_indices) > 0)
+    for j, m in enumerate(members):
+        assert len(m) == table.counts[j]
+        assert np.array_equal(m, np.flatnonzero(table.shell_of == j))
+        vals = e[m]
+        assert np.all(vals > table.edges[j]) and np.all(vals <= table.edges[j + 1])
+        assert np.all(np.diff(m) > 0)
 
 
 def test_peak_index_first_on_ties():
@@ -104,49 +118,49 @@ def test_peak_index_first_on_ties():
     assert table.peak_index() == 0
 
 
-def test_degenerate_multiplets_grouping():
+def test_multiplet_sizes_grouping():
     e = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 2.0])
-    groups = es.degenerate_multiplets(e)
-    assert groups == [(0, 3), (3, 1), (4, 2)]
+    assert es.multiplet_sizes(e).tolist() == [3, 1, 2]
     flags = es.multiplet_flags(e)
     assert list(flags) == [True, True, True, False, True, True]
-    # tolerance 0 still chains bitwise-equal values but nothing else
-    assert es.degenerate_multiplets(e, tol_scale=0.0) == [(0, 3), (3, 1), (4, 2)]
-    near = np.array([0.0, 1e-300, 1.0])
-    assert es.degenerate_multiplets(near, tol_scale=0.0) == [(0, 1), (1, 1), (2, 1)]
+    # an empty spectrum has no multiplet
+    assert es.multiplet_sizes(np.array([])).tolist() == []
+    assert es.multiplet_flags(np.array([])).tolist() == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     energies=st.lists(st.sampled_from([0.0, 1e-11, 0.5, 1.0, 1.0 + 1e-9, 2.0]),
                       max_size=12),
-    tol_scale=st.sampled_from([0.0, 1e-10, 1e-8]),
 )
-def test_multiplets_match_a_level_by_level_scan(energies, tol_scale):
+def test_multiplets_match_a_level_by_level_scan(energies):
     e = np.sort(np.asarray(energies, dtype=float))
+    tol = spectral.DEGENERACY_TOL
     want, start = [], 0
     for i in range(1, len(e) + 1):
-        if i == len(e) or e[i] - e[i - 1] > tol_scale * max(1.0, abs(e[i - 1])):
-            want.append((start, i - start))
+        if i == len(e) or e[i] - e[i - 1] > tol * max(1.0, abs(e[i - 1])):
+            want.append(i - start)
             start = i
-    got = es.degenerate_multiplets(e, tol_scale)
-    assert got == want
-    assert all(type(x) is int for pair in got for x in pair)
-    flags = es.multiplet_flags(e, tol_scale)
+    assert es.multiplet_sizes(e).tolist() == want
+    flags = es.multiplet_flags(e)
     assert flags.dtype == bool
-    assert flags.tolist() == [size >= 2 for _, size in want for _ in range(size)]
+    assert flags.tolist() == [size >= 2 for size in want for _ in range(size)]
+    # The census counts the same multiplets, whatever order the levels come in.
+    census = es.degeneracy_census(e[::-1])
+    assert census.histogram == dict(Counter(want))
+    assert census.n_levels == len(e)
 
 
 def test_degeneracy_tolerance_scales_with_energy():
     # 1e-11 apart at |E|=100: within 1e-10 * 100, so one multiplet.
     e = np.array([100.0, 100.0 + 1e-11])
-    assert es.degenerate_multiplets(e) == [(0, 2)]
+    assert es.multiplet_sizes(e).tolist() == [2]
     # The same gap at |E|=1e-3 also chains (scale floor is 1).
     e = np.array([1e-3, 1e-3 + 1e-11])
-    assert es.degenerate_multiplets(e) == [(0, 2)]
+    assert es.multiplet_sizes(e).tolist() == [2]
     # A 1e-9 gap at small |E| does not.
     e = np.array([1e-3, 1e-3 + 1e-9])
-    assert es.degenerate_multiplets(e) == [(0, 1), (1, 1)]
+    assert es.multiplet_sizes(e).tolist() == [1, 1]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -593,17 +607,72 @@ def test_load_rejects_blocks_that_disagree_with_the_sector(tmp_path, edit):
         es.load_spectrum(path)
 
 
+def test_atomic_write_reopens_a_temp_file_a_sweep_removed(tmp_path, monkeypatch):
+    # A sweep of dead temporary files may lock and unlink one between the
+    # writer's open and its flock; the writer then starts over on a new one.
+    real_open, opened = open, []
+
+    def racing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if not opened:
+            os.unlink(path)
+        opened.append(path)
+        return fh
+
+    monkeypatch.setattr(spectral, "open", racing_open, raising=False)
+    target = tmp_path / "record"
+    with atomic_write(target) as fh:
+        fh.write(b"whole")
+    assert len(opened) == 2
+    assert target.read_bytes() == b"whole"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+RECORD_WRITER = """
+import sys
+from dataclasses import replace
+import numpy as np
+import entroscope as es
+import oracles
+spec = replace(oracles.dense_spectrum(np.arange(20.0), basis_tag="N6_nup3",
+                                      params=es.ModelParams(6, 0.0)), checksum=b"k" * 8)
+for i in range(int(sys.argv[2])):
+    es.spectral.save_scan(np.full(20, float(i)), sys.argv[1], spec, 1)
+"""
+
+
+def test_concurrent_writers_of_one_record_keep_each_others_temp_files(tmp_path):
+    # Each write of a record first removes the record's temporary files whose
+    # lock it can take.  Four writers of one record sweep the others' files
+    # while those are written: a live writer's file removed under it would
+    # fail that writer's rename.
+    path = tmp_path / "N6_nup3_d20_l1=1.svn"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", RECORD_WRITER, str(path), "300"], env=env)
+        for _ in range(4)
+    ]
+    assert [proc.wait(timeout=120) for proc in procs] == [0] * 4
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    spec = replace(
+        oracles.dense_spectrum(np.arange(20.0), basis_tag="N6_nup3",
+                               params=es.ModelParams(6, 0.0)),
+        checksum=b"k" * 8,
+    )
+    assert load_scan(path, spec, 1).tolist() == [299.0] * 20
+
+
 def test_table_kernels_never_form_the_eigenvector_matrix():
     # The heap bound keeps the kernels from building the D x D eigenvector
     # matrix (8 D^2 bytes) on any route.
     spec, _, _ = _spec(12, 6, 0.5)
     part = es.BipartitionSpec(12, 6)
-    shell = es.partition_shells(spec, 20).shells[10]
-    expected = (es.subsystem_entropies(spec, part), es.averaged_rdm(spec, shell, part))
+    shell = es.partition_shells(spec, 20).members(10)
+    expected = (es.subsystem_entropies(spec, part), es.averaged_rdm(spec, part, shell))
     tracemalloc.start()
     try:
         s = es.subsystem_entropies(spec, part)
-        rho = es.averaged_rdm(spec, shell, part)
+        rho = es.averaged_rdm(spec, part, shell)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

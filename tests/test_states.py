@@ -11,7 +11,7 @@ import entroscope as es
 import oracles
 from entroscope.errors import NumericsError
 from entroscope.experiments import subsystem_entropies
-from entroscope.spectral import DosTable, EnergyShell, Spectrum
+from entroscope.spectral import Spectrum
 from entroscope.states import full_tag, gibbs_weights, measurement_weights
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -123,31 +123,24 @@ def test_mix_rejects_bad_weights_and_dims():
 def test_microcanonical_uniform_shell(spec10):
     spec = spec10[0.5]
     dos = es.partition_shells(spec, 25)
-    shell = dos.shells[dos.peak_index()]
-    rho = oracles.microcanonical(spec, shell)
+    d_e = dos.counts[dos.peak_index()]
+    rho = oracles.microcanonical(spec, dos.members(dos.peak_index()))
     vals = np.sort(rho.eigenvalues())[::-1]
-    assert np.allclose(vals[: shell.count], 1.0 / shell.count, atol=1e-12)
-    assert np.allclose(vals[shell.count :], 0.0, atol=1e-12)
+    assert np.allclose(vals[:d_e], 1.0 / d_e, atol=1e-12)
+    assert np.allclose(vals[d_e:], 0.0, atol=1e-12)
 
 
 def test_microcanonical_singleton_is_pure(spec10):
     spec = spec10[0.0]
-    from entroscope.spectral import EnergyShell
-
-    shell = EnergyShell(lower=-np.inf, upper=np.inf, member_indices=np.array([0]))
-    rho = oracles.microcanonical(spec, shell)
+    rho = oracles.microcanonical(spec, np.array([0]))
     assert es.von_neumann(rho) < 1e-9
     with pytest.raises(ValueError):
-        oracles.microcanonical(
-            spec, EnergyShell(lower=0, upper=1, member_indices=np.array([], dtype=int))
-        )
+        oracles.microcanonical(spec, np.array([], dtype=int))
 
 
 def test_microcanonical_invariant_under_multiplet_remixing():
     # Two exactly degenerate levels: remixing their eigenvectors by any
     # rotation leaves the shell projector unchanged.
-    from entroscope.spectral import EnergyShell
-
     theta = 0.3
     rot = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
@@ -157,7 +150,7 @@ def test_microcanonical_invariant_under_multiplet_remixing():
     mixed = vecs.copy()
     mixed[:, :2] = mixed[:, :2] @ rot
     spec_b = oracles.dense_spectrum([1.0, 1.0, 2.0], mixed)
-    shell = EnergyShell(lower=0.5, upper=1.5, member_indices=np.array([0, 1]))
+    shell = np.array([0, 1])
     rho_a = oracles.microcanonical(spec_a, shell)
     rho_b = oracles.microcanonical(spec_b, shell)
     assert np.abs(rho_a.matrix - rho_b.matrix).max() < 1e-14
@@ -252,16 +245,15 @@ def test_averaged_rdm_singleton_and_linearity(spec10):
     basis = es.enumerate_sector(10, 5)
     part = es.BipartitionSpec(10, 3)
     dos = es.partition_shells(spec, 25)
-    shell = dos.shells[dos.peak_index()]
+    shell = dos.members(dos.peak_index())
 
-    single = EnergyShell(lower=-np.inf, upper=np.inf, member_indices=np.array([7]))
-    rho_one = es.averaged_rdm(spec, single, part)
+    rho_one = es.averaged_rdm(spec, part, np.array([7]))
     psi = oracles.embed_sector_state(basis, oracles.eigenvector_matrix(spec)[:, 7])
     direct = es.partial_trace(psi, part)
     assert np.abs(oracles.assemble_rdm(rho_one, 3) - direct.matrix).max() < 1e-12
 
     # Linearity: averaged RDM equals Tr_B of the microcanonical state.
-    rho_bar = es.averaged_rdm(spec, shell, part)
+    rho_bar = es.averaged_rdm(spec, part, shell)
     mc = oracles.microcanonical(spec, shell)
     full = np.zeros((1 << 10, 1 << 10))
     full[np.ix_(basis.states, basis.states)] = mc.matrix
@@ -302,10 +294,8 @@ def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
         psi = oracles.embed_sector_state(basis, v[:, n])
         assert abs(s[n] - es.von_neumann(es.partial_trace(psi, part))) <= 1e-12
 
-    shell = EnergyShell(
-        lower=-np.inf, upper=np.inf, member_indices=np.arange(0, spec.dim, 2)
-    )
-    rho_bar = es.averaged_rdm(spec, shell, part)
+    shell = np.arange(0, spec.dim, 2)
+    rho_bar = es.averaged_rdm(spec, part, shell)
     full = np.zeros((1 << n_sites, 1 << n_sites))
     mc = oracles.microcanonical(spec, shell)
     full[np.ix_(basis.states, basis.states)] = mc.matrix
@@ -314,13 +304,8 @@ def test_sz_block_kernel_matches_full_space(n_sites, n_up, l1):
     )
     assert np.abs(oracles.assemble_rdm(rho_bar, l1) - traced.matrix).max() <= 1e-12
     # The shell table's entropy of that average comes from the same kernel.
-    shell_of = np.full(spec.dim, -1)
-    shell_of[shell.member_indices] = 0
-    dos = DosTable(
-        shells=[shell], dos=np.ones(1), ln_dos=np.zeros(1), shell_of=shell_of
-    )
-    table = es.run_shell_average(spec, part, s, dos, min_count=1)
-    assert abs(table.svn_avg_rdm[0] - es.von_neumann(traced)) <= 1e-12
+    (s_avg,) = es.shell_rdm_entropies(spec, part, [shell])
+    assert abs(s_avg - es.von_neumann(traced)) <= 1e-12
 
 
 def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
@@ -328,7 +313,7 @@ def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
     # The tables must not change by a single bit.  N=14 spans several chunks.
     spec = spec14[0.5]
     part = es.BipartitionSpec(14, 5)
-    shell = es.partition_shells(spec, 40).shells[20]
+    shell = es.partition_shells(spec, 40).members(20)
     outs = []
     for layout in (np.ascontiguousarray, np.asfortranarray):
         copy = Spectrum(
@@ -341,7 +326,7 @@ def test_sz_block_kernel_ignores_eigenvector_layout(spec14):
         picked = np.arange(spec.dim)[::-1]
         outs.append((
             subsystem_entropies(copy, part, indices=picked),
-            [mat.tobytes() for *_, mat in es.averaged_rdm(copy, shell, part)],
+            [mat.tobytes() for *_, mat in es.averaged_rdm(copy, part, shell)],
         ))
     (s_c, rho_c), (s_f, rho_f) = outs
     assert s_c.tobytes() == s_f.tobytes()
@@ -385,7 +370,7 @@ def test_flip_paired_kernel_matches_every_block_oracle(n_sites, delta2, request)
     # DOS peak mixes kets of both flip parities.
     kets = np.arange(0, spec.dim, max(1, spec.dim // 200))
     dos = es.partition_shells(spec, 12)
-    peak = dos.shells[dos.peak_index()]
+    peak = dos.members(dos.peak_index())
     for l1 in range(1, n_sites):
         part = es.BipartitionSpec(n_sites, l1)
         kept = es.states.rdm_blocks(spec, part)
@@ -397,11 +382,11 @@ def test_flip_paired_kernel_matches_every_block_oracle(n_sites, delta2, request)
         want = oracles.unpaired_entropies(spec, part, kets)
         assert np.abs(s - want).max() <= 1e-13, l1
         (got,) = es.shell_rdm_entropies(spec, part, [peak])
-        want = oracles.unpaired_svn_avg_rdm(spec, peak, part)
+        want = oracles.unpaired_svn_avg_rdm(spec, part, peak)
         # A large cut reads the smaller F^T F, whose eigenvalues carry less
         # rounding than the oracle's n_a x n_a block: that switch has its
         # own bound (test_large_cut_averages_take_the_smaller_gram).
-        wide = any(b.shape[0] > peak.count * b.shape[1] for b, _ in kept)
+        wide = any(b.shape[0] > len(peak) * b.shape[1] for b, _ in kept)
         assert abs(got - want) <= (1e-12 if wide else 1e-13), l1
 
 
@@ -421,7 +406,7 @@ def test_spectrum_without_flip_labels_counts_every_block_once(spec10):
     plain = oracles.dense_spectrum(
         spec.eigenvalues, oracles.eigenvector_matrix(spec), basis_tag=spec.basis_tag
     )
-    shell = es.partition_shells(spec, 12).shells[6]
+    shell = es.partition_shells(spec, 12).members(6)
     for l1 in range(1, 10):
         part = es.BipartitionSpec(10, l1)
         every = es.states.sz_blocks(10, 5, l1)
@@ -445,11 +430,10 @@ def test_large_cut_averages_take_the_smaller_gram(l1):
         spec, part, subsystem_entropies(spec, part), dos, min_count=1
     )
     for r, j in enumerate(table.shell_index):
-        shell = dos.shells[j]
-        want = oracles.unpaired_svn_avg_rdm(spec, shell, part)
+        want = oracles.unpaired_svn_avg_rdm(spec, part, dos.members(j))
         assert abs(table.svn_avg_rdm[r] - want) <= 1e-12
-    peak = dos.shells[dos.peak_index()]
-    factors = [mat.shape for _, _, mat in es.averaged_rdm(spec, peak, part)]
+    peak = dos.members(dos.peak_index())
+    factors = [mat.shape for _, _, mat in es.averaged_rdm(spec, part, peak)]
     assert any(n_a > d for n_a, d in factors)
 
 
