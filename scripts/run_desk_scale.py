@@ -5,17 +5,21 @@ Runs every experiment through the CLI entry point so each output directory
 gets its own checksummed manifest.  Spectra are shared through one cache,
 so each coupling's eigensolve happens once, and so is its full entropy scan
 (eigenket-scan computes it, shell-average and gamma-fit load it).  Per
-coupling, eigenket-scan solves and saves the spectrum; shell-average and
-volume-law each load it whole (eigenvalues and eigenvectors); gamma-fit
-reads only its eigenvalue section, and so does the census at delta2=0.5.
-At delta2=0 the census solves the middle sector alone, resolved by total
-spin, and reads no cache file.  Neither loads an eigenvector.
+coupling, eigenket-scan solves and saves the spectrum (at delta2=0 each
+symmetry block of H + c S^2, so every level also carries its total spin);
+shell-average and volume-law each load it whole (levels and
+eigenvectors); gamma-fit reads only its level section, and so does the
+census.  At delta2=0 those levels, each counted 2S+1 times, are the whole
+census, and nothing is solved; at delta2=0.5 the census also solves the
+other sectors n_up <= 6 for eigenvalues per block.  Neither loads an
+eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-About three and a half seconds end to end on a 2-core machine (3.2-3.6 s
-over three cold-cache runs, 98.6 MB peak RSS, 2-core Xeon; the census call
-took 1.0-1.2 s of it); each cached spectrum (dim 3432, four symmetry
-blocks) is 23.6 MB and each scan file 27.6 kB.
+About three seconds end to end on a 2-core machine (2.9-3.7 s over three
+cold-cache runs, 95.4 MB peak RSS, 2-core Xeon; the census call took
+0.7-1.0 s of it, all at delta2=0.5, and the property suite 0.13-0.15 s);
+each cached spectrum (dim 3432, four symmetry blocks) is 23.6 MB and each
+scan file 27.6 kB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
 (four symmetry blocks of about 3200) takes about 23 s on 2 cores.  The
@@ -42,9 +46,9 @@ PIPELINES = {
         ["shell-average", *SCAN_14],
         ["gamma-fit", *SCAN_14],
         ["volume-law", "--n-sites", "14", "--bins", "40", *BOTH],
-        # census: at delta2=0 the 4 symmetry blocks of H + c S^2 in sector
-        # n_up = 7; at 0.5 eigenvalues per block of the 8 sectors n_up <= 7,
-        # spin flip giving the other 7
+        # census: at delta2=0 the cached levels and spins of sector n_up = 7;
+        # at 0.5 its cached levels and eigenvalues per block of the 7
+        # sectors n_up <= 6, spin flip giving n_up >= 8
         ["degeneracy-census", "--n-sites", "14", *BOTH],
         ["property-suite", "--seed", "42"],
     ]),

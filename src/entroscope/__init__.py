@@ -68,10 +68,7 @@ from .states import (
     mix,
     partial_trace,
     partial_trace_bath,
-    random_decomposition,
     random_density,
-    random_pure,
-    random_unitary,
 )
 
 __version__ = "0.1.0"

@@ -320,33 +320,43 @@ def _degeneracy_census_rows(c: _Coupling):
 
     The middle sector n_up = N // 2 (half filling for even N) holds one
     member of every SU(2) multiplet.  When the coupling commutes with S^2,
-    it alone is solved, per symmetry block of H + c S^2, and each level
+    only that sector's levels are needed, each with its spin, and each
     counts 2S + 1 times.  Otherwise each sector is solved per symmetry
-    block, eigenvalues only; the table sector n_up = cfg.n_up takes its
-    per-block eigenvalues from the coupling's eigenvalue view instead when
-    the cache holds the spectrum, and the spin flip maps sector n_up onto
-    N - n_up, so only n_up <= N/2 is solved and counts for both.  A census
-    never builds the spectrum.  <r> is recorded per block of the middle
-    sector.
+    block, eigenvalues only, and the spin flip maps sector n_up onto N -
+    n_up, so only n_up <= N/2 is solved and counts for both.
+
+    The coupling's eigenvalue view of the table sector n_up = cfg.n_up (the
+    spectrum this run holds, else its cache file's level section) takes the
+    place of that sector's solve.  When the table sector is the middle one,
+    it also decides the path: levels with spins are the census, and levels
+    without them mean the solve found [H, S^2] != 0.  With no such view,
+    the middle sector is built and probed, and solved per block of H +
+    c S^2 when it commutes with S^2.  A census never builds the spectrum.
+    <r> is recorded per block of the middle sector.
     """
     n = c.cfg.n_sites
-    middle = build_hamiltonian(enumerate_sector(n, n // 2), c.params)
-    resolved = spin_resolved_eigenvalues(middle)
+
+    def sector(n_up):
+        return build_hamiltonian(enumerate_sector(n, n_up), c.params)
+
+    table = c.levels(solve=False) if c.cfg.n_up <= n // 2 else None
+    middle = resolved = None
+    if c.cfg.n_up != n // 2 or table is None:
+        middle = sector(n // 2)
+        resolved = spin_resolved_eigenvalues(middle)
+    elif table.spin_resolved:
+        resolved = {b.block.label: (b.eigenvalues, b.two_s) for b in table.blocks}
     if resolved is not None:
         by_block = {label: e for label, (e, _) in resolved.items()}
         merged = [np.repeat(e, two_s + 1) for e, two_s in resolved.values()]
     else:
         merged = []
         for n_up in range(n // 2 + 1):
-            # Fetched in its turn, so no spectrum is held while others solve.
-            spec = c.levels(solve=False) if n_up == c.cfg.n_up else None
-            if spec is not None:
-                by_block = {b.block.label: b.eigenvalues for b in spec.blocks}
+            if n_up == c.cfg.n_up and table is not None:
+                by_block = {b.block.label: b.eigenvalues for b in table.blocks}
             else:
-                by_block = block_eigenvalues(
-                    middle if n_up == n // 2
-                    else build_hamiltonian(enumerate_sector(n, n_up), c.params)
-                )
+                op = middle if n_up == n // 2 and middle is not None else sector(n_up)
+                by_block = block_eigenvalues(op)
             evals = np.concatenate(list(by_block.values()))
             merged += [evals] if 2 * n_up == n else [evals, evals]
     # Either way by_block holds the middle sector (the loop ends on it).

@@ -19,31 +19,49 @@ PROB_SUM_TOL = 1e-10
 NEG_PROB_TOL = 1e-12
 
 
-def _plogp_sum(p: np.ndarray) -> float:
-    """-sum p ln p with the 0 ln 0 = 0 convention.
+def _plogp_sum(p: np.ndarray):
+    """-sum p ln p over the last axis with the 0 ln 0 = 0 convention.
 
     The true value is nonnegative for any probability vector; tolerated
     input noise (entries summing to 1 + O(1e-10)) can push the float sum
-    a hair below zero, so clamp at 0.
+    a hair below zero, so clamp at 0.  Each row sums its positive entries
+    in order as one contiguous run, rows with as many of them together, so
+    a row of a stack gets the bits it gets alone.  A float for a vector,
+    an array over the leading axes for a stack.
     """
-    pos = p[p > 0.0]
-    return max(0.0, float(-(pos * np.log(pos)).sum()))
+    rows = p.reshape(-1, p.shape[-1])
+    keep = rows > 0.0
+    n_pos = keep.sum(axis=1)
+    # Every row's positive entries first, in their order.
+    packed = np.take_along_axis(rows, np.argsort(~keep, axis=1, kind="stable"), 1)
+    out = np.empty(len(rows))
+    for k in np.unique(n_pos):
+        at = n_pos == k
+        pos = packed[at, :k]
+        out[at] = -(pos * np.log(pos)).sum(axis=1)
+    out = np.where(out > 0.0, out, 0.0)
+    return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 
 
 def shannon(probs) -> float:
-    """Shannon entropy of a probability vector.
+    """Shannon entropy of a probability vector (see shannon_rows)."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"expected a 1-d probability vector, got shape {p.shape}")
+    return shannon_rows(p)
+
+
+def shannon_rows(p: np.ndarray):
+    """Shannon entropy of each probability vector p[..., :].
 
     Entries must sum to 1 within PROB_SUM_TOL; rounding noise in
     [-NEG_PROB_TOL, 0) is treated as 0, anything lower is rejected.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"expected a 1-d probability vector, got shape {p.shape}")
     if np.any(p < -NEG_PROB_TOL):
         raise ValueError(f"negative probability {p.min():g}")
-    total = p.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    drift = np.abs(p.sum(axis=-1) - 1.0).max()
+    if drift > PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to 1 + {drift:g}, not 1")
     return _plogp_sum(p)
 
 
@@ -52,7 +70,7 @@ def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
 
     Eigenvalue noise in [-1e-10, 0) is clipped to zero; the clipped spectrum
     is fed to the plogp kernel directly since clipping can push the sum
-    slightly off 1.
+    slightly off 1.  A stack of matrices gives an array of entropies.
     """
     if isinstance(rho, DensityMatrix):
         vals = rho.eigenvalues()
@@ -79,7 +97,7 @@ def q_gibbs(spec_or_energies, beta: float) -> QGibbsResult:
     if e.ndim != 1 or len(e) == 0:
         raise ValueError("energies must be a nonempty 1-d array")
     p = gibbs_weights(e, beta)
-    s = _plogp_sum(p)
+    s = shannon(p)
     u = float(p @ e)
     x = -beta * e
     top = x.max()
@@ -103,7 +121,10 @@ class SubadditivityReport:
 def check_subadditivity(
     state: DensityMatrix | StateVector, part: BipartitionSpec
 ) -> SubadditivityReport:
-    """Evaluate both marginals of a full-space state and report the slack."""
+    """Evaluate both marginals of a full-space state and report the slack.
+
+    A stack of states gives arrays of entropies.
+    """
     rho_a = partial_trace(state, part)
     rho_b = partial_trace_bath(state, part)
     if isinstance(state, StateVector):

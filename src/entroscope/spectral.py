@@ -9,6 +9,7 @@ import struct
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -31,7 +32,7 @@ DEGENERACY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 _MAGIC = b"ENTROSPC"
-_VERSION = 3
+_VERSION = 4
 _SCAN_MAGIC = b"ENTROSVN"
 _SCAN_VERSION = 1
 
@@ -43,12 +44,14 @@ class EigenBlock:
     `eigenvalues` (E_b) ascend.  `eigenvectors` (V_b, block.dim x block.dim,
     column-major) holds the eigenvectors in the block's symmetry-reduced
     basis; U_b V_b gives their sector amplitudes.  It is None in a
-    spectrum read by load_levels.
+    spectrum read by load_levels.  `two_s` (2S_b, integers) is the total
+    spin of each eigenpair when the solve resolved it, else None.
     """
 
     block: SymmetryBlock
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray | None = field(repr=False)
+    two_s: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,11 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def spin_resolved(self) -> bool:
+        """Whether every block carries the total spin of its eigenpairs."""
+        return all(b.two_s is not None for b in self.blocks)
 
     def require_eigenvectors(self) -> None:
         """Raise ValueError when the blocks hold eigenvalues only."""
@@ -133,11 +141,13 @@ def _dense_sector(op: SymmetricOperator) -> tuple[int, int]:
     return n_sites, n_up
 
 
-def _solve_blocks(op: SymmetricOperator, solver, add=None):
-    """Apply `solver` to the dense U_b^T H U_b of each symmetry block.
+def _solve_blocks(op: SymmetricOperator, solver, extra=None):
+    """Apply solver(block, matrix) to the dense U_b^T H U_b of each block.
 
-    With `add` given, add(block, matrix) first adds to each block matrix in
-    place.  Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
+    With `extra` given, extra(block) returns (flat indices, values) of
+    entries summed onto each block matrix after those of H, in their order,
+    within the one bincount that builds it, so no second block-sized array
+    is allocated.  Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
     SYMMETRY_TOL for a group element g: op does not commute with the group,
     so it is not block-diagonal in the irreps, and a block solve would be
     wrong.
@@ -166,14 +176,16 @@ def _solve_blocks(op: SymmetricOperator, solver, add=None):
         pairs, slot = np.unique(rows * d + c[cols], return_inverse=True)
         h_u = np.bincount(slot, vals * u[cols], len(pairs))
         i, j = np.divmod(pairs, d)
-        h = np.bincount(c[i] * d + j, u[i] * h_u, d * d).reshape(d, d)
-        if add is not None:
-            add(b, h)
-        return h
+        flat, weights = c[i] * d + j, u[i] * h_u
+        if extra is not None:
+            more_flat, more_weights = extra(b)
+            flat = np.concatenate([flat, more_flat])
+            weights = np.concatenate([weights, more_weights])
+        return np.bincount(flat, weights, d * d).reshape(d, d)
 
     blocks = symmetry_blocks(n_sites, n_up)
     try:
-        return blocks, [solver(block_matrix(b)) for b in blocks]
+        return blocks, [solver(b, block_matrix(b)) for b in blocks]
     except np.linalg.LinAlgError as err:
         raise NumericsError(
             f"symmetric eigensolver failed for dim={op.dim}, "
@@ -186,34 +198,38 @@ def diagonalize(op: SymmetricOperator) -> Spectrum:
 
     Each symmetry block is solved densely and keeps its eigenvectors in the
     block's reduced basis, so every eigenvector has a definite symmetry and
-    no D x D matrix is formed.
+    no D x D matrix is formed.  When op commutes with S^2, each block of
+    op + c S^2 is solved instead (_spin_resolved_solve): every eigenvector
+    then also has a definite total spin, and each block keeps its 2S_b.
     """
-    blocks, solved = _solve_blocks(op, _eigh_column_major)
+    solved = _spin_resolved_solve(op, np.linalg.eigh)
+    blocks, triples = solved or _solve_blocks(op, _eigh_column_major)
     return Spectrum(
         blocks=tuple(
-            EigenBlock(block=b, eigenvalues=e, eigenvectors=v)
-            for b, (e, v) in zip(blocks, solved)
+            EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
+            for b, (e, v, two_s) in zip(blocks, triples)
         ),
         basis_tag=op.basis_tag,
     )
 
 
-def _eigh_column_major(h: np.ndarray):
-    """eigh with F-ordered eigenvectors, each one contiguous.
+def _eigh_column_major(block, h: np.ndarray):
+    """(E_b, V_b, None): eigh with F-ordered eigenvectors, each contiguous.
 
     The kernels and the cache read them that way; converting here, block by
     block, keeps one C-ordered copy resident at a time instead of all.
     """
     e, v = np.linalg.eigh(h)
-    return e, np.asfortranarray(v)
+    return e, np.asfortranarray(v), None
 
 
 def block_eigenvalues(op: SymmetricOperator) -> dict[str, np.ndarray]:
     """Ascending eigenvalues of each symmetry block, keyed by block label."""
-    blocks, evals = _solve_blocks(op, np.linalg.eigvalsh)
+    blocks, evals = _solve_blocks(op, lambda b, h: np.linalg.eigvalsh(h))
     return {b.label: e for b, e in zip(blocks, evals)}
 
 
+@lru_cache(maxsize=8)
 def _spin_swaps(n_sites: int, n_up: int):
     """S^2 of a sector as (s, t, diag): S^2 = diag * I + sum of |t><s|.
 
@@ -221,6 +237,9 @@ def _spin_swaps(n_sites: int, n_up: int):
     A swap of two aligned spins is the identity, and every state of the
     sector has C(n_up, 2) + C(N - n_up, 2) aligned pairs, so that count joins
     the constant; each anti-aligned pair of state s moves it to state t.
+    Memoised per sector (every table solve probes S^2); s and t are
+    read-only, in the smallest unsigned type that holds the sector's dim
+    (0.67 MB at N=14, alive through every later eigensolve).
     """
     states = enumerate_sector(n_sites, n_up).states
     i, j = np.triu_indices(n_sites, 1)
@@ -231,6 +250,10 @@ def _spin_swaps(n_sites: int, n_up: int):
     index = np.empty(1 << n_sites, dtype=np.int64)
     index[states] = np.arange(len(states))
     t = index[states[s] ^ masks[pair]]
+    index_type = np.min_scalar_type(len(states))
+    s, t = s.astype(index_type), t.astype(index_type)
+    s.setflags(write=False)
+    t.setflags(write=False)
     aligned = comb(n_up, 2) + comb(n_sites - n_up, 2)
     return s, t, aligned + 3 * n_sites / 4 - n_sites * (n_sites - 1) / 4
 
@@ -243,15 +266,17 @@ def _spin_penalty(op: SymmetricOperator) -> float:
     return 2.0 * float(np.bincount(op.rows, np.abs(op.vals), op.dim).max()) + 1.0
 
 
-def spin_resolved_eigenvalues(op: SymmetricOperator):
-    """{block label: (E_b, 2S_b)} of a sector operator that commutes with S^2.
+def _spin_resolved_solve(op: SymmetricOperator, solve):
+    """(blocks, [(E_b, V_b, 2S_b)]) of op, solved through op + c S^2; None
+    when op does not commute with S^2.
 
-    None when it does not: H (S^2 x) - S^2 (H x) is measured for two integer
-    probe columns x, exactly for any H of multiples of 1/4, against
-    SYMMETRY_TOL.  Otherwise each symmetry block of H + c S^2, with c =
-    _spin_penalty(op), is solved for its eigenvalues alone.  Each eigenvalue
-    lambda decodes to the allowed S(S+1) nearest lambda / c and to
-    E = lambda - c S(S+1); E_b ascends and 2S_b follows it.
+    H (S^2 x) - S^2 (H x) is measured for two integer probe columns x,
+    exactly for any H of multiples of 1/4, against SYMMETRY_TOL.  Otherwise
+    solve(h) returns (lambda, V or None) for each symmetry block h of H +
+    c S^2, with c = _spin_penalty(op).  Each eigenvalue lambda decodes to
+    the allowed S(S+1) nearest lambda / c and to E = lambda - c S(S+1);
+    E_b ascends, and 2S_b and the columns of V_b (F-ordered, each
+    contiguous) follow it.
 
     The allowed S are those with S >= |S_z| of the sector.  Raises
     NumericsError when a lambda / c lies 1/2 or more from every allowed
@@ -274,17 +299,21 @@ def spin_resolved_eigenvalues(op: SymmetricOperator):
         return None
     c = _spin_penalty(op)
 
-    def add_spin_sq(b, h):
-        # U_b^T (c S^2) U_b: U_b has orthonormal columns, so diag stays on
-        # the diagonal, and swap s -> t lands at (col[t], col[s]).
-        np.add.at(h, (b.col[t], b.col[s]), c * b.coef[t] * b.coef[s])
-        h[np.diag_indices(b.dim)] += c * diag
+    def spin_sq_entries(b):
+        # U_b^T (c S^2) U_b: swap s -> t lands at (col[t], col[s]), and U_b
+        # has orthonormal columns, so diag stays on the diagonal, summed
+        # last.
+        d = b.dim
+        flat = np.concatenate([b.col[t] * d + b.col[s], np.arange(d) * (d + 1)])
+        values = np.concatenate([c * b.coef[t] * b.coef[s], np.full(d, c * diag)])
+        return flat, values
 
-    blocks, lambdas = _solve_blocks(op, np.linalg.eigvalsh, add_spin_sq)
     two_s_allowed = np.arange(abs(2 * n_up - n_sites), n_sites + 1, 2)
     allowed = two_s_allowed * (two_s_allowed + 2) / 4.0
-    resolved, counts = {}, np.zeros(len(allowed), dtype=np.int64)
-    for b, lam in zip(blocks, lambdas):
+    counts = np.zeros(len(allowed), dtype=np.int64)
+
+    def decode(b, h):
+        lam, v = solve(h)
         x = lam / c
         k = np.abs(x[:, None] - allowed).argmin(axis=1)
         miss = float(np.abs(x - allowed[k]).max(initial=0.0))
@@ -293,10 +322,14 @@ def spin_resolved_eigenvalues(op: SymmetricOperator):
                 f"{op.basis_tag} {b.label}: an eigenvalue of H + {c:g} S^2 lies "
                 f"{miss:g} c from every allowed S(S+1)"
             )
+        counts[:] += np.bincount(k, minlength=len(allowed))
         energies = lam - c * allowed[k]
         order = np.argsort(energies, kind="stable")
-        resolved[b.label] = (energies[order], two_s_allowed[k][order])
-        counts += np.bincount(k, minlength=len(allowed))
+        # v.T[order] gathers the columns as contiguous rows: .T is F-ordered.
+        vectors = None if v is None else v.T[order].T
+        return energies[order], vectors, two_s_allowed[k][order]
+
+    blocks, triples = _solve_blocks(op, decode, spin_sq_entries)
     downs = (n_sites - two_s_allowed) // 2
     want = [comb(n_sites, d) - (comb(n_sites, d - 1) if d else 0) for d in downs]
     if counts.tolist() != want:
@@ -304,7 +337,18 @@ def spin_resolved_eigenvalues(op: SymmetricOperator):
             f"{op.basis_tag}: levels per 2S = {two_s_allowed.tolist()} are "
             f"{counts.tolist()}, not the multiplet counts {want}"
         )
-    return resolved
+    return blocks, triples
+
+
+def spin_resolved_eigenvalues(op: SymmetricOperator):
+    """{block label: (E_b, 2S_b)} of a sector operator that commutes with S^2,
+    from the eigenvalues of op + c S^2 alone; None when it does not commute
+    (see _spin_resolved_solve)."""
+    solved = _spin_resolved_solve(op, lambda h: (np.linalg.eigvalsh(h), None))
+    if solved is None:
+        return None
+    blocks, triples = solved
+    return {b.label: (e, two_s) for b, (e, _, two_s) in zip(blocks, triples)}
 
 
 def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:
@@ -371,11 +415,12 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # The last checksum is the record's trailer.  Both directions stream: the
 # hash runs over each part as it is written or read, so neither builds a
 # copy of the payload.
-# Spectrum, version 3: the header lists each block's label and dim; the
-# first section is every E_b, the second every V_b column-major, in header
-# order, so the eigenvalues can be verified and read alone.  The isometries
-# are not stored but rebuilt by symmetry_blocks, which must agree with that
-# list.
+# Spectrum, version 4: the header lists each block's label and dim, and
+# says whether the solve was spin-resolved; the first section is every E_b
+# and then, if it was, every 2S_b (as float64), the second every V_b
+# column-major, in header order, so the levels can be verified and read
+# alone.  The isometries are not stored but rebuilt by symmetry_blocks,
+# which must agree with that list.
 # Scan, version 1, one section: the header names the sector, l1 and the
 # trailer of the spectrum file the scan came from, so a scan never outlives
 # its spectrum; the one array is S_VN of every eigenket in eigenindex order.
@@ -543,9 +588,14 @@ def _spectrum_sector(header: dict):
 
 
 def _spectrum_layout(header: dict):
-    """Array shapes of a spectrum record: every E_b, then every V_b."""
+    """Array shapes of a spectrum record: every E_b (and 2S_b), then every
+    V_b."""
     blocks = _spectrum_sector(header)[2]
-    return [[(b.dim,) for b in blocks], [(b.dim, b.dim) for b in blocks]]
+    spin = header["spin_resolved"]
+    if not isinstance(spin, bool):
+        raise SpectrumFormatError(f"spin_resolved is {spin!r}, not a bool")
+    levels = [(b.dim,) for b in blocks] * (2 if spin else 1)
+    return [levels, [(b.dim, b.dim) for b in blocks]]
 
 
 def save_spectrum(spec: Spectrum, path) -> bytes:
@@ -560,10 +610,14 @@ def save_spectrum(spec: Spectrum, path) -> bytes:
         "delta2": spec.params.delta2,
         "dim": spec.dim,
         "blocks": [{"label": b.block.label, "dim": b.block.dim} for b in spec.blocks],
+        "spin_resolved": spec.spin_resolved,
         "checksum": "sha256-trunc8",
     }
+    levels = [b.eigenvalues for b in spec.blocks]
+    if spec.spin_resolved:
+        levels += [b.two_s for b in spec.blocks]
     sections = [
-        [np.ascontiguousarray(b.eigenvalues, dtype="<f8") for b in spec.blocks],
+        [np.ascontiguousarray(x, dtype="<f8") for x in levels],
         [np.asfortranarray(b.eigenvectors, dtype="<f8") for b in spec.blocks],
     ]
     return _write_record(path, _MAGIC, _VERSION, header, sections)
@@ -581,11 +635,14 @@ def _read_spectrum(path, expect_params, levels_only: bool) -> Spectrum:
         raise SpectrumFormatError(
             f"{path}: holds {params.tag}, expected {expect_params.tag}"
         )
-    vectors = sections[1] if len(sections) > 1 else [None] * len(blocks)
+    n = len(blocks)
+    energies, spins = sections[0][:n], sections[0][n:]
+    spins = [x.astype(np.int64) for x in spins] if spins else [None] * n
+    vectors = sections[1] if len(sections) > 1 else [None] * n
     return Spectrum(
         blocks=tuple(
-            EigenBlock(block=b, eigenvalues=e, eigenvectors=v)
-            for b, e, v in zip(blocks, sections[0], vectors)
+            EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
+            for b, e, v, two_s in zip(blocks, energies, vectors, spins)
         ),
         basis_tag=f"N{params.n_sites}_nup{n_up}",
         params=params,
@@ -605,7 +662,8 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
 
 
 def load_levels(path, expect_params: ModelParams | None = None) -> Spectrum:
-    """Read only the eigenvalue section of a spectrum cache file.
+    """Read only the level section of a spectrum cache file: every E_b, and
+    every 2S_b of a spin-resolved solve.
 
     Checks what load_spectrum checks except the eigenvector section's
     checksum; the blocks hold no eigenvectors, and `checksum` is the file's

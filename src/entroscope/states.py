@@ -25,42 +25,56 @@ def full_tag(n_sites: int) -> str:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm amplitude vector, on the full 2^N space or on a sector."""
+    """Unit-norm amplitude vector, on the full 2^N space or on a sector.
+
+    `amplitudes` may be a stack (..., dim) of vectors on one space; every
+    one must have unit norm.
+    """
 
     amplitudes: np.ndarray = field(repr=False)
     space_tag: str = ""
 
     def __post_init__(self):
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm} differs from 1")
+        norm = np.linalg.norm(self.amplitudes, axis=-1)
+        worst = float(np.abs(norm - 1.0).max(initial=0.0))
+        if worst > NORM_TOL:
+            raise ValueError(f"state vector norm differs from 1 by {worst:g}")
 
     @property
     def dim(self) -> int:
-        return len(self.amplitudes)
+        return self.amplitudes.shape[-1]
+
+
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (..., n, m)."""
+    return mat.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD-up-to-tolerance matrix."""
+    """Hermitian, unit-trace, PSD-up-to-tolerance matrix.
+
+    `matrix` may be a stack (..., dim, dim) of matrices on one space: each
+    is validated, and eigenvalues() returns one ascending row per matrix.
+    """
 
     matrix: np.ndarray = field(repr=False)
     space_tag: str = ""
 
     def __post_init__(self):
         mat = self.matrix
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
-        herm_err = np.abs(mat - mat.conj().T).max()
+        herm_err = np.abs(mat - _adjoint(mat)).max(initial=0.0)
         if herm_err > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:g})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} differs from 1")
+        drift = np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
+        if drift > TRACE_TOL:
+            raise ValueError(f"trace differs from 1 by {drift:g}")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues with sub-noise negatives clipped to zero.
@@ -74,7 +88,7 @@ class DensityMatrix:
 
 def clip_psd_noise(vals: np.ndarray) -> np.ndarray:
     """Clip eigenvalues in [-PSD_TOL, 0) to 0; reject anything lower."""
-    low = vals.min() if len(vals) else 0.0
+    low = vals.min(initial=0.0)
     if low < -PSD_TOL:
         raise NumericsError(
             f"eigenvalue {low:g} below -{PSD_TOL:g}: not a valid density matrix"
@@ -105,20 +119,25 @@ class BipartitionSpec:
 
 
 def mix(components: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
-    """Convex combination sum_i p_i rho_i."""
+    """Convex combination sum_i p_i rho_i, summed in component order.
+
+    With stacked components, each p_i is an array over the stack (one
+    weight per mixture) and each rho_i a stack of the same shape.
+    """
     if not components:
         raise ValueError("mixture needs at least one component")
     weights = np.array([p for p, _ in components], dtype=float)
     if np.any(weights < 0.0):
         raise ValueError("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"mixture weights sum to {weights.sum()}, not 1")
-    dims = {rho.dim for _, rho in components}
-    if len(dims) != 1:
-        raise ValueError(f"mixture components have mismatched dims {sorted(dims)}")
+    drift = np.abs(weights.sum(axis=0) - 1.0).max()
+    if drift > 1e-12:
+        raise ValueError(f"mixture weights sum to 1 + {drift:g}, not 1")
+    shapes = {rho.matrix.shape for _, rho in components}
+    if len(shapes) != 1:
+        raise ValueError(f"mixture components have mismatched shapes {sorted(shapes)}")
     tags = {rho.space_tag for _, rho in components}
     tag = tags.pop() if len(tags) == 1 else ""
-    out = sum(p * rho.matrix for p, rho in components)
+    out = sum(np.asarray(p)[..., None, None] * rho.matrix for p, rho in components)
     return DensityMatrix(matrix=out, space_tag=tag)
 
 
@@ -151,17 +170,20 @@ def _reduce(
 
     For a pure state the amplitudes reshape to a (2^l1, 2^(N-l1)) matrix M
     with rho_A = M M+ and rho_B = M^T M*; mixed inputs reduce by the linear
-    extension.
+    extension.  A stack of states reduces to the stack of their RDMs.
     """
     _require_full(rho_or_psi.space_tag, part, rho_or_psi.dim)
+    dims = (part.dim_a, part.dim_b)
     if isinstance(rho_or_psi, StateVector):
-        m = rho_or_psi.amplitudes.reshape(part.dim_a, part.dim_b)
-        m = m.T if keep_bath else m
-        rho = m @ m.conj().T
+        amps = rho_or_psi.amplitudes
+        m = amps.reshape(*amps.shape[:-1], *dims)
+        m = m.swapaxes(-1, -2) if keep_bath else m
+        rho = m @ _adjoint(m)
     else:
-        t = rho_or_psi.matrix.reshape(part.dim_a, part.dim_b, part.dim_a, part.dim_b)
-        rho = np.einsum("abad->bd" if keep_bath else "abcb->ac", t)
-    rho = 0.5 * (rho + rho.conj().T)
+        mat = rho_or_psi.matrix
+        t = mat.reshape(*mat.shape[:-2], *dims, *dims)
+        rho = np.einsum("...abad->...bd" if keep_bath else "...abcb->...ac", t)
+    rho = 0.5 * (rho + _adjoint(rho))
     n_kept = part.n_sites - part.l1 if keep_bath else part.l1
     return DensityMatrix(matrix=rho, space_tag=full_tag(n_kept))
 
@@ -334,31 +356,35 @@ def measure(rho: DensityMatrix, basis_vectors: np.ndarray) -> DensityMatrix:
     """Projective measurement channel: full dephasing in the given basis.
 
     basis_vectors holds the orthonormal kets as columns and must span the
-    space.
+    space; a stack of states takes a stack of bases of the same shape.
     """
     phi = np.asarray(basis_vectors)
-    if phi.shape != (rho.dim, rho.dim):
+    if phi.shape != rho.matrix.shape:
         raise ValueError(
             f"basis must be a square {rho.dim}x{rho.dim} column matrix, "
             f"got {phi.shape}"
         )
-    gram_err = np.abs(phi.conj().T @ phi - np.eye(rho.dim)).max()
+    gram_err = np.abs(_adjoint(phi) @ phi - np.eye(rho.dim)).max()
     if gram_err > 1e-10:
         raise ValueError(f"basis is not orthonormal (max Gram deviation {gram_err:g})")
     w = measurement_weights(rho, phi)
-    out = (phi * w) @ phi.conj().T
-    out = 0.5 * (out + out.conj().T)
+    out = (phi * w[..., None, :]) @ _adjoint(phi)
+    out = 0.5 * (out + _adjoint(out))
     return DensityMatrix(matrix=out, space_tag=rho.space_tag)
 
 
 def measurement_weights(rho: DensityMatrix, basis_vectors: np.ndarray) -> np.ndarray:
     """Diagonal weights w_n = <phi_n|rho|phi_n> of the measurement channel."""
     phi = np.asarray(basis_vectors)
-    return np.einsum("ia,ij,ja->a", phi.conj(), rho.matrix, phi).real
+    return np.einsum("...ia,...ij,...ja->...a", phi.conj(), rho.matrix, phi).real
 
 
 # ---------------------------------------------------------------------------
-# Seeded random generators (property-sweep scaffolding).
+# Seeded random generators (property-sweep scaffolding).  Each splits into a
+# draw (complex_gaussian) and a build from the drawn array.  The builds take
+# stacks (leading axes) and give each member the bits a build of that member
+# alone gives, so a sweep can draw its instances in order and build them in
+# one call per shape.
 # ---------------------------------------------------------------------------
 
 
@@ -368,57 +394,75 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def random_pure(rng, dim: int, space_tag: str = "") -> StateVector:
-    """Haar-ish random pure state from a complex Gaussian vector."""
-    rng = _as_rng(rng)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return StateVector(amplitudes=v, space_tag=space_tag)
+def complex_gaussian(rng, shape) -> np.ndarray:
+    """Standard complex Gaussian array: every real part is drawn first, then
+    every imaginary part."""
+    re, im = _as_rng(rng).standard_normal((2, *np.atleast_1d(shape)))
+    return re + 1j * im
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-ordered complex stack.
+
+    Summed as np.linalg.norm sums one contiguous complex vector: the real
+    parts' dot product plus the imaginary parts' (np.vecdot runs the same
+    dot per row).
+    """
+    re, im = vectors.real, vectors.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def pure_from_gaussian(g: np.ndarray, space_tag: str = "") -> StateVector:
+    """The unit vectors g / |g| of a stack (..., dim) of complex Gaussians."""
+    g = np.ascontiguousarray(g)
+    return StateVector(amplitudes=g / _norms(g)[..., None], space_tag=space_tag)
+
+
+def density_from_gaussian(g: np.ndarray, space_tag: str = "") -> DensityMatrix:
+    """G G+ / Tr(G G+) for each matrix G of a stack (..., dim, dim)."""
+    rho = g @ _adjoint(g)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    rho = 0.5 * (rho + _adjoint(rho))
+    return DensityMatrix(matrix=rho, space_tag=space_tag)
+
+
+def unitary_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """Q of G = QR with R's diagonal made positive, for a stack of G."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_density(rng, dim: int, space_tag: str = "") -> DensityMatrix:
     """PSD trace-1 matrix G G+ / Tr(G G+) with standard-normal G."""
-    rng = _as_rng(rng)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(matrix=rho, space_tag=space_tag)
+    return density_from_gaussian(complex_gaussian(rng, (dim, dim)), space_tag)
 
 
-def random_unitary(rng, dim: int) -> np.ndarray:
-    """Haar unitary via QR of a complex Gaussian with positive R diagonal."""
-    rng = _as_rng(rng)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+def eigen_ensemble(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_k, e_k) of one state's eigenpairs with lambda_k > 1e-14.
 
-
-def random_decomposition(
-    rng, rho: DensityMatrix, unitary: np.ndarray | None = None
-) -> list[tuple[float, np.ndarray]]:
-    """Random pure-state decomposition {(p_i, |psi_i>)} reconstructing rho.
-
-    Standard purification rotation: mix the eigen-ensemble sqrt(lambda_k)|e_k>
-    with a unitary U; with U = identity this returns the eigendecomposition,
-    which attains the Shannon-entropy infimum.
+    Their count is the rank m of rho, the size of the unitary that rotates
+    the ensemble in a random pure-state decomposition (ensemble_weights).
     """
-    rng = _as_rng(rng)
     vals, vecs = np.linalg.eigh(rho.matrix)
     vals = clip_psd_noise(vals)
     keep = vals > 1e-14
-    vals, vecs = vals[keep], vecs[:, keep]
-    m = len(vals)
-    u = random_unitary(rng, m) if unitary is None else np.asarray(unitary)
-    if u.shape != (m, m):
-        raise ValueError(f"unitary must be {m}x{m} for a rank-{m} state")
-    # Columns of W are the unnormalized ensemble members.
-    w = (vecs * np.sqrt(vals)) @ u.conj().T
-    out = []
-    for i in range(m):
-        p = float(np.linalg.norm(w[:, i]) ** 2)
-        if p <= 1e-16:
-            continue
-        out.append((p, w[:, i] / np.sqrt(p)))
-    return out
+    return vals[keep], vecs[:, keep]
+
+
+def ensemble_weights(
+    vals: np.ndarray, vecs: np.ndarray, unitary: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p, W) of the eigen-ensemble sqrt(lambda_k)|e_k> rotated by U.
+
+    The columns of W = (vecs sqrt(vals)) U+ are the unnormalized members of
+    a pure-state decomposition of rho, and p_i = |W_i|^2 their weights (the
+    standard purification rotation: with U = identity it is the
+    eigendecomposition, which attains the Shannon-entropy infimum).  Stacks
+    of ensembles and unitaries of one shape give stacks of (p, W).
+    """
+    w = (vecs * np.sqrt(vals)[..., None, :]) @ _adjoint(np.asarray(unitary))
+    norms = _norms(np.ascontiguousarray(w.swapaxes(-1, -2)))
+    # Squared as Python floats, as np.linalg.norm(W_i) ** 2 is.
+    p = np.array([x**2 for x in norms.ravel().tolist()]).reshape(norms.shape)
+    return p, w

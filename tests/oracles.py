@@ -4,15 +4,17 @@ Everything here works on the full 2^N space with explicit Kronecker
 products and per-site tensor contractions, with no sector bookkeeping, so
 agreement with the package is evidence rather than tautology.  Site 1 is
 the leftmost Kronecker factor (most significant bit), bit value 1 is
-up-spin.  The helpers from `reconstruct` on are not independent: they
-assemble package output (sector blocks, decompositions, eigenkets, S^z
-blocks of an RDM) into full states and matrices that the oracles can be
-compared against, redo the RDM kernel over every S^z block without the
-spin-flip pairing, or wrap given eigenpairs as a package Spectrum.
+up-spin.  The helpers from `random_pure` on are not independent: they
+draw random states with the package's builders, assemble package output
+(sector blocks, decompositions, eigenkets, S^z blocks of an RDM) into full
+states and matrices that the oracles can be compared against, redo the RDM
+kernel over every S^z block without the spin-flip pairing, or wrap given
+eigenpairs as a package Spectrum.
 """
 import numpy as np
 
 import entroscope as es
+from entroscope import states
 from entroscope.states import full_tag, gibbs_weights
 
 SZ = np.array([[-0.5, 0.0], [0.0, 0.5]])  # diagonal in bit order: 0=down, 1=up
@@ -49,6 +51,19 @@ def full_hamiltonian(n_sites: int, delta2: float) -> np.ndarray:
 
 def sector_indices(n_sites: int, n_up: int) -> list[int]:
     return [m for m in range(1 << n_sites) if bin(m).count("1") == n_up]
+
+
+def sector_spin_sq(n_sites: int, n_up: int) -> np.ndarray:
+    """Total S^2 = S_z^2 + (S+ S- + S- S+)/2 restricted to sector n_up."""
+    total = {
+        name: sum(site_op(op, i, n_sites) for i in range(1, n_sites + 1))
+        for name, op in (("z", SZ), ("+", SPLUS), ("-", SMINUS))
+    }
+    s2 = total["z"] @ total["z"] + 0.5 * (
+        total["+"] @ total["-"] + total["-"] @ total["+"]
+    )
+    idx = sector_indices(n_sites, n_up)
+    return s2[np.ix_(idx, idx)]
 
 
 def sector_hamiltonian(n_sites: int, n_up: int, delta2: float) -> np.ndarray:
@@ -103,6 +118,30 @@ def gibbs_direct(energies, beta: float):
     q = np.exp(-beta * e).sum()
     p = np.exp(-beta * e) / q
     return shannon_direct(p), float(p @ e), float(np.log(q))
+
+
+def random_pure(rng, dim: int, space_tag: str = "") -> es.StateVector:
+    """Haar-ish random pure state from a complex Gaussian vector."""
+    return states.pure_from_gaussian(states.complex_gaussian(rng, dim), space_tag)
+
+
+def random_unitary(rng, dim: int) -> np.ndarray:
+    """Haar unitary via QR of a complex Gaussian with positive R diagonal."""
+    return states.unitary_from_gaussian(states.complex_gaussian(rng, (dim, dim)))
+
+
+def random_decomposition(rng, rho, unitary=None):
+    """Random pure-state decomposition [(p_i, psi_i)] reconstructing rho: the
+    eigen-ensemble rotated by a Haar unitary, or by `unitary`; members of
+    weight <= 1e-16 are dropped."""
+    vals, vecs = states.eigen_ensemble(rho)
+    m = len(vals)
+    u = random_unitary(rng, m) if unitary is None else np.asarray(unitary)
+    assert u.shape == (m, m)
+    p, w = states.ensemble_weights(vals, vecs, u)
+    return [
+        (float(p_i), w[:, i] / np.sqrt(p_i)) for i, p_i in enumerate(p) if p_i > 1e-16
+    ]
 
 
 def reconstruct(components, dim: int) -> np.ndarray:

@@ -293,10 +293,10 @@ def test_property_suite_tap(tmp_path):
 
 
 def _break_check(monkeypatch, name, value):
-    """Swap one check's trial for one that always returns `value`."""
+    """Swap one check for one whose every trial returns `value`."""
     checks = tuple(
-        (n, (lambda rng: value) if n == name else trial, bound, detail)
-        for n, trial, bound, detail in properties.CHECKS
+        (n, (lambda rng, trials: value) if n == name else check, bound, detail)
+        for n, check, bound, detail in properties.CHECKS
     )
     monkeypatch.setattr(properties, "CHECKS", checks)
 
@@ -372,30 +372,55 @@ def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
 def test_census_solves_the_middle_sector_alone_when_su2_holds(
     tmp_path, monkeypatch, d2
 ):
-    # At d2 = 0 the chain commutes with S^2: the census solves the middle
-    # sector alone, spin-resolved, and reads no cache file even with the
-    # spectrum cached.  Any other coupling solves every n_up <= N/2, the
-    # table sector from the cached eigenvalues.
+    # At d2 = 0 the chain commutes with S^2, so the census needs only the
+    # levels of the middle sector, each with its spin.  With that sector (the
+    # table sector) cached, they are its cache file's levels: nothing is
+    # probed or solved.  At any other coupling the cached levels carry no
+    # spins, so every other n_up <= N/2 is solved per block, and S^2 is not
+    # probed again.  With --cache off the census builds and probes the
+    # middle sector: at d2 = 0 it solves that sector alone, per block of
+    # H + c S^2.  The table is the same either way.
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     args = ["--n-sites", "8", "--delta2", repr(d2)]
     assert main(["volume-law", *args, "--out", str(tmp_path / "fill")]) == 0
-    solved = []
+    solved, probed = [], []
     solve_blocks = es.spectral._solve_blocks
+    spin_resolved_solve = es.spectral._spin_resolved_solve
 
-    def recording(op, solver, add=None):
-        solved.append((op.basis_tag, add is not None))
-        return solve_blocks(op, solver, add)
+    def recording_solve(op, solver, extra=None):
+        solved.append((op.basis_tag, extra is not None))
+        return solve_blocks(op, solver, extra)
 
-    monkeypatch.setattr(es.spectral, "_solve_blocks", recording)
+    def recording_probe(op, solve):
+        probed.append(op.basis_tag)
+        return spin_resolved_solve(op, solve)
+
+    monkeypatch.setattr(es.spectral, "_solve_blocks", recording_solve)
+    monkeypatch.setattr(es.spectral, "_spin_resolved_solve", recording_probe)
     assert main(["degeneracy-census", *args, "--out", str(tmp_path / "c")]) == 0
     details = _manifest(tmp_path / "c")["details"][f"d2={d2:g}"]
+    assert details["spectrum"] == "cache-eigenvalues"
+    assert probed == []
     if d2 == 0.0:
-        assert solved == [("N8_nup4", True)]
-        assert (details["census"], details["spectrum"]) == ("spin-resolved", "skipped")
+        assert solved == []
+        assert details["census"] == "spin-resolved"
     else:
         assert solved == [(f"N8_nup{k}", False) for k in range(4)]
         assert details["census"] == "per-sector"
-        assert details["spectrum"] == "cache-eigenvalues"
+    solved.clear()
+    assert main(["degeneracy-census", *args, "--cache", "off",
+                 "--out", str(tmp_path / "d")]) == 0
+    details = _manifest(tmp_path / "d")["details"][f"d2={d2:g}"]
+    assert details["spectrum"] == "skipped"
+    assert probed == ["N8_nup4"]
+    if d2 == 0.0:
+        assert solved == [("N8_nup4", True)]
+        assert details["census"] == "spin-resolved"
+    else:
+        assert solved == [(f"N8_nup{k}", False) for k in range(5)]
+        assert details["census"] == "per-sector"
+    name = f"degeneracy_census_d2={d2:g}.csv"
+    assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
 
 
 @pytest.mark.parametrize("shift, gate", [(1, "allowed S(S+1)"), (2, "multiplet counts")])
@@ -623,7 +648,7 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
     assert main(["eigenket-scan", "--n-sites", "6", "--delta2", "0.5",
                  "--bins", "4", "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
-    assert path.read_bytes()[8] == 3
+    assert path.read_bytes()[8] == 4
     assert load_spectrum(str(path), expect_params=params).dim == 20
 
 
@@ -681,8 +706,40 @@ def test_version_2_cache_file_is_rebuilt(tmp_path, monkeypatch):
     assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "skipped"
     assert main(["gamma-fit", *SCAN_ARGS, "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
-    assert path.read_bytes()[8] == 3
+    assert path.read_bytes()[8] == 4
     assert load_spectrum(path, expect_params=SCAN_PARAMS).dim == 70
+
+
+def test_version_3_cache_file_is_rebuilt(tmp_path, monkeypatch):
+    # The version-3 layout (every E_b, then every V_b, no spins and no
+    # spin_resolved flag) is a format error for both readers: the census
+    # builds the middle sector itself, and the next table run rebuilds the
+    # file as version 4 with its spins.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    args = ["--n-sites", "8", "--delta2", "0", "--bins", "6", "--min-count", "1"]
+    assert main(["volume-law", *args, "--out", str(tmp_path / "fill")]) == 0
+    params = es.ModelParams(n_sites=8, delta2=0.0)
+    path = Path(es.spectrum_cache_path(tmp_path / "cache", params, 4))
+    spec = load_spectrum(path, expect_params=params)
+    header = json.dumps(
+        {"blocks": [{"dim": b.block.dim, "label": b.block.label} for b in spec.blocks],
+         "checksum": "sha256-trunc8", "delta2": 0.0, "dim": 70, "n_sites": 8,
+         "n_up": 4},
+        sort_keys=True,
+    ).encode()
+    levels = b"".join([b"ENTROSPC", struct.pack("<BI", 3, len(header)), header]
+                      + [b.eigenvalues.tobytes() for b in spec.blocks])
+    body = b"".join([levels, hashlib.sha256(levels).digest()[:8]]
+                    + [b.eigenvectors.tobytes(order="F") for b in spec.blocks])
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    out = tmp_path / "out"
+    assert main(["degeneracy-census", *args, "--out", str(out)]) == 0
+    details = _manifest(out)["details"]["d2=0"]
+    assert (details["spectrum"], details["census"]) == ("skipped", "spin-resolved")
+    assert main(["gamma-fit", *args, "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0"]["spectrum"] == "built"
+    assert path.read_bytes()[8] == 4
+    assert es.load_levels(path, expect_params=params).spin_resolved
 
 
 @pytest.fixture()

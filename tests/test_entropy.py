@@ -52,7 +52,7 @@ def test_shannon_uniform_is_maximal():
 
 
 def test_von_neumann_examples(rng):
-    psi = es.random_pure(rng, 6)
+    psi = oracles.random_pure(rng, 6)
     assert es.von_neumann(oracles.pure_density(psi)) < 1e-9
     for d in (2, 5, 11):
         mixed = es.DensityMatrix(matrix=np.eye(d) / d)
@@ -63,7 +63,7 @@ def test_von_neumann_examples(rng):
 
 def test_von_neumann_basis_independent(rng):
     rho = es.random_density(rng, 7)
-    u = es.random_unitary(rng, 7)
+    u = oracles.random_unitary(rng, 7)
     rotated = u @ rho.matrix @ u.conj().T
     rotated = es.DensityMatrix(matrix=0.5 * (rotated + rotated.conj().T))
     assert abs(es.von_neumann(rotated) - es.von_neumann(rho)) < 1e-9

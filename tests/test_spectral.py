@@ -220,7 +220,7 @@ def _record(kind):
     """(magic, version, save(path), load(path)) of a small cache record."""
     spec, _, _ = _spec(4, 2, 0.0)
     if kind == "spectrum":
-        return (b"ENTROSPC", 3, lambda path: es.save_spectrum(spec, path),
+        return (b"ENTROSPC", 4, lambda path: es.save_spectrum(spec, path),
                 es.load_spectrum)
     spec = replace(spec, checksum=bytes(range(8)))  # any trailer keys a scan
     s_vn = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1))
@@ -250,13 +250,15 @@ def test_load_rejects_corruption(tmp_path, kind):
 
 
 def _spectrum_sections(path):
-    """A spectrum file's bytes and the offsets of its E section, the end of
-    that section (where its checksum starts) and its V section."""
+    """A spectrum file's bytes and the offsets of its level section (every
+    E_b, then every 2S_b of a spin-resolved solve), the end of that section
+    (where its checksum starts) and its V section."""
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 9)
-    dims = [b["dim"] for b in json.loads(raw[13 : 13 + header_len])["blocks"]]
+    header = json.loads(raw[13 : 13 + header_len])
+    dims = [b["dim"] for b in header["blocks"]]
     e_start = 13 + header_len
-    e_end = e_start + 8 * sum(dims)
+    e_end = e_start + 8 * sum(dims) * (2 if header["spin_resolved"] else 1)
     assert len(raw) == e_end + 8 + 8 * sum(d * d for d in dims) + 8
     return raw, e_start, e_end, e_end + 8
 
@@ -461,6 +463,73 @@ def test_spin_resolved_levels_match_a_plain_solve_in_every_sector(n):
             assert es.spectral.spin_resolved_eigenvalues(chaotic) is None
 
 
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_diagonalize_resolves_total_spin_when_su2_holds(n):
+    # At d2 = 0 each block of H + c S^2 is solved with eigh: its 2S_b is the
+    # eigenvalue-only solve's, its E_b lies within 1e-11 of a plain block
+    # eigh, and every eigenvector is an S^2 eigenvector of its spin.
+    basis = es.enumerate_sector(n, n // 2)
+    op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.0))
+    spec = es.diagonalize(op)
+    assert spec.spin_resolved
+    resolved = es.spectral.spin_resolved_eigenvalues(op)
+    plain = es.block_eigenvalues(op)
+    for b in spec.blocks:
+        assert b.two_s.dtype.kind == "i"
+        assert np.array_equal(b.two_s, resolved[b.block.label][1])
+        assert np.abs(b.eigenvalues - plain[b.block.label]).max() < 1e-11
+    v = oracles.eigenvector_matrix(spec)
+    two_s = np.array([
+        spec.blocks[k].two_s[col] for k, col in zip(spec.block_index, spec.column_index)
+    ])
+    s2 = oracles.sector_spin_sq(n, n // 2)
+    residual = np.linalg.norm(s2 @ v - v * (two_s * (two_s + 2) / 4.0), axis=0)
+    assert residual.max() < 1e-10
+    chaotic = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.5))
+    assert not es.diagonalize(chaotic).spin_resolved
+
+
+def test_diagonalize_refuses_levels_that_decode_to_no_spin(monkeypatch):
+    # The eigenpair solve decodes under the census's gates: the lowest
+    # eigenvalue of the first block moved by c lies halfway between two
+    # allowed S(S+1).
+    op = es.build_hamiltonian(
+        es.enumerate_sector(8, 4), es.ModelParams(n_sites=8, delta2=0.0)
+    )
+    c = es.spectral._spin_penalty(op)
+    eigh = np.linalg.eigh
+
+    def moved(h):
+        e, v = eigh(h)
+        e[0] += c
+        return e, v
+
+    monkeypatch.setattr(np.linalg, "eigh", moved)
+    with pytest.raises(es.NumericsError, match="allowed S"):
+        es.diagonalize(op)
+
+
+def test_spin_resolved_spectrum_round_trips_its_spins(tmp_path):
+    for d2, resolved in ((0.0, True), (0.5, False)):
+        spec, _, params = _spec(8, 4, d2)
+        path = es.spectrum_cache_path(tmp_path, params, 4)
+        es.save_spectrum(spec, path)
+        raw = open(path, "rb").read()
+        (header_len,) = struct.unpack_from("<I", raw, 9)
+        assert raw[8] == 4
+        assert json.loads(raw[13 : 13 + header_len])["spin_resolved"] is resolved
+        for load in (es.load_spectrum, es.load_levels):
+            again = load(path, expect_params=params)
+            assert again.spin_resolved is resolved
+            assert again.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+            for got, want in zip(again.blocks, spec.blocks):
+                if resolved:
+                    assert got.two_s.dtype == np.int64
+                    assert np.array_equal(got.two_s, want.two_s)
+                else:
+                    assert got.two_s is None
+
+
 # Multiplet histograms of the smallest odd chains, worked by hand: N=3 has
 # two doublets and a quartet, N=5 five doublets, four quartets and a sextet.
 KNOWN_CENSUS = {3: [(2, 2), (4, 1)], 5: [(2, 5), (4, 4), (6, 1)]}
@@ -564,18 +633,19 @@ def test_cache_io_streams_the_payload(tmp_path):
         assert got.block is want.block
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
-    # The streamed file keeps the documented version-3 layout byte for byte:
-    # every E_b and their checksum, then every V_b column-major and the
+    # The streamed file keeps the documented version-4 layout byte for byte:
+    # every E_b and their checksum (the solve at delta2 = 0.5 is not
+    # spin-resolved, so no 2S_b), then every V_b column-major and the
     # trailer over everything before it, in the header's block order.
     header = json.dumps(
         {"blocks": [{"dim": 890, "label": "R+F+"}, {"dim": 826, "label": "R+F-"},
                     {"dim": 826, "label": "R-F+"}, {"dim": 890, "label": "R-F-"}],
          "checksum": "sha256-trunc8", "delta2": 0.5, "dim": 3432, "n_sites": 14,
-         "n_up": 7},
+         "n_up": 7, "spin_resolved": False},
         sort_keys=True,
     ).encode()
     levels = b"".join(
-        [b"ENTROSPC", struct.pack("<BI", 3, len(header)), header]
+        [b"ENTROSPC", struct.pack("<BI", 4, len(header)), header]
         + [b.eigenvalues.tobytes() for b in spec.blocks]
     )
     body = b"".join(

@@ -228,7 +228,7 @@ def test_partial_trace_mixed_matches_oracle(rng):
 def test_complement_symmetry_random_pure(n, seed, data):
     l1 = data.draw(st.integers(min_value=1, max_value=n - 1))
     rng = np.random.default_rng(seed)
-    psi = es.random_pure(rng, 1 << n, space_tag=full_tag(n))
+    psi = oracles.random_pure(rng, 1 << n, space_tag=full_tag(n))
     part = es.BipartitionSpec(n, l1)
     s_a = es.von_neumann(es.partial_trace(psi, part))
     s_b = es.von_neumann(es.partial_trace_bath(psi, part))
@@ -477,8 +477,8 @@ def test_random_generators_are_seed_reproducible():
     a = es.random_density(123, 6)
     b = es.random_density(123, 6)
     assert np.array_equal(a.matrix, b.matrix)
-    u1 = es.random_unitary(np.random.default_rng(9), 5)
-    u2 = es.random_unitary(np.random.default_rng(9), 5)
+    u1 = oracles.random_unitary(np.random.default_rng(9), 5)
+    u2 = oracles.random_unitary(np.random.default_rng(9), 5)
     assert np.array_equal(u1, u2)
     assert np.abs(u1 @ u1.conj().T - np.eye(5)).max() < 1e-12
 
@@ -486,7 +486,7 @@ def test_random_generators_are_seed_reproducible():
 def test_random_decomposition_reconstructs(rng):
     for dim in (2, 5, 9):
         rho = es.random_density(rng, dim)
-        parts = es.random_decomposition(rng, rho)
+        parts = oracles.random_decomposition(rng, rho)
         resid = np.linalg.norm(oracles.reconstruct(parts, dim) - rho.matrix)
         assert resid <= 1e-9
         assert abs(sum(p for p, _ in parts) - 1.0) < 1e-10
@@ -495,7 +495,7 @@ def test_random_decomposition_reconstructs(rng):
 def test_random_decomposition_hadamard_rotation():
     rho = es.DensityMatrix(matrix=np.diag([0.5, 0.5]), space_tag="")
     had = np.array([[RT2, RT2], [RT2, -RT2]])
-    parts = es.random_decomposition(None, rho, unitary=had)
+    parts = oracles.random_decomposition(None, rho, unitary=had)
     assert len(parts) == 2
     for p, psi in parts:
         assert abs(p - 0.5) < 1e-12

@@ -112,7 +112,11 @@ print(json.dumps({"rc": rc, "metrics": tracer.metrics()}))
 
 def test_traced_property_suite_counts_every_entropy(tmp_path):
     # desk-cold is the one workload that runs the property suite: its traced
-    # run must still see every von_neumann call the trials make.
+    # run must still see every von_neumann call the checks make.  Each call
+    # takes one stack of same-shape states, so seed 42 makes 210 of them:
+    # subadditivity 6 bipartitions x 3, measurement and unitary invariance
+    # 15 dims x 2, the two infima 15 x 1, complement symmetry 6 x 2, and
+    # mixing concavity 45 (dim, k) pairs x 2.
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_PROPERTY_SUITE, str(ROOT / "benchmarks"),
          str(ROOT / "src"), str(tmp_path / "out")],
@@ -128,4 +132,4 @@ def test_traced_property_suite_counts_every_entropy(tmp_path):
     metrics = result["metrics"]
     json.dumps(metrics, allow_nan=False)
     assert metrics["properties.run_property_suite.calls"] == 1
-    assert metrics["entropy.von_neumann.calls"] == 3005
+    assert metrics["entropy.von_neumann.calls"] == 210
