@@ -11,13 +11,13 @@ shell-average and volume-law each load it whole (levels and
 eigenvectors); gamma-fit reads only its level section, and so does the
 census.  At delta2=0 those levels, each counted 2S+1 times, are the whole
 census, and nothing is solved; at delta2=0.5 the census also solves the
-other sectors n_up <= 6 for eigenvalues per block.  Neither loads an
-eigenvector.
+other sectors n_up <= 6 through diagonalize(..., vectors=False),
+eigenvalues per block.  Neither loads an eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-About three seconds end to end on a 2-core machine (2.9-3.7 s over three
-cold-cache runs, 95.4 MB peak RSS, 2-core Xeon; the census call took
-0.7-1.0 s of it, all at delta2=0.5, and the property suite 0.13-0.15 s);
+About three seconds end to end on a 2-core machine (2.7-3.7 s over three
+cold-cache runs, 100.3 MB peak RSS, 2-core Xeon; the census call took
+0.73-0.79 s of it, all at delta2=0.5, and the property suite 0.15-0.19 s);
 each cached spectrum (dim 3432, four symmetry blocks) is 23.6 MB and each
 scan file 27.6 kB.
 
@@ -47,8 +47,8 @@ PIPELINES = {
         ["gamma-fit", *SCAN_14],
         ["volume-law", "--n-sites", "14", "--bins", "40", *BOTH],
         # census: at delta2=0 the cached levels and spins of sector n_up = 7;
-        # at 0.5 its cached levels and eigenvalues per block of the 7
-        # sectors n_up <= 6, spin flip giving n_up >= 8
+        # at 0.5 its cached levels and diagonalize(..., vectors=False) of
+        # the 7 sectors n_up <= 6, spin flip giving n_up >= 8
         ["degeneracy-census", "--n-sites", "14", *BOTH],
         ["property-suite", "--seed", "42"],
     ]),

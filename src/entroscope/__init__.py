@@ -49,7 +49,6 @@ from .spectral import (
     DosTable,
     EigenBlock,
     Spectrum,
-    block_eigenvalues,
     diagonalize,
     load_levels,
     load_spectrum,

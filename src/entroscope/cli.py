@@ -40,7 +40,6 @@ from .properties import format_tap, run_property_suite
 from .spectral import (
     Spectrum,
     atomic_write,
-    block_eigenvalues,
     diagonalize,
     load_levels,
     load_scan,
@@ -51,7 +50,6 @@ from .spectral import (
     save_spectrum,
     scan_cache_path,
     spectrum_cache_path,
-    spin_resolved_eigenvalues,
 )
 from .states import BipartitionSpec
 
@@ -214,7 +212,7 @@ class _Coupling:
 
         The spectrum when this run holds it, else the eigenvalue section of
         its cache file, else the spectrum, solved; with solve False (the
-        census never solves) None instead.
+        census never builds the spectrum) None instead.
         """
         if self._levels is None:
             path = spectrum_cache_path(self.cache_dir, self.params, self.cfg.n_up)
@@ -318,56 +316,42 @@ def _gamma_fit_rows(c: _Coupling):
 def _degeneracy_census_rows(c: _Coupling):
     """Census the merged eigenvalues of every Sz sector.
 
+    Each sector is read as eigenvalues only: the table sector n_up =
+    cfg.n_up from the coupling's eigenvalue view (the spectrum this run
+    holds, else its cache file's level section), any other from
+    diagonalize(op, vectors=False); a census never builds the spectrum.
     The middle sector n_up = N // 2 (half filling for even N) holds one
-    member of every SU(2) multiplet.  When the coupling commutes with S^2,
-    only that sector's levels are needed, each with its spin, and each
-    counts 2S + 1 times.  Otherwise each sector is solved per symmetry
-    block, eigenvalues only, and the spin flip maps sector n_up onto N -
-    n_up, so only n_up <= N/2 is solved and counts for both.
-
-    The coupling's eigenvalue view of the table sector n_up = cfg.n_up (the
-    spectrum this run holds, else its cache file's level section) takes the
-    place of that sector's solve.  When the table sector is the middle one,
-    it also decides the path: levels with spins are the census, and levels
-    without them mean the solve found [H, S^2] != 0.  With no such view,
-    the middle sector is built and probed, and solved per block of H +
-    c S^2 when it commutes with S^2.  A census never builds the spectrum.
-    <r> is recorded per block of the middle sector.
+    member of every SU(2) multiplet.  When its levels carry their spins
+    (the coupling commutes with S^2), they are the census, each counted
+    2S + 1 times.  Otherwise every sector n_up <= N/2 is read, and the spin
+    flip maps sector n_up onto N - n_up, so each counts for both.  <r> is
+    recorded per block of the middle sector.
     """
     n = c.cfg.n_sites
+    table = c.levels(solve=False) if c.cfg.n_up <= n // 2 else None
 
     def sector(n_up):
-        return build_hamiltonian(enumerate_sector(n, n_up), c.params)
+        if n_up == c.cfg.n_up and table is not None:
+            return table
+        op = build_hamiltonian(enumerate_sector(n, n_up), c.params)
+        return diagonalize(op, vectors=False)
 
-    table = c.levels(solve=False) if c.cfg.n_up <= n // 2 else None
-    middle = resolved = None
-    if c.cfg.n_up != n // 2 or table is None:
-        middle = sector(n // 2)
-        resolved = spin_resolved_eigenvalues(middle)
-    elif table.spin_resolved:
-        resolved = {b.block.label: (b.eigenvalues, b.two_s) for b in table.blocks}
-    if resolved is not None:
-        by_block = {label: e for label, (e, _) in resolved.items()}
-        merged = [np.repeat(e, two_s + 1) for e, two_s in resolved.values()]
+    middle = sector(n // 2)
+    if middle.spin_resolved:
+        merged = [np.repeat(b.eigenvalues, b.two_s + 1) for b in middle.blocks]
     else:
         merged = []
         for n_up in range(n // 2 + 1):
-            if n_up == c.cfg.n_up and table is not None:
-                by_block = {b.block.label: b.eigenvalues for b in table.blocks}
-            else:
-                op = middle if n_up == n // 2 and middle is not None else sector(n_up)
-                by_block = block_eigenvalues(op)
-            evals = np.concatenate(list(by_block.values()))
+            evals = (middle if n_up == n // 2 else sector(n_up)).eigenvalues
             merged += [evals] if 2 * n_up == n else [evals, evals]
-    # Either way by_block holds the middle sector (the loop ends on it).
     r_mean = {
-        label: mean_spacing_ratio(e)
-        for label, e in by_block.items() if len(e) >= R_MIN_DIM
+        b.block.label: mean_spacing_ratio(b.eigenvalues)
+        for b in middle.blocks if len(b.eigenvalues) >= R_MIN_DIM
     }
     census = degeneracy_census(np.concatenate(merged))
     c.details.setdefault("spectrum", "skipped")
     c.details.update(
-        census="per-sector" if resolved is None else "spin-resolved",
+        census="spin-resolved" if middle.spin_resolved else "per-sector",
         n_levels=census.n_levels,
         fraction_degenerate=census.fraction_degenerate,
         r_mean=r_mean,

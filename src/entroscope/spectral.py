@@ -44,8 +44,9 @@ class EigenBlock:
     `eigenvalues` (E_b) ascend.  `eigenvectors` (V_b, block.dim x block.dim,
     column-major) holds the eigenvectors in the block's symmetry-reduced
     basis; U_b V_b gives their sector amplitudes.  It is None in a
-    spectrum read by load_levels.  `two_s` (2S_b, integers) is the total
-    spin of each eigenpair when the solve resolved it, else None.
+    spectrum read by load_levels or solved with vectors False.  `two_s`
+    (2S_b, integers) is the total spin of each eigenpair when the solve
+    resolved it, else None.
     """
 
     block: SymmetryBlock
@@ -98,7 +99,8 @@ class Spectrum:
         if any(b.eigenvectors is None for b in self.blocks):
             raise ValueError(
                 f"{self.basis_tag}: spectrum holds eigenvalues only (read by "
-                "load_levels); amplitudes need load_spectrum"
+                "load_levels or solved without vectors); amplitudes need "
+                "load_spectrum or diagonalize"
             )
 
 
@@ -141,94 +143,6 @@ def _dense_sector(op: SymmetricOperator) -> tuple[int, int]:
     return n_sites, n_up
 
 
-def _solve_blocks(op: SymmetricOperator, solver, extra=None):
-    """Apply solver(block, matrix) to the dense U_b^T H U_b of each block.
-
-    With `extra` given, extra(block) returns (flat indices, values) of
-    entries summed onto each block matrix after those of H, in their order,
-    within the one bincount that builds it, so no second block-sized array
-    is allocated.  Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
-    SYMMETRY_TOL for a group element g: op does not commute with the group,
-    so it is not block-diagonal in the irreps, and a block solve would be
-    wrong.
-    """
-    n_sites, n_up = _dense_sector(op)
-    # An operator may repeat an (i, j) triplet: coalesce into sorted entries.
-    keys, inverse = np.unique(op.rows * op.dim + op.cols, return_inverse=True)
-    vals = np.bincount(inverse, op.vals, len(keys))
-    rows, cols = np.divmod(keys, op.dim)
-    leak = 0.0
-    for perm in symmetry_group(n_sites, n_up)[1:]:
-        moved = perm[rows] * op.dim + perm[cols]
-        at = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
-        moved_vals = np.where(keys[at] == moved, vals[at], 0.0)
-        leak = max(leak, float(np.abs(moved_vals - vals).max(initial=0.0)))
-    if leak > SYMMETRY_TOL:
-        raise NumericsError(
-            f"{op.basis_tag}: operator breaks the sector symmetry "
-            f"(max |H[gi, gj] - H[i, j]| = {leak:g})"
-        )
-
-    def block_matrix(b):
-        # U_b^T (H U_b), each product summed in the order of a sparse
-        # product: over k for every (i, column) of H U_b, then over i.
-        c, u, d = b.col, b.coef, b.dim
-        pairs, slot = np.unique(rows * d + c[cols], return_inverse=True)
-        h_u = np.bincount(slot, vals * u[cols], len(pairs))
-        i, j = np.divmod(pairs, d)
-        flat, weights = c[i] * d + j, u[i] * h_u
-        if extra is not None:
-            more_flat, more_weights = extra(b)
-            flat = np.concatenate([flat, more_flat])
-            weights = np.concatenate([weights, more_weights])
-        return np.bincount(flat, weights, d * d).reshape(d, d)
-
-    blocks = symmetry_blocks(n_sites, n_up)
-    try:
-        return blocks, [solver(b, block_matrix(b)) for b in blocks]
-    except np.linalg.LinAlgError as err:
-        raise NumericsError(
-            f"symmetric eigensolver failed for dim={op.dim}, "
-            f"basis_tag={op.basis_tag}: {err}"
-        ) from err
-
-
-def diagonalize(op: SymmetricOperator) -> Spectrum:
-    """Full eigendecomposition of a sector Hamiltonian, block by block.
-
-    Each symmetry block is solved densely and keeps its eigenvectors in the
-    block's reduced basis, so every eigenvector has a definite symmetry and
-    no D x D matrix is formed.  When op commutes with S^2, each block of
-    op + c S^2 is solved instead (_spin_resolved_solve): every eigenvector
-    then also has a definite total spin, and each block keeps its 2S_b.
-    """
-    solved = _spin_resolved_solve(op, np.linalg.eigh)
-    blocks, triples = solved or _solve_blocks(op, _eigh_column_major)
-    return Spectrum(
-        blocks=tuple(
-            EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
-            for b, (e, v, two_s) in zip(blocks, triples)
-        ),
-        basis_tag=op.basis_tag,
-    )
-
-
-def _eigh_column_major(block, h: np.ndarray):
-    """(E_b, V_b, None): eigh with F-ordered eigenvectors, each contiguous.
-
-    The kernels and the cache read them that way; converting here, block by
-    block, keeps one C-ordered copy resident at a time instead of all.
-    """
-    e, v = np.linalg.eigh(h)
-    return e, np.asfortranarray(v), None
-
-
-def block_eigenvalues(op: SymmetricOperator) -> dict[str, np.ndarray]:
-    """Ascending eigenvalues of each symmetry block, keyed by block label."""
-    blocks, evals = _solve_blocks(op, lambda b, h: np.linalg.eigvalsh(h))
-    return {b.label: e for b, e in zip(blocks, evals)}
-
-
 @lru_cache(maxsize=8)
 def _spin_swaps(n_sites: int, n_up: int):
     """S^2 of a sector as (s, t, diag): S^2 = diag * I + sum of |t><s|.
@@ -237,9 +151,9 @@ def _spin_swaps(n_sites: int, n_up: int):
     A swap of two aligned spins is the identity, and every state of the
     sector has C(n_up, 2) + C(N - n_up, 2) aligned pairs, so that count joins
     the constant; each anti-aligned pair of state s moves it to state t.
-    Memoised per sector (every table solve probes S^2); s and t are
-    read-only, in the smallest unsigned type that holds the sector's dim
-    (0.67 MB at N=14, alive through every later eigensolve).
+    Memoised per sector (every solve probes S^2); s and t are read-only, in
+    the smallest unsigned type that holds the sector's dim (0.67 MB at N=14,
+    alive through every later eigensolve).
     """
     states = enumerate_sector(n_sites, n_up).states
     i, j = np.triu_indices(n_sites, 1)
@@ -266,26 +180,10 @@ def _spin_penalty(op: SymmetricOperator) -> float:
     return 2.0 * float(np.bincount(op.rows, np.abs(op.vals), op.dim).max()) + 1.0
 
 
-def _spin_resolved_solve(op: SymmetricOperator, solve):
-    """(blocks, [(E_b, V_b, 2S_b)]) of op, solved through op + c S^2; None
-    when op does not commute with S^2.
-
-    H (S^2 x) - S^2 (H x) is measured for two integer probe columns x,
-    exactly for any H of multiples of 1/4, against SYMMETRY_TOL.  Otherwise
-    solve(h) returns (lambda, V or None) for each symmetry block h of H +
-    c S^2, with c = _spin_penalty(op).  Each eigenvalue lambda decodes to
-    the allowed S(S+1) nearest lambda / c and to E = lambda - c S(S+1);
-    E_b ascends, and 2S_b and the columns of V_b (F-ordered, each
-    contiguous) follow it.
-
-    The allowed S are those with S >= |S_z| of the sector.  Raises
-    NumericsError when a lambda / c lies 1/2 or more from every allowed
-    S(S+1), or when the count of levels of some allowed S is not
-    C(N, N/2 - S) - C(N, N/2 - S - 1), the number of spin-S multiplets of
-    the chain; in the middle sector those counts hold 2^N states in all.
-    """
-    n_sites, n_up = _dense_sector(op)
-    s, t, diag = _spin_swaps(n_sites, n_up)
+def _commutes_with_spin_sq(op: SymmetricOperator, s, t, diag) -> bool:
+    """Whether H (S^2 x) - S^2 (H x) stays within SYMMETRY_TOL for two integer
+    probe columns x; it is exact for any H of multiples of 1/4.  Stops at the
+    first column that leaks."""
 
     def spin_sq(x):
         return diag * x + np.bincount(t, x[s], op.dim)
@@ -294,61 +192,123 @@ def _spin_resolved_solve(op: SymmetricOperator, solve):
         return np.bincount(op.rows, op.vals * x[op.cols], op.dim)
 
     probes = np.random.default_rng(0).integers(-3, 4, (2, op.dim)).astype(float)
-    leak = max(float(np.abs(ham(spin_sq(x)) - spin_sq(ham(x))).max()) for x in probes)
+    return all(
+        float(np.abs(ham(spin_sq(x)) - spin_sq(ham(x))).max()) <= SYMMETRY_TOL
+        for x in probes
+    )
+
+
+def diagonalize(op: SymmetricOperator, vectors: bool = True) -> Spectrum:
+    """Eigendecomposition of a sector Hamiltonian, block by block.
+
+    Each symmetry block b is solved densely from U_b^T H U_b, so every
+    eigenvector has a definite symmetry and no D x D matrix is formed.  V_b
+    (F-ordered, each column contiguous, as the kernels and the cache read
+    them) is held in the block's reduced basis; each block's is converted
+    before the next block is solved, so one C-ordered copy is resident at a
+    time.  With vectors False the blocks are solved for eigenvalues only
+    (eigvalsh): the spectrum holds no V_b, as one read by load_levels.
+
+    Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
+    SYMMETRY_TOL for a group element g: op does not commute with the group,
+    so it is not block-diagonal in the irreps, and a block solve would be
+    wrong.
+
+    When op also commutes with S^2 (_commutes_with_spin_sq), each block of
+    H + c S^2 is solved instead, with c = _spin_penalty(op); its S^2 entries
+    are summed after H's within the one bincount that builds the block, so
+    no second block-sized array is allocated.  Each
+    eigenvalue lambda decodes to the allowed S(S+1) nearest lambda / c, the
+    block's 2S_b, and to E = lambda - c S(S+1); E_b ascends, and 2S_b and
+    the columns of V_b follow it.  The allowed S are those with S >= |S_z|
+    of the sector.  Raises NumericsError when a lambda / c lies 1/2 or more
+    from every allowed S(S+1), or when the count of levels of some allowed
+    S is not C(N, N/2 - S) - C(N, N/2 - S - 1), the number of spin-S
+    multiplets of the chain; in the middle sector those counts hold 2^N
+    states in all.
+    """
+    n_sites, n_up = _dense_sector(op)
+    # An operator may repeat an (i, j) triplet: coalesce into sorted entries.
+    keys, inverse = np.unique(op.rows * op.dim + op.cols, return_inverse=True)
+    vals = np.bincount(inverse, op.vals, len(keys))
+    rows, cols = np.divmod(keys, op.dim)
+    leak = 0.0
+    for perm in symmetry_group(n_sites, n_up)[1:]:
+        moved = perm[rows] * op.dim + perm[cols]
+        at = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
+        moved_vals = np.where(keys[at] == moved, vals[at], 0.0)
+        leak = max(leak, float(np.abs(moved_vals - vals).max(initial=0.0)))
     if leak > SYMMETRY_TOL:
-        return None
-    c = _spin_penalty(op)
-
-    def spin_sq_entries(b):
-        # U_b^T (c S^2) U_b: swap s -> t lands at (col[t], col[s]), and U_b
-        # has orthonormal columns, so diag stays on the diagonal, summed
-        # last.
-        d = b.dim
-        flat = np.concatenate([b.col[t] * d + b.col[s], np.arange(d) * (d + 1)])
-        values = np.concatenate([c * b.coef[t] * b.coef[s], np.full(d, c * diag)])
-        return flat, values
-
+        raise NumericsError(
+            f"{op.basis_tag}: operator breaks the sector symmetry "
+            f"(max |H[gi, gj] - H[i, j]| = {leak:g})"
+        )
+    s, t, diag = _spin_swaps(n_sites, n_up)
+    spin = _commutes_with_spin_sq(op, s, t, diag)
+    c = _spin_penalty(op) if spin else 0.0
     two_s_allowed = np.arange(abs(2 * n_up - n_sites), n_sites + 1, 2)
     allowed = two_s_allowed * (two_s_allowed + 2) / 4.0
     counts = np.zeros(len(allowed), dtype=np.int64)
 
-    def decode(b, h):
-        lam, v = solve(h)
-        x = lam / c
-        k = np.abs(x[:, None] - allowed).argmin(axis=1)
-        miss = float(np.abs(x - allowed[k]).max(initial=0.0))
-        if miss >= 0.5:
-            raise NumericsError(
-                f"{op.basis_tag} {b.label}: an eigenvalue of H + {c:g} S^2 lies "
-                f"{miss:g} c from every allowed S(S+1)"
+    def block_matrix(b):
+        # U_b^T (H U_b), each product summed in the order of a sparse
+        # product: over k for every (i, column) of H U_b, then over i.
+        col, u, d = b.col, b.coef, b.dim
+        pairs, slot = np.unique(rows * d + col[cols], return_inverse=True)
+        h_u = np.bincount(slot, vals * u[cols], len(pairs))
+        i, j = np.divmod(pairs, d)
+        flat, weights = col[i] * d + j, u[i] * h_u
+        if spin:
+            # + U_b^T (c S^2) U_b: swap s -> t lands at (col[t], col[s]),
+            # and U_b has orthonormal columns, so diag stays on the
+            # diagonal, summed last.
+            flat = np.concatenate([flat, col[t] * d + col[s], np.arange(d) * (d + 1)])
+            weights = np.concatenate([weights, c * u[t] * u[s], np.full(d, c * diag)])
+        return np.bincount(flat, weights, d * d).reshape(d, d)
+
+    solved = []
+    try:
+        for b in symmetry_blocks(n_sites, n_up):
+            if vectors:
+                e, v = np.linalg.eigh(block_matrix(b))
+            else:
+                e, v = np.linalg.eigvalsh(block_matrix(b)), None
+            two_s = None
+            if spin:
+                x = e / c
+                k = np.abs(x[:, None] - allowed).argmin(axis=1)
+                miss = float(np.abs(x - allowed[k]).max(initial=0.0))
+                if miss >= 0.5:
+                    raise NumericsError(
+                        f"{op.basis_tag} {b.label}: an eigenvalue of H + {c:g} "
+                        f"S^2 lies {miss:g} c from every allowed S(S+1)"
+                    )
+                counts += np.bincount(k, minlength=len(allowed))
+                e = e - c * allowed[k]
+                order = np.argsort(e, kind="stable")
+                e, two_s = e[order], two_s_allowed[k][order]
+                # v.T[order] gathers the columns as contiguous rows: .T is
+                # F-ordered.
+                v = None if v is None else v.T[order].T
+            elif v is not None:
+                v = np.asfortranarray(v)
+            solved.append(
+                EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
             )
-        counts[:] += np.bincount(k, minlength=len(allowed))
-        energies = lam - c * allowed[k]
-        order = np.argsort(energies, kind="stable")
-        # v.T[order] gathers the columns as contiguous rows: .T is F-ordered.
-        vectors = None if v is None else v.T[order].T
-        return energies[order], vectors, two_s_allowed[k][order]
-
-    blocks, triples = _solve_blocks(op, decode, spin_sq_entries)
-    downs = (n_sites - two_s_allowed) // 2
-    want = [comb(n_sites, d) - (comb(n_sites, d - 1) if d else 0) for d in downs]
-    if counts.tolist() != want:
+    except np.linalg.LinAlgError as err:
         raise NumericsError(
-            f"{op.basis_tag}: levels per 2S = {two_s_allowed.tolist()} are "
-            f"{counts.tolist()}, not the multiplet counts {want}"
-        )
-    return blocks, triples
-
-
-def spin_resolved_eigenvalues(op: SymmetricOperator):
-    """{block label: (E_b, 2S_b)} of a sector operator that commutes with S^2,
-    from the eigenvalues of op + c S^2 alone; None when it does not commute
-    (see _spin_resolved_solve)."""
-    solved = _spin_resolved_solve(op, lambda h: (np.linalg.eigvalsh(h), None))
-    if solved is None:
-        return None
-    blocks, triples = solved
-    return {b.label: (e, two_s) for b, (e, _, two_s) in zip(blocks, triples)}
+            f"symmetric eigensolver failed for dim={op.dim}, "
+            f"basis_tag={op.basis_tag}: {err}"
+        ) from err
+    if spin:
+        downs = (n_sites - two_s_allowed) // 2
+        want = [comb(n_sites, d) - (comb(n_sites, d - 1) if d else 0) for d in downs]
+        if counts.tolist() != want:
+            raise NumericsError(
+                f"{op.basis_tag}: levels per 2S = {two_s_allowed.tolist()} are "
+                f"{counts.tolist()}, not the multiplet counts {want}"
+            )
+    return Spectrum(blocks=tuple(solved), basis_tag=op.basis_tag)
 
 
 def partition_shells(spec: Spectrum, n_bins: int) -> DosTable:

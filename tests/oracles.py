@@ -189,6 +189,18 @@ def expand(block, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def block_eigenvalues(op) -> dict:
+    """{block label: ascending eigenvalues of U_b^T H U_b} of a sector
+    operator, from its dense matrix: the plain block solve, without S^2."""
+    n_sites, n_up = es.sector_of(op.basis_tag)
+    h = op.to_dense()
+    out = {}
+    for block in es.symmetry_blocks(n_sites, n_up):
+        u = expand(block, np.eye(block.dim))
+        out[block.label] = np.linalg.eigvalsh(u.T @ h @ u)
+    return out
+
+
 def eigenvector_matrix(spec) -> np.ndarray:
     """The D x D matrix whose column n is eigenket n of a package Spectrum.
 

@@ -353,15 +353,15 @@ def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
     assert main(["volume-law", "--n-sites", "8", "--delta2", "0.5",
                  "--out", str(tmp_path / "fill")]) == 0
     solved = []
-    block_eigenvalues = cli.block_eigenvalues
+    diagonalize = cli.diagonalize
 
-    def recording(op):
-        solved.append(op.basis_tag)
-        return block_eigenvalues(op)
+    def recording(op, vectors=True):
+        solved.append((op.basis_tag, vectors))
+        return diagonalize(op, vectors)
 
-    monkeypatch.setattr(cli, "block_eigenvalues", recording)
+    monkeypatch.setattr(cli, "diagonalize", recording)
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
-    assert solved == [f"N8_nup{k}" for k in range(4)]
+    assert solved == [(f"N8_nup{k}", False) for k in range(4)]
     details = _manifest(tmp_path / "b")["details"]["d2=0.5"]
     assert details["spectrum"] == "cache-eigenvalues"
     name = "degeneracy_census_d2=0.5.csv"
@@ -375,49 +375,43 @@ def test_census_solves_the_middle_sector_alone_when_su2_holds(
     # At d2 = 0 the chain commutes with S^2, so the census needs only the
     # levels of the middle sector, each with its spin.  With that sector (the
     # table sector) cached, they are its cache file's levels: nothing is
-    # probed or solved.  At any other coupling the cached levels carry no
-    # spins, so every other n_up <= N/2 is solved per block, and S^2 is not
-    # probed again.  With --cache off the census builds and probes the
-    # middle sector: at d2 = 0 it solves that sector alone, per block of
-    # H + c S^2.  The table is the same either way.
+    # solved.  At any other coupling the cached levels carry no spins, so
+    # every other n_up <= N/2 is solved for eigenvalues only; of those only
+    # the one-state sector n_up = 0 commutes with S^2.  With --cache off the
+    # census solves the middle sector first: at d2 = 0 that sector alone,
+    # per block of H + c S^2.  The table is the same either way.
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     args = ["--n-sites", "8", "--delta2", repr(d2)]
     assert main(["volume-law", *args, "--out", str(tmp_path / "fill")]) == 0
-    solved, probed = [], []
-    solve_blocks = es.spectral._solve_blocks
-    spin_resolved_solve = es.spectral._spin_resolved_solve
+    solved = []
+    diagonalize = cli.diagonalize
 
-    def recording_solve(op, solver, extra=None):
-        solved.append((op.basis_tag, extra is not None))
-        return solve_blocks(op, solver, extra)
+    def recording(op, vectors=True):
+        spec = diagonalize(op, vectors)
+        solved.append((op.basis_tag, vectors, spec.spin_resolved))
+        return spec
 
-    def recording_probe(op, solve):
-        probed.append(op.basis_tag)
-        return spin_resolved_solve(op, solve)
-
-    monkeypatch.setattr(es.spectral, "_solve_blocks", recording_solve)
-    monkeypatch.setattr(es.spectral, "_spin_resolved_solve", recording_probe)
+    monkeypatch.setattr(cli, "diagonalize", recording)
+    others = [(f"N8_nup{k}", False, k == 0) for k in range(4)]
     assert main(["degeneracy-census", *args, "--out", str(tmp_path / "c")]) == 0
     details = _manifest(tmp_path / "c")["details"][f"d2={d2:g}"]
     assert details["spectrum"] == "cache-eigenvalues"
-    assert probed == []
     if d2 == 0.0:
         assert solved == []
         assert details["census"] == "spin-resolved"
     else:
-        assert solved == [(f"N8_nup{k}", False) for k in range(4)]
+        assert solved == others
         assert details["census"] == "per-sector"
     solved.clear()
     assert main(["degeneracy-census", *args, "--cache", "off",
                  "--out", str(tmp_path / "d")]) == 0
     details = _manifest(tmp_path / "d")["details"][f"d2={d2:g}"]
     assert details["spectrum"] == "skipped"
-    assert probed == ["N8_nup4"]
     if d2 == 0.0:
-        assert solved == [("N8_nup4", True)]
+        assert solved == [("N8_nup4", False, True)]
         assert details["census"] == "spin-resolved"
     else:
-        assert solved == [(f"N8_nup{k}", False) for k in range(5)]
+        assert solved == [("N8_nup4", False, False), *others]
         assert details["census"] == "per-sector"
     name = f"degeneracy_census_d2={d2:g}.csv"
     assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
@@ -859,10 +853,17 @@ def test_warm_energy_only_tables_never_read_eigenvectors(tmp_path, monkeypatch):
     assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(tmp_path / "fill")]) == 0
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("full spectrum read or solve")
+        raise AssertionError("full spectrum read")
+
+    solve = cli.diagonalize
+
+    def levels_only(op, vectors=True):
+        if vectors:
+            raise AssertionError("full spectrum solve")
+        return solve(op, vectors)
 
     monkeypatch.setattr(cli, "load_spectrum", forbidden)
-    monkeypatch.setattr(cli, "diagonalize", forbidden)
+    monkeypatch.setattr(cli, "diagonalize", levels_only)
     for experiment, names in ENERGY_ONLY.items():
         out = tmp_path / "warm" / experiment
         assert main([experiment, *SCAN_ARGS, "--out", str(out)]) == 0
@@ -881,8 +882,8 @@ def _rebuilt_with(monkeypatch, change):
     """Make the CLI's solves return change(first block) as their first block."""
     real = cli.diagonalize
 
-    def other(op):
-        spec = real(op)
+    def other(op, vectors=True):
+        spec = real(op, vectors)
         return replace(spec, blocks=(change(spec.blocks[0]), *spec.blocks[1:]))
 
     monkeypatch.setattr(cli, "diagonalize", other)

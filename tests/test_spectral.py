@@ -426,7 +426,7 @@ def test_symmetry_breaking_operator_raises():
     with pytest.raises(es.NumericsError, match="symmetry"):
         es.diagonalize(field_op)
     with pytest.raises(es.NumericsError, match="symmetry"):
-        es.block_eigenvalues(field_op)
+        es.diagonalize(field_op, vectors=False)
 
 
 def test_spin_flip_breaking_operator_raises():
@@ -442,41 +442,42 @@ def test_spin_flip_breaking_operator_raises():
     with pytest.raises(es.NumericsError, match="symmetry"):
         es.diagonalize(field_op)
     with pytest.raises(es.NumericsError, match="symmetry"):
-        es.block_eigenvalues(field_op)
+        es.diagonalize(field_op, vectors=False)
 
 
 @pytest.mark.parametrize("n", [3, 6, 7])
 def test_spin_resolved_levels_match_a_plain_solve_in_every_sector(n):
-    # E_b per block against eigvalsh of the dense sector matrix; every 2S is
-    # at least |2 S_z|, and it has the parity of N.  A coupling that breaks
-    # SU(2) gets None.
+    # E_b per block of an eigenvalue-only solve against eigvalsh of the dense
+    # sector matrix; every 2S is at least |2 S_z|, and it has the parity of
+    # N.  A coupling that breaks SU(2) gets no spins.
     for n_up in range(n + 1):
         basis = es.enumerate_sector(n, n_up)
         op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.0))
-        resolved = es.spectral.spin_resolved_eigenvalues(op)
-        levels = np.concatenate([e for e, _ in resolved.values()])
-        two_s = np.concatenate([s for _, s in resolved.values()])
-        assert np.abs(np.sort(levels) - np.linalg.eigvalsh(op.to_dense())).max() < 1e-12
+        spec = es.diagonalize(op, vectors=False)
+        assert spec.spin_resolved
+        two_s = np.concatenate([b.two_s for b in spec.blocks])
+        dense = np.linalg.eigvalsh(op.to_dense())
+        assert np.abs(spec.eigenvalues - dense).max() < 1e-12
         assert two_s.min() >= abs(2 * n_up - n) and np.all(two_s % 2 == n % 2)
         chaotic = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.5))
         if 0 < n_up < n:
-            assert es.spectral.spin_resolved_eigenvalues(chaotic) is None
+            assert not es.diagonalize(chaotic, vectors=False).spin_resolved
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_diagonalize_resolves_total_spin_when_su2_holds(n):
     # At d2 = 0 each block of H + c S^2 is solved with eigh: its 2S_b is the
     # eigenvalue-only solve's, its E_b lies within 1e-11 of a plain block
-    # eigh, and every eigenvector is an S^2 eigenvector of its spin.
+    # solve, and every eigenvector is an S^2 eigenvector of its spin.
     basis = es.enumerate_sector(n, n // 2)
     op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.0))
     spec = es.diagonalize(op)
     assert spec.spin_resolved
-    resolved = es.spectral.spin_resolved_eigenvalues(op)
-    plain = es.block_eigenvalues(op)
-    for b in spec.blocks:
+    levels = es.diagonalize(op, vectors=False)
+    plain = oracles.block_eigenvalues(op)
+    for b, only in zip(spec.blocks, levels.blocks):
         assert b.two_s.dtype.kind == "i"
-        assert np.array_equal(b.two_s, resolved[b.block.label][1])
+        assert np.array_equal(b.two_s, only.two_s)
         assert np.abs(b.eigenvalues - plain[b.block.label]).max() < 1e-11
     v = oracles.eigenvector_matrix(spec)
     two_s = np.array([
@@ -487,6 +488,33 @@ def test_diagonalize_resolves_total_spin_when_su2_holds(n):
     assert residual.max() < 1e-10
     chaotic = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=0.5))
     assert not es.diagonalize(chaotic).spin_resolved
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_levels_only_solve_matches_full_solve(n):
+    # vectors=False solves with eigvalsh, eigh's sibling driver: the same
+    # blocks and spins exactly, the same levels to rounding, and no V_b.
+    for n_up in range(n // 2 + 1):
+        basis = es.enumerate_sector(n, n_up)
+        for d2 in (0.0, 0.5):
+            op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=d2))
+            full, levels = es.diagonalize(op), es.diagonalize(op, vectors=False)
+            assert [b.block.label for b in levels.blocks] == [
+                b.block.label for b in full.blocks
+            ]
+            assert levels.spin_resolved is full.spin_resolved
+            for got, want in zip(levels.blocks, full.blocks):
+                assert got.eigenvectors is None
+                if want.two_s is None:
+                    assert got.two_s is None
+                else:
+                    assert np.array_equal(got.two_s, want.two_s)
+                assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12
+            with pytest.raises(ValueError, match="eigenvalues only"):
+                levels.require_eigenvectors()
+            if n_up == 0:  # one state, which commutes with anything
+                assert levels.spin_resolved
+                assert levels.blocks[0].two_s.tolist() == [n]
 
 
 def test_diagonalize_refuses_levels_that_decode_to_no_spin(monkeypatch):
@@ -563,7 +591,7 @@ def test_census_matches_unresolved_merge(tmp_path, n, d2):
     assert details["n_levels"] == 2**n
     # <r> per block of the middle sector with at least 50 levels, against
     # that block's plain eigenvalues.
-    middle = es.block_eigenvalues(
+    middle = oracles.block_eigenvalues(
         es.build_hamiltonian(es.enumerate_sector(n, n // 2), params)
     )
     want_r = {
