@@ -15,9 +15,9 @@ other sectors n_up <= 6 through diagonalize(..., vectors=False),
 eigenvalues per block.  Neither loads an eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-About three seconds end to end on a 2-core machine (2.7-3.7 s over three
-cold-cache runs, 100.3 MB peak RSS, 2-core Xeon; the census call took
-0.73-0.79 s of it, all at delta2=0.5, and the property suite 0.15-0.19 s);
+About three seconds end to end on a 2-core machine (2.5-3.0 s over three
+cold-cache runs, 98.4 MB peak RSS, 2-core Xeon; the census call took
+0.70-0.84 s of it, all at delta2=0.5, and the property suite 0.12-0.16 s);
 each cached spectrum (dim 3432, four symmetry blocks) is 23.6 MB and each
 scan file 27.6 kB.
 

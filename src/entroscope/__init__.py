@@ -67,7 +67,6 @@ from .states import (
     mix,
     partial_trace,
     partial_trace_bath,
-    random_density,
 )
 
 __version__ = "0.1.0"

@@ -2,6 +2,7 @@
 monotonicity, Shannon infima, unitary invariance, complement symmetry, and
 mixing concavity.  The CLI property-suite experiment emits these as TAP."""
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -9,8 +10,8 @@ from .entropy import check_subadditivity, shannon_rows, von_neumann
 from .states import (
     BipartitionSpec,
     DensityMatrix,
+    clip_psd_noise,
     density_from_gaussian,
-    eigen_ensemble,
     ensemble_weights,
     full_tag,
     measure,
@@ -19,7 +20,6 @@ from .states import (
     partial_trace,
     partial_trace_bath,
     pure_from_gaussian,
-    random_density,
     unitary_from_gaussian,
 )
 
@@ -51,15 +51,10 @@ def _random_dim(rng) -> int:
     return int(rng.integers(DIM_LO, DIM_HI + 1))
 
 
-def _random_part(rng) -> BipartitionSpec:
-    n = int(rng.integers(SITES_LO, SITES_HI + 1))
-    return BipartitionSpec(n_sites=n, l1=int(rng.integers(1, n)))
-
-
 def _gaussians(rng, count: int, shape) -> np.ndarray:
-    """The draws of `count` complex_gaussian(rng, shape) calls, made in one
-    call: (count, 2, *shape), the real parts of each before its imaginary
-    parts.  _complex combines a stack of them."""
+    """`count` complex Gaussian arrays of `shape`, drawn in one call as
+    (count, 2, *shape): the real parts of each before its imaginary parts.
+    _complex combines a stack of them."""
     return rng.standard_normal((count, 2, *shape))
 
 
@@ -68,73 +63,77 @@ def _complex(parts: np.ndarray) -> np.ndarray:
     return parts[:, :, 0] + 1j * parts[:, :, 1]
 
 
-def _dim_draws(rng, trials: int, count: int):
-    """Per trial a dimension, then `count` complex Gaussian square matrices."""
-    keys, draws = [], []
-    for _ in range(trials):
-        dim = _random_dim(rng)
-        keys.append(dim)
-        draws.append((_gaussians(rng, count, (dim, dim)),))
-    return keys, draws
+def _evaluate(draw, build, rng, trials: int):
+    """One value per trial: the draws in trial order, built one stack per key.
 
-
-def _stacked(keys, draws, build):
-    """build(key, *stacks) once per distinct key, scattered to trial order.
-
-    keys[i] and draws[i] (a tuple of arrays) are trial i's.  The trials of
-    one key have arrays of one shape, which are stacked, so build, and the
-    library routines it calls, runs once per key.  build returns an array
-    of one value per stacked trial, or a tuple of such arrays.
+    draw(rng) returns one trial's (key, arrays), arrays a tuple.  The trials
+    of one key have arrays of one shape, which are stacked, so build(key,
+    *stacks), and the library routines it calls, runs once per key.  build
+    returns an array of one value per stacked trial, or a tuple of such
+    arrays; the values are scattered back to trial order.
     """
     groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    for i in range(trials):
+        key, arrays = draw(rng)
+        groups.setdefault(key, []).append((i, arrays))
     out = None
-    for key, at in groups.items():
-        stacks = [np.stack(arrays) for arrays in zip(*(draws[i] for i in at))]
+    for key, members in groups.items():
+        at = [i for i, _ in members]
+        stacks = [np.stack(column) for column in zip(*(a for _, a in members))]
         values = build(key, *stacks)
         values = values if isinstance(values, tuple) else (values,)
         if out is None:
-            out = tuple(np.empty(len(keys)) for _ in values)
+            out = tuple(np.empty(trials) for _ in values)
         for column, v in zip(out, values):
             column[at] = v
     return out if len(out) > 1 else out[0]
 
 
-# Each check takes (rng, trials).  It draws every trial's instance from rng
-# in trial order, as a loop over single trials would, and then evaluates
-# the trials one stack per shape, with the bits single trials would get.  It
-# returns one value per trial; the infimum checks return (gaps, equality
-# gaps).  Checks call von_neumann by its module-global name, so a wrapper
-# installed on this module sees every call.
+# The draws.  Each takes one trial's instance from rng and returns (key,
+# arrays); a key fixes the arrays' shapes.
 
 
-def _subadditivity(rng, trials):
+def _dim_draw(rng):
+    """A dimension, then two complex Gaussian square matrices."""
+    dim = _random_dim(rng)
+    return dim, (_gaussians(rng, 2, (dim, dim)),)
+
+
+def _part_draw(rng, ndim: int):
+    """A bipartition, then one complex Gaussian on its full space: a matrix
+    (ndim 2) or a vector (ndim 1)."""
+    n = int(rng.integers(SITES_LO, SITES_HI + 1))
+    part = BipartitionSpec(n_sites=n, l1=int(rng.integers(1, n)))
+    return part, (_gaussians(rng, 1, (1 << n,) * ndim),)
+
+
+def _mixing_draw(rng):
+    """A dimension, 2 to 4 Dirichlet weights, then one matrix per weight."""
+    dim = _random_dim(rng)
+    k = int(rng.integers(2, 5))
+    weights = rng.dirichlet(np.ones(k))
+    return (dim, k), (weights, _gaussians(rng, k, (dim, dim)))
+
+
+# The builds.  Each evaluates the stacked trials of one key, with the bits
+# each trial gets alone, and returns one value per trial; the infimum checks
+# return (gaps, equality gaps).  Builds call von_neumann by its
+# module-global name, so a wrapper installed on this module sees every call.
+
+
+def _subadditivity(part, parts):
     """S(A) + S(B) - S(AB) for random mixed full-space states."""
-    keys, draws = [], []
-    for _ in range(trials):
-        part = _random_part(rng)
-        keys.append(part)
-        draws.append((_gaussians(rng, 1, (1 << part.n_sites,) * 2),))
-
-    def build(part, parts):
-        g = _complex(parts)[:, 0]
-        rho = density_from_gaussian(g, space_tag=full_tag(part.n_sites))
-        return check_subadditivity(rho, part).slack
-
-    return _stacked(keys, draws, build)
+    g = _complex(parts)[:, 0]
+    rho = density_from_gaussian(g, space_tag=full_tag(part.n_sites))
+    return check_subadditivity(rho, part).slack
 
 
-def _measurement_monotonicity(rng, trials):
+def _measurement_monotonicity(dim, parts):
     """Change of S_VN under a random projective measurement."""
-
-    def build(dim, parts):
-        g = _complex(parts)
-        rho = density_from_gaussian(g[:, 0])
-        phi = unitary_from_gaussian(g[:, 1])
-        return von_neumann(measure(rho, phi)) - von_neumann(rho)
-
-    return _stacked(*_dim_draws(rng, trials, 2), build)
+    g = _complex(parts)
+    rho = density_from_gaussian(g[:, 0])
+    phi = unitary_from_gaussian(g[:, 1])
+    return von_neumann(measure(rho, phi)) - von_neumann(rho)
 
 
 def _members_entropy(p: np.ndarray) -> np.ndarray:
@@ -143,28 +142,23 @@ def _members_entropy(p: np.ndarray) -> np.ndarray:
     return shannon_rows(np.where(p > 1e-16, p, 0.0))
 
 
-def _decomposition_infimum(rng, trials):
+def _decomposition_infimum(dim, parts):
     """Shannon of a random pure-state decomposition minus S_VN, and the same
-    gap at the eigendecomposition (identity rotation), where it vanishes."""
-    keys, draws = [], []
-    for _ in range(trials):
-        dim = _random_dim(rng)
-        rho = random_density(rng, dim)
-        # The rotation drawn next has the size of rho's rank, so this trial's
-        # eigensolve runs before the next draw.
-        vals, vecs = eigen_ensemble(rho)
-        rank = len(vals)
-        keys.append((dim, rank))
-        draws.append((rho.matrix, vals, vecs, _gaussians(rng, 1, (rank, rank))))
+    gap at the eigendecomposition (identity rotation), where it vanishes.
 
-    def build(key, rho, vals, vecs, parts):
-        s = von_neumann(DensityMatrix(matrix=rho))
-        u = unitary_from_gaussian(_complex(parts)[:, 0])
-        p, _ = ensemble_weights(vals, vecs, u)
-        p_eigen, _ = ensemble_weights(vals, vecs, np.eye(key[1]))
-        return _members_entropy(p) - s, np.abs(_members_entropy(p_eigen) - s)
-
-    return _stacked(keys, draws, build)
+    The ensemble is all dim eigenpairs, zero eigenvalues included, so a
+    dim x dim rotation decomposes rho whatever its rank: any m >= rank
+    members rotated by an m x m unitary do (Hughston, Jozsa and Wootters,
+    Phys. Lett. A 183, 14 (1993)).
+    """
+    g = _complex(parts)
+    rho = density_from_gaussian(g[:, 0])
+    s = von_neumann(rho)
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals = clip_psd_noise(vals)
+    p, _ = ensemble_weights(vals, vecs, unitary_from_gaussian(g[:, 1]))
+    p_eigen, _ = ensemble_weights(vals, vecs, np.eye(dim))
+    return _members_entropy(p) - s, np.abs(_members_entropy(p_eigen) - s)
 
 
 def _weights_gap(rho: DensityMatrix, vectors: np.ndarray, s) -> np.ndarray:
@@ -173,93 +167,68 @@ def _weights_gap(rho: DensityMatrix, vectors: np.ndarray, s) -> np.ndarray:
     return shannon_rows(w / w.sum(axis=-1, keepdims=True)) - s
 
 
-def _basis_infimum(rng, trials):
+def _basis_infimum(dim, parts):
     """Shannon of measurement weights in a random basis minus S_VN, and the
     same gap in the eigenbasis, where it vanishes."""
-
-    def build(dim, parts):
-        g = _complex(parts)
-        rho = density_from_gaussian(g[:, 0])
-        s = von_neumann(rho)
-        gap = _weights_gap(rho, unitary_from_gaussian(g[:, 1]), s)
-        _, eigvecs = np.linalg.eigh(rho.matrix)
-        return gap, np.abs(_weights_gap(rho, eigvecs, s))
-
-    return _stacked(*_dim_draws(rng, trials, 2), build)
+    g = _complex(parts)
+    rho = density_from_gaussian(g[:, 0])
+    s = von_neumann(rho)
+    gap = _weights_gap(rho, unitary_from_gaussian(g[:, 1]), s)
+    _, eigvecs = np.linalg.eigh(rho.matrix)
+    return gap, np.abs(_weights_gap(rho, eigvecs, s))
 
 
-def _unitary_invariance(rng, trials):
+def _unitary_invariance(dim, parts):
     """|S_VN(U rho U+) - S_VN(rho)| for random unitaries."""
-
-    def build(dim, parts):
-        g = _complex(parts)
-        rho = density_from_gaussian(g[:, 0])
-        u = unitary_from_gaussian(g[:, 1])
-        rot = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
-        rot = 0.5 * (rot + rot.conj().swapaxes(-1, -2))
-        rotated = DensityMatrix(matrix=rot, space_tag=rho.space_tag)
-        return np.abs(von_neumann(rotated) - von_neumann(rho))
-
-    return _stacked(*_dim_draws(rng, trials, 2), build)
+    g = _complex(parts)
+    rho = density_from_gaussian(g[:, 0])
+    u = unitary_from_gaussian(g[:, 1])
+    rot = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
+    rot = 0.5 * (rot + rot.conj().swapaxes(-1, -2))
+    rotated = DensityMatrix(matrix=rot, space_tag=rho.space_tag)
+    return np.abs(von_neumann(rotated) - von_neumann(rho))
 
 
-def _complement_symmetry(rng, trials):
+def _complement_symmetry(part, parts):
     """|S(rho_A) - S(rho_B)| for random pure full-space states."""
-    keys, draws = [], []
-    for _ in range(trials):
-        part = _random_part(rng)
-        keys.append(part)
-        draws.append((_gaussians(rng, 1, (1 << part.n_sites,)),))
-
-    def build(part, parts):
-        g = _complex(parts)[:, 0]
-        psi = pure_from_gaussian(g, space_tag=full_tag(part.n_sites))
-        s_a = von_neumann(partial_trace(psi, part))
-        s_b = von_neumann(partial_trace_bath(psi, part))
-        return np.abs(s_a - s_b)
-
-    return _stacked(keys, draws, build)
+    g = _complex(parts)[:, 0]
+    psi = pure_from_gaussian(g, space_tag=full_tag(part.n_sites))
+    s_a = von_neumann(partial_trace(psi, part))
+    s_b = von_neumann(partial_trace_bath(psi, part))
+    return np.abs(s_a - s_b)
 
 
-def _mixing_concavity(rng, trials):
+def _mixing_concavity(key, weights, parts):
     """S_VN(sum p_i rho_i) - sum p_i S_VN(rho_i) for 2 to 4 random states."""
-    keys, draws = [], []
-    for _ in range(trials):
-        dim = _random_dim(rng)
-        k = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(k))
-        keys.append((dim, k))
-        draws.append((weights, _gaussians(rng, k, (dim, dim))))
-
-    def build(key, weights, parts):
-        # Component i of every trial is rhos[:, i].
-        rhos = density_from_gaussian(_complex(parts))
-        entropies = von_neumann(rhos)
-        comps = [
-            (weights[:, i], DensityMatrix(matrix=rhos.matrix[:, i]))
-            for i in range(key[1])
-        ]
-        avg = sum(p * entropies[:, i] for i, (p, _) in enumerate(comps))
-        return von_neumann(mix(comps)) - avg
-
-    return _stacked(keys, draws, build)
+    # Component i of every trial is rhos[:, i].
+    rhos = density_from_gaussian(_complex(parts))
+    entropies = von_neumann(rhos)
+    comps = [
+        (weights[:, i], DensityMatrix(matrix=rhos.matrix[:, i]))
+        for i in range(key[1])
+    ]
+    avg = sum(p * entropies[:, i] for i, (p, _) in enumerate(comps))
+    return von_neumann(mix(comps)) - avg
 
 
-# (name, check, bound, detail), in TAP order; check i (from 1) draws from
-# default_rng([seed, i]).  A negative bound is a floor on the smallest value,
-# a positive one a ceiling on the largest.
+# (name, draw, build, bound, detail), in TAP order; check i (from 1) draws
+# from default_rng([seed, i]).  A negative bound is a floor on the smallest
+# value, a positive one a ceiling on the largest.
 CHECKS = (
-    ("subadditivity", _subadditivity, -1e-9, "min slack S_A+S_B-S_AB"),
-    ("measurement-monotonicity", _measurement_monotonicity, -1e-9,
+    ("subadditivity", partial(_part_draw, ndim=2), _subadditivity, -1e-9,
+     "min slack S_A+S_B-S_AB"),
+    ("measurement-monotonicity", _dim_draw, _measurement_monotonicity, -1e-9,
      "min S(rho')-S(rho)"),
-    ("decomposition-infimum", _decomposition_infimum, -1e-9,
+    ("decomposition-infimum", _dim_draw, _decomposition_infimum, -1e-9,
      "min Shannon-S_VN; eigendecomposition gap"),
-    ("basis-infimum", _basis_infimum, -1e-9,
+    ("basis-infimum", _dim_draw, _basis_infimum, -1e-9,
      "min Shannon(w)-S_VN; eigenbasis gap"),
-    ("unitary-invariance", _unitary_invariance, 1e-9, "max |S(U rho U+)-S(rho)|"),
-    ("complement-symmetry", _complement_symmetry, 1e-8,
-     "max |S_A-S_B| over pure states"),
-    ("mixing-concavity", _mixing_concavity, -1e-9, "min S(mix)-sum p S(rho)"),
+    ("unitary-invariance", _dim_draw, _unitary_invariance, 1e-9,
+     "max |S(U rho U+)-S(rho)|"),
+    ("complement-symmetry", partial(_part_draw, ndim=1), _complement_symmetry,
+     1e-8, "max |S_A-S_B| over pure states"),
+    ("mixing-concavity", _mixing_draw, _mixing_concavity, -1e-9,
+     "min S(mix)-sum p S(rho)"),
 )
 
 
@@ -270,8 +239,8 @@ def run_property_suite(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     results = []
-    for stream, (name, check, bound, detail) in enumerate(CHECKS, start=1):
-        values = check(np.random.default_rng([seed, stream]), trials)
+    for stream, (name, draw, build, bound, detail) in enumerate(CHECKS, start=1):
+        values = _evaluate(draw, build, np.random.default_rng([seed, stream]), trials)
         if isinstance(values, tuple):
             # The equality gap must vanish: its negation joins the floor test.
             gaps, eq_gaps = values

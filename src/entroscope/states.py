@@ -1,6 +1,6 @@
 """Density-matrix algebra: pure states, mixtures, canonical weights, partial
-trace, projective measurement, and seeded random generators for property
-sweeps."""
+trace, projective measurement, and the builds of random states from complex
+Gaussian draws for property sweeps."""
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -380,25 +380,11 @@ def measurement_weights(rho: DensityMatrix, basis_vectors: np.ndarray) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Seeded random generators (property-sweep scaffolding).  Each splits into a
-# draw (complex_gaussian) and a build from the drawn array.  The builds take
-# stacks (leading axes) and give each member the bits a build of that member
-# alone gives, so a sweep can draw its instances in order and build them in
-# one call per shape.
+# Builds from complex Gaussian draws (property-sweep scaffolding).  The
+# builds take stacks (leading axes) and give each member the bits a build of
+# that member alone gives, so a sweep can draw its instances in order and
+# build them in one call per shape.
 # ---------------------------------------------------------------------------
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def complex_gaussian(rng, shape) -> np.ndarray:
-    """Standard complex Gaussian array: every real part is drawn first, then
-    every imaginary part."""
-    re, im = _as_rng(rng).standard_normal((2, *np.atleast_1d(shape)))
-    return re + 1j * im
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -433,23 +419,6 @@ def unitary_from_gaussian(g: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_density(rng, dim: int, space_tag: str = "") -> DensityMatrix:
-    """PSD trace-1 matrix G G+ / Tr(G G+) with standard-normal G."""
-    return density_from_gaussian(complex_gaussian(rng, (dim, dim)), space_tag)
-
-
-def eigen_ensemble(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_k, e_k) of one state's eigenpairs with lambda_k > 1e-14.
-
-    Their count is the rank m of rho, the size of the unitary that rotates
-    the ensemble in a random pure-state decomposition (ensemble_weights).
-    """
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    vals = clip_psd_noise(vals)
-    keep = vals > 1e-14
-    return vals[keep], vecs[:, keep]
-
-
 def ensemble_weights(
     vals: np.ndarray, vecs: np.ndarray, unitary: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -458,8 +427,10 @@ def ensemble_weights(
     The columns of W = (vecs sqrt(vals)) U+ are the unnormalized members of
     a pure-state decomposition of rho, and p_i = |W_i|^2 their weights (the
     standard purification rotation: with U = identity it is the
-    eigendecomposition, which attains the Shannon-entropy infimum).  Stacks
-    of ensembles and unitaries of one shape give stacks of (p, W).
+    eigendecomposition, which attains the Shannon-entropy infimum).  The
+    ensemble may hold zero eigenvalues: every m >= rank members rotated by
+    an m x m U decompose rho.  Stacks of ensembles and unitaries of one
+    shape give stacks of (p, W).
     """
     w = (vecs * np.sqrt(vals)[..., None, :]) @ _adjoint(np.asarray(unitary))
     norms = _norms(np.ascontiguousarray(w.swapaxes(-1, -2)))

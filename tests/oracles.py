@@ -4,7 +4,7 @@ Everything here works on the full 2^N space with explicit Kronecker
 products and per-site tensor contractions, with no sector bookkeeping, so
 agreement with the package is evidence rather than tautology.  Site 1 is
 the leftmost Kronecker factor (most significant bit), bit value 1 is
-up-spin.  The helpers from `random_pure` on are not independent: they
+up-spin.  The helpers from `complex_gaussian` on are not independent: they
 draw random states with the package's builders, assemble package output
 (sector blocks, decompositions, eigenkets, S^z blocks of an RDM) into full
 states and matrices that the oracles can be compared against, redo the RDM
@@ -120,24 +120,36 @@ def gibbs_direct(energies, beta: float):
     return shannon_direct(p), float(p @ e), float(np.log(q))
 
 
+def complex_gaussian(rng, shape) -> np.ndarray:
+    """Standard complex Gaussian array from a Generator or a seed: every
+    real part is drawn first, then every imaginary part."""
+    re, im = np.random.default_rng(rng).standard_normal((2, *np.atleast_1d(shape)))
+    return re + 1j * im
+
+
+def random_density(rng, dim: int, space_tag: str = "") -> es.DensityMatrix:
+    """PSD trace-1 matrix G G+ / Tr(G G+) with standard-normal G."""
+    return states.density_from_gaussian(complex_gaussian(rng, (dim, dim)), space_tag)
+
+
 def random_pure(rng, dim: int, space_tag: str = "") -> es.StateVector:
     """Haar-ish random pure state from a complex Gaussian vector."""
-    return states.pure_from_gaussian(states.complex_gaussian(rng, dim), space_tag)
+    return states.pure_from_gaussian(complex_gaussian(rng, dim), space_tag)
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:
     """Haar unitary via QR of a complex Gaussian with positive R diagonal."""
-    return states.unitary_from_gaussian(states.complex_gaussian(rng, (dim, dim)))
+    return states.unitary_from_gaussian(complex_gaussian(rng, (dim, dim)))
 
 
 def random_decomposition(rng, rho, unitary=None):
-    """Random pure-state decomposition [(p_i, psi_i)] reconstructing rho: the
-    eigen-ensemble rotated by a Haar unitary, or by `unitary`; members of
-    weight <= 1e-16 are dropped."""
-    vals, vecs = states.eigen_ensemble(rho)
-    m = len(vals)
-    u = random_unitary(rng, m) if unitary is None else np.asarray(unitary)
-    assert u.shape == (m, m)
+    """Random pure-state decomposition [(p_i, psi_i)] reconstructing rho: its
+    dim eigenpairs, zero eigenvalues included, rotated by a dim x dim Haar
+    unitary, or by `unitary`; members of weight <= 1e-16 are dropped."""
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals = states.clip_psd_noise(vals)
+    u = random_unitary(rng, rho.dim) if unitary is None else np.asarray(unitary)
+    assert u.shape == (rho.dim, rho.dim)
     p, w = states.ensemble_weights(vals, vecs, u)
     return [
         (float(p_i), w[:, i] / np.sqrt(p_i)) for i, p_i in enumerate(p) if p_i > 1e-16

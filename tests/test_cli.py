@@ -293,10 +293,10 @@ def test_property_suite_tap(tmp_path):
 
 
 def _break_check(monkeypatch, name, value):
-    """Swap one check for one whose every trial returns `value`."""
+    """Swap one check's build for one that gives every trial `value`."""
     checks = tuple(
-        (n, (lambda rng, trials: value) if n == name else check, bound, detail)
-        for n, check, bound, detail in properties.CHECKS
+        (n, draw, (lambda key, *stacks: value) if n == name else build, bound, detail)
+        for n, draw, build, bound, detail in properties.CHECKS
     )
     monkeypatch.setattr(properties, "CHECKS", checks)
 

@@ -62,7 +62,7 @@ def test_von_neumann_examples(rng):
 
 
 def test_von_neumann_basis_independent(rng):
-    rho = es.random_density(rng, 7)
+    rho = oracles.random_density(rng, 7)
     u = oracles.random_unitary(rng, 7)
     rotated = u @ rho.matrix @ u.conj().T
     rotated = es.DensityMatrix(matrix=0.5 * (rotated + rotated.conj().T))
@@ -149,8 +149,8 @@ def test_subadditivity_bell_state():
 
 
 def test_subadditivity_product_state_is_tight(rng):
-    a = es.random_density(rng, 2)
-    b = es.random_density(rng, 4)
+    a = oracles.random_density(rng, 2)
+    b = oracles.random_density(rng, 4)
     prod = np.kron(a.matrix, b.matrix)
     rho = es.DensityMatrix(matrix=prod, space_tag=full_tag(3))
     rep = es.check_subadditivity(rho, es.BipartitionSpec(3, 1))
@@ -161,7 +161,7 @@ def test_subadditivity_random_sweep():
     rng = np.random.default_rng(811)
     worst = np.inf
     for _ in range(200):
-        rho = es.random_density(rng, 4, space_tag=full_tag(2))
+        rho = oracles.random_density(rng, 4, space_tag=full_tag(2))
         rep = es.check_subadditivity(rho, es.BipartitionSpec(2, 1))
         worst = min(worst, rep.slack)
     assert worst >= -1e-9

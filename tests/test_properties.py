@@ -17,7 +17,7 @@ def _random_dim(rng):
 def _random_full_state(rng, pure):
     n = int(rng.integers(properties.SITES_LO, properties.SITES_HI + 1))
     part = es.BipartitionSpec(n_sites=n, l1=int(rng.integers(1, n)))
-    draw = oracles.random_pure if pure else es.random_density
+    draw = oracles.random_pure if pure else oracles.random_density
     return draw(rng, 1 << n, space_tag=full_tag(n)), part
 
 
@@ -34,15 +34,16 @@ def _subadditivity(rng):
 
 def _measurement_monotonicity(rng):
     dim = _random_dim(rng)
-    rho = es.random_density(rng, dim)
+    rho = oracles.random_density(rng, dim)
     phi = oracles.random_unitary(rng, dim)
     return es.von_neumann(es.measure(rho, phi)) - es.von_neumann(rho)
 
 
 def _decomposition_infimum(rng):
     dim = _random_dim(rng)
-    rho = es.random_density(rng, dim)
+    rho = oracles.random_density(rng, dim)
     s = es.von_neumann(rho)
+    # The rotation is drawn at dim, whatever rho's rank.
     parts = oracles.random_decomposition(rng, rho)
     eigen = oracles.random_decomposition(rng, rho, unitary=np.eye(dim))
     gap = es.shannon([p for p, _ in parts]) - s
@@ -51,7 +52,7 @@ def _decomposition_infimum(rng):
 
 def _basis_infimum(rng):
     dim = _random_dim(rng)
-    rho = es.random_density(rng, dim)
+    rho = oracles.random_density(rng, dim)
     s = es.von_neumann(rho)
     gap = _weights_gap(rho, oracles.random_unitary(rng, dim), s)
     _, eigvecs = np.linalg.eigh(rho.matrix)
@@ -60,7 +61,7 @@ def _basis_infimum(rng):
 
 def _unitary_invariance(rng):
     dim = _random_dim(rng)
-    rho = es.random_density(rng, dim)
+    rho = oracles.random_density(rng, dim)
     u = oracles.random_unitary(rng, dim)
     rot = u @ rho.matrix @ u.conj().T
     rotated = es.DensityMatrix(matrix=0.5 * (rot + rot.conj().T))
@@ -77,7 +78,7 @@ def _mixing_concavity(rng):
     dim = _random_dim(rng)
     k = int(rng.integers(2, 5))
     weights = rng.dirichlet(np.ones(k))
-    comps = [(float(p), es.random_density(rng, dim)) for p in weights]
+    comps = [(float(p), oracles.random_density(rng, dim)) for p in weights]
     avg = sum(p * es.von_neumann(rho) for p, rho in comps)
     return es.von_neumann(es.mix(comps)) - avg
 
@@ -99,10 +100,25 @@ ONE_TRIAL = {
 def test_stacked_checks_give_every_trial_its_single_trial_bits(seed):
     trials = 60
     assert [name for name, *_ in properties.CHECKS] == list(ONE_TRIAL)
-    for stream, (name, check, _, _) in enumerate(properties.CHECKS, start=1):
-        got = check(np.random.default_rng([seed, stream]), trials)
+    for stream, (name, draw, build, _, _) in enumerate(properties.CHECKS, start=1):
+        rng = np.random.default_rng([seed, stream])
+        got = properties._evaluate(draw, build, rng, trials)
         rng = np.random.default_rng([seed, stream])
         want = [ONE_TRIAL[name](rng) for _ in range(trials)]
         if isinstance(got, tuple):
             got, want = np.stack(got, axis=1), np.array(want)
         assert np.array_equal(got, np.asarray(want)), name
+
+
+def test_decomposition_check_holds_at_rank_below_dim():
+    # G with its last three columns zeroed makes rho = G G+ / Tr of rank 3
+    # at dim 6; the dim x dim rotation still decomposes it.
+    dim, rank = 6, 3
+    parts = np.random.default_rng(5).standard_normal((4, 2, 2, dim, dim))
+    parts[:, 0, :, :, rank:] = 0.0
+    g = parts[:, 0, 0] + 1j * parts[:, 0, 1]
+    assert all(np.linalg.matrix_rank(m) == rank for m in g)
+    gaps, eq_gaps = properties._decomposition_infimum(dim, parts)
+    assert gaps.shape == eq_gaps.shape == (4,)
+    assert gaps.min() >= -1e-9
+    assert eq_gaps.max() <= 1e-9

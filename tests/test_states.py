@@ -215,7 +215,7 @@ def test_partial_trace_requires_full_space():
 
 def test_partial_trace_mixed_matches_oracle(rng):
     n, l1 = 3, 2
-    rho = es.random_density(rng, 1 << n, space_tag=full_tag(n))
+    rho = oracles.random_density(rng, 1 << n, space_tag=full_tag(n))
     ours = es.partial_trace(rho, es.BipartitionSpec(n, l1))
     ref = oracles.mixed_rdm(rho.matrix, n, l1)
     assert np.abs(ours.matrix - ref).max() < 1e-12
@@ -451,7 +451,7 @@ def test_measure_dephases_plus_state():
 
 
 def test_measure_eigenbasis_is_fixed_point(rng):
-    rho = es.random_density(rng, 5)
+    rho = oracles.random_density(rng, 5)
     _, vecs = np.linalg.eigh(rho.matrix)
     out = es.measure(rho, vecs)
     assert np.abs(out.matrix - rho.matrix).max() < 1e-10
@@ -460,7 +460,7 @@ def test_measure_eigenbasis_is_fixed_point(rng):
 
 
 def test_measure_rejects_non_orthonormal(rng):
-    rho = es.random_density(rng, 3)
+    rho = oracles.random_density(rng, 3)
     bad = np.ones((3, 3))
     with pytest.raises(ValueError):
         es.measure(rho, bad)
@@ -474,8 +474,8 @@ def test_measure_rejects_non_orthonormal(rng):
 
 
 def test_random_generators_are_seed_reproducible():
-    a = es.random_density(123, 6)
-    b = es.random_density(123, 6)
+    a = oracles.random_density(123, 6)
+    b = oracles.random_density(123, 6)
     assert np.array_equal(a.matrix, b.matrix)
     u1 = oracles.random_unitary(np.random.default_rng(9), 5)
     u2 = oracles.random_unitary(np.random.default_rng(9), 5)
@@ -484,8 +484,12 @@ def test_random_generators_are_seed_reproducible():
 
 
 def test_random_decomposition_reconstructs(rng):
-    for dim in (2, 5, 9):
-        rho = es.random_density(rng, dim)
+    # A G with zeroed columns gives a rank-deficient rho: dim members
+    # rotated by a dim x dim unitary still decompose it.
+    for dim, rank in ((2, 2), (5, 5), (9, 9), (6, 3)):
+        g = oracles.complex_gaussian(rng, (dim, dim))
+        g[:, rank:] = 0.0
+        rho = es.states.density_from_gaussian(g)
         parts = oracles.random_decomposition(rng, rho)
         resid = np.linalg.norm(oracles.reconstruct(parts, dim) - rho.matrix)
         assert resid <= 1e-9
