@@ -4,12 +4,13 @@
 Runs every experiment through the CLI entry point so each output directory
 gets its own checksummed manifest.  Spectra are shared through one cache,
 so each coupling's eigensolve happens once, and so is its full entropy scan
-(eigenket-scan computes it, shell-average and gamma-fit load it).  Per
-coupling, eigenket-scan solves and saves the spectrum (at delta2=0 each
-symmetry block of H + c S^2, so every level also carries its total spin);
-shell-average and volume-law each load it whole (levels and
-eigenvectors); gamma-fit reads only its level section, and so does the
-census.  At delta2=0 those levels, each counted 2S+1 times, are the whole
+(eigenket-scan computes it, keeping each eigenket's rho_A blocks, and
+writes both to the scan file; shell-average sums the blocks of each shell,
+and gamma-fit reads only the entropies).  Per coupling, eigenket-scan
+solves and saves the spectrum (at delta2=0 each symmetry block of
+H + c S^2, so every level also carries its total spin); volume-law loads
+it whole (levels and eigenvectors); shell-average and gamma-fit read only
+its level section, and so does the census.  At delta2=0 those levels, each counted 2S+1 times, are the whole
 census, and nothing is solved; at delta2=0.5 the census also solves the
 other sectors n_up <= 6 through diagonalize(..., vectors=False),
 eigenvalues per block.  Neither loads an eigenvector.
@@ -19,12 +20,12 @@ About three seconds end to end on a 2-core machine (2.5-3.0 s over three
 cold-cache runs, 98.4 MB peak RSS, 2-core Xeon; the census call took
 0.70-0.84 s of it, all at delta2=0.5, and the property suite 0.12-0.16 s);
 each cached spectrum (dim 3432, four symmetry blocks) is 23.6 MB and each
-scan file 27.6 kB.
+scan file 3.49 MB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
 (four symmetry blocks of about 3200) takes about 23 s on 2 cores.  The
 whole run took 41-48 s at 0.71 GB peak RSS on a 2-core Xeon; each cached
-spectrum is 0.33 GB and each scan file 0.1 MB.  The CLI defaults (n_up=8,
+spectrum is 0.33 GB and each scan file 68 MB.  The CLI defaults (n_up=8,
 l1=6, 50 bins, min_count=10) already describe this geometry, so only the
 couplings are spelled out.  The census and the property suite are left
 out.

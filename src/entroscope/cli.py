@@ -30,6 +30,7 @@ from .experiments import (
     degeneracy_census,
     fit_entropy_vs_lndos,
     mean_spacing_ratio,
+    rdm_stack_sizes,
     run_shell_average,
     run_volume_law,
     shell_statistics,
@@ -178,14 +179,14 @@ def obtain_spectrum(
 
 
 class _Coupling:
-    """One coupling's spectrum, eigenvalue view, full S_VN scan and DOS
-    table, each built or read at most once.
+    """One coupling's spectrum, eigenvalue view, full S_VN scan (with its
+    kets' rho_A blocks) and DOS table, each built or read at most once.
 
     The eigenvalue view (levels) serves every table that reads only E_n; the
     full spectrum is read only for amplitudes.  Once read, the spectrum is
     the view too, since it may come from another file than an earlier view
     (one whose damaged eigenvector section was rebuilt): so row builders
-    take s_vn, which may read the spectrum, before levels() and dos.
+    take the scan, which may read the spectrum, before levels() and dos.
     """
 
     def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
@@ -197,6 +198,7 @@ class _Coupling:
         self.part = BipartitionSpec(cfg.n_sites, cfg.l1)
         self.details: dict = {}
         self._levels: Spectrum | None = None
+        self._scan = None
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -224,25 +226,40 @@ class _Coupling:
         return self._levels
 
     @cached_property
-    def s_vn(self) -> np.ndarray:
-        """S_VN of every eigenket at cfg.l1, in eigenindex order.
+    def sizes(self) -> tuple[int, ...]:
+        """n_a of the rho_A block stacks the scan keeps; () when it keeps none."""
+        return rdm_stack_sizes(self.part, self.cfg.n_up)
 
-        The scan file beside the spectrum follows the spectrum's cache
+    def scan(self, stacks: bool = False):
+        """(S_VN of every eigenket at cfg.l1 in eigenindex order, the stacks
+        of their rho_A blocks or None), read or built at the first call.
+
+        The scan record beside the spectrum follows the spectrum's cache
         policy and is found by the view's trailer; one computed from another
-        spectrum file counts as invalid.  Only a scan that has to be built
-        reads the spectrum.  A scan that trips the kernel's gates raises
-        before anything is written.
+        spectrum file counts as invalid.  Only its S_VN section is read
+        unless `stacks` asks for the blocks too.  A record that lacks what
+        is asked is built: one pass over the spectrum gives S_VN and, when
+        they are asked for or the record is saved, the stacks (none where
+        sizes is empty).  A scan that trips the kernel's gates raises before
+        anything is written.
         """
-        l1 = self.cfg.l1
-        path = scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1)
-        s = _cached(self.cfg, load_scan, path, self.levels(), l1)
-        self.details["scan"] = "built" if s is None else "cache"
-        if s is None:
-            spec = self.spectrum
-            s = subsystem_entropies(spec, self.part)
-            if self.cfg.cache != "off":
-                save_scan(s, path, spec, l1)
-        return s
+        if self._scan is None:
+            l1 = self.cfg.l1
+            path = scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1)
+            self._scan = _cached(
+                self.cfg, load_scan, path, self.levels(), l1, self.sizes, not stacks
+            )
+            self.details["scan"] = "built" if self._scan is None else "cache"
+            if self._scan is None:
+                spec, save = self.spectrum, self.cfg.cache != "off"
+                if stacks or save:
+                    s_vn, kept = subsystem_entropies(spec, self.part, keep=True)
+                else:
+                    s_vn, kept = subsystem_entropies(spec, self.part), None
+                if save:
+                    save_scan(s_vn, path, spec, l1, kept)
+                self._scan = s_vn, kept
+        return self._scan
 
     @cached_property
     def dos(self):
@@ -250,7 +267,7 @@ class _Coupling:
 
 
 def _eigenket_scan_rows(c: _Coupling):
-    s_vn = c.s_vn
+    s_vn, _ = c.scan()
     energies = c.levels().eigenvalues
     c.details["records"] = len(energies)
     return {
@@ -270,7 +287,17 @@ def _dos_rows(c: _Coupling):
 
 
 def _shell_average_rows(c: _Coupling):
-    t = run_shell_average(c.spectrum, c.part, c.s_vn, c.dos, c.cfg.min_shell_count)
+    """Shells from the scan's rho_A blocks, or from the eigenvectors when the
+    scan keeps none (details "rdm": "record", "built" or "eigenvectors")."""
+    if c.sizes:
+        s_vn, stacks = c.scan(stacks=True)
+        spec = c.levels()
+        c.details["rdm"] = "record" if c.details["scan"] == "cache" else "built"
+    else:
+        spec = c.spectrum
+        s_vn, stacks = c.scan()
+        c.details["rdm"] = "eigenvectors"
+    t = run_shell_average(spec, c.part, s_vn, c.dos, c.cfg.min_shell_count, stacks)
     u = c.unit
     c.details["rows"] = t.n_rows
     return {
@@ -294,7 +321,7 @@ def _volume_law_rows(c: _Coupling):
 
 
 def _gamma_fit_rows(c: _Coupling):
-    s_vn = c.s_vn
+    s_vn, _ = c.scan()
     table = shell_statistics(c.levels(), s_vn, c.dos, c.cfg.min_shell_count)
     fits = []
     for side in ("left", "right"):
@@ -430,6 +457,12 @@ def _write_output(path: str, data: bytes) -> None:
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
+def _blas() -> dict:
+    """Name, version and build configuration of the BLAS numpy links."""
+    info = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {key: info.get(key) for key in ("name", "version", "openblas configuration")}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the exit code."""
     t0 = time.perf_counter()
@@ -467,6 +500,14 @@ def run(cfg: RunConfig) -> int:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "entroscope": __version__,
+                # Table floats move in the last bits with the BLAS build and
+                # its thread count, and a warm run writes the bits of the
+                # run that filled the cache.
+                "blas": _blas(),
+                "threads": {
+                    k: v for k, v in sorted(os.environ.items())
+                    if k.endswith("_NUM_THREADS")
+                },
             },
             "cache_dir": cache_dir if cfg.cache != "off" else None,
             "files": checksums,

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import sector_of
+from .basis import sector_of, symmetry_blocks
 from .spectral import DosTable, Spectrum, multiplet_sizes
 from .states import (
     PSD_TOL,
@@ -14,6 +14,7 @@ from .states import (
     averaged_rdm,
     gather_blocks,
     rdm_blocks,
+    sector_rdm_blocks,
 )
 from .errors import NumericsError
 
@@ -54,9 +55,36 @@ def _rdm_entropies(n_rows: int, pieces) -> np.ndarray:
     return out
 
 
+def rdm_stack_sizes(part: BipartitionSpec, n_up: int) -> tuple[int, ...]:
+    """n_a of each block of rdm_blocks, when a full scan keeps every ket's
+    rho_A blocks; () when it keeps none.
+
+    It follows from the sector and the bipartition alone: a spectrum of the
+    sector holds the blocks of symmetry_blocks, whose F labels rdm_blocks
+    reads.  The scan diagonalizes the smaller of M_k M_k^T and M_k^T M_k;
+    only the first, n_a x n_a, is the ket's rho_A block.  So nothing is kept
+    when some block read has n_a > n_b (off half filling, or l1 > N/2), nor
+    when the stacks, dim * sum n_a^2 entries, would outnumber the entries
+    sum dim_b^2 of the eigenvectors the spectrum stores: then the record
+    would outgrow the spectrum a shell-average reads without it, as at
+    l1 = N/2 (0.91 GB against 0.33 GB at N = 16).
+    """
+    sym = symmetry_blocks(part.n_sites, n_up)
+    kept = sector_rdm_blocks(part, n_up, [s.label for s in sym])
+    shapes = [block.shape for block, _ in kept]
+    stacks = sum(s.dim for s in sym) * sum(n_a * n_a for n_a, _ in shapes)
+    stored = sum(s.dim * s.dim for s in sym)
+    if stacks > stored or any(n_a > n_b for n_a, n_b in shapes):
+        return ()
+    return tuple(n_a for n_a, _ in shapes)
+
+
 def subsystem_entropies(
-    spec: Spectrum, part: BipartitionSpec, indices: np.ndarray | None = None
-) -> np.ndarray:
+    spec: Spectrum,
+    part: BipartitionSpec,
+    indices: np.ndarray | None = None,
+    keep: bool = False,
+):
     """S_VN of the leading-block RDM for each selected eigenket.
 
     Inside the sector rho_A = (+)_k M_k M_k^T, block-diagonal in k, the
@@ -67,19 +95,36 @@ def subsystem_entropies(
     which share their nonzero spectrum, goes to the one RDM kernel with its
     count and its PSD and trace gates; no 2^N vector is formed.  Output
     order follows `indices` (all eigenkets, ascending, when omitted).
+
+    With keep (full scans only) it returns (S_VN, stacks): the rho_A blocks
+    M_k M_k^T it formed, one (dim, n_a, n_a) stack per block of rdm_blocks
+    in eigenindex order, each chunk's written in place; stacks is None when
+    rdm_stack_sizes of the sector is empty.
     """
+    if keep and indices is not None:
+        raise ValueError("keep needs the full scan: indices must be omitted")
     if indices is None:
         indices = np.arange(spec.dim)
     indices = np.asarray(indices, dtype=np.int64)
     counts = dict(rdm_blocks(spec, part))
+    stacks = {}
+    if keep and rdm_stack_sizes(part, sector_of(spec.basis_tag)[1]):
+        stacks = {b: np.empty((spec.dim, b.shape[0], b.shape[0])) for b in counts}
 
     def grams():
         for start, block, m in gather_blocks(spec, indices, counts):
             n_a, n_b = block.shape
             mt = m.transpose(0, 2, 1)
-            yield start, counts[block], m @ mt if n_a <= n_b else mt @ m
+            if block in stacks:
+                gram = np.matmul(m, mt, out=stacks[block][start : start + len(m)])
+            else:
+                gram = m @ mt if n_a <= n_b else mt @ m
+            yield start, counts[block], gram
 
-    return _rdm_entropies(len(indices), grams())
+    s = _rdm_entropies(len(indices), grams())
+    if not keep:
+        return s
+    return s, list(stacks.values()) if stacks else None
 
 
 @dataclass(frozen=True)
@@ -173,21 +218,58 @@ def shell_rdm_entropies(
     return _rdm_entropies(len(members), blocks())
 
 
+def shell_stack_entropies(
+    spec: Spectrum, part: BipartitionSpec, stacks: list, starts, d_e
+) -> np.ndarray:
+    """S_VN of the averaged RDM of each run of eigenkets, from their blocks.
+
+    Row r averages the d_e[r] eigenkets from starts[r] on (a shell, for the
+    shell tables); stacks are the full scan's per-ket rho_A blocks
+    (subsystem_entropies with keep), so spec need hold only eigenvalues.
+    Each row's averaged block is one np.add.reduceat segment of a stack over
+    d_E, symmetrized, and every row's goes to the RDM kernel in one stack
+    per block of rdm_blocks, with its count.
+    """
+    if len(d_e) == 0:
+        return np.zeros(0)
+    ends = starts + d_e
+    # reduceat sums from each index to the next, the last one to the end.
+    bounds = np.column_stack([starts, ends]).ravel()
+    bounds = bounds[bounds < spec.dim]
+    scale = np.asarray(d_e, dtype=float)[:, None, None]
+
+    def blocks():
+        for (_, count), stack in zip(rdm_blocks(spec, part), stacks):
+            rho = np.add.reduceat(stack, bounds, axis=0)[::2] / scale
+            yield 0, count, 0.5 * (rho + rho.transpose(0, 2, 1))
+
+    return _rdm_entropies(len(d_e), blocks())
+
+
 def run_shell_average(
     spec: Spectrum,
     part: BipartitionSpec,
     s_vn: np.ndarray,
     dos_table: DosTable,
     min_count: int = DEFAULT_MIN_COUNT,
+    stacks: list | None = None,
 ) -> ShellTable:
     """shell_statistics plus the entropy of each kept shell's averaged RDM.
 
     s_vn is the full scan at the same bipartition, subsystem_entropies(spec,
-    part).
+    part).  With stacks, that scan's per-ket rho_A blocks, the averaged
+    RDMs are their sums over each shell (shell_stack_entropies) and spec
+    need hold only eigenvalues; without, they are formed from spec's
+    eigenvectors (shell_rdm_entropies).
     """
     table = shell_statistics(spec, s_vn, dos_table, min_count)
-    members = [dos_table.members(j) for j in table.shell_index]
-    return replace(table, svn_avg_rdm=shell_rdm_entropies(spec, part, members))
+    if stacks is None:
+        members = [dos_table.members(j) for j in table.shell_index]
+        svn = shell_rdm_entropies(spec, part, members)
+    else:
+        starts = np.cumsum(dos_table.counts)[table.shell_index] - table.d_e
+        svn = shell_stack_entropies(spec, part, stacks, starts, table.d_e)
+    return replace(table, svn_avg_rdm=svn)
 
 
 @dataclass(frozen=True)

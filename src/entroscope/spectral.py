@@ -34,7 +34,7 @@ SYMMETRY_TOL = 1e-12
 _MAGIC = b"ENTROSPC"
 _VERSION = 4
 _SCAN_MAGIC = b"ENTROSVN"
-_SCAN_VERSION = 1
+_SCAN_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -381,9 +381,12 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # column-major, in header order, so the levels can be verified and read
 # alone.  The isometries are not stored but rebuilt by symmetry_blocks,
 # which must agree with that list.
-# Scan, version 1, one section: the header names the sector, l1 and the
-# trailer of the spectrum file the scan came from, so a scan never outlives
-# its spectrum; the one array is S_VN of every eigenket in eigenindex order.
+# Scan, version 2: the header names the sector, l1, the trailer of the
+# spectrum file the scan came from, so a scan never outlives its spectrum,
+# and the n_a of each rho_A block stack the scan kept (none, when it could
+# keep none).  The first section is S_VN of every eigenket in eigenindex
+# order, the second, when there are stacks, each (dim, n_a, n_a) stack of
+# the kets' rho_A blocks in C order, so S_VN can be verified and read alone.
 # ---------------------------------------------------------------------------
 
 _FIXED = 8 + 1 + 4  # magic, version, header length
@@ -437,13 +440,17 @@ def _remove_dead_temps(path) -> None:
     A file whose flock is taken without blocking has no live writer
     (atomic_write); it is unlinked while that lock is held, so a writer
     that opened it a moment before sees it gone.  Any other is left alone.
+    The name is unlinked only while it still holds the locked file: a
+    writer renames its file onto the record before it drops the lock, and
+    its next write opens a new file under the same name.
     """
     for temp in glob.glob(glob.escape(str(path)) + ".tmp.*"):
         with suppress(BlockingIOError, FileNotFoundError):
             fd = os.open(temp, os.O_RDONLY)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                os.unlink(temp)
+                if os.path.samestat(os.fstat(fd), os.stat(temp)):
+                    os.unlink(temp)
             finally:
                 os.close(fd)
 
@@ -640,8 +647,8 @@ def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
     )
 
 
-def _scan_header(spec: Spectrum, l1: int) -> dict:
-    """The header of the scan file of (spec, l1)."""
+def _scan_header(spec: Spectrum, l1: int, sizes) -> dict:
+    """The header of the scan file of (spec, l1) with stacks of n_a `sizes`."""
     if not spec.checksum:
         raise ValueError("spectrum was never cached; its scan has no key")
     n_sites, n_up = sector_of(spec.basis_tag)
@@ -651,32 +658,44 @@ def _scan_header(spec: Spectrum, l1: int) -> dict:
         "delta2": spec.params.delta2,
         "l1": l1,
         "dim": spec.dim,
+        "rdm_blocks": list(sizes),
         "spectrum": spec.checksum.hex(),
         "checksum": "sha256-trunc8",
     }
 
 
-def save_scan(s_vn: np.ndarray, path, spec: Spectrum, l1: int) -> None:
-    """Write the full S_VN scan of a cached spectrum at l1."""
-    payload = np.ascontiguousarray(s_vn, dtype="<f8")
-    _write_record(
-        path, _SCAN_MAGIC, _SCAN_VERSION, _scan_header(spec, l1), [[payload]]
-    )
+def save_scan(s_vn: np.ndarray, path, spec: Spectrum, l1: int, stacks=None) -> None:
+    """Write the full S_VN scan of a cached spectrum at l1, with the kets'
+    rho_A block stacks when given (subsystem_entropies with keep)."""
+    stacks = stacks or []
+    sections = [[np.ascontiguousarray(s_vn, dtype="<f8")]]
+    if stacks:
+        sections.append([np.ascontiguousarray(x, dtype="<f8") for x in stacks])
+    header = _scan_header(spec, l1, [x.shape[1] for x in stacks])
+    _write_record(path, _SCAN_MAGIC, _SCAN_VERSION, header, sections)
 
 
-def load_scan(path, spec: Spectrum, l1: int) -> np.ndarray:
-    """Read the scan file of (spec, l1), verifying format and checksum.
+def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
+    """Read the scan file of (spec, l1) as (s_vn, stacks), verifying format
+    and checksums.
 
-    Magic, version or header other than those save_scan writes for
-    (spec, l1), including a header naming another spectrum trailer, raises
-    SpectrumFormatError; a wrong size or checksum raises
-    SpectrumChecksumError.
+    sizes are the n_a of the stacks the file must hold, those of
+    experiments.rdm_stack_sizes, so the layout follows from the sector and
+    l1 and not from the file.  stacks is None when sizes is empty, or with
+    first_only, which verifies and reads the S_VN section alone, as
+    load_levels does.  Magic, version or header other than those save_scan
+    writes for (spec, l1, sizes), including a header naming another
+    spectrum trailer, raises SpectrumFormatError; a wrong size or checksum
+    raises SpectrumChecksumError.
     """
-    expected = _scan_header(spec, l1)
+    expected = _scan_header(spec, l1, sizes)
 
     def layout(header):
         if header != expected:
             raise SpectrumFormatError(f"not that of this spectrum at l1={l1}")
-        return [[(spec.dim,)]]
+        stacks = [[(n, n, spec.dim) for n in sizes]] if sizes else []
+        return [[(spec.dim,)], *stacks]
 
-    return _read_record(path, _SCAN_MAGIC, _SCAN_VERSION, layout)[1][0][0]
+    sections = _read_record(path, _SCAN_MAGIC, _SCAN_VERSION, layout, first_only)[1]
+    stacks = [x.T for x in sections[1]] if len(sections) > 1 else None
+    return sections[0][0], stacks

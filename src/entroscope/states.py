@@ -302,8 +302,17 @@ def rdm_blocks(
     n_sites, n_up = sector_of(spec.basis_tag)
     if n_sites != part.n_sites:
         raise ValueError(f"{spec.basis_tag} and the bipartition disagree on n_sites")
+    return sector_rdm_blocks(part, n_up, [b.block.label for b in spec.blocks])
+
+
+def sector_rdm_blocks(
+    part: BipartitionSpec, n_up: int, labels
+) -> tuple[tuple[SzBlock, int], ...]:
+    """rdm_blocks of a spectrum of sector (part.n_sites, n_up) whose
+    symmetry blocks carry `labels`."""
+    n_sites = part.n_sites
     blocks = sz_blocks(n_sites, n_up, part.l1)
-    paired = 2 * n_up == n_sites and all("F" in b.block.label for b in spec.blocks)
+    paired = 2 * n_up == n_sites and all("F" in label for label in labels)
     if not paired:
         return tuple((b, 1) for b in blocks)
     n = len(blocks)

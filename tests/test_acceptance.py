@@ -146,9 +146,15 @@ def test_criterion_7_reproducibility(tmp_path, monkeypatch):
         outputs.append(open(os.path.join(out, "shell_average_d2=0.5.csv"), "rb").read())
     assert outputs[0] == outputs[1] == outputs[2]
     sources = [
-        json.load(open(os.path.join(tmp_path, tag, "manifest.json")))
-        ["details"]["d2=0.5"]["spectrum"]
-        for tag in ("r1", "r2", "r3")
+        (details["spectrum"], details["rdm"])
+        for details in (
+            json.load(open(os.path.join(tmp_path, tag, "manifest.json")))
+            ["details"]["d2=0.5"]
+            for tag in ("r1", "r2", "r3")
+        )
     ]
-    assert sources == ["built", "cache", "built"]
+    # The hit sums the scan record's rho_A blocks and reads eigenvalues only.
+    assert sources == [
+        ("built", "built"), ("cache-eigenvalues", "record"), ("built", "built")
+    ]
     print("\ncriterion 7: three reruns (cache built/hit/off) bitwise identical")

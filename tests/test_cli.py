@@ -67,7 +67,9 @@ def test_cache_reuse_and_byte_identical_output(tmp_path):
         del os.environ[CACHE_DIR_ENV]
     m1, m2 = _manifest(out1), _manifest(out2)
     assert m1["details"]["d2=0.5"]["spectrum"] == "built"
-    assert m2["details"]["d2=0.5"]["spectrum"] == "cache"
+    # The rerun sums the scan record's rho_A blocks: it reads eigenvalues only.
+    assert m2["details"]["d2=0.5"]["spectrum"] == "cache-eigenvalues"
+    assert [m["details"]["d2=0.5"]["rdm"] for m in (m1, m2)] == ["built", "record"]
     name = "shell_average_d2=0.5.csv"
     b1 = open(os.path.join(out1, name), "rb").read()
     b2 = open(os.path.join(out2, name), "rb").read()
@@ -742,9 +744,9 @@ def scan_calls(monkeypatch):
     calls = []
     real = cli.subsystem_entropies
 
-    def recording(spec, part, indices=None):
+    def recording(spec, part, indices=None, **kwargs):
         calls.append((spec.basis_tag, indices))
-        return real(spec, part, indices)
+        return real(spec, part, indices, **kwargs)
 
     monkeypatch.setattr(cli, "subsystem_entropies", recording)
     return calls
@@ -792,7 +794,8 @@ def _damage_truncated(path, tmp_path):
 
 def _damage_flipped_byte(path, tmp_path):
     raw = bytearray(path.read_bytes())
-    raw[-20] ^= 0x01
+    (header_len,) = struct.unpack_from("<I", raw, 9)
+    raw[13 + header_len + 20] ^= 0x01  # in the S_VN section
     path.write_bytes(bytes(raw))
 
 
@@ -830,7 +833,7 @@ def test_bad_scan_file_is_recomputed_and_overwritten(
     assert scan_calls == [("N8_nup4", None)]
     spec = load_spectrum(es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
     want = es.subsystem_entropies(spec, es.BipartitionSpec(8, 2))
-    assert load_scan(path, spec, 2).tobytes() == want.tobytes()
+    assert load_scan(path, spec, 2, (1, 2))[0].tobytes() == want.tobytes()
     _, rows = _read_csv(out / "eigenket_scan_d2=0.5.csv")
     assert [float(r[2]) for r in rows] == want.tolist()
 
@@ -904,6 +907,14 @@ def test_damaged_eigenvector_section_is_rebuilt_and_rekeys_the_scan(
     assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(out)]) == 0
     details = _manifest(out)["details"]["d2=0.5"]
     assert (details["spectrum"], details["scan"]) == ("cache-eigenvalues", "cache")
+    if rebuilder == "shell-average":
+        # So does a shell-average that finds the scan record: it sums the
+        # record's rho_A blocks.  It reads eigenvectors only to build a
+        # record that is missing.
+        assert main([rebuilder, *SCAN_ARGS, "--out", str(out)]) == 0
+        details = _manifest(out)["details"]["d2=0.5"]
+        assert (details["spectrum"], details["rdm"]) == ("cache-eigenvalues", "record")
+        os.unlink(scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 2))
     # The full reader rejects it, and the run rebuilds it.  Its eigenvectors
     # come back with other signs, as another LAPACK may return them, so the
     # new file has another trailer and the old scan no longer counts.
@@ -967,6 +978,179 @@ def test_rebuild_recomputes_the_scan(tmp_path, monkeypatch, scan_calls):
     assert (details["spectrum"], details["scan"]) == ("built", "built")
     assert scan_calls == [("N8_nup4", None)]
     assert (out / "gamma_fit_d2=0.5.csv").read_bytes() == first["gamma_fit_d2=0.5.csv"]
+
+
+def _scan_sections(path):
+    """A scan record's bytes, its S_VN section's end (where its checksum
+    starts) and its header."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 9)
+    header = json.loads(raw[13 : 13 + header_len])
+    return raw, 13 + header_len + 8 * header["dim"], header
+
+
+def test_damaged_stack_section_is_seen_only_by_shell_average(
+    tmp_path, monkeypatch, scan_calls
+):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    first, _ = _scan_tables(tmp_path / "a")
+    path = Path(scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 2))
+    raw, s_end, header = _scan_sections(path)
+    assert header["rdm_blocks"] == [1, 2]
+    damaged = bytearray(raw)
+    damaged[s_end + 8 + 20] ^= 0x01  # in the rho_A block stacks
+    path.write_bytes(bytes(damaged))
+    scan_calls.clear()
+    # eigenket-scan and gamma-fit verify and read the S_VN section alone.
+    for experiment in ("eigenket-scan", "gamma-fit"):
+        out = tmp_path / "b" / experiment
+        assert main([experiment, *SCAN_ARGS, "--out", str(out)]) == 0
+        assert _manifest(out)["details"]["d2=0.5"]["scan"] == "cache"
+        assert (out / SCAN_TABLES[experiment]).read_bytes() == first[SCAN_TABLES[experiment]]
+    assert scan_calls == []
+    # shell-average reads both sections: it rebuilds the record in one pass.
+    out = tmp_path / "b" / "shell-average"
+    assert main(["shell-average", *SCAN_ARGS, "--out", str(out)]) == 0
+    details = _manifest(out)["details"]["d2=0.5"]
+    assert (details["scan"], details["rdm"]) == ("built", "built")
+    assert scan_calls == [("N8_nup4", None)]
+    assert path.read_bytes() == raw
+    assert (out / SCAN_TABLES["shell-average"]).read_bytes() == first[
+        SCAN_TABLES["shell-average"]
+    ]
+
+
+def test_version_1_scan_record_is_rebuilt(tmp_path, monkeypatch, scan_calls):
+    # Version 1 held S_VN alone, under a header without rdm_blocks.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    first, _ = _scan_tables(tmp_path / "a")
+    path = Path(scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 2))
+    raw, s_end, header = _scan_sections(path)
+    del header["rdm_blocks"]
+    text = json.dumps(header, sort_keys=True).encode()
+    body = (b"ENTROSVN" + struct.pack("<BI", 1, len(text)) + text
+            + raw[s_end - 8 * header["dim"] : s_end])
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    scan_calls.clear()
+    tables, sources = _scan_tables(tmp_path / "b")
+    assert tables == first
+    assert sources == ["built", "cache", "cache"]
+    assert scan_calls == [("N8_nup4", None)]
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize(
+    "args, sizes",
+    [
+        (["--l1", "7"], ()),  # n_a > n_b at half filling past l1 = N/2
+        (["--l1", "5"], ()),  # stacks of 0.25 MB, V_b of 0.13 MB
+        (["--n-up", "3", "--l1", "5"], ()),  # n_a > n_b off half filling
+        (["--n-up", "3", "--l1", "3"], (1, 3, 3, 1)),  # every block n_a <= n_b
+    ],
+    ids=["l1=7", "l1=5", "n_up=3,l1=5", "n_up=3,l1=3"],
+)
+def test_unpaired_geometries_match_the_oracle(tmp_path, monkeypatch, args, sizes):
+    # Where some block read has n_a > n_b, or the stacks would outgrow the
+    # stored eigenvectors, the scan keeps no rho_A blocks: the record holds
+    # S_VN alone and shells come from the eigenvectors.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    argv = ["shell-average", "--n-sites", "10", "--delta2", "0.5", *args,
+            "--bins", "12", "--min-count", "5"]
+    tables = []
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main([*argv, "--out", str(out)]) == 0
+        tables.append((out / "shell_average_d2=0.5.csv").read_bytes())
+        details = _manifest(out)["details"]["d2=0.5"]
+        want = "eigenvectors" if not sizes else {"cold": "built", "warm": "record"}[run]
+        assert details["rdm"] == want
+    assert tables[0] == tables[1]
+    (path,) = (tmp_path / "cache").glob("*.svn")
+    raw, s_end, header = _scan_sections(path)
+    assert header["rdm_blocks"] == list(sizes)
+    n_up, l1 = header["n_up"], header["l1"]
+    part = es.BipartitionSpec(10, l1)
+    spec = load_spectrum(es.spectrum_cache_path(
+        tmp_path / "cache", es.ModelParams(n_sites=10, delta2=0.5), n_up))
+    stack_bytes = 8 * spec.dim * sum(n * n for n in sizes)
+    assert len(raw) == s_end + 8 + (stack_bytes + 8 if sizes else 0)
+    header, rows = _read_csv(tmp_path / "warm" / "shell_average_d2=0.5.csv")
+    dos = es.partition_shells(spec, 12)
+    at = header.index("svn_avg_rdm")
+    assert rows
+    for row in rows:
+        shell = dos.members(int(row[0]))
+        want = oracles.unpaired_svn_avg_rdm(spec, part, shell)
+        assert abs(float(row[at]) - want) <= 1e-12
+
+
+def test_scan_keeps_stacks_only_to_use_or_save_them(tmp_path, monkeypatch):
+    kept = []
+    real = cli.subsystem_entropies
+
+    def recording(spec, part, indices=None, keep=False):
+        out = real(spec, part, indices, keep)
+        kept.append(keep and out[1] is not None)
+        return out
+
+    monkeypatch.setattr(cli, "subsystem_entropies", recording)
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    runs = [
+        ("eigenket-scan", "off", False),  # neither read nor saved
+        ("gamma-fit", "off", False),
+        ("shell-average", "off", True),  # summed
+        ("gamma-fit", "use", True),  # saved for a later shell-average
+    ]
+    for experiment, policy, want in runs:
+        kept.clear()
+        out = tmp_path / experiment / policy
+        assert main([experiment, *SCAN_ARGS, "--cache", policy,
+                     "--out", str(out)]) == 0
+        assert kept == [want]
+
+
+def test_warm_shell_average_reads_no_eigenvectors(tmp_path, monkeypatch):
+    argv = ["shell-average", *SCAN_ARGS, "--delta2", "0"]
+    off = tmp_path / "off"
+    assert main([*argv, "--cache", "off", "--out", str(off)]) == 0
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    assert main(["eigenket-scan", *argv[1:], "--out", str(tmp_path / "fill")]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigenvectors read")
+
+    monkeypatch.setattr(cli, "load_spectrum", forbidden)
+    monkeypatch.setattr(es.states, "averaged_rdm", forbidden)
+    monkeypatch.setattr(es.experiments, "averaged_rdm", forbidden)
+    out = tmp_path / "warm"
+    assert main([*argv, "--out", str(out)]) == 0
+    for d2 in ("0", "0.5"):
+        details = _manifest(out)["details"][f"d2={d2}"]
+        assert (details["spectrum"], details["scan"], details["rdm"]) == (
+            "cache-eigenvalues", "cache", "record"
+        )
+        name = f"shell_average_d2={d2}.csv"
+        assert (out / name).read_bytes() == (off / name).read_bytes()
+
+
+def test_manifest_records_blas_and_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("XYZ_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert main(["eigenket-scan", "--n-sites", "6", "--delta2", "0", "--bins", "4",
+                 "--cache", "off", "--out", str(out)]) == 0
+    versions = _manifest(out)["versions"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert versions["blas"] == {
+        key: blas.get(key) for key in ("name", "version", "openblas configuration")
+    }
+    assert versions["blas"]["name"]
+    threads = versions["threads"]
+    assert threads["OPENBLAS_NUM_THREADS"] == "1"
+    assert threads["XYZ_NUM_THREADS"] == "7"
+    assert "OMP_NUM_THREADS" not in threads
+    assert all(key.endswith("_NUM_THREADS") for key in threads)
 
 
 @pytest.mark.parametrize("failing", ["open", "replace"])

@@ -1,12 +1,13 @@
 """Pipeline behavior: scans, shell tables, fits, volume law, census."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import entroscope as es
 from entroscope.cli import main
-from entroscope.experiments import ShellTable, subsystem_entropies
+from entroscope.experiments import ShellTable, rdm_stack_sizes, subsystem_entropies
 
 
 def _spec(n, n_up, d2):
@@ -78,6 +79,49 @@ def test_shell_average_singleton_rows(spec10):
             break
     else:
         pytest.skip("no singleton shell in this binning")
+
+
+@pytest.mark.parametrize(
+    "geometry, want",
+    [
+        ((16, 6, 8), (1, 6, 15, 20)),  # 68 MB of stacks, 331 MB of V_b
+        ((16, 8, 8), ()),  # 915 MB against 331 MB
+        ((14, 5, 7), (1, 5, 10)),
+        ((14, 7, 7), ()),  # 47 MB against 24 MB
+        ((10, 4, 5), (1, 4, 6)),
+        ((10, 5, 5), ()),
+        ((10, 3, 3), (1, 3, 3, 1)),  # off half filling every block is read
+        ((10, 5, 3), ()),  # and some has n_a > n_b
+    ],
+    ids=["N16,l1=6", "N16,l1=8", "N14,l1=5", "N14,l1=7", "N10,l1=4", "N10,l1=5",
+         "N10,n_up=3,l1=3", "N10,n_up=3,l1=5"],
+)
+def test_scan_keeps_stacks_no_bigger_than_the_eigenvectors(geometry, want):
+    # dim * sum n_a^2 entries of stacks against sum dim_b^2 of stored V_b,
+    # from the sector and the bipartition alone.
+    n_sites, l1, n_up = geometry
+    assert rdm_stack_sizes(es.BipartitionSpec(n_sites, l1), n_up) == want
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.5])
+@pytest.mark.parametrize("l1", [1, 3, 4])
+def test_shell_average_from_the_scan_blocks_matches_the_eigenvectors(spec10, d2, l1):
+    # Summing the scan's per-ket rho_A blocks over a shell's run of kets
+    # gives the averaged RDM that averaged_rdm forms from the eigenvectors.
+    spec = spec10[d2]
+    dos = es.partition_shells(spec, 25)
+    part = es.BipartitionSpec(10, l1)
+    s_vn, stacks = subsystem_entropies(spec, part, keep=True)
+    assert s_vn.tobytes() == subsystem_entropies(spec, part).tobytes()
+    levels = replace(spec, blocks=tuple(
+        replace(b, eigenvectors=None) for b in spec.blocks))
+    for min_count in (1, 10, 10**6):  # adjacent kept shells, gaps, none kept
+        want = es.run_shell_average(spec, part, s_vn, dos, min_count)
+        got = es.run_shell_average(levels, part, s_vn, dos, min_count, stacks)
+        assert np.array_equal(got.shell_index, want.shell_index)
+        assert np.abs(got.svn_avg_rdm - want.svn_avg_rdm).max(initial=0.0) <= 1e-12
+    with pytest.raises(ValueError, match="full scan"):
+        subsystem_entropies(spec, part, indices=np.arange(3), keep=True)
 
 
 def test_shell_average_at_a_large_cut_stays_small():

@@ -191,26 +191,39 @@ def test_cache_files_give_the_spectrum_its_trailer(tmp_path):
 
 def test_scan_file_round_trip_and_key(tmp_path):
     spec, _, params = _spec(6, 3, 0.5)
-    s_vn = es.subsystem_entropies(spec, es.BipartitionSpec(6, 2))
+    s_vn, stacks = es.subsystem_entropies(spec, es.BipartitionSpec(6, 2), keep=True)
+    sizes = (1, 2)  # n_a of the blocks k = 0, 1; k = 2 is k = 0's flip mirror
+    assert [x.shape for x in stacks] == [(spec.dim, n, n) for n in sizes]
     scan = scan_cache_path(tmp_path, params, 3, 2)
     assert scan.endswith("N6_nup3_d20.5_l1=2.svn")
     with pytest.raises(ValueError, match="never cached"):
-        save_scan(s_vn, scan, spec, 2)
+        save_scan(s_vn, scan, spec, 2, stacks)
     path = es.spectrum_cache_path(tmp_path, params, 3)
     spec = replace(spec, checksum=es.save_spectrum(spec, path))
-    save_scan(s_vn, scan, spec, 2)
+    save_scan(s_vn, scan, spec, 2, stacks)
     with open(scan, "rb") as fh:
         raw = fh.read()
-    assert raw[:9] == b"ENTROSVN\x01"
+    assert raw[:9] == b"ENTROSVN\x02"
     (header_len,) = struct.unpack_from("<I", raw, 9)
     header = json.loads(raw[13 : 13 + header_len])
     assert header["l1"] == 2 and header["spectrum"] == spec.checksum.hex()
-    assert len(raw) == 13 + header_len + 8 * spec.dim + 8
-    assert load_scan(scan, spec, 2).tobytes() == s_vn.tobytes()
+    assert header["rdm_blocks"] == list(sizes)
+    s_end = 13 + header_len + 8 * spec.dim
+    assert raw[s_end + 8 :].startswith(b"".join(x.tobytes() for x in stacks))
+    assert len(raw) == s_end + 8 + 8 * spec.dim * (1 + 4) + 8
+    got, got_stacks = load_scan(scan, spec, 2, sizes)
+    assert got.tobytes() == s_vn.tobytes()
+    assert [x.tobytes() for x in got_stacks] == [x.tobytes() for x in stacks]
+    assert all(x.shape == y.shape for x, y in zip(got_stacks, stacks))
+    got, got_stacks = load_scan(scan, spec, 2, sizes, first_only=True)
+    assert got.tobytes() == s_vn.tobytes() and got_stacks is None
     with pytest.raises(es.SpectrumFormatError):
-        load_scan(scan, spec, 3)
+        load_scan(scan, spec, 3, sizes)
     with pytest.raises(es.SpectrumFormatError):
-        load_scan(scan, replace(spec, checksum=bytes(8)), 2)
+        load_scan(scan, replace(spec, checksum=bytes(8)), 2, sizes)
+    # The stack layout comes from the caller's sizes, never from the file.
+    with pytest.raises(es.SpectrumFormatError):
+        load_scan(scan, spec, 2, (1,))
 
 
 RECORD_KINDS = ["spectrum", "scan"]
@@ -223,9 +236,9 @@ def _record(kind):
         return (b"ENTROSPC", 4, lambda path: es.save_spectrum(spec, path),
                 es.load_spectrum)
     spec = replace(spec, checksum=bytes(range(8)))  # any trailer keys a scan
-    s_vn = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1))
-    return (b"ENTROSVN", 1, lambda path: save_scan(s_vn, path, spec, 1),
-            lambda path: load_scan(path, spec, 1))
+    s_vn, stacks = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1), keep=True)
+    return (b"ENTROSVN", 2, lambda path: save_scan(s_vn, path, spec, 1, stacks),
+            lambda path: load_scan(path, spec, 1, (1,)))
 
 
 @pytest.mark.parametrize("kind", RECORD_KINDS)
@@ -726,6 +739,28 @@ def test_atomic_write_reopens_a_temp_file_a_sweep_removed(tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_sweep_spares_a_temp_name_its_writer_reused(tmp_path, monkeypatch):
+    # A sweep opens a writer's temporary file; before the sweep's lock, the
+    # writer renames it onto the record and opens its next write under the
+    # same name.  The sweep's lock then holds the record, and the new file
+    # must stay.
+    target = tmp_path / "record"
+    temp = tmp_path / "record.tmp.1"
+    temp.write_bytes(b"first")
+    real_flock = spectral.fcntl.flock
+
+    def racing_flock(fd, op):
+        if op & spectral.fcntl.LOCK_NB and not target.exists():
+            os.replace(temp, target)
+            temp.write_bytes(b"second")
+        return real_flock(fd, op)
+
+    monkeypatch.setattr(spectral.fcntl, "flock", racing_flock)
+    spectral._remove_dead_temps(target)
+    assert temp.read_bytes() == b"second"
+    assert target.read_bytes() == b"first"
+
+
 RECORD_WRITER = """
 import sys
 from dataclasses import replace
@@ -757,7 +792,7 @@ def test_concurrent_writers_of_one_record_keep_each_others_temp_files(tmp_path):
                                params=es.ModelParams(6, 0.0)),
         checksum=b"k" * 8,
     )
-    assert load_scan(path, spec, 1).tolist() == [299.0] * 20
+    assert load_scan(path, spec, 1, ())[0].tolist() == [299.0] * 20
 
 
 def test_table_kernels_never_form_the_eigenvector_matrix():
