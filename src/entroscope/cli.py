@@ -523,8 +523,16 @@ def run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ConfigError, so that main reports
+    them as one JSON stderr line with exit code 2; --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="entroscope",
         description="Exact-diagonalization entropy experiments on spin-1/2 chains.",
     )
@@ -564,12 +572,11 @@ def _error_record(exc: Exception, code: int) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    raw = vars(args)
-    overrides = {
-        k: v for k, v in raw.items() if v is not None and k != "config"
-    }
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {
+            k: v for k, v in vars(args).items() if v is not None and k != "config"
+        }
         if "l1_range" in overrides:
             overrides["l1_range"] = _parse_int_list("l1_range", overrides["l1_range"])
         cfg = parse_config(args.config, overrides)

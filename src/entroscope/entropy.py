@@ -1,11 +1,15 @@
-"""Entropy functionals in nats with k_B = 1: Shannon, von Neumann, and the
-canonical (Gibbs) entropy of a spectrum."""
+"""Entropy functionals in nats with k_B = 1: the one kernel from Hermitian
+blocks to -sum lambda ln lambda (block_entropies, behind every table and
+every von_neumann), Shannon, von Neumann, and the canonical (Gibbs)
+entropy of a spectrum."""
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericsError
 from .states import (
+    TRACE_TOL,
     BipartitionSpec,
     DensityMatrix,
     StateVector,
@@ -19,28 +23,42 @@ PROB_SUM_TOL = 1e-10
 NEG_PROB_TOL = 1e-12
 
 
-def _plogp_sum(p: np.ndarray):
-    """-sum p ln p over the last axis with the 0 ln 0 = 0 convention.
+def _entropy_sum(w: np.ndarray) -> np.ndarray:
+    """-sum w ln w over the last axis, term by term, with 0 ln 0 = 0.
 
-    The true value is nonnegative for any probability vector; tolerated
-    input noise (entries summing to 1 + O(1e-10)) can push the float sum
-    a hair below zero, so clamp at 0.  Each row sums its positive entries
-    in order as one contiguous run, rows with as many of them together, so
-    a row of a stack gets the bits it gets alone.  A float for a vector,
-    an array over the leading axes for a stack.
+    Entries w <= 0 count as 1, whose term 1 ln 1 is 0.  The sum runs over
+    each row alone, so a row of a stack gets the bits it gets alone.
     """
-    rows = p.reshape(-1, p.shape[-1])
-    keep = rows > 0.0
-    n_pos = keep.sum(axis=1)
-    # Every row's positive entries first, in their order.
-    packed = np.take_along_axis(rows, np.argsort(~keep, axis=1, kind="stable"), 1)
-    out = np.empty(len(rows))
-    for k in np.unique(n_pos):
-        at = n_pos == k
-        pos = packed[at, :k]
-        out[at] = -(pos * np.log(pos)).sum(axis=1)
-    out = np.where(out > 0.0, out, 0.0)
-    return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
+    w = np.where(w > 0.0, w, 1.0)
+    return -(w * np.log(w)).sum(axis=-1)
+
+
+def block_entropies(n_rows: int, pieces) -> np.ndarray:
+    """-sum lambda ln lambda per row over batches of Hermitian blocks.
+
+    `pieces` yields (start, count, mats): mats[i], shape (d, d), is one
+    block (or a matrix with the same nonzero spectrum) of row start + i, and
+    it stands for `count` blocks of that row.  At half filling the spin flip
+    maps S^z block k of a ket of definite flip parity, or of an average of
+    such kets, onto block l1 - k with the same spectrum (states.rdm_blocks),
+    so only one of the two is diagonalized and its entropy and trace count
+    twice.  This is the package's one path from a matrix to its entropy:
+    every RDM the tables report and every von_neumann goes through it.
+    Eigenvalues pass states.clip_psd_noise, which raises NumericsError below
+    -PSD_TOL; so does a row whose eigenvalues, weighted by count, sum to a
+    trace more than TRACE_TOL from 1.
+    """
+    out = np.zeros(n_rows)
+    trace = np.zeros(n_rows)
+    for start, count, mats in pieces:
+        vals = np.linalg.eigvalsh(mats)
+        rows = slice(start, start + len(mats))
+        trace[rows] += count * vals.sum(axis=1)
+        out[rows] += count * _entropy_sum(clip_psd_noise(vals))
+    drift = np.abs(trace - 1.0).max(initial=0.0)
+    if drift > TRACE_TOL:
+        raise NumericsError(f"trace off by {drift:g}, above {TRACE_TOL:g}")
+    return out
 
 
 def shannon(probs) -> float:
@@ -55,28 +73,32 @@ def shannon_rows(p: np.ndarray):
     """Shannon entropy of each probability vector p[..., :].
 
     Entries must sum to 1 within PROB_SUM_TOL; rounding noise in
-    [-NEG_PROB_TOL, 0) is treated as 0, anything lower is rejected.
+    [-NEG_PROB_TOL, 0) is treated as 0, anything lower is rejected.  The
+    true value is nonnegative; input noise can push the float sum a hair
+    below zero, so it is clamped at 0.  A float for a vector.
     """
     if np.any(p < -NEG_PROB_TOL):
         raise ValueError(f"negative probability {p.min():g}")
     drift = np.abs(p.sum(axis=-1) - 1.0).max()
     if drift > PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to 1 + {drift:g}, not 1")
-    return _plogp_sum(p)
+    s = _entropy_sum(p)
+    s = np.where(s > 0.0, s, 0.0)
+    return float(s) if p.ndim == 1 else s
 
 
-def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
-    """-Tr rho ln rho via the eigenvalue spectrum.
+def von_neumann(rho: DensityMatrix | np.ndarray):
+    """-Tr rho ln rho of a density matrix, or of each matrix of a stack.
 
-    Eigenvalue noise in [-1e-10, 0) is clipped to zero; the clipped spectrum
-    is fed to the plogp kernel directly since clipping can push the sum
-    slightly off 1.  A stack of matrices gives an array of entropies.
+    The matrices go to block_entropies, so a raw array meets its PSD and
+    trace gates too; the result is clamped at 0 as shannon_rows's is.  A
+    float for one matrix, an array over the leading axes for a stack.
     """
-    if isinstance(rho, DensityMatrix):
-        vals = rho.eigenvalues()
-    else:
-        vals = clip_psd_noise(np.linalg.eigvalsh(rho))
-    return _plogp_sum(vals)
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    stack = mat.reshape(-1, *mat.shape[-2:])
+    s = block_entropies(len(stack), [(0, 1, stack)])
+    s = np.where(s > 0.0, s, 0.0)
+    return float(s[0]) if mat.ndim == 2 else s.reshape(mat.shape[:-2])
 
 
 class QGibbsResult(NamedTuple):

@@ -1,58 +1,25 @@
-"""Figure-level pipelines: per-eigenket entropy scans, shell averages,
-entropy-vs-ln(DOS) fits, the volume-law sweep, the degeneracy census and
-the level-spacing ratio."""
+"""Figure-level pipelines: per-eigenket entropy scans, shell averages (both
+through entropy.block_entropies), entropy-vs-ln(DOS) fits, the volume-law
+sweep, the degeneracy census and the level-spacing ratio."""
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .basis import sector_of, symmetry_blocks
+from .entropy import block_entropies
 from .spectral import DosTable, Spectrum, multiplet_sizes
 from .states import (
-    PSD_TOL,
-    TRACE_TOL,
     BipartitionSpec,
     averaged_rdm,
     gather_blocks,
     rdm_blocks,
     sector_rdm_blocks,
 )
-from .errors import NumericsError
 
 DEFAULT_MIN_COUNT = 10
 
 LEFT = "left"
 RIGHT = "right"
-
-
-def _rdm_entropies(n_rows: int, pieces) -> np.ndarray:
-    """-sum lambda ln lambda per row over batches of symmetric RDM blocks.
-
-    `pieces` yields (start, count, mats): mats[i], shape (d, d), is one
-    block (or a matrix with the same nonzero spectrum) of row start + i, and
-    it stands for `count` blocks of that row.  At half filling the spin flip
-    maps S^z block k of a ket of definite flip parity, or of an average of
-    such kets, onto block l1 - k with the same spectrum (states.rdm_blocks),
-    so only one of the two is diagonalized and its entropy and trace count
-    twice.  Every RDM the tables report is diagonalized here.  Raises
-    NumericsError when an eigenvalue lies below -PSD_TOL or a row's
-    eigenvalues (before 0 ln 0 = 0), weighted by count, sum to a trace more
-    than TRACE_TOL from 1.
-    """
-    out = np.zeros(n_rows)
-    trace = np.zeros(n_rows)
-    for start, count, mats in pieces:
-        vals = np.linalg.eigvalsh(mats)
-        low = vals.min()
-        if low < -PSD_TOL:
-            raise NumericsError(f"RDM eigenvalue {low:g} below -{PSD_TOL:g}")
-        rows = slice(start, start + len(mats))
-        trace[rows] += count * vals.sum(axis=1)
-        vals = np.where(vals > 0.0, vals, 1.0)  # 0 ln 0 = 0 via ln 1
-        out[rows] -= count * (vals * np.log(vals)).sum(axis=1)
-    drift = np.abs(trace - 1.0).max(initial=0.0)
-    if drift > TRACE_TOL:
-        raise NumericsError(f"RDM trace off by {drift:g}, above {TRACE_TOL:g}")
-    return out
 
 
 def rdm_stack_sizes(part: BipartitionSpec, n_up: int) -> tuple[int, ...]:
@@ -92,8 +59,8 @@ def subsystem_entropies(
     comes from spec.basis_tag.  Per chunk of kets the M_k of the blocks
     states.rdm_blocks keeps (half of them at half filling) are gathered
     (states.gather_blocks), and the smaller of M_k M_k^T and M_k^T M_k,
-    which share their nonzero spectrum, goes to the one RDM kernel with its
-    count and its PSD and trace gates; no 2^N vector is formed.  Output
+    which share their nonzero spectrum, goes to entropy.block_entropies with
+    its count and its PSD and trace gates; no 2^N vector is formed.  Output
     order follows `indices` (all eigenkets, ascending, when omitted).
 
     With keep (full scans only) it returns (S_VN, stacks): the rho_A blocks
@@ -121,7 +88,7 @@ def subsystem_entropies(
                 gram = m @ mt if n_a <= n_b else mt @ m
             yield start, counts[block], gram
 
-    s = _rdm_entropies(len(indices), grams())
+    s = block_entropies(len(indices), grams())
     if not keep:
         return s
     return s, list(stacks.values()) if stacks else None
@@ -215,7 +182,7 @@ def shell_rdm_entropies(
                 n_a, d = mat.shape
                 yield r, count, (mat if n_a == d else mat.T @ mat)[None]
 
-    return _rdm_entropies(len(members), blocks())
+    return block_entropies(len(members), blocks())
 
 
 def shell_stack_entropies(
@@ -227,8 +194,8 @@ def shell_stack_entropies(
     shell tables); stacks are the full scan's per-ket rho_A blocks
     (subsystem_entropies with keep), so spec need hold only eigenvalues.
     Each row's averaged block is one np.add.reduceat segment of a stack over
-    d_E, symmetrized, and every row's goes to the RDM kernel in one stack
-    per block of rdm_blocks, with its count.
+    d_E, symmetrized, and every row's goes to entropy.block_entropies in one
+    stack per block of rdm_blocks, with its count.
     """
     if len(d_e) == 0:
         return np.zeros(0)
@@ -243,7 +210,7 @@ def shell_stack_entropies(
             rho = np.add.reduceat(stack, bounds, axis=0)[::2] / scale
             yield 0, count, 0.5 * (rho + rho.transpose(0, 2, 1))
 
-    return _rdm_entropies(len(d_e), blocks())
+    return block_entropies(len(d_e), blocks())
 
 
 def run_shell_average(

@@ -1,6 +1,7 @@
-"""Density-matrix algebra: pure states, mixtures, canonical weights, partial
-trace, projective measurement, and the builds of random states from complex
-Gaussian draws for property sweeps."""
+"""Density-matrix algebra: pure states, mixtures, the PSD gate on their
+spectra, canonical weights, partial trace, the S^z block layout of rho_A
+inside a sector, projective measurement, and the builds of random states
+from complex Gaussian draws for property sweeps."""
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -55,7 +56,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD-up-to-tolerance matrix.
 
     `matrix` may be a stack (..., dim, dim) of matrices on one space: each
-    is validated, and eigenvalues() returns one ascending row per matrix.
+    is validated.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -76,18 +77,14 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues with sub-noise negatives clipped to zero.
-
-        Raises NumericsError if any eigenvalue lies below -PSD_TOL: that is
-        an invalid state, not rounding noise.
-        """
-        vals = np.linalg.eigvalsh(self.matrix)
-        return clip_psd_noise(vals)
-
 
 def clip_psd_noise(vals: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues in [-PSD_TOL, 0) to 0; reject anything lower."""
+    """Clip eigenvalues in [-PSD_TOL, 0) to 0; reject anything lower.
+
+    The package's one PSD gate: entropy.block_entropies passes every
+    spectrum it sums through it.  Raises NumericsError below -PSD_TOL: that
+    is an invalid state, not rounding noise.
+    """
     low = vals.min(initial=0.0)
     if low < -PSD_TOL:
         raise NumericsError(

@@ -213,19 +213,26 @@ def block_eigenvalues(op) -> dict:
     return out
 
 
-def eigenvector_matrix(spec) -> np.ndarray:
-    """The D x D matrix whose column n is eigenket n of a package Spectrum.
+def sector_amplitudes(spec, indices) -> np.ndarray:
+    """The D x len(indices) matrix whose column i is eigenket indices[i] of a
+    package Spectrum, in the sector basis.
 
-    Each U_b V_b lands in its sorted columns; a spectrum without eigenvectors
-    raises the package's ValueError.
+    Each selected column c of block b is U_b V_b[:, c]; a spectrum without
+    eigenvectors raises the package's ValueError.
     """
     spec.require_eigenvectors()
-    out = np.empty((spec.dim, spec.dim), order="F")
+    indices = np.asarray(indices)
+    out = np.empty((spec.dim, len(indices)), order="F")
     for b, part in enumerate(spec.blocks):
-        at = np.flatnonzero(spec.block_index == b)
-        at = at[np.argsort(spec.column_index[at])]
-        out[:, at] = expand(part.block, part.eigenvectors)
+        at = np.flatnonzero(spec.block_index[indices] == b)
+        columns = spec.column_index[indices[at]]
+        out[:, at] = expand(part.block, part.eigenvectors[:, columns])
     return out
+
+
+def eigenvector_matrix(spec) -> np.ndarray:
+    """The D x D matrix whose column n is eigenket n of a package Spectrum."""
+    return sector_amplitudes(spec, np.arange(spec.dim))
 
 
 def pure_density(psi: es.StateVector) -> es.DensityMatrix:
@@ -296,18 +303,20 @@ def unpaired_entropies(spec, part, indices=None) -> np.ndarray:
     return out
 
 
-def unpaired_svn_avg_rdm(spec, part, indices) -> float:
-    """S_VN of the RDM averaged over eigenkets `indices`, summed over every
-    S^z block.
+def unpaired_svn_avg_rdm(spec, part, amps) -> float:
+    """S_VN of the RDM averaged over the eigenkets whose sector amplitudes
+    are the columns of amps (sector_amplitudes), summed over every S^z block.
 
-    Each block is (1/d_E) sum_n M_k M_k^T, diagonalized at the n_a side.
+    Block k is W W^T / d_E with W = [M_k of every ket], n_a x d_E n_b, one
+    product diagonalized at the n_a side.
     """
     n_sites, n_up = es.sector_of(spec.basis_tag)
-    blocks = es.states.sz_blocks(n_sites, n_up, part.l1)
-    acc = {b: np.zeros((len(b.a_masks),) * 2) for b in blocks}
-    for _, block, m in es.states.gather_blocks(spec, indices, blocks):
-        acc[block] += np.tensordot(m, m, axes=([0, 2], [0, 2]))
-    return float(sum(_entropies(rho[None] / len(indices))[0] for rho in acc.values()))
+    total = 0.0
+    for block in es.states.sz_blocks(n_sites, n_up, part.l1):
+        # Rows run A-major: row a of this reshape is M_k[a, :] of every ket.
+        w = amps[block.rows].reshape(block.shape[0], -1)
+        total += _entropies((w @ w.T / amps.shape[1])[None])[0]
+    return float(total)
 
 
 def dense_spectrum(eigenvalues, eigenvectors=None, basis_tag="t", params=None):

@@ -20,7 +20,7 @@ import oracles
 from entroscope import cli, properties
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS
-from entroscope.spectral import load_scan, load_spectrum, scan_cache_path
+from entroscope.spectral import load_scan, load_spectrum, save_scan, scan_cache_path
 
 
 @pytest.fixture(autouse=True)
@@ -472,6 +472,31 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "l1" in record["message"]
 
 
+@pytest.mark.parametrize("argv,word", [
+    (["shell-average", "--n-sites", "abc"], "--n-sites"),
+    (["shell-average", "--format", "xml"], "--format"),
+    (["shell-average", "--bogus"], "--bogus"),
+    (["no-such-experiment"], "experiment"),
+    ([], "experiment"),
+])
+def test_bad_flag_is_one_json_line_and_exit_2(tmp_path, capsys, argv, word):
+    # argparse would print its usage text and raise SystemExit(2).
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == 2
+    assert word in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: entroscope" in capsys.readouterr().out
+
+
 def test_exit_code_config_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["shell-average", "--config", missing]) == 2
@@ -670,6 +695,29 @@ def test_rdm_trace_drift_exits_3(tmp_path, monkeypatch, capsys):
         assert "trace" in record["message"]
     # A scan that trips the gate is never cached.
     assert list(cache.glob("*.svn")) == []
+
+
+def test_indefinite_rdm_blocks_exit_3(tmp_path, monkeypatch, capsys):
+    # A scan record whose checksums hold but whose rho_A blocks of one shell
+    # are negated: a warm shell-average sums them into an indefinite average
+    # and the PSD gate refuses it before any table or manifest is written.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+    assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(tmp_path / "fill")]) == 0
+    spec = load_spectrum(es.spectrum_cache_path(cache, SCAN_PARAMS, 4), SCAN_PARAMS)
+    path = scan_cache_path(cache, SCAN_PARAMS, 4, 2)
+    s_vn, stacks = load_scan(path, spec, 2, (1, 2))
+    shell = es.partition_shells(spec, 6).members(0)
+    stacks = [np.array(x) for x in stacks]
+    for x in stacks:
+        x[shell] *= -1.0
+    save_scan(s_vn, path, spec, 2, stacks)
+    out = tmp_path / "warm"
+    assert main(["shell-average", *SCAN_ARGS, "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NumericsError"
+    assert "eigenvalue" in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == [".entroscope.lock"]
 
 
 # ---------------------------------------------------------------------------
@@ -1080,7 +1128,8 @@ def test_unpaired_geometries_match_the_oracle(tmp_path, monkeypatch, args, sizes
     assert rows
     for row in rows:
         shell = dos.members(int(row[0]))
-        want = oracles.unpaired_svn_avg_rdm(spec, part, shell)
+        amps = oracles.sector_amplitudes(spec, shell)
+        want = oracles.unpaired_svn_avg_rdm(spec, part, amps)
         assert abs(float(row[at]) - want) <= 1e-12
 
 

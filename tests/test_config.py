@@ -57,9 +57,11 @@ def test_flag_overrides_file(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("n_sties = 12\n")
-    with pytest.raises(ConfigError):
-        read_config_file(str(p))
+    for text, match in (("n_sties = 12\n", "unknown key"),
+                        ("n_sites 12\n", "key = value")):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            read_config_file(str(p))
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -71,9 +73,11 @@ def test_duplicate_key_rejected(tmp_path):
 
 def test_type_mismatch_rejected(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("n_bins = lots\n")
-    with pytest.raises(ConfigError):
-        read_config_file(str(p))
+    for text, match in (("n_bins = lots\n", "integer"),
+                        ("delta2_list = 0, half\n", "float")):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            read_config_file(str(p))
 
 
 @pytest.mark.parametrize(
@@ -127,6 +131,10 @@ def test_missing_file():
         {"format": "xml"},
         {"delta2_list": (float("nan"),)},
         {"experiment": "mystery"},
+        {"delta2_list": ()},
+        {"l1_range": ()},
+        {"out_dir": ""},
+        {"n_sties": 12},
     ],
 )
 def test_validation_failures(overrides):

@@ -254,6 +254,8 @@ def test_load_rejects_corruption(tmp_path, kind):
         "flipped": (bytes(flipped), es.SpectrumChecksumError),
         "short": (raw[:-20], es.SpectrumChecksumError),
         "long": (raw + bytes(8), es.SpectrumChecksumError),
+        # Shorter than the fixed header plus one checksum.
+        "tiny": (raw[:20], es.SpectrumChecksumError),
     }
     for name, (data, error) in damaged.items():
         (tmp_path / name).write_bytes(data)
@@ -341,11 +343,17 @@ def test_a_spectrum_without_eigenvectors_says_so(tmp_path):
 
 @pytest.mark.parametrize("kind", RECORD_KINDS)
 def test_load_rejects_header_without_required_keys(tmp_path, kind):
-    # Valid JSON that lacks a key or holds a non-number is a format error,
-    # so the CLI rebuilds the file instead of crashing on it.
-    magic, version, _, load = _record(kind)
+    # Valid JSON that lacks a key, holds a non-number or a non-bool
+    # spin_resolved is a format error, so the CLI rebuilds the file instead
+    # of crashing on it.
+    magic, version, save, load = _record(kind)
     path = tmp_path / "bad_header"
-    for header in (b'{"n_sites": 4}', b'{"dim": "six", "n_sites": 4}'):
+    save(path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 9)
+    spin = json.loads(raw[13 : 13 + header_len]) | {"spin_resolved": 1}
+    for header in (b'{"n_sites": 4}', b'{"dim": "six", "n_sites": 4}',
+                   json.dumps(spin).encode()):
         path.write_bytes(magic + struct.pack("<BI", version, len(header)) + header
                          + bytes(16))
         with pytest.raises(es.StorageError, match="header") as info:

@@ -125,7 +125,7 @@ def test_microcanonical_uniform_shell(spec10):
     dos = es.partition_shells(spec, 25)
     d_e = dos.counts[dos.peak_index()]
     rho = oracles.microcanonical(spec, dos.members(dos.peak_index()))
-    vals = np.sort(rho.eigenvalues())[::-1]
+    vals = np.linalg.eigvalsh(rho.matrix)[::-1]
     assert np.allclose(vals[:d_e], 1.0 / d_e, atol=1e-12)
     assert np.allclose(vals[d_e:], 0.0, atol=1e-12)
 
@@ -371,6 +371,7 @@ def test_flip_paired_kernel_matches_every_block_oracle(n_sites, delta2, request)
     kets = np.arange(0, spec.dim, max(1, spec.dim // 200))
     dos = es.partition_shells(spec, 12)
     peak = dos.members(dos.peak_index())
+    peak_amps = oracles.sector_amplitudes(spec, peak)
     for l1 in range(1, n_sites):
         part = es.BipartitionSpec(n_sites, l1)
         kept = es.states.rdm_blocks(spec, part)
@@ -382,7 +383,7 @@ def test_flip_paired_kernel_matches_every_block_oracle(n_sites, delta2, request)
         want = oracles.unpaired_entropies(spec, part, kets)
         assert np.abs(s - want).max() <= 1e-13, l1
         (got,) = es.shell_rdm_entropies(spec, part, [peak])
-        want = oracles.unpaired_svn_avg_rdm(spec, part, peak)
+        want = oracles.unpaired_svn_avg_rdm(spec, part, peak_amps)
         # A large cut reads the smaller F^T F, whose eigenvalues carry less
         # rounding than the oracle's n_a x n_a block: that switch has its
         # own bound (test_large_cut_averages_take_the_smaller_gram).
@@ -430,7 +431,8 @@ def test_large_cut_averages_take_the_smaller_gram(l1):
         spec, part, subsystem_entropies(spec, part), dos, min_count=1
     )
     for r, j in enumerate(table.shell_index):
-        want = oracles.unpaired_svn_avg_rdm(spec, part, dos.members(j))
+        amps = oracles.sector_amplitudes(spec, dos.members(j))
+        want = oracles.unpaired_svn_avg_rdm(spec, part, amps)
         assert abs(table.svn_avg_rdm[r] - want) <= 1e-12
     peak = dos.members(dos.peak_index())
     factors = [mat.shape for _, _, mat in es.averaged_rdm(spec, part, peak)]
