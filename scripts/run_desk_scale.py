@@ -9,7 +9,9 @@ writes both to the scan file; shell-average sums the blocks of each shell,
 and gamma-fit reads only the entropies).  Per coupling, eigenket-scan
 solves and saves the spectrum (at delta2=0 each symmetry block of
 H + c S^2, so every level also carries its total spin); volume-law loads
-it whole (levels and eigenvectors); shell-average and gamma-fit read only
+it whole (levels and eigenvectors) into an empty cache slot and saves each
+mid-shell ket's S_VN per l1 to a volume-law record, which a rerun reads
+beside the level section alone; shell-average and gamma-fit read only
 its level section, and so does the census.  At delta2=0 those levels, each counted 2S+1 times, are the whole
 census, and nothing is solved; at delta2=0.5 the census also solves the
 other sectors n_up <= 6 through diagonalize(..., vectors=False),

@@ -45,12 +45,15 @@ from .spectral import (
     load_levels,
     load_scan,
     load_spectrum,
+    load_volume_law,
     multiplet_flags,
     partition_shells,
     save_scan,
     save_spectrum,
+    save_volume_law,
     scan_cache_path,
     spectrum_cache_path,
+    volume_law_cache_path,
 )
 from .states import BipartitionSpec
 
@@ -182,11 +185,13 @@ class _Coupling:
     """One coupling's spectrum, eigenvalue view, full S_VN scan (with its
     kets' rho_A blocks) and DOS table, each built or read at most once.
 
-    The eigenvalue view (levels) serves every table that reads only E_n; the
-    full spectrum is read only for amplitudes.  Once read, the spectrum is
-    the view too, since it may come from another file than an earlier view
-    (one whose damaged eigenvector section was rebuilt): so row builders
-    take the scan, which may read the spectrum, before levels() and dos.
+    The eigenvalue view (levels) serves every table that reads only E_n and
+    keys the records computed from amplitudes (the scan, the volume-law
+    sweep); the full spectrum is read only when such a record is missing.
+    Once read, the spectrum is the view too, since it may come from another
+    file than an earlier view (one whose damaged eigenvector section was
+    rebuilt): so row builders take the spectrum, or the scan, which may read
+    it, before levels() and dos.  Only a record found needs dos first.
     """
 
     def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
@@ -309,8 +314,35 @@ def _shell_average_rows(c: _Coupling):
     }
 
 
+def _mid_shell(dos) -> tuple[int, int]:
+    """(first eigenindex, d_E) of the maximal-DOS shell run_volume_law sweeps."""
+    peak = dos.peak_index()
+    return int(dos.counts[:peak].sum()), int(dos.counts[peak])
+
+
 def _volume_law_rows(c: _Coupling):
-    vt = run_volume_law(c.spectrum, c.dos, c.cfg.volume_law_range())
+    """The sweep from the volume-law record of this spectrum, bins and l1
+    list (details "volume_law": "cache"), else from the eigenvectors, saved
+    unless --cache off ("built")."""
+    l1_values = sorted(c.cfg.volume_law_range())
+    path = volume_law_cache_path(c.cache_dir, c.params, c.cfg.n_up)
+    found = _cached(
+        c.cfg, load_volume_law, path, c.levels(), c.cfg.n_bins, l1_values
+    )
+    if found is not None and found[1] != _mid_shell(c.dos):
+        # That dos came from the view; the full read below may rebuild the file.
+        del c.dos
+        found = None
+    c.details["volume_law"] = "built" if found is None else "cache"
+    if found is None:
+        spec = c.spectrum  # before dos, which then follows the file read
+        vt = run_volume_law(spec, c.dos, l1_values)
+        if c.cfg.cache != "off":
+            save_volume_law(
+                vt.s_vn, path, spec, c.cfg.n_bins, l1_values, _mid_shell(c.dos)
+            )
+    else:
+        vt = run_volume_law(c.levels(), c.dos, l1_values, found[0])
     c.details["mid_shell_d_E"] = vt.d_e
     n = len(vt.l1)
     return {

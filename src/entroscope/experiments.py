@@ -298,19 +298,28 @@ def fit_entropy_vs_lndos(table: ShellTable, side: str) -> FitResult:
 
 @dataclass(frozen=True)
 class VolumeLawTable:
-    """Mean per-eigenket entropy over the mid-spectrum shell per l1."""
+    """Mean per-eigenket entropy over the mid-spectrum shell per l1.
+
+    s_vn holds the S_VN of each ket of the shell, one column per l1.
+    """
 
     l1: np.ndarray = field(repr=False)
     mean_svn: np.ndarray = field(repr=False)
+    s_vn: np.ndarray = field(repr=False)
     shell_lo: float = float("nan")
     shell_hi: float = float("nan")
     d_e: int = 0
 
 
 def run_volume_law(
-    spec: Spectrum, dos_table: DosTable, l1_range
+    spec: Spectrum, dos_table: DosTable, l1_range, s_vn: np.ndarray | None = None
 ) -> VolumeLawTable:
-    """Sweep l1 over the maximal-DOS (mid-spectrum) shell of one spectrum."""
+    """Sweep l1 over the maximal-DOS (mid-spectrum) shell of one spectrum.
+
+    With s_vn, the VolumeLawTable.s_vn of an earlier sweep of this shell
+    over the same l1 values, only the column means are taken, so spec need
+    hold only eigenvalues.
+    """
     n_sites, _ = sector_of(spec.basis_tag)
     peak = dos_table.peak_index()
     members = dos_table.members(peak)
@@ -319,13 +328,18 @@ def run_volume_law(
     l1_values = np.asarray(sorted(l1_range), dtype=np.int64)
     if len(l1_values) == 0:
         raise ValueError("l1_range is empty")
-    means = np.empty(len(l1_values))
-    for i, l1 in enumerate(l1_values):
-        part = BipartitionSpec(n_sites=n_sites, l1=int(l1))
-        means[i] = subsystem_entropies(spec, part, indices=members).mean()
+    if s_vn is None:
+        s_vn = np.empty((len(members), len(l1_values)), order="F")
+        for i, l1 in enumerate(l1_values):
+            part = BipartitionSpec(n_sites=n_sites, l1=int(l1))
+            s_vn[:, i] = subsystem_entropies(spec, part, indices=members)
+    elif s_vn.shape != (len(members), len(l1_values)):
+        raise ValueError(f"s_vn is {s_vn.shape}, not one column per l1 of the shell")
     return VolumeLawTable(
         l1=l1_values,
-        mean_svn=means,
+        # Summed as one contiguous run, as the kernel's output array is.
+        mean_svn=np.array([np.ascontiguousarray(col).mean() for col in s_vn.T]),
+        s_vn=s_vn,
         shell_lo=float(dos_table.edges[peak]),
         shell_hi=float(dos_table.edges[peak + 1]),
         d_e=len(members),

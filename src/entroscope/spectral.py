@@ -35,6 +35,8 @@ _MAGIC = b"ENTROSPC"
 _VERSION = 4
 _SCAN_MAGIC = b"ENTROSVN"
 _SCAN_VERSION = 2
+_VLAW_MAGIC = b"ENTROVLW"
+_VLAW_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,8 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
     return np.repeat(sizes >= 2, sizes)
 
 
-# Cache records, spectra (.spec) and scans (.svn) alike: magic(8) |
+# Cache records, spectra (.spec), scans (.svn) and volume-law sweeps (.vlw)
+# alike: magic(8) |
 # version(1) | header_len(4, LE) | header JSON | one or more sections, each
 # float64 LE arrays in memory order followed by its checksum(8) = first 8
 # bytes of SHA-256 over everything before it, earlier checksums included.
@@ -387,6 +390,11 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # keep none).  The first section is S_VN of every eigenket in eigenindex
 # order, the second, when there are stacks, each (dim, n_a, n_a) stack of
 # the kets' rho_A blocks in C order, so S_VN can be verified and read alone.
+# Volume-law sweep, version 1: the header names the sector, the spectrum
+# trailer, n_bins and the ascending l1 list, all known before any DOS table
+# is built, and the mid shell's member run as [first eigenindex, d_E].  The
+# one section is the (d_E, n_l1) S_VN of the shell's kets, column-major, so
+# each l1's column is contiguous.
 # ---------------------------------------------------------------------------
 
 _FIXED = 8 + 1 + 4  # magic, version, header length
@@ -647,20 +655,20 @@ def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
     )
 
 
-def _scan_header(spec: Spectrum, l1: int, sizes) -> dict:
-    """The header of the scan file of (spec, l1) with stacks of n_a `sizes`."""
+def _keyed_header(spec: Spectrum, **keys) -> dict:
+    """The header of a record computed from the cached spectrum spec: its
+    sector and trailer, then the record's own keys."""
     if not spec.checksum:
-        raise ValueError("spectrum was never cached; its scan has no key")
+        raise ValueError("spectrum was never cached; a record of it has no key")
     n_sites, n_up = sector_of(spec.basis_tag)
     return {
         "n_sites": n_sites,
         "n_up": n_up,
         "delta2": spec.params.delta2,
-        "l1": l1,
         "dim": spec.dim,
-        "rdm_blocks": list(sizes),
         "spectrum": spec.checksum.hex(),
         "checksum": "sha256-trunc8",
+        **keys,
     }
 
 
@@ -671,7 +679,7 @@ def save_scan(s_vn: np.ndarray, path, spec: Spectrum, l1: int, stacks=None) -> N
     sections = [[np.ascontiguousarray(s_vn, dtype="<f8")]]
     if stacks:
         sections.append([np.ascontiguousarray(x, dtype="<f8") for x in stacks])
-    header = _scan_header(spec, l1, [x.shape[1] for x in stacks])
+    header = _keyed_header(spec, l1=l1, rdm_blocks=[x.shape[1] for x in stacks])
     _write_record(path, _SCAN_MAGIC, _SCAN_VERSION, header, sections)
 
 
@@ -688,7 +696,7 @@ def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
     spectrum trailer, raises SpectrumFormatError; a wrong size or checksum
     raises SpectrumChecksumError.
     """
-    expected = _scan_header(spec, l1, sizes)
+    expected = _keyed_header(spec, l1=l1, rdm_blocks=list(sizes))
 
     def layout(header):
         if header != expected:
@@ -699,3 +707,47 @@ def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
     sections = _read_record(path, _SCAN_MAGIC, _SCAN_VERSION, layout, first_only)[1]
     stacks = [x.T for x in sections[1]] if len(sections) > 1 else None
     return sections[0][0], stacks
+
+
+def volume_law_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
+    return os.path.join(
+        str(cache_dir), f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}.vlw"
+    )
+
+
+def save_volume_law(
+    s_vn: np.ndarray, path, spec: Spectrum, n_bins: int, l1_values, shell
+) -> None:
+    """Write a cached spectrum's volume-law sweep: s_vn (d_E, n_l1) holds
+    the S_VN of each ket of the mid shell, the member run shell = (first
+    eigenindex, d_E) of the n_bins DOS table, at each ascending l1."""
+    header = _keyed_header(
+        spec, n_bins=n_bins, l1=[int(x) for x in l1_values], shell=list(shell)
+    )
+    sections = [[np.asfortranarray(s_vn, dtype="<f8")]]
+    _write_record(path, _VLAW_MAGIC, _VLAW_VERSION, header, sections)
+
+
+def load_volume_law(path, spec: Spectrum, n_bins: int, l1_values):
+    """Read the volume-law file of (spec, n_bins, l1_values) as (s_vn,
+    shell), verifying format and checksum.
+
+    The key needs no DOS table: a header other than save_volume_law's for
+    this spectrum trailer, n_bins and ascending l1 list raises
+    SpectrumFormatError, and so does a d_E that is no positive integer.
+    The caller compares shell, (first eigenindex, d_E), with its own DOS
+    table; s_vn is (d_E, n_l1), each column contiguous.  A wrong size or
+    checksum raises SpectrumChecksumError.
+    """
+    expected = _keyed_header(spec, n_bins=n_bins, l1=[int(x) for x in l1_values])
+
+    def layout(header):
+        _, d_e = header["shell"]
+        if {k: v for k, v in header.items() if k != "shell"} != expected:
+            raise SpectrumFormatError(f"not that of this spectrum at n_bins={n_bins}")
+        if type(d_e) is not int or d_e < 1:
+            raise SpectrumFormatError(f"shell size {d_e!r} is no positive integer")
+        return [[(d_e, len(l1_values))]]
+
+    header, sections, _ = _read_record(path, _VLAW_MAGIC, _VLAW_VERSION, layout)
+    return sections[0][0], tuple(header["shell"])

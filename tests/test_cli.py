@@ -20,7 +20,15 @@ import oracles
 from entroscope import cli, properties
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS
-from entroscope.spectral import load_scan, load_spectrum, save_scan, scan_cache_path
+from entroscope.spectral import (
+    load_levels,
+    load_scan,
+    load_spectrum,
+    load_volume_law,
+    save_scan,
+    scan_cache_path,
+    volume_law_cache_path,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -988,15 +996,18 @@ def test_tables_follow_the_file_a_damaged_spectrum_is_rebuilt_into(
     # The eigenvalues were read from the damaged file before its full read
     # failed; the rebuild's differ in the last bits (another machine, say).
     # Every table of the run must come from the rebuilt file, as a run
-    # without any cache gives them.
+    # without any cache gives them.  A volume-law run looks its record up
+    # by the damaged file's level view; with the record gone, its mid shell
+    # must still come from the rebuilt file.
     solve = cli.diagonalize
-    for experiment in ("eigenket-scan", "gamma-fit"):
+    for experiment in ("eigenket-scan", "gamma-fit", "volume-law"):
         monkeypatch.setattr(cli, "diagonalize", solve)
         cache = tmp_path / experiment / "cache"
         monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
         path = Path(es.spectrum_cache_path(cache, SCAN_PARAMS, 4))
         assert main(["volume-law", *SCAN_ARGS,
                      "--out", str(tmp_path / experiment / "fill")]) == 0
+        os.unlink(volume_law_cache_path(cache, SCAN_PARAMS, 4))
         _flip_eigenvector_byte(path)
         _rebuilt_with(monkeypatch,
                       lambda b: replace(b, eigenvalues=b.eigenvalues + 1e-9))
@@ -1180,6 +1191,131 @@ def test_warm_shell_average_reads_no_eigenvectors(tmp_path, monkeypatch):
         )
         name = f"shell_average_d2={d2}.csv"
         assert (out / name).read_bytes() == (off / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The volume-law record: each mid-shell ket's S_VN at each l1 of the sweep.
+# ---------------------------------------------------------------------------
+
+VLAW_ARGS = ["--n-sites", "8", "--delta2", "0.5", "--bins", "6"]
+VLAW_TABLE = "volume_law_d2=0.5.csv"
+
+
+def test_warm_volume_law_reads_no_eigenvector(tmp_path, monkeypatch):
+    argv = ["volume-law", *VLAW_ARGS, "--delta2", "0"]
+    names = ["volume_law_d2=0.csv", VLAW_TABLE]
+    off = {}
+    for unit in ([], ["--bits"]):
+        out = tmp_path / "off" / "".join(unit)
+        assert main([*argv, *unit, "--cache", "off", "--out", str(out)]) == 0
+        off.update({(tuple(unit), n): (out / n).read_bytes() for n in names})
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    assert main([*argv, "--out", str(tmp_path / "fill")]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigenvectors read")
+
+    monkeypatch.setattr(cli, "load_spectrum", forbidden)
+    monkeypatch.setattr(es.experiments, "subsystem_entropies", forbidden)
+    for unit in ([], ["--bits"]):
+        out = tmp_path / "warm" / "".join(unit)
+        assert main([*argv, *unit, "--out", str(out)]) == 0
+        for d2, name in zip(("0", "0.5"), names):
+            details = _manifest(out)["details"][f"d2={d2}"]
+            assert (details["spectrum"], details["volume_law"]) == (
+                "cache-eigenvalues", "cache"
+            )
+            assert (out / name).read_bytes() == off[tuple(unit), name]
+
+
+def _vlaw_flipped_byte(path, tmp_path):
+    raw = bytearray(path.read_bytes())
+    raw[-20] ^= 0x01  # in the S_VN section, before the trailer
+    path.write_bytes(bytes(raw))
+
+
+def _vlaw_truncated(path, tmp_path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _vlaw_stale_spectrum(path, tmp_path):
+    # The spectrum file is replaced by one whose eigenvectors have other
+    # signs: the same levels and entropies under another trailer.
+    spec_path = es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4)
+    spec = load_spectrum(spec_path)
+    flipped = [replace(b, eigenvectors=-b.eigenvectors) for b in spec.blocks]
+    es.save_spectrum(replace(spec, blocks=tuple(flipped)), spec_path)
+
+
+# name -> (damage to the filled record, or None, and the rerun's extra args)
+VLAW_MISSES = {
+    "flipped-byte": (_vlaw_flipped_byte, []),
+    "truncated": (_vlaw_truncated, []),
+    "other-bins": (None, ["--bins", "5"]),
+    "other-l1-range": (None, ["--l1-range", "3,1"]),
+    "stale-spectrum": (_vlaw_stale_spectrum, []),
+    "rebuild": (None, ["--cache", "rebuild"]),
+}
+
+
+@pytest.mark.parametrize("miss", sorted(VLAW_MISSES))
+def test_bad_volume_law_record_is_rebuilt_and_overwritten(tmp_path, monkeypatch, miss):
+    damage, extra = VLAW_MISSES[miss]
+    argv = ["volume-law", *VLAW_ARGS]
+    off = tmp_path / "off"
+    assert main([*argv, *extra, "--cache", "off", "--out", str(off)]) == 0
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    path = Path(volume_law_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
+    assert main([*argv, "--out", str(tmp_path / "fill")]) == 0
+    raw = path.read_bytes()
+    if damage is not None:
+        damage(path, tmp_path)
+    before = path.stat().st_ino
+    out = tmp_path / "rerun"
+    assert main([*argv, *extra, "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "built"
+    assert path.stat().st_ino != before
+    assert (out / VLAW_TABLE).read_bytes() == (off / VLAW_TABLE).read_bytes()
+    if miss in ("flipped-byte", "truncated", "rebuild"):
+        assert path.read_bytes() == raw
+    # The overwritten record is the rerun's: the same call finds it, and
+    # --cache off neither reads nor writes it.
+    rerun = [*argv, *[a for a in extra if a not in ("--cache", "rebuild")]]
+    out = tmp_path / "warm"
+    assert main([*rerun, "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "cache"
+    assert (out / VLAW_TABLE).read_bytes() == (off / VLAW_TABLE).read_bytes()
+    written = path.read_bytes(), path.stat().st_ino
+    out = tmp_path / "off-again"
+    assert main([*rerun, "--cache", "off", "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "built"
+    assert (path.read_bytes(), path.stat().st_ino) == written
+
+
+def test_volume_law_record_holds_the_mid_shell_sweep(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    argv = ["volume-law", *VLAW_ARGS, "--l1-range", "3,1,2"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    spec_path = es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4)
+    spec = load_spectrum(spec_path)
+    dos = es.partition_shells(spec, 6)
+    members = dos.members(dos.peak_index())
+    path = volume_law_cache_path(tmp_path / "cache", SCAN_PARAMS, 4)
+    s_vn, shell = load_volume_law(path, load_levels(spec_path), 6, [1, 2, 3])
+    assert shell == (members[0], len(members))
+    for i, l1 in enumerate((1, 2, 3)):
+        want = es.subsystem_entropies(spec, es.BipartitionSpec(8, l1), members)
+        assert s_vn[:, i].tobytes() == want.tobytes()
+    # A record whose shell is not the one the DOS table puts at the peak
+    # (forged, valid checksums) is rebuilt; the table is unchanged.
+    table = (tmp_path / "out" / VLAW_TABLE).read_bytes()
+    forged = (shell[0] + 1, shell[1])
+    es.spectral.save_volume_law(s_vn, path, spec, 6, [1, 2, 3], forged)
+    out = tmp_path / "again"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "built"
+    assert load_volume_law(path, spec, 6, [1, 2, 3])[1] == shell
+    assert (out / VLAW_TABLE).read_bytes() == table
 
 
 def test_manifest_records_blas_and_thread_settings(tmp_path, monkeypatch):

@@ -242,6 +242,30 @@ def test_volume_law_complement_symmetry():
         es.run_volume_law(spec, dos, [])
 
 
+def test_volume_law_means_a_stored_sweep_without_eigenvectors():
+    spec = _spec(8, 4, 0.5)
+    dos = es.partition_shells(spec, 12)
+    vt = es.run_volume_law(spec, dos, [3, 1, 2])
+    members = dos.members(dos.peak_index())
+    assert vt.s_vn.shape == (vt.d_e, 3) and vt.s_vn.flags.f_contiguous
+    for i, l1 in enumerate((1, 2, 3)):
+        s = subsystem_entropies(spec, es.BipartitionSpec(8, l1), members)
+        assert vt.s_vn[:, i].tobytes() == s.tobytes()
+        assert vt.mean_svn[i].tobytes() == s.mean().tobytes()
+    levels = replace(spec, blocks=tuple(
+        replace(b, eigenvectors=None) for b in spec.blocks
+    ))
+    # Any memory order of the stored sweep gives the same bits.
+    for stored in (vt.s_vn, np.ascontiguousarray(vt.s_vn)):
+        again = es.run_volume_law(levels, dos, [1, 2, 3], stored)
+        assert again.mean_svn.tobytes() == vt.mean_svn.tobytes()
+        assert (again.shell_lo, again.shell_hi, again.d_e) == (
+            vt.shell_lo, vt.shell_hi, vt.d_e
+        )
+    with pytest.raises(ValueError, match="one column per l1"):
+        es.run_volume_law(levels, dos, [1, 2], vt.s_vn)
+
+
 def test_census_two_site_triplet():
     merged = np.concatenate(
         [_spec(2, k, 0.0).eigenvalues for k in range(3)]

@@ -23,8 +23,11 @@ from entroscope.spectral import (
     Spectrum,
     atomic_write,
     load_scan,
+    load_volume_law,
     save_scan,
+    save_volume_law,
     scan_cache_path,
+    volume_law_cache_path,
 )
 
 
@@ -226,7 +229,43 @@ def test_scan_file_round_trip_and_key(tmp_path):
         load_scan(scan, spec, 2, (1,))
 
 
-RECORD_KINDS = ["spectrum", "scan"]
+def test_volume_law_file_round_trip_and_key(tmp_path):
+    spec, _, params = _spec(6, 3, 0.5)
+    dos = es.partition_shells(spec, 4)
+    vt = es.run_volume_law(spec, dos, [3, 1])
+    shell = (int(dos.members(dos.peak_index())[0]), vt.d_e)
+    record = volume_law_cache_path(tmp_path, params, 3)
+    assert record.endswith("N6_nup3_d20.5.vlw")
+    with pytest.raises(ValueError, match="never cached"):
+        save_volume_law(vt.s_vn, record, spec, 4, vt.l1, shell)
+    path = es.spectrum_cache_path(tmp_path, params, 3)
+    spec = replace(spec, checksum=es.save_spectrum(spec, path))
+    save_volume_law(vt.s_vn, record, spec, 4, vt.l1, shell)
+    with open(record, "rb") as fh:
+        raw = fh.read()
+    assert raw[:9] == b"ENTROVLW\x01"
+    (header_len,) = struct.unpack_from("<I", raw, 9)
+    header = json.loads(raw[13 : 13 + header_len])
+    assert header["spectrum"] == spec.checksum.hex()
+    assert (header["n_bins"], header["l1"], header["shell"]) == (4, [1, 3], list(shell))
+    assert raw[13 + header_len : -8] == vt.s_vn.tobytes(order="F")
+    # Keyed by what the level view and the config give, before any DOS.
+    levels = es.load_levels(path)
+    s_vn, got = load_volume_law(record, levels, 4, [1, 3])
+    assert got == shell and s_vn.tobytes() == vt.s_vn.tobytes()
+    assert s_vn.shape == (vt.d_e, 2) and s_vn.flags.f_contiguous
+    for other in [(levels, 5, [1, 3]), (levels, 4, [1, 2]), (levels, 4, [3, 1]),
+                  (replace(levels, checksum=bytes(8)), 4, [1, 3])]:
+        with pytest.raises(es.SpectrumFormatError):
+            load_volume_law(record, *other)
+    # The layout takes d_E from the header; it must be a positive integer.
+    for d_e in (0, -1, 2.0):
+        save_volume_law(vt.s_vn[:1], record, spec, 4, vt.l1, (0, d_e))
+        with pytest.raises(es.SpectrumFormatError, match="positive integer"):
+            load_volume_law(record, levels, 4, [1, 3])
+
+
+RECORD_KINDS = ["spectrum", "scan", "volume-law"]
 
 
 def _record(kind):
@@ -235,7 +274,14 @@ def _record(kind):
     if kind == "spectrum":
         return (b"ENTROSPC", 4, lambda path: es.save_spectrum(spec, path),
                 es.load_spectrum)
-    spec = replace(spec, checksum=bytes(range(8)))  # any trailer keys a scan
+    spec = replace(spec, checksum=bytes(range(8)))  # any trailer keys a record
+    if kind == "volume-law":
+        dos = es.partition_shells(spec, 2)
+        vt = es.run_volume_law(spec, dos, [1, 2, 3])
+        shell = (int(dos.members(dos.peak_index())[0]), vt.d_e)
+        return (b"ENTROVLW", 1,
+                lambda path: save_volume_law(vt.s_vn, path, spec, 2, vt.l1, shell),
+                lambda path: load_volume_law(path, spec, 2, [1, 2, 3]))
     s_vn, stacks = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1), keep=True)
     return (b"ENTROSVN", 2, lambda path: save_scan(s_vn, path, spec, 1, stacks),
             lambda path: load_scan(path, spec, 1, (1,)))
@@ -364,7 +410,8 @@ def test_load_rejects_header_without_required_keys(tmp_path, kind):
 @pytest.mark.parametrize(
     "kind, failing",
     [(k, f) for k in RECORD_KINDS for f in ("_checksum", "replace")],
-    ids=["_checksum", "replace", "scan-_checksum", "scan-replace"],
+    ids=["_checksum", "replace", "scan-_checksum", "scan-replace",
+         "volume-law-_checksum", "volume-law-replace"],
 )
 def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, kind, failing):
     _, _, save, _ = _record(kind)
