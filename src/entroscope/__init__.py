@@ -33,6 +33,7 @@ from .experiments import (
     degeneracy_census,
     fit_entropy_vs_lndos,
     mean_spacing_ratio,
+    mid_shell,
     run_shell_average,
     run_volume_law,
     shell_rdm_entropies,

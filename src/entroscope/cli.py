@@ -30,6 +30,7 @@ from .experiments import (
     degeneracy_census,
     fit_entropy_vs_lndos,
     mean_spacing_ratio,
+    mid_shell,
     rdm_stack_sizes,
     run_shell_average,
     run_volume_law,
@@ -315,9 +316,9 @@ def _shell_average_rows(c: _Coupling):
 
 
 def _mid_shell(dos) -> tuple[int, int]:
-    """(first eigenindex, d_E) of the maximal-DOS shell run_volume_law sweeps."""
-    peak = dos.peak_index()
-    return int(dos.counts[:peak].sum()), int(dos.counts[peak])
+    """(first eigenindex, d_E) of the shell run_volume_law sweeps."""
+    members = mid_shell(dos)
+    return int(members[0]), len(members)
 
 
 def _volume_law_rows(c: _Coupling):
@@ -325,7 +326,9 @@ def _volume_law_rows(c: _Coupling):
     list (details "volume_law": "cache"), else from the eigenvectors, saved
     unless --cache off ("built")."""
     l1_values = sorted(c.cfg.volume_law_range())
-    path = volume_law_cache_path(c.cache_dir, c.params, c.cfg.n_up)
+    path = volume_law_cache_path(
+        c.cache_dir, c.params, c.cfg.n_up, c.cfg.n_bins, l1_values
+    )
     found = _cached(
         c.cfg, load_volume_law, path, c.levels(), c.cfg.n_bins, l1_values
     )

@@ -311,34 +311,46 @@ class VolumeLawTable:
     d_e: int = 0
 
 
+def mid_shell(dos_table: DosTable) -> np.ndarray:
+    """Eigenindices of the maximal-DOS (mid-spectrum) shell run_volume_law
+    sweeps, ascending."""
+    return dos_table.members(dos_table.peak_index())
+
+
 def run_volume_law(
     spec: Spectrum, dos_table: DosTable, l1_range, s_vn: np.ndarray | None = None
 ) -> VolumeLawTable:
     """Sweep l1 over the maximal-DOS (mid-spectrum) shell of one spectrum.
 
-    With s_vn, the VolumeLawTable.s_vn of an earlier sweep of this shell
-    over the same l1 values, only the column means are taken, so spec need
-    hold only eigenvalues.
+    With s_vn, the column-major VolumeLawTable.s_vn of an earlier sweep of
+    this shell over the same l1 values, only the column means are taken, so
+    spec need hold only eigenvalues.
     """
     n_sites, _ = sector_of(spec.basis_tag)
     peak = dos_table.peak_index()
-    members = dos_table.members(peak)
+    members = mid_shell(dos_table)
     if len(members) == 0:
         raise ValueError("mid-spectrum shell is empty")
     l1_values = np.asarray(sorted(l1_range), dtype=np.int64)
     if len(l1_values) == 0:
         raise ValueError("l1_range is empty")
+    parts = [BipartitionSpec(n_sites=n_sites, l1=int(l1)) for l1 in l1_values]
     if s_vn is None:
         s_vn = np.empty((len(members), len(l1_values)), order="F")
-        for i, l1 in enumerate(l1_values):
-            part = BipartitionSpec(n_sites=n_sites, l1=int(l1))
+        for i, part in enumerate(parts):
             s_vn[:, i] = subsystem_entropies(spec, part, indices=members)
-    elif s_vn.shape != (len(members), len(l1_values)):
-        raise ValueError(f"s_vn is {s_vn.shape}, not one column per l1 of the shell")
+    elif s_vn.shape != (len(members), len(l1_values)) or not s_vn.flags.f_contiguous:
+        raise ValueError(
+            f"s_vn is {s_vn.shape}, not one contiguous column per l1 of the shell"
+        )
+    else:
+        # No ket to scan.  The call lets a traced run (benchmarks/tracing.py)
+        # report its S_VN kets per eigenket as 0 rather than drop the ratio.
+        subsystem_entropies(spec, parts[0], indices=members[:0])
     return VolumeLawTable(
         l1=l1_values,
-        # Summed as one contiguous run, as the kernel's output array is.
-        mean_svn=np.array([np.ascontiguousarray(col).mean() for col in s_vn.T]),
+        # Each column is one contiguous run, as the kernel's output array is.
+        mean_svn=np.array([col.mean() for col in s_vn.T]),
         s_vn=s_vn,
         shell_lo=float(dos_table.edges[peak]),
         shell_hi=float(dos_table.edges[peak + 1]),

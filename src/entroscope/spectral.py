@@ -709,9 +709,14 @@ def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
     return sections[0][0], stacks
 
 
-def volume_law_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
+def volume_law_cache_path(
+    cache_dir, params: ModelParams, n_up: int, n_bins: int, l1_values
+) -> str:
+    """One file per key, so sweeps of other bins or l1 lists keep theirs."""
+    l1 = ",".join(str(int(x)) for x in sorted(l1_values))
     return os.path.join(
-        str(cache_dir), f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}.vlw"
+        str(cache_dir),
+        f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}_bins={n_bins}_l1={l1}.vlw",
     )
 
 

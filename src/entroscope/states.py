@@ -256,8 +256,10 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
     2^17 / D kets, so the buffer is at most 1 MB (about half that for the
     half of the blocks rdm_blocks keeps at half filling): bigger chunks ran
     no faster and left more heap resident, raising peak RSS.  A spectrum
-    without eigenvectors raises ValueError.
+    without eigenvectors raises ValueError, unless no ket is asked for.
     """
+    if len(indices) == 0:
+        return
     spec.require_eigenvectors()
     rows = np.concatenate([sz.rows for sz in blocks])
     ends = np.cumsum([len(sz.rows) for sz in blocks])

@@ -1007,7 +1007,8 @@ def test_tables_follow_the_file_a_damaged_spectrum_is_rebuilt_into(
         path = Path(es.spectrum_cache_path(cache, SCAN_PARAMS, 4))
         assert main(["volume-law", *SCAN_ARGS,
                      "--out", str(tmp_path / experiment / "fill")]) == 0
-        os.unlink(volume_law_cache_path(cache, SCAN_PARAMS, 4))
+        for record in cache.glob("*.vlw"):
+            record.unlink()
         _flip_eigenvector_byte(path)
         _rebuilt_with(monkeypatch,
                       lambda b: replace(b, eigenvalues=b.eigenvalues + 1e-9))
@@ -1215,8 +1216,17 @@ def test_warm_volume_law_reads_no_eigenvector(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("eigenvectors read")
 
+    kernel, asked = es.experiments.subsystem_entropies, []
+
+    def no_ket(spec, part, indices=None, keep=False):
+        # The kernel is called once per coupling, for no ket, so a traced
+        # run still sees the spectrum, with none of its kets scanned.
+        asked.append(None if indices is None else len(indices))
+        assert asked[-1] == 0, "eigenkets scanned"
+        return kernel(spec, part, indices, keep)
+
     monkeypatch.setattr(cli, "load_spectrum", forbidden)
-    monkeypatch.setattr(es.experiments, "subsystem_entropies", forbidden)
+    monkeypatch.setattr(es.experiments, "subsystem_entropies", no_ket)
     for unit in ([], ["--bits"]):
         out = tmp_path / "warm" / "".join(unit)
         assert main([*argv, *unit, "--out", str(out)]) == 0
@@ -1226,6 +1236,13 @@ def test_warm_volume_law_reads_no_eigenvector(tmp_path, monkeypatch):
                 "cache-eigenvalues", "cache"
             )
             assert (out / name).read_bytes() == off[tuple(unit), name]
+    assert asked == [0, 0] * 2
+
+
+def _vlaw_path(tmp_path, n_bins=6, l1_values=(1, 2, 3, 4)):
+    return Path(volume_law_cache_path(
+        tmp_path / "cache", SCAN_PARAMS, 4, n_bins, l1_values
+    ))
 
 
 def _vlaw_flipped_byte(path, tmp_path):
@@ -1251,8 +1268,6 @@ def _vlaw_stale_spectrum(path, tmp_path):
 VLAW_MISSES = {
     "flipped-byte": (_vlaw_flipped_byte, []),
     "truncated": (_vlaw_truncated, []),
-    "other-bins": (None, ["--bins", "5"]),
-    "other-l1-range": (None, ["--l1-range", "3,1"]),
     "stale-spectrum": (_vlaw_stale_spectrum, []),
     "rebuild": (None, ["--cache", "rebuild"]),
 }
@@ -1263,9 +1278,9 @@ def test_bad_volume_law_record_is_rebuilt_and_overwritten(tmp_path, monkeypatch,
     damage, extra = VLAW_MISSES[miss]
     argv = ["volume-law", *VLAW_ARGS]
     off = tmp_path / "off"
-    assert main([*argv, *extra, "--cache", "off", "--out", str(off)]) == 0
+    assert main([*argv, "--cache", "off", "--out", str(off)]) == 0
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    path = Path(volume_law_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
+    path = _vlaw_path(tmp_path)
     assert main([*argv, "--out", str(tmp_path / "fill")]) == 0
     raw = path.read_bytes()
     if damage is not None:
@@ -1276,20 +1291,50 @@ def test_bad_volume_law_record_is_rebuilt_and_overwritten(tmp_path, monkeypatch,
     assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "built"
     assert path.stat().st_ino != before
     assert (out / VLAW_TABLE).read_bytes() == (off / VLAW_TABLE).read_bytes()
-    if miss in ("flipped-byte", "truncated", "rebuild"):
+    if miss != "stale-spectrum":
         assert path.read_bytes() == raw
     # The overwritten record is the rerun's: the same call finds it, and
     # --cache off neither reads nor writes it.
-    rerun = [*argv, *[a for a in extra if a not in ("--cache", "rebuild")]]
     out = tmp_path / "warm"
-    assert main([*rerun, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "cache"
     assert (out / VLAW_TABLE).read_bytes() == (off / VLAW_TABLE).read_bytes()
     written = path.read_bytes(), path.stat().st_ino
     out = tmp_path / "off-again"
-    assert main([*rerun, "--cache", "off", "--out", str(out)]) == 0
+    assert main([*argv, "--cache", "off", "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "built"
     assert (path.read_bytes(), path.stat().st_ino) == written
+    assert sorted(p.name for p in (tmp_path / "cache").glob("*.vlw")) == [path.name]
+
+
+def test_volume_law_records_of_other_keys_sit_side_by_side(tmp_path, monkeypatch):
+    # Another --bins or --l1-range builds a record of its own beside the
+    # first, so calls that alternate between them all find theirs.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    keys = {
+        (): _vlaw_path(tmp_path),
+        ("--bins", "5"): _vlaw_path(tmp_path, n_bins=5),
+        ("--l1-range", "3,1"): _vlaw_path(tmp_path, l1_values=(1, 3)),
+    }
+    tables = {}
+    for extra, path in keys.items():
+        off = tmp_path / "off" / "".join(extra)
+        argv = ["volume-law", *VLAW_ARGS, *extra]
+        assert main([*argv, "--cache", "off", "--out", str(off)]) == 0
+        tables[extra] = (off / VLAW_TABLE).read_bytes()
+        assert main([*argv, "--out", str(tmp_path / "fill")]) == 0
+        assert path.exists()
+    written = {path: (path.read_bytes(), path.stat().st_ino) for path in keys.values()}
+    assert sorted(p.name for p in (tmp_path / "cache").glob("*.vlw")) == sorted(
+        p.name for p in keys.values()
+    )
+    for _ in range(2):
+        for extra in keys:
+            out = tmp_path / "warm"
+            assert main(["volume-law", *VLAW_ARGS, *extra, "--out", str(out)]) == 0
+            assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "cache"
+            assert (out / VLAW_TABLE).read_bytes() == tables[extra]
+    assert {p: (p.read_bytes(), p.stat().st_ino) for p in keys.values()} == written
 
 
 def test_volume_law_record_holds_the_mid_shell_sweep(tmp_path, monkeypatch):
@@ -1300,7 +1345,7 @@ def test_volume_law_record_holds_the_mid_shell_sweep(tmp_path, monkeypatch):
     spec = load_spectrum(spec_path)
     dos = es.partition_shells(spec, 6)
     members = dos.members(dos.peak_index())
-    path = volume_law_cache_path(tmp_path / "cache", SCAN_PARAMS, 4)
+    path = _vlaw_path(tmp_path, l1_values=(1, 2, 3))
     s_vn, shell = load_volume_law(path, load_levels(spec_path), 6, [1, 2, 3])
     assert shell == (members[0], len(members))
     for i, l1 in enumerate((1, 2, 3)):

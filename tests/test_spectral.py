@@ -234,8 +234,8 @@ def test_volume_law_file_round_trip_and_key(tmp_path):
     dos = es.partition_shells(spec, 4)
     vt = es.run_volume_law(spec, dos, [3, 1])
     shell = (int(dos.members(dos.peak_index())[0]), vt.d_e)
-    record = volume_law_cache_path(tmp_path, params, 3)
-    assert record.endswith("N6_nup3_d20.5.vlw")
+    record = volume_law_cache_path(tmp_path, params, 3, 4, [3, 1])
+    assert record.endswith("N6_nup3_d20.5_bins=4_l1=1,3.vlw")
     with pytest.raises(ValueError, match="never cached"):
         save_volume_law(vt.s_vn, record, spec, 4, vt.l1, shell)
     path = es.spectrum_cache_path(tmp_path, params, 3)
