@@ -18,11 +18,11 @@ other sectors n_up <= 6 through diagonalize(..., vectors=False),
 eigenvalues per block.  Neither loads an eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-About three seconds end to end on a 2-core machine (2.5-3.0 s over three
-cold-cache runs, 98.4 MB peak RSS, 2-core Xeon; the census call took
-0.70-0.84 s of it, all at delta2=0.5, and the property suite 0.12-0.16 s);
-each cached spectrum (dim 3432, four symmetry blocks) is 23.6 MB and each
-scan file 3.49 MB.
+Three cold-cache runs on 2026-10-20 (2-core Xeon, numpy 2.4.6 with
+scipy-openblas 0.3.31, 2 BLAS threads) took 2.37-2.56 s end to end at
+99.4 MB peak RSS; the census call took 0.69-0.74 s of it, all at
+delta2=0.5, and the property suite 0.09-0.10 s.  Each cached spectrum (dim
+3432, four symmetry blocks) is 23.6 MB and each scan file 3.49 MB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
 (four symmetry blocks of about 3200) takes about 23 s on 2 cores.  The

@@ -189,10 +189,10 @@ class _Coupling:
     The eigenvalue view (levels) serves every table that reads only E_n and
     keys the records computed from amplitudes (the scan, the volume-law
     sweep); the full spectrum is read only when such a record is missing.
-    Once read, the spectrum is the view too, since it may come from another
-    file than an earlier view (one whose damaged eigenvector section was
-    rebuilt): so row builders take the spectrum, or the scan, which may read
-    it, before levels() and dos.  Only a record found needs dos first.
+    All the coupling holds comes from one spectrum file: a full read that
+    lands on another file than the view's (one whose damaged eigenvector
+    section was rebuilt) becomes the view and drops the DOS table and scan
+    taken from the old one.
     """
 
     def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
@@ -212,6 +212,9 @@ class _Coupling:
             self.cfg, self.delta2, self.cfg.n_up, self.cache_dir
         )
         self.details["spectrum"] = source
+        if self._levels is not None and self._levels.checksum != spec.checksum:
+            self.__dict__.pop("dos", None)
+            self._scan = None
         self._levels = spec
         return spec
 
@@ -236,35 +239,47 @@ class _Coupling:
         """n_a of the rho_A block stacks the scan keeps; () when it keeps none."""
         return rdm_stack_sizes(self.part, self.cfg.n_up)
 
+    def record(self, name: str, path: str, load, build, save):
+        """A record computed from the eigenvectors, found or built.
+
+        Under --cache use it is load(path, levels), which finds it by the
+        view's trailer; a StorageError counts as absent.  Otherwise
+        build(spectrum) computes it, and save(it, path, spectrum) writes it
+        unless --cache off.  details[name] says which: "cache" or "built".
+        """
+        found = _cached(self.cfg, load, path, self.levels())
+        self.details[name] = "built" if found is None else "cache"
+        if found is None:
+            spec = self.spectrum
+            found = build(spec)
+            if self.cfg.cache != "off":
+                save(found, path, spec)
+        return found
+
     def scan(self, stacks: bool = False):
         """(S_VN of every eigenket at cfg.l1 in eigenindex order, the stacks
         of their rho_A blocks or None), read or built at the first call.
 
-        The scan record beside the spectrum follows the spectrum's cache
-        policy and is found by the view's trailer; one computed from another
-        spectrum file counts as invalid.  Only its S_VN section is read
-        unless `stacks` asks for the blocks too.  A record that lacks what
-        is asked is built: one pass over the spectrum gives S_VN and, when
-        they are asked for or the record is saved, the stacks (none where
-        sizes is empty).  A scan that trips the kernel's gates raises before
-        anything is written.
+        Only the scan record's S_VN section is read unless `stacks` asks for
+        the blocks too.  A record that lacks what is asked is built: one
+        pass over the spectrum gives S_VN and, when they are asked for or
+        the record is saved, the stacks (none where sizes is empty).  A scan
+        that trips the kernel's gates raises before anything is written.
         """
         if self._scan is None:
-            l1 = self.cfg.l1
-            path = scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1)
-            self._scan = _cached(
-                self.cfg, load_scan, path, self.levels(), l1, self.sizes, not stacks
+            l1, keep = self.cfg.l1, stacks or self.cfg.cache != "off"
+
+            def build(spec):
+                if keep:
+                    return subsystem_entropies(spec, self.part, keep=True)
+                return subsystem_entropies(spec, self.part), None
+
+            self._scan = self.record(
+                "scan", scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1),
+                lambda path, view: load_scan(path, view, l1, self.sizes, not stacks),
+                build,
+                lambda scan, path, spec: save_scan(scan[0], path, spec, l1, scan[1]),
             )
-            self.details["scan"] = "built" if self._scan is None else "cache"
-            if self._scan is None:
-                spec, save = self.spectrum, self.cfg.cache != "off"
-                if stacks or save:
-                    s_vn, kept = subsystem_entropies(spec, self.part, keep=True)
-                else:
-                    s_vn, kept = subsystem_entropies(spec, self.part), None
-                if save:
-                    save_scan(s_vn, path, spec, l1, kept)
-                self._scan = s_vn, kept
         return self._scan
 
     @cached_property
@@ -315,37 +330,22 @@ def _shell_average_rows(c: _Coupling):
     }
 
 
-def _mid_shell(dos) -> tuple[int, int]:
-    """(first eigenindex, d_E) of the shell run_volume_law sweeps."""
-    members = mid_shell(dos)
-    return int(members[0]), len(members)
-
-
 def _volume_law_rows(c: _Coupling):
-    """The sweep from the volume-law record of this spectrum, bins and l1
-    list (details "volume_law": "cache"), else from the eigenvectors, saved
-    unless --cache off ("built")."""
-    l1_values = sorted(c.cfg.volume_law_range())
-    path = volume_law_cache_path(
-        c.cache_dir, c.params, c.cfg.n_up, c.cfg.n_bins, l1_values
+    """The sweep of the mid shell, its S_VN from the volume-law record of
+    this spectrum, bins, l1 list and shell, else from the eigenvectors."""
+    n_bins, l1_values = c.cfg.n_bins, sorted(c.cfg.volume_law_range())
+    s_vn = c.record(
+        "volume_law",
+        volume_law_cache_path(c.cache_dir, c.params, c.cfg.n_up, n_bins, l1_values),
+        lambda path, view: load_volume_law(
+            path, view, n_bins, l1_values, mid_shell(c.dos)
+        ),
+        lambda spec: run_volume_law(spec, c.dos, l1_values).s_vn,
+        lambda s_vn, path, spec: save_volume_law(
+            s_vn, path, spec, n_bins, l1_values, mid_shell(c.dos)
+        ),
     )
-    found = _cached(
-        c.cfg, load_volume_law, path, c.levels(), c.cfg.n_bins, l1_values
-    )
-    if found is not None and found[1] != _mid_shell(c.dos):
-        # That dos came from the view; the full read below may rebuild the file.
-        del c.dos
-        found = None
-    c.details["volume_law"] = "built" if found is None else "cache"
-    if found is None:
-        spec = c.spectrum  # before dos, which then follows the file read
-        vt = run_volume_law(spec, c.dos, l1_values)
-        if c.cfg.cache != "off":
-            save_volume_law(
-                vt.s_vn, path, spec, c.cfg.n_bins, l1_values, _mid_shell(c.dos)
-            )
-    else:
-        vt = run_volume_law(c.levels(), c.dos, l1_values, found[0])
+    vt = run_volume_law(c.levels(), c.dos, l1_values, s_vn)
     c.details["mid_shell_d_E"] = vt.d_e
     n = len(vt.l1)
     return {

@@ -391,9 +391,9 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # order, the second, when there are stacks, each (dim, n_a, n_a) stack of
 # the kets' rho_A blocks in C order, so S_VN can be verified and read alone.
 # Volume-law sweep, version 1: the header names the sector, the spectrum
-# trailer, n_bins and the ascending l1 list, all known before any DOS table
-# is built, and the mid shell's member run as [first eigenindex, d_E].  The
-# one section is the (d_E, n_l1) S_VN of the shell's kets, column-major, so
+# trailer, n_bins, the ascending l1 list and the mid shell's member run as
+# [first eigenindex, d_E], which the levels and n_bins fix.  The one
+# section is the (d_E, n_l1) S_VN of the shell's kets, column-major, so
 # each l1's column is contiguous.
 # ---------------------------------------------------------------------------
 
@@ -720,39 +720,37 @@ def volume_law_cache_path(
     )
 
 
+def _volume_law_header(spec: Spectrum, n_bins: int, l1_values, shell) -> dict:
+    return _keyed_header(
+        spec, n_bins=n_bins, l1=[int(x) for x in l1_values],
+        shell=[int(shell[0]), len(shell)],
+    )
+
+
 def save_volume_law(
     s_vn: np.ndarray, path, spec: Spectrum, n_bins: int, l1_values, shell
 ) -> None:
     """Write a cached spectrum's volume-law sweep: s_vn (d_E, n_l1) holds
-    the S_VN of each ket of the mid shell, the member run shell = (first
-    eigenindex, d_E) of the n_bins DOS table, at each ascending l1."""
-    header = _keyed_header(
-        spec, n_bins=n_bins, l1=[int(x) for x in l1_values], shell=list(shell)
-    )
+    the S_VN of each ket of shell, the mid shell's eigenindices
+    (experiments.mid_shell of the n_bins DOS table), at each ascending l1."""
     sections = [[np.asfortranarray(s_vn, dtype="<f8")]]
+    header = _volume_law_header(spec, n_bins, l1_values, shell)
     _write_record(path, _VLAW_MAGIC, _VLAW_VERSION, header, sections)
 
 
-def load_volume_law(path, spec: Spectrum, n_bins: int, l1_values):
-    """Read the volume-law file of (spec, n_bins, l1_values) as (s_vn,
-    shell), verifying format and checksum.
+def load_volume_law(path, spec: Spectrum, n_bins: int, l1_values, shell):
+    """Read the volume-law file of (spec, n_bins, l1_values, shell) as its
+    (d_E, n_l1) S_VN, each column contiguous, verifying format and checksum.
 
-    The key needs no DOS table: a header other than save_volume_law's for
-    this spectrum trailer, n_bins and ascending l1 list raises
-    SpectrumFormatError, and so does a d_E that is no positive integer.
-    The caller compares shell, (first eigenindex, d_E), with its own DOS
-    table; s_vn is (d_E, n_l1), each column contiguous.  A wrong size or
-    checksum raises SpectrumChecksumError.
+    A header other than save_volume_law's for this spectrum trailer, n_bins,
+    ascending l1 list and mid shell raises SpectrumFormatError; a wrong size
+    or checksum raises SpectrumChecksumError.
     """
-    expected = _keyed_header(spec, n_bins=n_bins, l1=[int(x) for x in l1_values])
+    expected = _volume_law_header(spec, n_bins, l1_values, shell)
 
     def layout(header):
-        _, d_e = header["shell"]
-        if {k: v for k, v in header.items() if k != "shell"} != expected:
+        if header != expected:
             raise SpectrumFormatError(f"not that of this spectrum at n_bins={n_bins}")
-        if type(d_e) is not int or d_e < 1:
-            raise SpectrumFormatError(f"shell size {d_e!r} is no positive integer")
-        return [[(d_e, len(l1_values))]]
+        return [[(len(shell), len(l1_values))]]
 
-    header, sections, _ = _read_record(path, _VLAW_MAGIC, _VLAW_VERSION, layout)
-    return sections[0][0], tuple(header["shell"])
+    return _read_record(path, _VLAW_MAGIC, _VLAW_VERSION, layout)[1][0][0]

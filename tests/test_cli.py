@@ -998,15 +998,18 @@ def test_tables_follow_the_file_a_damaged_spectrum_is_rebuilt_into(
     # Every table of the run must come from the rebuilt file, as a run
     # without any cache gives them.  A volume-law run looks its record up
     # by the damaged file's level view; with the record gone, its mid shell
-    # must still come from the rebuilt file.
+    # must still come from the rebuilt file.  Shell-average runs from the
+    # scan's rho_A blocks at l1=2 and from the eigenvectors at l1=4.
     solve = cli.diagonalize
-    for experiment in ("eigenket-scan", "gamma-fit", "volume-law"):
+    for experiment, extra in (("eigenket-scan", []), ("gamma-fit", []),
+                              ("shell-average", []),
+                              ("shell-average", ["--l1", "4"]), ("volume-law", [])):
         monkeypatch.setattr(cli, "diagonalize", solve)
-        cache = tmp_path / experiment / "cache"
+        root = tmp_path / "".join([experiment, *extra])
+        cache = root / "cache"
         monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
         path = Path(es.spectrum_cache_path(cache, SCAN_PARAMS, 4))
-        assert main(["volume-law", *SCAN_ARGS,
-                     "--out", str(tmp_path / experiment / "fill")]) == 0
+        assert main(["volume-law", *SCAN_ARGS, "--out", str(root / "fill")]) == 0
         for record in cache.glob("*.vlw"):
             record.unlink()
         _flip_eigenvector_byte(path)
@@ -1014,17 +1017,59 @@ def test_tables_follow_the_file_a_damaged_spectrum_is_rebuilt_into(
                       lambda b: replace(b, eigenvalues=b.eigenvalues + 1e-9))
         tables = {}
         for policy in ("use", "off"):
-            out = tmp_path / experiment / policy
-            assert main([experiment, *SCAN_ARGS, "--cache", policy,
+            out = root / policy
+            assert main([experiment, *SCAN_ARGS, *extra, "--cache", policy,
                          "--out", str(out)]) == 0
-            assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "built"
+            details = _manifest(out)["details"]["d2=0.5"]
+            assert details["spectrum"] == "built"
             tables[policy] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
         assert tables["use"] == tables["off"]
+        if experiment == "shell-average":
+            assert details["rdm"] == ("eigenvectors" if extra else "built")
         if experiment == "eigenket-scan":
-            table = tmp_path / experiment / "use" / "eigenket_scan_d2=0.5.csv"
+            table = root / "use" / "eigenket_scan_d2=0.5.csv"
             _, rows = _read_csv(table)
             energies = load_spectrum(path).eigenvalues
             assert [float(r[1]) for r in rows] == energies.tolist()
+
+
+def test_a_rebuilt_spectrum_drops_the_dos_table_of_the_view_it_replaced(
+    tmp_path, monkeypatch
+):
+    # A volume-law run builds its DOS table from the level view to key its
+    # record.  Here the view is of file B, whose eigenvector section is
+    # damaged, and the record found is that of an earlier file A, so the
+    # full read rebuilds B with every level 1e-9 higher: the DOS edges
+    # move, and the table must take them from the rebuilt file.
+    solve = cli.diagonalize
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    path = Path(es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
+    argv = ["volume-law", *SCAN_ARGS]
+    assert main([*argv, "--out", str(tmp_path / "fill")]) == 0
+    record = next((tmp_path / "cache").glob("*.vlw"))
+    stale = record.read_bytes()
+    # B: the same levels as A under another trailer.
+    _rebuilt_with(monkeypatch, lambda b: replace(b, eigenvectors=-b.eigenvectors))
+    assert main(["eigenket-scan", *SCAN_ARGS, "--cache", "rebuild",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert record.read_bytes() == stale
+    _flip_eigenvector_byte(path)
+
+    def shifted(op, vectors=True):
+        spec = solve(op, vectors)
+        return replace(spec, blocks=tuple(
+            replace(b, eigenvalues=b.eigenvalues + 1e-9) for b in spec.blocks
+        ))
+
+    monkeypatch.setattr(cli, "diagonalize", shifted)
+    tables = {}
+    for policy in ("use", "off"):
+        out = tmp_path / policy
+        assert main([*argv, "--cache", policy, "--out", str(out)]) == 0
+        details = _manifest(out)["details"]["d2=0.5"]
+        assert (details["spectrum"], details["volume_law"]) == ("built", "built")
+        tables[policy] = (out / VLAW_TABLE).read_bytes()
+    assert tables["use"] == tables["off"]
 
 
 def test_rebuild_recomputes_the_scan(tmp_path, monkeypatch, scan_calls):
@@ -1346,20 +1391,23 @@ def test_volume_law_record_holds_the_mid_shell_sweep(tmp_path, monkeypatch):
     dos = es.partition_shells(spec, 6)
     members = dos.members(dos.peak_index())
     path = _vlaw_path(tmp_path, l1_values=(1, 2, 3))
-    s_vn, shell = load_volume_law(path, load_levels(spec_path), 6, [1, 2, 3])
-    assert shell == (members[0], len(members))
+    s_vn = load_volume_law(path, load_levels(spec_path), 6, [1, 2, 3], members)
     for i, l1 in enumerate((1, 2, 3)):
         want = es.subsystem_entropies(spec, es.BipartitionSpec(8, l1), members)
         assert s_vn[:, i].tobytes() == want.tobytes()
     # A record whose shell is not the one the DOS table puts at the peak
-    # (forged, valid checksums) is rebuilt; the table is unchanged.
+    # (forged, valid checksums) is refused at lookup and rebuilt; the table
+    # is unchanged.
     table = (tmp_path / "out" / VLAW_TABLE).read_bytes()
-    forged = (shell[0] + 1, shell[1])
+    forged = members + 1
     es.spectral.save_volume_law(s_vn, path, spec, 6, [1, 2, 3], forged)
+    with pytest.raises(es.SpectrumFormatError):
+        load_volume_law(path, spec, 6, [1, 2, 3], members)
     out = tmp_path / "again"
     assert main([*argv, "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "built"
-    assert load_volume_law(path, spec, 6, [1, 2, 3])[1] == shell
+    rebuilt = load_volume_law(path, spec, 6, [1, 2, 3], members)
+    assert rebuilt.tobytes() == s_vn.tobytes()
     assert (out / VLAW_TABLE).read_bytes() == table
 
 

@@ -233,7 +233,7 @@ def test_volume_law_file_round_trip_and_key(tmp_path):
     spec, _, params = _spec(6, 3, 0.5)
     dos = es.partition_shells(spec, 4)
     vt = es.run_volume_law(spec, dos, [3, 1])
-    shell = (int(dos.members(dos.peak_index())[0]), vt.d_e)
+    shell = es.mid_shell(dos)
     record = volume_law_cache_path(tmp_path, params, 3, 4, [3, 1])
     assert record.endswith("N6_nup3_d20.5_bins=4_l1=1,3.vlw")
     with pytest.raises(ValueError, match="never cached"):
@@ -247,22 +247,24 @@ def test_volume_law_file_round_trip_and_key(tmp_path):
     (header_len,) = struct.unpack_from("<I", raw, 9)
     header = json.loads(raw[13 : 13 + header_len])
     assert header["spectrum"] == spec.checksum.hex()
-    assert (header["n_bins"], header["l1"], header["shell"]) == (4, [1, 3], list(shell))
+    assert (header["n_bins"], header["l1"]) == (4, [1, 3])
+    assert header["shell"] == [int(shell[0]), vt.d_e]
     assert raw[13 + header_len : -8] == vt.s_vn.tobytes(order="F")
-    # Keyed by what the level view and the config give, before any DOS.
+    # Keyed by what the level view, the config and its DOS table give.
     levels = es.load_levels(path)
-    s_vn, got = load_volume_law(record, levels, 4, [1, 3])
-    assert got == shell and s_vn.tobytes() == vt.s_vn.tobytes()
+    s_vn = load_volume_law(record, levels, 4, [1, 3], shell)
+    assert s_vn.tobytes() == vt.s_vn.tobytes()
     assert s_vn.shape == (vt.d_e, 2) and s_vn.flags.f_contiguous
-    for other in [(levels, 5, [1, 3]), (levels, 4, [1, 2]), (levels, 4, [3, 1]),
-                  (replace(levels, checksum=bytes(8)), 4, [1, 3])]:
+    for other in [(levels, 5, [1, 3], shell), (levels, 4, [1, 2], shell),
+                  (levels, 4, [3, 1], shell),
+                  (replace(levels, checksum=bytes(8)), 4, [1, 3], shell)]:
         with pytest.raises(es.SpectrumFormatError):
             load_volume_law(record, *other)
-    # The layout takes d_E from the header; it must be a positive integer.
-    for d_e in (0, -1, 2.0):
-        save_volume_law(vt.s_vn[:1], record, spec, 4, vt.l1, (0, d_e))
-        with pytest.raises(es.SpectrumFormatError, match="positive integer"):
-            load_volume_law(record, levels, 4, [1, 3])
+    # Another shell, by its first eigenindex or by its size, is refused too:
+    # a record of another DOS table's mid shell is never found.
+    for forged in (shell + 1, shell[:-1], np.append(shell, shell[-1] + 1)):
+        with pytest.raises(es.SpectrumFormatError):
+            load_volume_law(record, levels, 4, [1, 3], forged)
 
 
 RECORD_KINDS = ["spectrum", "scan", "volume-law"]
@@ -278,10 +280,10 @@ def _record(kind):
     if kind == "volume-law":
         dos = es.partition_shells(spec, 2)
         vt = es.run_volume_law(spec, dos, [1, 2, 3])
-        shell = (int(dos.members(dos.peak_index())[0]), vt.d_e)
+        shell = es.mid_shell(dos)
         return (b"ENTROVLW", 1,
                 lambda path: save_volume_law(vt.s_vn, path, spec, 2, vt.l1, shell),
-                lambda path: load_volume_law(path, spec, 2, [1, 2, 3]))
+                lambda path: load_volume_law(path, spec, 2, [1, 2, 3], shell))
     s_vn, stacks = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1), keep=True)
     return (b"ENTROSVN", 2, lambda path: save_scan(s_vn, path, spec, 1, stacks),
             lambda path: load_scan(path, spec, 1, (1,)))
