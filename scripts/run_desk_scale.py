@@ -7,8 +7,9 @@ so each coupling's eigensolve happens once, and so is its full entropy scan
 (eigenket-scan computes it, keeping each eigenket's rho_A blocks, and
 writes both to the scan file; shell-average sums the blocks of each shell,
 and gamma-fit reads only the entropies).  Per coupling, eigenket-scan
-solves and saves the spectrum (at delta2=0 each symmetry block of
-H + c S^2, so every level also carries its total spin); volume-law loads
+solves the spectrum straight into its cache file, one symmetry block's
+eigenvectors at a time (at delta2=0 each block of H + c S^2, so every
+level also carries its total spin); volume-law loads
 it whole (levels and eigenvectors) into an empty cache slot and saves each
 mid-shell ket's S_VN per l1 to a volume-law record, which a rerun reads
 beside the level section alone; shell-average and gamma-fit read only
@@ -19,15 +20,16 @@ eigenvalues per block.  Neither loads an eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
 Three cold-cache runs on 2026-10-20 (2-core Xeon, numpy 2.4.6 with
-scipy-openblas 0.3.31, 2 BLAS threads) took 2.37-2.56 s end to end at
-99.4 MB peak RSS; the census call took 0.69-0.74 s of it, all at
-delta2=0.5, and the property suite 0.09-0.10 s.  Each cached spectrum (dim
-3432, four symmetry blocks) is 23.6 MB and each scan file 3.49 MB.
+scipy-openblas 0.3.31, 2 BLAS threads) took 2.20-2.27 s end to end at
+88.2-88.3 MB peak RSS, reached in the census and the property suite after
+it; the census call took 0.62-0.70 s of it, all at delta2=0.5, and the
+property suite 0.08-0.10 s.  Each cached spectrum (dim 3432, four
+symmetry blocks) is 23.6 MB and each scan file 3.49 MB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
 (four symmetry blocks of about 3200) takes about 23 s on 2 cores.  The
-whole run took 41-48 s at 0.71 GB peak RSS on a 2-core Xeon; each cached
-spectrum is 0.33 GB and each scan file 68 MB.  The CLI defaults (n_up=8,
+whole run took 38-39 s at 0.49 GB peak RSS on a 2-core Xeon (two runs on
+2026-10-20); each cached spectrum is 0.33 GB and each scan file 68 MB.  The CLI defaults (n_up=8,
 l1=6, 50 bins, min_count=10) already describe this geometry, so only the
 couplings are spelled out.  The census and the property suite are left
 out.

@@ -159,20 +159,21 @@ def obtain_spectrum(
 ) -> tuple[Spectrum, str]:
     """Load from cache when allowed and keyed identically, else build.
 
-    The returned spectrum carries the trailer of the file it was read from
-    or written to.
+    A build solves straight into its cache file (save_spectrum), holding
+    one block's V_b at a time, except under --cache off, which has no file
+    and holds every V_b.  The returned spectrum carries the trailer of the
+    file it was read from or written to.
     """
     params = ModelParams(n_sites=cfg.n_sites, delta2=delta2)
     path = spectrum_cache_path(cache_dir, params, n_up)
     spec = _cached(cfg, load_spectrum, path, params)
     if spec is not None:
         return spec, "cache"
-    basis = enumerate_sector(cfg.n_sites, n_up)
-    spec = replace(diagonalize(build_hamiltonian(basis, params)), params=params)
-    if cfg.cache != "off":
-        os.makedirs(cache_dir, exist_ok=True)
-        spec = replace(spec, checksum=save_spectrum(spec, path))
-    return spec, "built"
+    op = build_hamiltonian(enumerate_sector(cfg.n_sites, n_up), params)
+    if cfg.cache == "off":
+        return replace(diagonalize(op), params=params), "built"
+    os.makedirs(cache_dir, exist_ok=True)
+    return save_spectrum(op, path, params), "built"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import os
 import struct
 import warnings
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 
@@ -200,7 +200,7 @@ def _commutes_with_spin_sq(op: SymmetricOperator, s, t, diag) -> bool:
     )
 
 
-def diagonalize(op: SymmetricOperator, vectors: bool = True) -> Spectrum:
+def diagonalize(op: SymmetricOperator, vectors: bool = True, sink=None) -> Spectrum:
     """Eigendecomposition of a sector Hamiltonian, block by block.
 
     Each symmetry block b is solved densely from U_b^T H U_b, so every
@@ -210,6 +210,11 @@ def diagonalize(op: SymmetricOperator, vectors: bool = True) -> Spectrum:
     before the next block is solved, so one C-ordered copy is resident at a
     time.  With vectors False the blocks are solved for eigenvalues only
     (eigvalsh): the spectrum holds no V_b, as one read by load_levels.
+
+    With a sink, each finished block goes to sink(block) as soon as it is
+    solved, and the block the sink returns takes its place in the spectrum.
+    save_spectrum's sink writes V_b to the cache file and returns the block
+    without it, so no finished V_b is held while the next block is solved.
 
     Raises NumericsError when max |H[g i, g j] - H[i, j]| exceeds
     SYMMETRY_TOL for a group element g: op does not commute with the group,
@@ -294,9 +299,11 @@ def diagonalize(op: SymmetricOperator, vectors: bool = True) -> Spectrum:
                 v = None if v is None else v.T[order].T
             elif v is not None:
                 v = np.asfortranarray(v)
-            solved.append(
-                EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
-            )
+            block = EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
+            solved.append(block if sink is None else sink(block))
+            # Whatever the sink dropped must not stay alive through the
+            # next block's eigh.
+            v = block = None
     except np.linalg.LinAlgError as err:
         raise NumericsError(
             f"symmetric eigensolver failed for dim={op.dim}, "
@@ -383,7 +390,10 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # and then, if it was, every 2S_b (as float64), the second every V_b
 # column-major, in header order, so the levels can be verified and read
 # alone.  The isometries are not stored but rebuilt by symmetry_blocks,
-# which must agree with that list.
+# which must agree with that list.  save_spectrum writes each V_b at its
+# final offset as its block is solved, and the header and level section at
+# the front once every block is in; one read of the V section then chains
+# its checksum.
 # Scan, version 2: the header names the sector, l1, the trailer of the
 # spectrum file the scan came from, so a scan never outlives its spectrum,
 # and the n_a of each rho_A block stack the scan kept (none, when it could
@@ -413,7 +423,8 @@ def _memory_bytes(a: np.ndarray) -> memoryview:
 
 @contextmanager
 def atomic_write(path):
-    """Open <path>.tmp.<pid> for binary writing; os.replace it onto path.
+    """Open <path>.tmp.<pid> for binary writing (and reading back); os.replace
+    it onto path.
 
     The temporary file carries an exclusive flock from just after it is
     opened until it has its final name.  The kernel drops the lock when the
@@ -425,7 +436,7 @@ def atomic_write(path):
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         while True:
-            fh = open(tmp, "wb")
+            fh = open(tmp, "w+b")
             fcntl.flock(fh, fcntl.LOCK_EX)
             # A sweep that locked the file between its open and our flock
             # has unlinked it: start over on a new one.
@@ -470,20 +481,43 @@ def _write_record(path, magic: bytes, version: int, header: dict, sections) -> b
     temporary files that dead writers of the same record left are removed
     first.
     """
-    raw = json.dumps(header, sort_keys=True).encode()
-    head = magic + struct.pack("<BI", version, len(raw)) + raw
+    head = _head(magic, version, header)
     running = hashlib.sha256(head)
     _remove_dead_temps(path)
     with atomic_write(path) as fh:
         fh.write(head)
         for arrays in sections:
-            for part in map(_memory_bytes, arrays):
-                running.update(part)
-                fh.write(part)
-            trailer = _checksum(running)
-            running.update(trailer)
-            fh.write(trailer)
+            trailer = _write_section(fh, running, arrays)
     return trailer
+
+
+def _head(magic: bytes, version: int, header: dict) -> bytes:
+    """A record's bytes before its first section."""
+    raw = json.dumps(header, sort_keys=True).encode()
+    return magic + struct.pack("<BI", version, len(raw)) + raw
+
+
+def _write_section(fh, running, arrays) -> bytes:
+    """Write arrays in memory order and then their section's checksum, the
+    hash running over both; returns the checksum."""
+    for part in map(_memory_bytes, arrays):
+        running.update(part)
+        fh.write(part)
+    trailer = _checksum(running)
+    running.update(trailer)
+    fh.write(trailer)
+    return trailer
+
+
+def _read_arrays(fh, running, shapes, path) -> list[np.ndarray]:
+    """Read float64 arrays of these shapes, each filled in F order, from fh,
+    the hash running over them."""
+    arrays = [np.empty(shape, dtype="<f8", order="F") for shape in shapes]
+    for view in map(_memory_bytes, arrays):
+        if fh.readinto(view) != len(view):
+            raise SpectrumChecksumError(f"{path}: file shrank while reading")
+        running.update(view)
+    return arrays
 
 
 def _read_record(path, magic: bytes, version: int, layout, first_only=False):
@@ -524,11 +558,7 @@ def _read_record(path, magic: bytes, version: int, layout, first_only=False):
         running.update(header_raw)
         sections = []
         for section in shapes[:1] if first_only else shapes:
-            arrays = [np.empty(shape, dtype="<f8", order="F") for shape in section]
-            for view in map(_memory_bytes, arrays):
-                if fh.readinto(view) != len(view):
-                    raise SpectrumChecksumError(f"{path}: file shrank while reading")
-                running.update(view)
+            arrays = _read_arrays(fh, running, section, path)
             trailer = _checksum(running)
             if trailer != fh.read(8):
                 raise SpectrumChecksumError(f"{path}: checksum mismatch")
@@ -573,29 +603,76 @@ def _spectrum_layout(header: dict):
     return [levels, [(b.dim, b.dim) for b in blocks]]
 
 
-def save_spectrum(spec: Spectrum, path) -> bytes:
-    """Write a spectrum cache file (bit-exact round trip); returns its trailer."""
-    if spec.params is None:
+def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
+    """Write a spectrum cache file; returns the spectrum as the file holds it.
+
+    source is a Spectrum, which carries its params, or a sector operator of
+    the model params, which diagonalize solves here.  Each block's V_b goes
+    into the record's temporary file at its final offset as soon as the
+    block is solved, and is dropped there, so no finished V_b is held while
+    the next block is solved.  The header and the level section, whose
+    sizes the first block fixes, go to the front once every block is in.
+    One read of the V section then chains its checksum in file order and
+    fills the returned spectrum's V_b, bit for bit those solved or given;
+    its `checksum` is the file's trailer.  A spectrum without params or
+    without eigenvectors raises ValueError.
+    """
+    if isinstance(source, Spectrum):
+        source.require_eigenvectors()
+        params = source.params
+    if params is None:
         raise ValueError("spectrum has no model params attached; cannot cache")
-    spec.require_eigenvectors()
-    _, n_up = sector_of(spec.basis_tag)
-    header = {
-        "n_sites": spec.params.n_sites,
-        "n_up": n_up,
-        "delta2": spec.params.delta2,
-        "dim": spec.dim,
-        "blocks": [{"label": b.block.label, "dim": b.block.dim} for b in spec.blocks],
-        "spin_resolved": spec.spin_resolved,
-        "checksum": "sha256-trunc8",
-    }
-    levels = [b.eigenvalues for b in spec.blocks]
-    if spec.spin_resolved:
-        levels += [b.two_s for b in spec.blocks]
-    sections = [
-        [np.ascontiguousarray(x, dtype="<f8") for x in levels],
-        [np.asfortranarray(b.eigenvectors, dtype="<f8") for b in spec.blocks],
-    ]
-    return _write_record(path, _MAGIC, _VERSION, header, sections)
+    _, n_up = sector_of(source.basis_tag)
+    blocks = symmetry_blocks(params.n_sites, n_up)
+    dim = sum(b.dim for b in blocks)
+    sizes = [b.dim**2 for b in blocks]
+    head = None
+    _remove_dead_temps(path)
+    with atomic_write(path) as fh:
+
+        def stage(block: EigenBlock) -> EigenBlock:
+            nonlocal head
+            if head is None:
+                spin = block.two_s is not None
+                head = _head(_MAGIC, _VERSION, {
+                    "n_sites": params.n_sites,
+                    "n_up": n_up,
+                    "delta2": params.delta2,
+                    "dim": dim,
+                    "blocks": [{"label": b.label, "dim": b.dim} for b in blocks],
+                    "spin_resolved": spin,
+                    "checksum": "sha256-trunc8",
+                })
+                fh.seek(len(head) + 8 * dim * (1 + spin) + 8)
+            fh.write(_memory_bytes(np.asfortranarray(block.eigenvectors, dtype="<f8")))
+            return replace(block, eigenvectors=None)
+
+        if isinstance(source, Spectrum):
+            spec = replace(source, blocks=tuple(map(stage, source.blocks)))
+        else:
+            spec = diagonalize(source, sink=stage)
+        levels = [b.eigenvalues for b in spec.blocks]
+        if spec.spin_resolved:
+            levels += [b.two_s for b in spec.blocks]
+        fh.seek(0)
+        fh.write(head)
+        running = hashlib.sha256(head)
+        _write_section(fh, running, [np.ascontiguousarray(x, dtype="<f8") for x in levels])
+        # One buffer for the whole V section: one read, and one allocation
+        # that a large spectrum gets from mmap and gives back when dropped.
+        (flat,) = _read_arrays(fh, running, [(sum(sizes),)], path)
+        trailer = _checksum(running)
+        fh.write(trailer)
+    vectors = np.split(flat, np.cumsum(sizes)[:-1])
+    return Spectrum(
+        blocks=tuple(
+            replace(b, eigenvectors=v.reshape(b.block.dim, b.block.dim, order="F"))
+            for b, v in zip(spec.blocks, vectors)
+        ),
+        basis_tag=spec.basis_tag,
+        params=params,
+        checksum=trailer,
+    )
 
 
 def _read_spectrum(path, expect_params, levels_only: bool) -> Spectrum:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process, against temporary output directories."""
 import fcntl
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import entroscope as es
 import oracles
 from entroscope import cli, properties
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
-from entroscope.config import EXPERIMENTS
+from entroscope.config import EXPERIMENTS, parse_config
 from entroscope.spectral import (
     load_levels,
     load_scan,
@@ -937,15 +939,28 @@ def _flip_eigenvector_byte(path):
     path.write_bytes(bytes(raw))
 
 
-def _rebuilt_with(monkeypatch, change):
-    """Make the CLI's solves return change(first block) as their first block."""
-    real = cli.diagonalize
+def _solve_with(monkeypatch, solve):
+    """Make solve the CLI's full solve, in memory (--cache off) and into the
+    cache file alike."""
+    monkeypatch.setattr(cli, "diagonalize", solve)
+    monkeypatch.setattr(es.spectral, "diagonalize", solve)
 
-    def other(op, vectors=True):
-        spec = real(op, vectors)
-        return replace(spec, blocks=(change(spec.blocks[0]), *spec.blocks[1:]))
 
-    monkeypatch.setattr(cli, "diagonalize", other)
+def _rebuilt_with(monkeypatch, change, every=False):
+    """Make the CLI's solves return change(first block) as their first
+    block, or change(block) as every block."""
+
+    def other(op, vectors=True, sink=None):
+        count = itertools.count()
+
+        def changed(block):
+            if every or next(count) == 0:
+                block = change(block)
+            return block if sink is None else sink(block)
+
+        return es.diagonalize(op, vectors, changed)
+
+    _solve_with(monkeypatch, other)
 
 
 @pytest.mark.parametrize("rebuilder", ["shell-average", "volume-law"])
@@ -1000,11 +1015,10 @@ def test_tables_follow_the_file_a_damaged_spectrum_is_rebuilt_into(
     # by the damaged file's level view; with the record gone, its mid shell
     # must still come from the rebuilt file.  Shell-average runs from the
     # scan's rho_A blocks at l1=2 and from the eigenvectors at l1=4.
-    solve = cli.diagonalize
     for experiment, extra in (("eigenket-scan", []), ("gamma-fit", []),
                               ("shell-average", []),
                               ("shell-average", ["--l1", "4"]), ("volume-law", [])):
-        monkeypatch.setattr(cli, "diagonalize", solve)
+        _solve_with(monkeypatch, es.diagonalize)
         root = tmp_path / "".join([experiment, *extra])
         cache = root / "cache"
         monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
@@ -1041,7 +1055,6 @@ def test_a_rebuilt_spectrum_drops_the_dos_table_of_the_view_it_replaced(
     # damaged, and the record found is that of an earlier file A, so the
     # full read rebuilds B with every level 1e-9 higher: the DOS edges
     # move, and the table must take them from the rebuilt file.
-    solve = cli.diagonalize
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     path = Path(es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
     argv = ["volume-law", *SCAN_ARGS]
@@ -1054,14 +1067,8 @@ def test_a_rebuilt_spectrum_drops_the_dos_table_of_the_view_it_replaced(
                  "--out", str(tmp_path / "b")]) == 0
     assert record.read_bytes() == stale
     _flip_eigenvector_byte(path)
-
-    def shifted(op, vectors=True):
-        spec = solve(op, vectors)
-        return replace(spec, blocks=tuple(
-            replace(b, eigenvalues=b.eigenvalues + 1e-9) for b in spec.blocks
-        ))
-
-    monkeypatch.setattr(cli, "diagonalize", shifted)
+    _rebuilt_with(monkeypatch, lambda b: replace(b, eigenvalues=b.eigenvalues + 1e-9),
+                  every=True)
     tables = {}
     for policy in ("use", "off"):
         out = tmp_path / policy
@@ -1542,6 +1549,116 @@ def test_cache_write_keeps_a_temp_file_whose_writer_holds_its_lock(tmp_path):
     assert not dead.exists()
     assert other.read_bytes() == b"partial"
     assert load_spectrum(cache / "N6_nup3_d20.spec").dim == 20
+
+
+def _build_config(n_sites, cache):
+    return parse_config(None, {"experiment": "eigenket-scan", "n_sites": n_sites,
+                               "cache": cache})
+
+
+def _assert_same_spectrum(got, want):
+    assert (got.basis_tag, got.params) == (want.basis_tag, want.params)
+    for name in ("eigenvalues", "block_index", "column_index"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert len(got.blocks) == len(want.blocks)
+    for g, w in zip(got.blocks, want.blocks):
+        assert g.block is w.block
+        assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
+        assert g.eigenvectors.flags.f_contiguous and w.eigenvectors.flags.f_contiguous
+        assert g.eigenvectors.tobytes(order="F") == w.eigenvectors.tobytes(order="F")
+        if w.two_s is None:
+            assert g.two_s is None
+        else:
+            assert g.two_s.dtype == w.two_s.dtype
+            assert g.two_s.tobytes() == w.two_s.tobytes()
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.5])
+def test_cold_build_writes_the_record_of_the_held_solve(tmp_path, d2):
+    # A cold cached build writes each V_b into the record as its block is
+    # solved.  The file must be byte for byte what save_spectrum writes of
+    # the same spectrum solved with every V_b held (at d2 = 0 with the 2S_b
+    # of each level), and the spectrum it returns must be that held solve
+    # bit for bit, as --cache off returns it.
+    params = es.ModelParams(n_sites=10, delta2=d2)
+    op = es.build_hamiltonian(es.enumerate_sector(10, 5), params)
+    held = replace(es.diagonalize(op), params=params)
+    assert held.spin_resolved is (d2 == 0.0)
+    es.save_spectrum(held, tmp_path / "held.spec")
+    cache = tmp_path / "cache"
+    built, source = cli.obtain_spectrum(_build_config(10, "use"), d2, 5, str(cache))
+    assert source == "built"
+    raw = Path(es.spectrum_cache_path(cache, params, 5)).read_bytes()
+    assert raw == (tmp_path / "held.spec").read_bytes()
+    assert built.checksum == raw[-8:]
+    # Both are the version-4 layout: header, every E_b (and 2S_b), their
+    # checksum, every V_b column-major, the trailer over all before it.
+    header = json.dumps(
+        {"blocks": [{"dim": b.block.dim, "label": b.block.label} for b in held.blocks],
+         "checksum": "sha256-trunc8", "delta2": d2, "dim": 252, "n_sites": 10,
+         "n_up": 5, "spin_resolved": held.spin_resolved},
+        sort_keys=True,
+    ).encode()
+    levels = [b.eigenvalues for b in held.blocks]
+    if held.spin_resolved:
+        levels += [b.two_s.astype(float) for b in held.blocks]
+    head = b"".join([b"ENTROSPC", struct.pack("<BI", 4, len(header)), header,
+                     *(x.tobytes() for x in levels)])
+    body = b"".join([head, hashlib.sha256(head).digest()[:8],
+                     *(b.eigenvectors.tobytes(order="F") for b in held.blocks)])
+    assert raw == body + hashlib.sha256(body).digest()[:8]
+    off, _ = cli.obtain_spectrum(_build_config(10, "off"), d2, 5, str(tmp_path / "no"))
+    assert off.checksum == b"" and not (tmp_path / "no").exists()
+    for spec in (built, off):
+        _assert_same_spectrum(spec, held)
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.5])
+def test_cold_build_holds_one_block_of_eigenvectors(tmp_path, d2):
+    # N=12 half filling: four blocks of 210-252.  A cold cached build may
+    # peak at the V_b it returns (read back from the record) plus one
+    # block's dense matrix; one that held every finished V_b while it
+    # solved the next block peaked two to three blocks above that.
+    dims = [b.dim for b in es.symmetry_blocks(12, 6)]
+    # The sector's memoised tables are filled first, so they do not count.
+    cli.obtain_spectrum(_build_config(12, "off"), d2, 6, str(tmp_path / "no"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec, _ = cli.obtain_spectrum(_build_config(12, "use"), d2, 6, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert spec.checksum and spec.dim == 924
+    assert peak < 8 * sum(d * d for d in dims) + 8 * max(dims) ** 2
+
+
+def test_failed_block_solve_leaves_no_record_and_no_temp_file(
+    tmp_path, monkeypatch, capsys
+):
+    # The third of the four block solves fails after the first two blocks'
+    # V_b went into the record's temporary file.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+    eigh, calls = np.linalg.eigh, itertools.count(1)
+
+    def failing(h):
+        if next(calls) == 3:
+            raise np.linalg.LinAlgError("planted: no convergence")
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    argv = ["eigenket-scan", *SCAN_ARGS]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "NumericsError"
+    assert next(calls) == 4
+    assert list(cache.glob("*")) == []
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert _manifest(tmp_path / "b")["details"]["d2=0.5"]["spectrum"] == "built"
+    path = es.spectrum_cache_path(cache, SCAN_PARAMS, 4)
+    assert load_spectrum(path, expect_params=SCAN_PARAMS).dim == 70
+    assert list(cache.glob("*.tmp.*")) == []
 
 
 def test_rerun_leaves_only_the_tables_of_its_manifest(tmp_path):
