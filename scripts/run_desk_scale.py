@@ -9,30 +9,36 @@ writes both to the scan file; shell-average sums the blocks of each shell,
 and gamma-fit reads only the entropies).  Per coupling, eigenket-scan
 solves the spectrum straight into its cache file, one symmetry block's
 eigenvectors at a time (at delta2=0 each block of H + c S^2, so every
-level also carries its total spin); volume-law loads
-it whole (levels and eigenvectors) into an empty cache slot and saves each
-mid-shell ket's S_VN per l1 to a volume-law record, which a rerun reads
-beside the level section alone; shell-average and gamma-fit read only
-its level section, and so does the census.  At delta2=0 those levels, each counted 2S+1 times, are the whole
-census, and nothing is solved; at delta2=0.5 the census also solves the
-other sectors n_up <= 6 through diagonalize(..., vectors=False),
+level also carries its total spin), and scans every eigenket with the
+columns read back from that file; volume-law loads the file, verifying
+all of it but keeping no eigenvector, reads only the mid-shell kets'
+columns, and saves each one's S_VN per l1 to a volume-law record, which
+a rerun reads beside the level section alone; shell-average and
+gamma-fit read only its level section, and so does the census.  At
+delta2=0 those levels, each counted 2S+1 times, are the whole census, and
+nothing is solved; at delta2=0.5 the census also solves the other
+sectors n_up <= 6, largest first, through diagonalize(..., vectors=False),
 eigenvalues per block.  Neither loads an eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-Three cold-cache runs on 2026-10-20 (2-core Xeon, numpy 2.4.6 with
-scipy-openblas 0.3.31, 2 BLAS threads) took 2.20-2.27 s end to end at
-88.2-88.3 MB peak RSS, reached in the census and the property suite after
-it; the census call took 0.62-0.70 s of it, all at delta2=0.5, and the
-property suite 0.08-0.10 s.  Each cached spectrum (dim 3432, four
-symmetry blocks) is 23.6 MB and each scan file 3.49 MB.
+Four cold-cache runs on 2026-10-20 (2-core Xeon, numpy 2.4.6 with
+scipy-openblas 0.3.31, 2 BLAS threads) took 2.47-2.72 s end to end at
+88.5-88.7 MB peak RSS, reached in the census; the census call took
+0.74 s of it, all at delta2=0.5, and the property suite 0.10 s.  The
+table calls before it stay at 81 MB, where the cold solve sets the peak.
+Each cached spectrum (dim 3432, four symmetry blocks) is 23.6 MB and each
+scan file 3.49 MB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
 (four symmetry blocks of about 3200) takes about 23 s on 2 cores.  The
-whole run took 38-39 s at 0.49 GB peak RSS on a 2-core Xeon (two runs on
-2026-10-20); each cached spectrum is 0.33 GB and each scan file 68 MB.  The CLI defaults (n_up=8,
-l1=6, 50 bins, min_count=10) already describe this geometry, so only the
-couplings are spelled out.  The census and the property suite are left
-out.
+whole run took 42-46 s at 0.49 GB peak RSS, set by one block's solve, on
+a 2-core Xeon (three runs on 2026-10-20 on a shared host, whose drift
+that day was several seconds); each cached spectrum is 0.33 GB and each
+scan file 68 MB.  An eigenket-scan at delta2=0.5 over that cache with its scan
+file removed loads the spectrum without its eigenvectors and peaks at
+106 MB in 2.4-2.5 s.  The CLI defaults (n_up=8, l1=6, 50 bins,
+min_count=10) already describe this geometry, so only the couplings are
+spelled out.  The census and the property suite are left out.
 
 Usage: python3 scripts/run_desk_scale.py [--n-sites 14|16] [out_root]
 """

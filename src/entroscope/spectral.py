@@ -7,6 +7,7 @@ import math
 import os
 import struct
 import warnings
+import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -43,18 +44,40 @@ _VLAW_VERSION = 1
 class EigenBlock:
     """Eigenpairs of one symmetry block: H U_b V_b = U_b V_b diag(E_b).
 
-    `eigenvalues` (E_b) ascend.  `eigenvectors` (V_b, block.dim x block.dim,
-    column-major) holds the eigenvectors in the block's symmetry-reduced
-    basis; U_b V_b gives their sector amplitudes.  It is None in a
-    spectrum read by load_levels or solved with vectors False.  `two_s`
-    (2S_b, integers) is the total spin of each eigenpair when the solve
-    resolved it, else None.
+    `eigenvalues` (E_b) ascend.  V_b (block.dim x block.dim) holds the
+    eigenvectors in the block's symmetry-reduced basis; U_b V_b gives their
+    sector amplitudes.  A solve holds it in `eigenvectors`, column-major.
+    A block read by load_spectrum or returned by save_spectrum holds None
+    there: `stored` is (record, offset), where its verified cache file keeps
+    V_b column-major.  columns() and vectors() read V_b from either.  A
+    spectrum read by load_levels or solved with vectors False has neither.
+    `two_s` (2S_b, integers) is the total spin of each eigenpair when the
+    solve resolved it, else None.
     """
 
     block: SymmetryBlock
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray | None = field(repr=False)
     two_s: np.ndarray | None = field(default=None, repr=False)
+    stored: "tuple[_Record, int] | None" = field(default=None, repr=False, compare=False)
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """Columns `cols` of V_b as the rows of a C-ordered (len(cols), dim)
+        array: gathered from the held V_b, or read from the record with one
+        positioned read per run of consecutive columns."""
+        if self.eigenvectors is not None:
+            return self.eigenvectors.T[cols]
+        if self.stored is None:
+            raise ValueError(f"{self.block.label}: block holds eigenvalues only")
+        record, offset = self.stored
+        return record.read_rows(offset, self.block.dim, cols)
+
+    def vectors(self) -> np.ndarray:
+        """V_b, F-ordered: the held array, or every column read from the
+        record."""
+        if self.eigenvectors is not None:
+            return self.eigenvectors
+        return self.columns(np.arange(self.block.dim)).T
 
 
 @dataclass(frozen=True)
@@ -64,7 +87,8 @@ class Spectrum:
     Eigenindex n runs over the ascending merge of the blocks' eigenvalues (a
     stable sort, so ties keep block order): eigenket n is column
     `column_index[n]` of block `block_index[n]`.  No D x D eigenvector
-    matrix is held or built: the kernels read amplitudes block by block.
+    matrix is held or built: the kernels read amplitudes block by block,
+    through EigenBlock.columns.
     """
 
     blocks: tuple[EigenBlock, ...] = field(repr=False)
@@ -98,7 +122,7 @@ class Spectrum:
 
     def require_eigenvectors(self) -> None:
         """Raise ValueError when the blocks hold eigenvalues only."""
-        if any(b.eigenvectors is None for b in self.blocks):
+        if any(b.eigenvectors is None and b.stored is None for b in self.blocks):
             raise ValueError(
                 f"{self.basis_tag}: spectrum holds eigenvalues only (read by "
                 "load_levels or solved without vectors); amplitudes need "
@@ -392,8 +416,11 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # alone.  The isometries are not stored but rebuilt by symmetry_blocks,
 # which must agree with that list.  save_spectrum writes each V_b at its
 # final offset as its block is solved, and the header and level section at
-# the front once every block is in; one read of the V section then chains
-# its checksum.
+# the front once every block is in.  The V section is never held whole:
+# its checksum is chained through a buffer of at most _HASH_BUFFER bytes
+# (by save_spectrum after the last block, by load_spectrum before any
+# column is read), and the spectrum either returns reads its columns from
+# the file it verified, by position (EigenBlock.columns).
 # Scan, version 2: the header names the sector, l1, the trailer of the
 # spectrum file the scan came from, so a scan never outlives its spectrum,
 # and the n_a of each rho_A block stack the scan kept (none, when it could
@@ -408,6 +435,8 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _FIXED = 8 + 1 + 4  # magic, version, header length
+# Largest buffer a pass that only hashes a section reads through.
+_HASH_BUFFER = 1 << 18
 
 
 def _checksum(running) -> bytes:
@@ -520,54 +549,102 @@ def _read_arrays(fh, running, shapes, path) -> list[np.ndarray]:
     return arrays
 
 
-def _read_record(path, magic: bytes, version: int, layout, first_only=False):
-    """Read one cache record; returns (header, sections, trailer).
+def _hash_through(fh, running, nbytes: int, path) -> None:
+    """Chain the next nbytes of fh into the running hash through a buffer of
+    at most _HASH_BUFFER bytes, keeping none of them."""
+    buf = memoryview(bytearray(min(nbytes, _HASH_BUFFER)))
+    while nbytes:
+        got = fh.readinto(buf[: min(nbytes, len(buf))])
+        if not got:
+            raise SpectrumChecksumError(f"{path}: file shrank while reading")
+        running.update(buf[:got])
+        nbytes -= got
+
+
+def _read_record(fh, path, magic: bytes, version: int, layout, rest="read"):
+    """Read one cache record from the start of the open binary file fh;
+    returns (header, sections, trailer).  path names it in errors.
 
     layout(header) returns the shapes of the float64 arrays of each section,
     filled in F order (1-D and column-major arrays alike), or raises
     SpectrumFormatError to reject the header, as do a wrong magic or
     version; a wrong size or section checksum raises SpectrumChecksumError.
-    With first_only the read stops after the first section, which it
-    verifies; the size is still checked, and the trailer is taken unverified
+    `rest` is what becomes of the sections after the first: "read" returns
+    them too; "hash" returns the first alone, but chains the others through
+    _hash_through and verifies them and the trailer; "skip" stops after the
+    first, with the size still checked and the trailer taken unverified
     from the file's last 8 bytes.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _FIXED + 8:
-            raise SpectrumChecksumError(f"{path}: file too short")
-        head = fh.read(_FIXED)
-        if head[:8] != magic:
-            raise SpectrumFormatError(f"{path}: bad magic {head[:8]!r}")
-        if head[8] != version:
-            raise SpectrumFormatError(f"{path}: unsupported version {head[8]}")
-        (header_len,) = struct.unpack_from("<I", head, 9)
-        header_raw = fh.read(header_len)
-        try:
-            header = json.loads(header_raw)
-            shapes = layout(header)
-        except (ValueError, TypeError, KeyError, SpectrumFormatError) as err:
-            raise SpectrumFormatError(f"{path}: bad header: {err}") from err
-        expected = _FIXED + header_len + sum(
-            8 * sum(map(math.prod, section)) + 8 for section in shapes
-        )
-        if size != expected:
-            raise SpectrumChecksumError(
-                f"{path}: expected {expected} bytes, got {size}"
-            )
-        running = hashlib.sha256(head)
-        running.update(header_raw)
-        sections = []
-        for section in shapes[:1] if first_only else shapes:
-            arrays = _read_arrays(fh, running, section, path)
-            trailer = _checksum(running)
-            if trailer != fh.read(8):
-                raise SpectrumChecksumError(f"{path}: checksum mismatch")
-            running.update(trailer)
-            sections.append(arrays)
-        if len(sections) < len(shapes):
+    size = os.fstat(fh.fileno()).st_size
+    if size < _FIXED + 8:
+        raise SpectrumChecksumError(f"{path}: file too short")
+    head = fh.read(_FIXED)
+    if head[:8] != magic:
+        raise SpectrumFormatError(f"{path}: bad magic {head[:8]!r}")
+    if head[8] != version:
+        raise SpectrumFormatError(f"{path}: unsupported version {head[8]}")
+    (header_len,) = struct.unpack_from("<I", head, 9)
+    header_raw = fh.read(header_len)
+    try:
+        header = json.loads(header_raw)
+        shapes = layout(header)
+    except (ValueError, TypeError, KeyError, SpectrumFormatError) as err:
+        raise SpectrumFormatError(f"{path}: bad header: {err}") from err
+    expected = _FIXED + header_len + sum(
+        8 * sum(map(math.prod, section)) + 8 for section in shapes
+    )
+    if size != expected:
+        raise SpectrumChecksumError(f"{path}: expected {expected} bytes, got {size}")
+    running = hashlib.sha256(head)
+    running.update(header_raw)
+    sections = []
+    for i, section in enumerate(shapes):
+        if i and rest == "skip":
             fh.seek(size - 8)
-            trailer = fh.read(8)
+            return header, sections, fh.read(8)
+        if i and rest == "hash":
+            _hash_through(fh, running, 8 * sum(map(math.prod, section)), path)
+        else:
+            sections.append(_read_arrays(fh, running, section, path))
+        trailer = _checksum(running)
+        if trailer != fh.read(8):
+            raise SpectrumChecksumError(f"{path}: checksum mismatch")
+        running.update(trailer)
     return header, sections, trailer
+
+
+class _Record:
+    """A cache record open for positioned reads of its float64 payload.
+
+    It holds the descriptor its bytes were verified through, so a file
+    later replaced or unlinked at its path is never read.  close(), or the
+    last reference to it dropping, closes the descriptor.
+    """
+
+    def __init__(self, path):
+        self.path = str(path)
+        self.fd = os.open(path, os.O_RDONLY)
+        self.close = weakref.finalize(self, os.close, self.fd)
+
+    def read_rows(self, offset: int, width: int, rows) -> np.ndarray:
+        """Rows `rows` of the C-ordered (width, width) float64 array at byte
+        `offset`, as a (len(rows), width) array: one os.preadv per run of
+        consecutive rows, straight into its rows."""
+        # A chunk asks for a few runs of a few columns: plain ints find the
+        # runs faster than array operations would.
+        rows = np.asarray(rows, dtype=np.int64).tolist()
+        if rows and not (0 <= min(rows) and max(rows) < width):
+            raise IndexError(f"{self.path}: rows outside 0..{width - 1}")
+        out = np.empty((len(rows), width), dtype="<f8")
+        lo = 0
+        for hi in range(1, len(rows) + 1):
+            if hi < len(rows) and rows[hi] == rows[hi - 1] + 1:
+                continue
+            view = memoryview(out[lo:hi]).cast("B")
+            if os.preadv(self.fd, [view], offset + 8 * width * rows[lo]) != len(view):
+                raise SpectrumChecksumError(f"{self.path}: file shrank while reading")
+            lo = hi
+        return out
 
 
 def spectrum_cache_path(cache_dir, params: ModelParams, n_up: int) -> str:
@@ -609,13 +686,15 @@ def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
     source is a Spectrum, which carries its params, or a sector operator of
     the model params, which diagonalize solves here.  Each block's V_b goes
     into the record's temporary file at its final offset as soon as the
-    block is solved, and is dropped there, so no finished V_b is held while
-    the next block is solved.  The header and the level section, whose
-    sizes the first block fixes, go to the front once every block is in.
-    One read of the V section then chains its checksum in file order and
-    fills the returned spectrum's V_b, bit for bit those solved or given;
-    its `checksum` is the file's trailer.  A spectrum without params or
-    without eigenvectors raises ValueError.
+    block is solved (or, from a Spectrum, read), and is dropped there, so no
+    finished V_b is held while the next block is solved.  The header and the
+    level section, whose sizes the first block fixes, go to the front once
+    every block is in.  One pass over the V section through a buffer of at
+    most _HASH_BUFFER bytes then chains its checksum in file order.  The
+    returned spectrum holds no V_b: its blocks read their columns from the
+    record, bit for bit those solved or given, through the descriptor
+    opened on it before its rename; its `checksum` is the file's trailer.
+    A spectrum without params or without eigenvectors raises ValueError.
     """
     if isinstance(source, Spectrum):
         source.require_eigenvectors()
@@ -625,49 +704,62 @@ def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
     _, n_up = sector_of(source.basis_tag)
     blocks = symmetry_blocks(params.n_sites, n_up)
     dim = sum(b.dim for b in blocks)
-    sizes = [b.dim**2 for b in blocks]
-    head = None
+    head = record = None
     _remove_dead_temps(path)
-    with atomic_write(path) as fh:
+    try:
+        with atomic_write(path) as fh:
 
-        def stage(block: EigenBlock) -> EigenBlock:
-            nonlocal head
-            if head is None:
-                spin = block.two_s is not None
-                head = _head(_MAGIC, _VERSION, {
-                    "n_sites": params.n_sites,
-                    "n_up": n_up,
-                    "delta2": params.delta2,
-                    "dim": dim,
-                    "blocks": [{"label": b.label, "dim": b.dim} for b in blocks],
-                    "spin_resolved": spin,
-                    "checksum": "sha256-trunc8",
-                })
-                fh.seek(len(head) + 8 * dim * (1 + spin) + 8)
-            fh.write(_memory_bytes(np.asfortranarray(block.eigenvectors, dtype="<f8")))
-            return replace(block, eigenvectors=None)
+            def stage(block: EigenBlock) -> EigenBlock:
+                nonlocal head
+                if head is None:
+                    spin = block.two_s is not None
+                    head = _head(_MAGIC, _VERSION, {
+                        "n_sites": params.n_sites,
+                        "n_up": n_up,
+                        "delta2": params.delta2,
+                        "dim": dim,
+                        "blocks": [{"label": b.label, "dim": b.dim} for b in blocks],
+                        "spin_resolved": spin,
+                        "checksum": "sha256-trunc8",
+                    })
+                    fh.seek(len(head) + 8 * dim * (1 + spin) + 8)
+                v = np.asfortranarray(block.vectors(), dtype="<f8")
+                fh.write(_memory_bytes(v))
+                return replace(block, eigenvectors=None)
 
-        if isinstance(source, Spectrum):
-            spec = replace(source, blocks=tuple(map(stage, source.blocks)))
-        else:
-            spec = diagonalize(source, sink=stage)
-        levels = [b.eigenvalues for b in spec.blocks]
-        if spec.spin_resolved:
-            levels += [b.two_s for b in spec.blocks]
-        fh.seek(0)
-        fh.write(head)
-        running = hashlib.sha256(head)
-        _write_section(fh, running, [np.ascontiguousarray(x, dtype="<f8") for x in levels])
-        # One buffer for the whole V section: one read, and one allocation
-        # that a large spectrum gets from mmap and gives back when dropped.
-        (flat,) = _read_arrays(fh, running, [(sum(sizes),)], path)
-        trailer = _checksum(running)
-        fh.write(trailer)
-    vectors = np.split(flat, np.cumsum(sizes)[:-1])
+            if isinstance(source, Spectrum):
+                spec = replace(source, blocks=tuple(map(stage, source.blocks)))
+            else:
+                spec = diagonalize(source, sink=stage)
+            levels = [b.eigenvalues for b in spec.blocks]
+            if spec.spin_resolved:
+                levels += [b.two_s for b in spec.blocks]
+            fh.seek(0)
+            fh.write(head)
+            running = hashlib.sha256(head)
+            levels = [np.ascontiguousarray(x, dtype="<f8") for x in levels]
+            _write_section(fh, running, levels)
+            _hash_through(fh, running, 8 * sum(b.dim**2 for b in blocks), path)
+            trailer = _checksum(running)
+            fh.write(trailer)
+            record = _Record(fh.name)
+    except BaseException:
+        if record is not None:
+            record.close()
+        raise
+    return _stored_spectrum(spec, record, params, trailer)
+
+
+def _stored_spectrum(spec: Spectrum, record: _Record, params, trailer) -> Spectrum:
+    """spec (its levels) with each V_b read from the verified spectrum
+    record, whose V section ends at its trailer."""
+    sizes = [8 * b.block.dim**2 for b in spec.blocks]
+    start = os.fstat(record.fd).st_size - 8 - sum(sizes)
+    offsets = (start + np.cumsum([0, *sizes[:-1]])).tolist()
     return Spectrum(
         blocks=tuple(
-            replace(b, eigenvectors=v.reshape(b.block.dim, b.block.dim, order="F"))
-            for b, v in zip(spec.blocks, vectors)
+            replace(b, eigenvectors=None, stored=(record, at))
+            for b, at in zip(spec.blocks, offsets)
         ),
         basis_tag=spec.basis_tag,
         params=params,
@@ -676,38 +768,52 @@ def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
 
 
 def _read_spectrum(path, expect_params, levels_only: bool) -> Spectrum:
-    header, sections, trailer = _read_record(
-        path, _MAGIC, _VERSION, _spectrum_layout, first_only=levels_only
-    )
-    params, n_up, blocks = _spectrum_sector(header)
-    if expect_params is not None and (
-        expect_params.n_sites != params.n_sites
-        or expect_params.delta2 != params.delta2
-    ):
-        raise SpectrumFormatError(
-            f"{path}: holds {params.tag}, expected {expect_params.tag}"
-        )
+    record = _Record(path)
+    try:
+        with open(record.fd, "rb", closefd=False) as fh:
+            header, sections, trailer = _read_record(
+                fh, path, _MAGIC, _VERSION, _spectrum_layout,
+                "skip" if levels_only else "hash",
+            )
+        params, n_up, blocks = _spectrum_sector(header)
+        if expect_params is not None and (
+            expect_params.n_sites != params.n_sites
+            or expect_params.delta2 != params.delta2
+        ):
+            raise SpectrumFormatError(
+                f"{path}: holds {params.tag}, expected {expect_params.tag}"
+            )
+    except BaseException:
+        record.close()
+        raise
     n = len(blocks)
     energies, spins = sections[0][:n], sections[0][n:]
     spins = [x.astype(np.int64) for x in spins] if spins else [None] * n
-    vectors = sections[1] if len(sections) > 1 else [None] * n
-    return Spectrum(
+    spec = Spectrum(
         blocks=tuple(
-            EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
-            for b, e, v, two_s in zip(blocks, energies, vectors, spins)
+            EigenBlock(block=b, eigenvalues=e, eigenvectors=None, two_s=two_s)
+            for b, e, two_s in zip(blocks, energies, spins)
         ),
         basis_tag=f"N{params.n_sites}_nup{n_up}",
         params=params,
         checksum=trailer,
     )
+    if levels_only:
+        record.close()
+        return spec
+    return _stored_spectrum(spec, record, params, trailer)
 
 
 def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
     """Read a spectrum cache file, verifying format and both checksums.
 
-    The payload is read straight into the returned arrays.  A header whose
-    blocks disagree with symmetry_blocks of its sector, or, with
-    expect_params given, that disagrees on N or delta2, raises
+    The levels are read straight into the returned arrays.  The eigenvector
+    section is only hashed, through a buffer of at most _HASH_BUFFER bytes,
+    and kept open: the returned spectrum holds no V_b, and its blocks read
+    their columns from the file it verified, by position (so a file later
+    replaced or unlinked at path is never read), until it is dropped.  A
+    header whose blocks disagree with symmetry_blocks of its sector, or,
+    with expect_params given, that disagrees on N or delta2, raises
     SpectrumFormatError (a stale layout or the wrong file).
     """
     return _read_spectrum(path, expect_params, levels_only=False)
@@ -720,7 +826,8 @@ def load_levels(path, expect_params: ModelParams | None = None) -> Spectrum:
     Checks what load_spectrum checks except the eigenvector section's
     checksum; the blocks hold no eigenvectors, and `checksum` is the file's
     trailer as stored, so a scan keyed by it is found.  A damaged eigenvector
-    section is caught by the next load_spectrum of the file.
+    section is caught when load_spectrum next reads the file, by its hash
+    pass, before any column is read.
     """
     return _read_spectrum(path, expect_params, levels_only=True)
 
@@ -781,7 +888,11 @@ def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
         stacks = [[(n, n, spec.dim) for n in sizes]] if sizes else []
         return [[(spec.dim,)], *stacks]
 
-    sections = _read_record(path, _SCAN_MAGIC, _SCAN_VERSION, layout, first_only)[1]
+    with open(path, "rb") as fh:
+        sections = _read_record(
+            fh, path, _SCAN_MAGIC, _SCAN_VERSION, layout,
+            "skip" if first_only else "read",
+        )[1]
     stacks = [x.T for x in sections[1]] if len(sections) > 1 else None
     return sections[0][0], stacks
 
@@ -830,4 +941,5 @@ def load_volume_law(path, spec: Spectrum, n_bins: int, l1_values, shell):
             raise SpectrumFormatError(f"not that of this spectrum at n_bins={n_bins}")
         return [[(len(shell), len(l1_values))]]
 
-    return _read_record(path, _VLAW_MAGIC, _VLAW_VERSION, layout)[1][0][0]
+    with open(path, "rb") as fh:
+        return _read_record(fh, path, _VLAW_MAGIC, _VLAW_VERSION, layout)[1][0][0]

@@ -255,8 +255,13 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
     col_b[rows] and coef_b[rows] are gathered once per call.  A chunk holds
     2^17 / D kets, so the buffer is at most 1 MB (about half that for the
     half of the blocks rdm_blocks keeps at half filling): bigger chunks ran
-    no faster and left more heap resident, raising peak RSS.  A spectrum
-    without eigenvectors raises ValueError, unless no ket is asked for.
+    no faster and left more heap resident, raising peak RSS.  The chunk's
+    columns of each V_b come from EigenBlock.columns, out of the held V_b
+    or, for a spectrum read from its cache record, straight from the file:
+    a chunk of consecutive eigenindices holds a run of consecutive columns
+    of each block, so that is one positioned read per block and chunk, and
+    no V_b is held.  A spectrum without eigenvectors raises ValueError,
+    unless no ket is asked for.
     """
     if len(indices) == 0:
         return
@@ -273,7 +278,7 @@ def gather_blocks(spec: Spectrum, indices: np.ndarray, blocks):
         for b, (part, (col, coef)) in enumerate(zip(spec.blocks, pieces)):
             at = np.flatnonzero(which == b)
             if len(at):
-                block_amps = np.take(part.eigenvectors.T[column[at]], col, axis=1)
+                block_amps = np.take(part.columns(column[at]), col, axis=1)
                 block_amps *= coef
                 block_amps += 0.0
                 amps[at] = block_amps

@@ -226,7 +226,7 @@ def sector_amplitudes(spec, indices) -> np.ndarray:
     for b, part in enumerate(spec.blocks):
         at = np.flatnonzero(spec.block_index[indices] == b)
         columns = spec.column_index[indices[at]]
-        out[:, at] = expand(part.block, part.eigenvectors[:, columns])
+        out[:, at] = expand(part.block, part.vectors()[:, columns])
     return out
 
 

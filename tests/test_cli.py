@@ -358,7 +358,7 @@ def test_degeneracy_census_cli(tmp_path):
 def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
     # The sector n_up = cfg.n_up comes from the eigenvalue section of the
     # coupling's cached spectrum, not from a fresh per-block solve; the table
-    # is unchanged.
+    # is unchanged.  The other sectors are solved largest first.
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     base = ["degeneracy-census", "--n-sites", "8", "--delta2", "0.5"]
     assert main(base + ["--cache", "off", "--out", str(tmp_path / "a")]) == 0
@@ -373,7 +373,7 @@ def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "diagonalize", recording)
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
-    assert solved == [(f"N8_nup{k}", False) for k in range(4)]
+    assert solved == [(f"N8_nup{k}", False) for k in (3, 2, 1, 0)]
     details = _manifest(tmp_path / "b")["details"]["d2=0.5"]
     assert details["spectrum"] == "cache-eigenvalues"
     name = "degeneracy_census_d2=0.5.csv"
@@ -388,10 +388,10 @@ def test_census_solves_the_middle_sector_alone_when_su2_holds(
     # levels of the middle sector, each with its spin.  With that sector (the
     # table sector) cached, they are its cache file's levels: nothing is
     # solved.  At any other coupling the cached levels carry no spins, so
-    # every other n_up <= N/2 is solved for eigenvalues only; of those only
-    # the one-state sector n_up = 0 commutes with S^2.  With --cache off the
-    # census solves the middle sector first: at d2 = 0 that sector alone,
-    # per block of H + c S^2.  The table is the same either way.
+    # every other n_up <= N/2 is solved for eigenvalues only, largest first;
+    # of those only the one-state sector n_up = 0 commutes with S^2.  With
+    # --cache off the census solves the middle sector first: at d2 = 0 that
+    # sector alone, per block of H + c S^2.  The table is the same either way.
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     args = ["--n-sites", "8", "--delta2", repr(d2)]
     assert main(["volume-law", *args, "--out", str(tmp_path / "fill")]) == 0
@@ -404,7 +404,7 @@ def test_census_solves_the_middle_sector_alone_when_su2_holds(
         return spec
 
     monkeypatch.setattr(cli, "diagonalize", recording)
-    others = [(f"N8_nup{k}", False, k == 0) for k in range(4)]
+    others = [(f"N8_nup{k}", False, k == 0) for k in (3, 2, 1, 0)]
     assert main(["degeneracy-census", *args, "--out", str(tmp_path / "c")]) == 0
     details = _manifest(tmp_path / "c")["details"][f"d2={d2:g}"]
     assert details["spectrum"] == "cache-eigenvalues"
@@ -764,6 +764,38 @@ def test_version_2_cache_file_is_rebuilt(tmp_path, monkeypatch):
     assert load_spectrum(path, expect_params=SCAN_PARAMS).dim == 70
 
 
+def test_a_damaged_last_block_is_rebuilt_and_never_read(tmp_path, monkeypatch):
+    # One byte of the last block's V_b flipped, the scan record gone: the
+    # level view still reads, but the full read fails its hash pass before
+    # any column is read, so the scan rebuilds the record and reads its
+    # columns from the new file only.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+    argv = ["eigenket-scan", *SCAN_ARGS]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    path = Path(es.spectrum_cache_path(cache, SCAN_PARAMS, 4))
+    good = path.read_bytes()
+    (scan,) = cache.glob("*.svn")
+    scan.unlink()
+    raw = bytearray(good)
+    raw[-20] ^= 0x01
+    path.write_bytes(bytes(raw))
+    damaged = path.stat().st_ino
+    preadv, inodes = os.preadv, []
+
+    def reading(fd, buffers, offset):
+        inodes.append(os.fstat(fd).st_ino)
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", reading)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert _manifest(tmp_path / "b")["details"]["d2=0.5"]["spectrum"] == "built"
+    assert inodes and damaged not in inodes
+    assert path.read_bytes() == good
+    for name in _manifest(tmp_path / "a")["files"]:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
 def test_version_3_cache_file_is_rebuilt(tmp_path, monkeypatch):
     # The version-3 layout (every E_b, then every V_b, no spins and no
     # spin_resolved flag) is a format error for both readers: the census
@@ -784,7 +816,7 @@ def test_version_3_cache_file_is_rebuilt(tmp_path, monkeypatch):
     levels = b"".join([b"ENTROSPC", struct.pack("<BI", 3, len(header)), header]
                       + [b.eigenvalues.tobytes() for b in spec.blocks])
     body = b"".join([levels, hashlib.sha256(levels).digest()[:8]]
-                    + [b.eigenvectors.tobytes(order="F") for b in spec.blocks])
+                    + [b.vectors().tobytes(order="F") for b in spec.blocks])
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
     out = tmp_path / "out"
     assert main(["degeneracy-census", *args, "--out", str(out)]) == 0
@@ -1312,7 +1344,7 @@ def _vlaw_stale_spectrum(path, tmp_path):
     # signs: the same levels and entropies under another trailer.
     spec_path = es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4)
     spec = load_spectrum(spec_path)
-    flipped = [replace(b, eigenvectors=-b.eigenvectors) for b in spec.blocks]
+    flipped = [replace(b, eigenvectors=-b.vectors()) for b in spec.blocks]
     es.save_spectrum(replace(spec, blocks=tuple(flipped)), spec_path)
 
 
@@ -1564,8 +1596,8 @@ def _assert_same_spectrum(got, want):
     for g, w in zip(got.blocks, want.blocks):
         assert g.block is w.block
         assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
-        assert g.eigenvectors.flags.f_contiguous and w.eigenvectors.flags.f_contiguous
-        assert g.eigenvectors.tobytes(order="F") == w.eigenvectors.tobytes(order="F")
+        assert g.vectors().flags.f_contiguous and w.vectors().flags.f_contiguous
+        assert g.vectors().tobytes(order="F") == w.vectors().tobytes(order="F")
         if w.two_s is None:
             assert g.two_s is None
         else:

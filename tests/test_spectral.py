@@ -705,15 +705,17 @@ def test_cache_io_streams_the_payload(tmp_path):
     path = tmp_path / "n14.spec"
     payload = 8 * sum(b.block.dim * (b.block.dim + 1) for b in spec.blocks)
     assert payload == 8 * (2 * 890 * 891 + 2 * 826 * 827)
+    levels_bytes = 8 * spec.dim
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         saved = es.save_spectrum(spec, path)
-        # The save hands back the spectrum read from the file: the payload
-        # it keeps is no transient.
+        # The save hands back a spectrum that reads V_b from the file: it
+        # keeps the levels, and its transient is the hash buffer.
         kept, peak = tracemalloc.get_traced_memory()
         save_transient = peak - kept
+        save_peak = peak - base
         del saved
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -726,7 +728,8 @@ def test_cache_io_streams_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert save_transient < 2**20
-    assert load_peak <= payload + 2**20
+    assert save_peak <= levels_bytes + 2**20
+    assert load_peak <= levels_bytes + 2**20
     assert levels_peak < 2**20  # the 27 kB of eigenvalues, no V_b
     assert levels.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
     assert levels.checksum == again.checksum
@@ -734,7 +737,7 @@ def test_cache_io_streams_the_payload(tmp_path):
     for got, want in zip(again.blocks, spec.blocks):
         assert got.block is want.block
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        assert np.array_equal(got.vectors(), want.eigenvectors)
     # The streamed file keeps the documented version-4 layout byte for byte:
     # every E_b and their checksum (the solve at delta2 = 0.5 is not
     # spin-resolved, so no 2S_b), then every V_b column-major and the
@@ -876,3 +879,108 @@ def test_table_kernels_never_form_the_eigenvector_matrix():
     for (block, _, mat), (want_block, _, want) in zip(rho, expected[1]):
         assert block is want_block
         assert mat.tobytes() == want.tobytes()
+
+
+def test_a_scan_over_a_record_holds_no_eigenvectors(tmp_path):
+    # N=14 half filling at l1=5: the full scan keeps 3.46 MB of rho_A block
+    # stacks, against a 23.6 MB eigenvector section.  Over a loaded record,
+    # and over the spectrum a cold save returns, the scan reads each chunk's
+    # columns from the file: neither spectrum holds a V_b.
+    params = es.ModelParams(n_sites=14, delta2=0.5)
+    op = es.build_hamiltonian(es.enumerate_sector(14, 7), params)
+    part = es.BipartitionSpec(14, 5)
+    path = tmp_path / "n14.spec"
+    # The sector's memoised tables, and numpy.random (the solve's S^2 probe
+    # draws from it), are loaded first, so they do not count.
+    spectral._spin_swaps(14, 7)
+    es.symmetry_blocks(14, 7)
+    es.states.sz_blocks(14, 7, 5)
+    np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        saved = es.save_spectrum(op, path, params)
+        tracemalloc.reset_peak()
+        s_saved, stacks = es.subsystem_entropies(saved, part, keep=True)
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+        del saved, stacks
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = es.load_spectrum(path, expect_params=params)
+        s_loaded, stacks = es.subsystem_entropies(loaded, part, keep=True)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stack_bytes = sum(x.nbytes for x in stacks)
+    assert stack_bytes == 8 * 3432 * (1 + 5**2 + 10**2)
+    assert save_peak < stack_bytes + 2 * 2**20
+    assert load_peak < stack_bytes + 2 * 2**20
+    assert s_saved.tobytes() == s_loaded.tobytes()
+
+
+def test_a_loaded_spectrum_reads_the_file_it_verified(tmp_path):
+    spec, _, params = _spec(8, 4, 0.5)
+    path = tmp_path / "a.spec"
+    saved = es.save_spectrum(spec, path)
+    loaded = es.load_spectrum(path)
+    part = es.BipartitionSpec(8, 3)
+    want = es.subsystem_entropies(spec, part).tobytes()
+    # Another valid record, every V_b negated, takes the name.
+    flipped = tuple(replace(b, eigenvectors=-b.eigenvectors) for b in spec.blocks)
+    es.save_spectrum(replace(spec, blocks=flipped), tmp_path / "b.spec")
+    os.replace(tmp_path / "b.spec", path)
+    now = es.load_spectrum(path).blocks[0].vectors()
+    assert now.tobytes() == (-spec.blocks[0].eigenvectors).tobytes()
+    for got in (saved, loaded):
+        for g, w in zip(got.blocks, spec.blocks):
+            assert g.vectors().tobytes(order="F") == w.eigenvectors.tobytes(order="F")
+        assert es.subsystem_entropies(got, part).tobytes() == want
+    path.unlink()
+    for got in (saved, loaded):
+        assert es.subsystem_entropies(got, part).tobytes() == want
+
+
+def _flip_last_block_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-20] ^= 0x01  # in the last block's V_b, before the trailer
+    path.write_bytes(bytes(raw))
+
+
+def test_a_damaged_last_block_fails_the_load_before_any_column_is_read(
+    tmp_path, monkeypatch
+):
+    spec, _, params = _spec(8, 4, 0.5)
+    path = tmp_path / "a.spec"
+    es.save_spectrum(spec, path)
+    _flip_last_block_byte(path)
+    reads = []
+    monkeypatch.setattr(os, "preadv", lambda *args: reads.append(args))
+    with pytest.raises(es.SpectrumChecksumError):
+        es.load_spectrum(path, expect_params=params)
+    assert reads == []
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropped_spectra_close_their_records(tmp_path):
+    spec, _, params = _spec(8, 4, 0.5)
+    path, bad = tmp_path / "a.spec", tmp_path / "bad.spec"
+    es.save_spectrum(spec, path)
+    es.save_spectrum(spec, bad)
+    _flip_last_block_byte(bad)
+    part = es.BipartitionSpec(8, 3)
+    before = _open_fds()
+    for _ in range(50):
+        loaded = es.load_spectrum(path, expect_params=params)
+        es.subsystem_entropies(loaded, part, indices=np.arange(5))
+        del loaded
+        es.load_levels(path, expect_params=params)
+        with pytest.raises(es.SpectrumChecksumError):
+            es.load_spectrum(bad, expect_params=params)
+        with pytest.raises(es.SpectrumFormatError):
+            es.load_spectrum(path, expect_params=es.ModelParams(n_sites=8, delta2=1.0))
+        es.save_spectrum(spec, tmp_path / "c.spec")
+    assert _open_fds() == before

@@ -517,3 +517,40 @@ def test_density_matrix_validation():
     bad = es.DensityMatrix(matrix=np.diag([1.5, -0.5]))
     with pytest.raises(NumericsError):
         es.von_neumann(bad)
+
+
+@pytest.mark.parametrize("n_sites", [8, 9, 10, 11, 12])
+@pytest.mark.parametrize("delta2", [0.0, 0.5, 1.3])
+def test_a_record_gives_the_bits_of_the_held_spectrum(tmp_path, n_sites, delta2):
+    # A spectrum read from its cache record reads each chunk's columns from
+    # the file; the solve holds every V_b.  Per-ket S_VN and rho_A stacks,
+    # the volume-law sweep and every shell's averaged RDM must agree bit for
+    # bit, in every sector (n_up != N/2 included) and at l1 = N/2 - 1 and
+    # l1 = N/2, where no stacks are kept; so must the S_VN of the kets in a
+    # shuffled order, which reads many runs of columns per chunk.
+    params = es.ModelParams(n_sites=n_sites, delta2=delta2)
+    for n_up in range(n_sites + 1):
+        op = es.build_hamiltonian(es.enumerate_sector(n_sites, n_up), params)
+        held = replace(es.diagonalize(op), params=params)
+        path = tmp_path / f"nup{n_up}.spec"
+        es.save_spectrum(held, path)
+        stored = es.load_spectrum(path, expect_params=params)
+        assert all(b.eigenvectors is None for b in stored.blocks)
+        dos = es.partition_shells(held, min(6, held.dim))
+        shells = [dos.members(j) for j in np.flatnonzero(dos.counts)]
+        sweep = range(1, n_sites // 2 + 1)
+        shuffled = np.random.default_rng(n_up).permutation(held.dim)
+
+        def bits(spec):
+            out = [es.run_volume_law(spec, dos, sweep).s_vn.tobytes()]
+            for l1 in (n_sites // 2 - 1, n_sites // 2):
+                part = es.BipartitionSpec(n_sites, l1)
+                s_vn, stacks = es.subsystem_entropies(spec, part, keep=True)
+                out += [s_vn.tobytes(), *(x.tobytes() for x in stacks or [])]
+                out.append(es.subsystem_entropies(spec, part, shuffled).tobytes())
+                for members in shells:
+                    out += [(count, mat.tobytes())
+                            for _, count, mat in es.averaged_rdm(spec, part, members)]
+            return out
+
+        assert bits(stored) == bits(held), n_up
