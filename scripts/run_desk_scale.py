@@ -21,24 +21,23 @@ sectors n_up <= 6, largest first, through diagonalize(..., vectors=False),
 eigenvalues per block.  Neither loads an eigenvector.
 
 --n-sites 14 (default): the desk-scale run, every experiment with 40 bins.
-Four cold-cache runs on 2026-10-20 (2-core Xeon, numpy 2.4.6 with
-scipy-openblas 0.3.31, 2 BLAS threads) took 2.47-2.72 s end to end at
-88.5-88.7 MB peak RSS, reached in the census; the census call took
-0.74 s of it, all at delta2=0.5, and the property suite 0.10 s.  The
-table calls before it stay at 81 MB, where the cold solve sets the peak.
+Four cold-cache runs on 2026-10-21 (2-core Xeon, numpy 2.4.6 with
+scipy-openblas 0.3.31, 2 BLAS threads) took 1.92-2.03 s end to end at
+76.1-76.8 MB peak RSS, reached in the census; the census call took
+0.59 s of it, all at delta2=0.5, and the property suite 0.08 s.  The
+table calls before it stay at 70.5 MB, where the cold solve sets the peak.
 Each cached spectrum (dim 3432, four symmetry blocks) is 23.6 MB and each
 scan file 3.49 MB.
 
 --n-sites 16: the full-scale tables (sector dim 12870).  Each eigensolve
-(four symmetry blocks of about 3200) takes about 23 s on 2 cores.  The
-whole run took 42-46 s at 0.49 GB peak RSS, set by one block's solve, on
-a 2-core Xeon (three runs on 2026-10-20 on a shared host, whose drift
-that day was several seconds); each cached spectrum is 0.33 GB and each
-scan file 68 MB.  An eigenket-scan at delta2=0.5 over that cache with its scan
-file removed loads the spectrum without its eigenvectors and peaks at
-106 MB in 2.4-2.5 s.  The CLI defaults (n_up=8, l1=6, 50 bins,
-min_count=10) already describe this geometry, so only the couplings are
-spelled out.  The census and the property suite are left out.
+(four symmetry blocks of about 3200) takes about 17 s on 2 cores.  The
+whole run took 32-35 s at 0.34 GB peak RSS, set by one block's solve, on
+a 2-core Xeon (three runs on 2026-10-21 on a shared host); each cached
+spectrum is 0.33 GB and each scan file 68 MB.  An eigenket-scan at
+delta2=0.5 over that cache with its scan file removed loads the
+spectrum without its eigenvectors and peaks at 106 MB in 2.4-2.5 s.  The
+CLI defaults (n_up=8, l1=6, 50 bins, min_count=10) already describe this
+geometry, so only the couplings are spelled out.  The census and the property suite are left out.
 
 Usage: python3 scripts/run_desk_scale.py [--n-sites 14|16] [out_root]
 """

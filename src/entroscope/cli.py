@@ -43,6 +43,7 @@ from .spectral import (
     Spectrum,
     atomic_write,
     diagonalize,
+    lapack_path,
     load_levels,
     load_scan,
     load_spectrum,
@@ -549,6 +550,9 @@ def run(cfg: RunConfig) -> int:
                 # its thread count, and a warm run writes the bits of the
                 # run that filled the cache.
                 "blas": _blas(),
+                # Which call solved the blocks (the same bits either way);
+                # None when this process has solved none.
+                "lapack": lapack_path(),
                 "threads": {
                     k: v for k, v in sorted(os.environ.items())
                     if k.endswith("_NUM_THREADS")

@@ -1,16 +1,18 @@
 """Symmetry-resolved eigendecomposition, DOS binning, and spectrum persistence."""
+import ctypes
 import fcntl
 import glob
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 import warnings
 import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 
 import numpy as np
@@ -224,16 +226,163 @@ def _commutes_with_spin_sq(op: SymmetricOperator, s, t, diag) -> bool:
     )
 
 
+# LAPACK's symmetric divide-and-conquer eigensolver in the OpenBLAS that
+# numpy's wheel bundles (64-bit integers, "scipy_" prefix): the routine
+# behind np.linalg.eigh and eigvalsh.
+_DSYEVD = "scipy_dsyevd_64_"
+_IN_PLACE = f"{_DSYEVD} in place"
+
+
+def _dsyevd(fn, vectors: bool, n: int, a, w, work, iwork, lwork: int, liwork: int) -> int:
+    """One call of dsyevd of order n; returns its INFO.  a's buffer is read
+    as the F-ordered A with uplo 'L'; lwork = liwork = -1 asks only for the
+    workspace sizes, into work[0] and iwork[0]."""
+    ints = np.array([n, lwork, liwork, 0], dtype=np.int64)
+    at = ints.ctypes.data
+    fn(b"V" if vectors else b"N", b"L", at, a.ctypes.data, at, w.ctypes.data,
+       work.ctypes.data, at + 8, iwork.ctypes.data, at + 16, at + 24, 1, 1)
+    return int(ints[3])
+
+
+def _query(fn, n: int, vectors: bool) -> tuple[int, int]:
+    """(lwork, liwork) that LAPACK asks for a dsyevd of order n."""
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
+    _dsyevd(fn, vectors, n, work, work, work, iwork, -1, -1)
+    return int(work[0]), int(iwork[0])
+
+
+def _workspace(fn, dims, vectors: bool):
+    """(fn, work, iwork) for dsyevd fn on blocks of these dims: the largest
+    query among them, in one anonymous mapping, so it is never on the malloc
+    heap, moves no glibc threshold, and is unmapped when its last view goes."""
+    lwork, liwork = map(max, zip(*(_query(fn, n, vectors) for n in set(dims))))
+    buf = mmap.mmap(-1, 8 * (lwork + liwork))
+    return (
+        fn,
+        np.frombuffer(buf, np.float64, lwork),
+        np.frombuffer(buf, np.int64, liwork, 8 * lwork),
+    )
+
+
+def _in_place(a: np.ndarray, vectors: bool, work):
+    """(E, V or None) of the exactly symmetric C-ordered a by dsyevd on a's
+    own buffer, with the workspace of _workspace.
+
+    That buffer read F-ordered is A^T = A; 'L' reads its lower triangle, A's
+    upper one.  With vectors, dsyevd writes V over it, F-ordered, so V is
+    a.T.  Each call passes exactly the sizes its own query returns, as numpy
+    does: a longer lwork picks other block sizes, and other bits.  A nonzero
+    INFO raises np.linalg.LinAlgError, as numpy's failed solve does.
+    """
+    fn, buf, ibuf = work
+    n = len(a)
+    lwork, liwork = _query(fn, n, vectors)
+    if not (
+        a.shape == (n, n) and a.dtype == np.float64 and a.flags.c_contiguous
+        and a.flags.writeable and lwork <= len(buf) and liwork <= len(ibuf)
+    ):
+        raise ValueError(f"dsyevd of order {n}: not a writable C-ordered float64 "
+                         "square matrix, or the workspace is too short")
+    w = np.empty(n)
+    info = _dsyevd(fn, vectors, n, a, w, buf, ibuf, lwork, liwork)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    return w, a.T if vectors else None
+
+
+def _bundled_dsyevd():
+    """numpy's own dsyevd (_DSYEVD) as a ctypes function, or None when
+    numpy bundles no scipy-openblas library or it lacks the symbol."""
+    libs = glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"
+    ))
+    try:
+        fn = getattr(ctypes.CDLL(libs[0]), _DSYEVD)
+    except (IndexError, OSError, AttributeError):
+        return None
+    fn.restype = None
+    # jobz, uplo, then pointers to n .. info, then the two hidden lengths of
+    # the character arguments.
+    fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+    return fn
+
+
+@cache
+def _lapack():
+    """_bundled_dsyevd(), or None when it is None or when a probe solve of a
+    fixed matrix, with and without vectors, differs in any bit from
+    np.linalg's.  Bound at the first solve, not at import, so a run that
+    solves nothing pays nothing.
+    """
+    fn = _bundled_dsyevd()
+    if fn is None:
+        return None
+    m = np.random.default_rng(0).standard_normal((71, 71))
+    m += m.T
+    for vectors, want in ((True, np.linalg.eigh(m)), (False, (np.linalg.eigvalsh(m),))):
+        got = _in_place(m.copy(), vectors, _workspace(fn, [len(m)], vectors))
+        if any(x.tobytes() != y.tobytes() for x, y in zip(got, want)):
+            return None
+    return fn
+
+
+def lapack_path() -> str | None:
+    """The path block solves take in this process: numpy's own dsyevd on
+    each block in place, or "numpy.linalg" when it is not bound (a block
+    that is not exactly symmetric goes there either way).  None when no
+    block has been solved yet, as the binding is made at the first."""
+    if not _lapack.cache_info().currsize:
+        return None
+    return "numpy.linalg" if _lapack() is None else _IN_PLACE
+
+
+def _syevd(a: np.ndarray, vectors: bool, work):
+    """(E, V or None) of the symmetric C-ordered block matrix a: E ascends
+    and V is F-ordered.
+
+    With a workspace (_workspace) and a exactly symmetric, numpy's own
+    dsyevd runs on a's buffer (_in_place), which V then is; else
+    np.linalg.eigh / eigvalsh solve it, which read A's lower triangle and
+    so agree only when it is symmetric.  Both give the same bits (the probe
+    in _lapack).
+    """
+    if work is not None and np.array_equal(a, a.T):
+        return _in_place(a, vectors, work)
+    if not vectors:
+        return np.linalg.eigvalsh(a), None
+    e, v = np.linalg.eigh(a)
+    return e, np.asfortranarray(v)
+
+
+def _reorder_columns(v: np.ndarray, order: np.ndarray, work) -> np.ndarray:
+    """v[:, order], F-ordered, for the F-ordered V of _syevd.
+
+    With a workspace, the gathered columns go through its work array, idle
+    between solves and at least d^2 long for eigenvectors, and back over v:
+    no second V is mapped beside the workspace.  Else a new array.
+    """
+    if work is None:
+        # v.T[order] gathers the columns as contiguous rows: .T is F-ordered.
+        return v.T[order].T
+    _, buf, _ = work
+    rows = buf[: v.size].reshape(v.shape)
+    # mode="raise" would buffer the output in a temporary of its size.
+    np.take(v.T, order, axis=0, out=rows, mode="clip")
+    v.T[...] = rows
+    return v
+
+
 def diagonalize(op: SymmetricOperator, vectors: bool = True, sink=None) -> Spectrum:
     """Eigendecomposition of a sector Hamiltonian, block by block.
 
     Each symmetry block b is solved densely from U_b^T H U_b, so every
-    eigenvector has a definite symmetry and no D x D matrix is formed.  V_b
-    (F-ordered, each column contiguous, as the kernels and the cache read
-    them) is held in the block's reduced basis; each block's is converted
-    before the next block is solved, so one C-ordered copy is resident at a
-    time.  With vectors False the blocks are solved for eigenvalues only
-    (eigvalsh): the spectrum holds no V_b, as one read by load_levels.
+    eigenvector has a definite symmetry and no D x D matrix is formed.  The
+    solve (_syevd) overwrites that block matrix with V_b, F-ordered (each
+    column contiguous, as the kernels and the cache read them), in the
+    block's reduced basis, through one workspace sized for the largest
+    block and unmapped at return.  With vectors False the blocks are solved
+    for eigenvalues only: the spectrum holds no V_b, as one read by
+    load_levels.
 
     With a sink, each finished block goes to sink(block) as soon as it is
     solved, and the block the sink returns takes its place in the spectrum.
@@ -297,13 +446,13 @@ def diagonalize(op: SymmetricOperator, vectors: bool = True, sink=None) -> Spect
             weights = np.concatenate([weights, c * u[t] * u[s], np.full(d, c * diag)])
         return np.bincount(flat, weights, d * d).reshape(d, d)
 
+    blocks = symmetry_blocks(n_sites, n_up)
+    fn = _lapack()
+    work = None if fn is None else _workspace(fn, [b.dim for b in blocks], vectors)
     solved = []
     try:
-        for b in symmetry_blocks(n_sites, n_up):
-            if vectors:
-                e, v = np.linalg.eigh(block_matrix(b))
-            else:
-                e, v = np.linalg.eigvalsh(block_matrix(b)), None
+        for b in blocks:
+            e, v = _syevd(block_matrix(b), vectors, work)
             two_s = None
             if spin:
                 x = e / c
@@ -318,15 +467,11 @@ def diagonalize(op: SymmetricOperator, vectors: bool = True, sink=None) -> Spect
                 e = e - c * allowed[k]
                 order = np.argsort(e, kind="stable")
                 e, two_s = e[order], two_s_allowed[k][order]
-                # v.T[order] gathers the columns as contiguous rows: .T is
-                # F-ordered.
-                v = None if v is None else v.T[order].T
-            elif v is not None:
-                v = np.asfortranarray(v)
+                v = None if v is None else _reorder_columns(v, order, work)
             block = EigenBlock(block=b, eigenvalues=e, eigenvectors=v, two_s=two_s)
             solved.append(block if sink is None else sink(block))
             # Whatever the sink dropped must not stay alive through the
-            # next block's eigh.
+            # next block's solve.
             v = block = None
     except np.linalg.LinAlgError as err:
         raise NumericsError(

@@ -1,5 +1,7 @@
 """End-to-end CLI runs, in process, against temporary output directories."""
+import ctypes
 import fcntl
+import functools
 import hashlib
 import itertools
 import json
@@ -441,17 +443,17 @@ def test_census_refuses_levels_that_decode_to_no_spin(
         es.enumerate_sector(8, 4), es.ModelParams(n_sites=8, delta2=0.0)
     )
     c = es.spectral._spin_penalty(op)
-    eigvalsh = np.linalg.eigvalsh
+    solve = es.spectral._syevd
     calls = []
 
-    def moved(h):
-        e = eigvalsh(h)
+    def moved(a, vectors, work):
+        e, v = solve(a, vectors, work)
         if not calls:
             e[0] += shift * c
         calls.append(len(e))
-        return e
+        return e, v
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    monkeypatch.setattr(es.spectral, "_syevd", moved)
     out = tmp_path / "out"
     assert main(["degeneracy-census", "--n-sites", "8", "--delta2", "0",
                  "--cache", "off", "--out", str(out)]) == 3
@@ -1463,6 +1465,9 @@ def test_manifest_records_blas_and_thread_settings(tmp_path, monkeypatch):
         key: blas.get(key) for key in ("name", "version", "openblas configuration")
     }
     assert versions["blas"]["name"]
+    # The run solved its blocks, so the binding was tried.
+    assert versions["lapack"] == es.spectral.lapack_path()
+    assert versions["lapack"] in {"scipy_dsyevd_64_ in place", "numpy.linalg"}
     threads = versions["threads"]
     assert threads["OPENBLAS_NUM_THREADS"] == "1"
     assert threads["XYZ_NUM_THREADS"] == "7"
@@ -1672,25 +1677,82 @@ def test_failed_block_solve_leaves_no_record_and_no_temp_file(
     # V_b went into the record's temporary file.
     cache = tmp_path / "cache"
     monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
-    eigh, calls = np.linalg.eigh, itertools.count(1)
+    solve, calls = es.spectral._syevd, itertools.count(1)
 
-    def failing(h):
+    def failing(a, vectors, work):
         if next(calls) == 3:
             raise np.linalg.LinAlgError("planted: no convergence")
-        return eigh(h)
+        return solve(a, vectors, work)
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(es.spectral, "_syevd", failing)
     argv = ["eigenket-scan", *SCAN_ARGS]
     assert main([*argv, "--out", str(tmp_path / "a")]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "NumericsError"
     assert next(calls) == 4
     assert list(cache.glob("*")) == []
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(es.spectral, "_syevd", solve)
     assert main([*argv, "--out", str(tmp_path / "b")]) == 0
     assert _manifest(tmp_path / "b")["details"]["d2=0.5"]["spectrum"] == "built"
     path = es.spectrum_cache_path(cache, SCAN_PARAMS, 4)
     assert load_spectrum(path, expect_params=SCAN_PARAMS).dim == 70
     assert list(cache.glob("*.tmp.*")) == []
+
+
+def test_nonzero_lapack_info_is_a_numerics_error_and_leaves_no_record(
+    tmp_path, monkeypatch, capsys
+):
+    # dsyevd reports no convergence of the first block solve through INFO.
+    real = es.spectral._lapack()
+    if real is None:
+        pytest.skip("numpy's own dsyevd is not bound in this build")
+
+    def planted(*args):
+        real(*args)
+        # args[7] points at lwork, -1 on a workspace query; args[10] at INFO.
+        if ctypes.c_int64.from_address(args[7]).value != -1:
+            ctypes.c_int64.from_address(args[10]).value = 5
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+    monkeypatch.setattr(es.spectral, "_lapack", lambda: planted)
+    out = tmp_path / "out"
+    assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "NumericsError"
+    assert "info=5" in record["message"]
+    assert list(cache.glob("*")) == []
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.csv"))
+
+
+def test_numpy_linalg_fallback_writes_the_same_bytes(tmp_path, monkeypatch):
+    # A numpy whose LAPACK lacks the symbol solves every block through
+    # np.linalg: the same spectrum records, scan records and tables, the
+    # census's eigenvalue-only solves included.
+    calls = [
+        ["eigenket-scan", "--n-sites", "8", "--bins", "6", "--min-count", "1"],
+        ["degeneracy-census", "--n-sites", "8"],
+    ]
+    runs, paths = {}, {}
+    for side in ("bound", "fallback"):
+        if side == "fallback":
+            monkeypatch.setattr(es.spectral, "_DSYEVD", "scipy_no_such_routine_64_")
+            fresh = functools.cache(es.spectral._lapack.__wrapped__)
+            monkeypatch.setattr(es.spectral, "_lapack", fresh)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / side / "cache"))
+        for call in calls:
+            out = tmp_path / side / call[0]
+            assert main([*call, "--delta2", "0", "--delta2", "0.5", "--out", str(out)]) == 0
+        runs[side] = {
+            str(p.relative_to(tmp_path / side)): p.read_bytes()
+            for p in (tmp_path / side).rglob("*")
+            if p.suffix in {".spec", ".svn", ".csv"}
+        }
+        paths[side] = _manifest(tmp_path / side / "eigenket-scan")["versions"]["lapack"]
+    assert paths == {"bound": paths["bound"], "fallback": "numpy.linalg"}
+    assert paths["bound"] in {"scipy_dsyevd_64_ in place", "numpy.linalg"}
+    assert len(runs["bound"]) == 2 * 2 + 2 * 2 + 2
+    assert runs["fallback"] == runs["bound"]
 
 
 def test_rerun_leaves_only_the_tables_of_its_manifest(tmp_path):

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,6 +466,66 @@ def test_block_solve_matches_plain_eigh(n):
             assert np.abs(v.T @ v - np.eye(basis.dim)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_in_place_solve_gives_the_bits_of_numpy(n, monkeypatch):
+    # Every block matrix diagonalize solves, with and without vectors, goes
+    # through numpy's own dsyevd in place and comes out bit for bit as
+    # np.linalg.eigh / eigvalsh solve it.  Where numpy bundles the routine,
+    # the probe must bind it: a binding that lost numpy's bits would
+    # otherwise send every block to np.linalg and pass unseen.
+    if spectral._bundled_dsyevd() is None:
+        pytest.skip("numpy bundles no scipy-openblas dsyevd in this build")
+    assert spectral._lapack() is not None
+    solve, seen = spectral._syevd, []
+
+    def checked(a, vectors, work):
+        assert work is not None and np.array_equal(a, a.T)
+        want = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+        e, v = solve(a, vectors, work)
+        assert e.tobytes() == want[0].tobytes()
+        if vectors:
+            assert v.flags.f_contiguous and v.tobytes() == want[1].tobytes()
+        else:
+            assert v is None
+        seen.append(len(e))
+        return e, v
+
+    monkeypatch.setattr(spectral, "_syevd", checked)
+    for n_up in range(n + 1):
+        basis = es.enumerate_sector(n, n_up)
+        for d2 in (0.0, 0.5, 1.3):
+            op = es.build_hamiltonian(basis, es.ModelParams(n_sites=n, delta2=d2))
+            for vectors in (True, False):
+                es.diagonalize(op, vectors=vectors)
+    assert sum(seen) == 6 * 2**n
+
+
+def test_a_block_not_exactly_symmetric_goes_to_numpy(monkeypatch):
+    # dsyevd in place reads A's upper triangle, np.linalg its lower one, so
+    # a block whose triangles differ in any bit is left to np.linalg.
+    fn = spectral._lapack()
+    if fn is None:
+        pytest.skip("numpy's own dsyevd is not bound in this build")
+    a = np.random.default_rng(3).standard_normal((40, 40))
+    a += a.T
+    skewed = a.copy()
+    skewed[0, 5] = np.nextafter(skewed[0, 5], np.inf)
+    eigh, eigvalsh, routed = np.linalg.eigh, np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: routed.append(1) or eigh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: routed.append(0) or eigvalsh(m))
+    for vectors in (True, False):
+        work = spectral._workspace(fn, [40], vectors)
+        e, v = spectral._syevd(a.copy(), vectors, work)
+        assert routed == []
+        e, v = spectral._syevd(skewed.copy(), vectors, work)
+        assert routed == [int(vectors)]
+        routed.clear()
+        want = eigh(skewed) if vectors else (eigvalsh(skewed), None)
+        assert e.tobytes() == want[0].tobytes()
+        if vectors:
+            assert v.flags.f_contiguous and v.tobytes() == want[1].tobytes()
+
+
 def test_eigenvectors_have_definite_reflection_parity(spec10):
     basis = es.enumerate_sector(10, 5)
     states = np.asarray(basis.states)
@@ -595,14 +656,14 @@ def test_diagonalize_refuses_levels_that_decode_to_no_spin(monkeypatch):
         es.enumerate_sector(8, 4), es.ModelParams(n_sites=8, delta2=0.0)
     )
     c = es.spectral._spin_penalty(op)
-    eigh = np.linalg.eigh
+    solve = es.spectral._syevd
 
-    def moved(h):
-        e, v = eigh(h)
+    def moved(a, vectors, work):
+        e, v = solve(a, vectors, work)
         e[0] += c
         return e, v
 
-    monkeypatch.setattr(np.linalg, "eigh", moved)
+    monkeypatch.setattr(es.spectral, "_syevd", moved)
     with pytest.raises(es.NumericsError, match="allowed S"):
         es.diagonalize(op)
 
@@ -612,7 +673,7 @@ def test_spin_resolved_spectrum_round_trips_its_spins(tmp_path):
         spec, _, params = _spec(8, 4, d2)
         path = es.spectrum_cache_path(tmp_path, params, 4)
         es.save_spectrum(spec, path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, 9)
         assert raw[8] == 4
         assert json.loads(raw[13 : 13 + header_len])["spin_resolved"] is resolved
