@@ -10,11 +10,13 @@ and gamma-fit reads only the entropies).  Per coupling, eigenket-scan
 solves the spectrum straight into its cache file, one symmetry block's
 eigenvectors at a time (at delta2=0 each block of H + c S^2, so every
 level also carries its total spin), and scans every eigenket with the
-columns read back from that file; volume-law loads the file, verifying
-all of it but keeping no eigenvector, reads only the mid-shell kets'
-columns, and saves each one's S_VN per l1 to a volume-law record, which
-a rerun reads beside the level section alone; shell-average and
-gamma-fit read only its level section, and so does the census.  At
+columns read back from that file; volume-law loads the file's levels,
+reads only the mid-shell kets' columns, the first read verifying the
+whole file, keeps no eigenvector, and saves each one's S_VN per l1 to a
+volume-law record, which a rerun reads beside the level section alone;
+shell-average and gamma-fit read only its level section, and so does the
+census.  A spectrum file whose eigenvector section fails that check is
+rebuilt, and the coupling's tables start over from it.  At
 delta2=0 those levels, each counted 2S+1 times, are the whole census, and
 nothing is solved; at delta2=0.5 the census also solves the other
 sectors n_up <= 6, largest first, through diagonalize(..., vectors=False),

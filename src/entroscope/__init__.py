@@ -51,7 +51,6 @@ from .spectral import (
     EigenBlock,
     Spectrum,
     diagonalize,
-    load_levels,
     load_spectrum,
     multiplet_flags,
     multiplet_sizes,

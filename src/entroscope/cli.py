@@ -44,7 +44,6 @@ from .spectral import (
     atomic_write,
     diagonalize,
     lapack_path,
-    load_levels,
     load_scan,
     load_spectrum,
     load_volume_law,
@@ -156,22 +155,26 @@ def _cached(cfg: RunConfig, load, path: str, *args):
 
 
 def obtain_spectrum(
-    cfg: RunConfig, delta2: float, n_up: int, cache_dir: str
-) -> tuple[Spectrum, str]:
-    """Load from cache when allowed and keyed identically, else build.
+    cfg: RunConfig, delta2: float, n_up: int, cache_dir: str, solve: bool = True
+) -> tuple[Spectrum | None, str]:
+    """The spectrum and its source: "cache" when --cache use finds its file
+    valid and keyed identically, else "built"; with solve False, (None,
+    "skipped") instead of a build.
 
     A build solves straight into its cache file (save_spectrum), holding
     one block's V_b at a time, except under --cache off, which has no file
     and holds every V_b.  A spectrum read from or written to its cache file
-    holds no V_b: the load verifies the whole file first, and the scans
-    then read each chunk's eigenvector columns from it.  The returned
-    spectrum carries the trailer of that file.
+    holds no V_b, and carries that file's trailer: the load verifies the
+    levels alone, and a loaded file's first column read verifies the rest
+    before the scans read each chunk's eigenvector columns from it.
     """
     params = ModelParams(n_sites=cfg.n_sites, delta2=delta2)
     path = spectrum_cache_path(cache_dir, params, n_up)
     spec = _cached(cfg, load_spectrum, path, params)
     if spec is not None:
         return spec, "cache"
+    if not solve:
+        return None, "skipped"
     op = build_hamiltonian(enumerate_sector(cfg.n_sites, n_up), params)
     if cfg.cache == "off":
         return replace(diagonalize(op), params=params), "built"
@@ -187,58 +190,41 @@ def obtain_spectrum(
 
 
 class _Coupling:
-    """One coupling's spectrum, eigenvalue view, full S_VN scan (with its
-    kets' rho_A blocks) and DOS table, each built or read at most once.
+    """One coupling's spectrum, full S_VN scan (with its kets' rho_A blocks)
+    and DOS table, each read or built at most once.
 
-    The eigenvalue view (levels) serves every table that reads only E_n and
-    keys the records computed from amplitudes (the scan, the volume-law
-    sweep); the full spectrum is verified and opened only when such a
-    record is missing, and even then holds no V_b: the records' builds
-    read the columns they scan from its file.  All the coupling holds
-    comes from one spectrum file: a full read that lands on another file
-    than the view's (one whose damaged eigenvector section was rebuilt)
-    becomes the view and drops the DOS table and scan taken from the old
-    one.
+    The spectrum serves every table: those that read only E_n never touch
+    its eigenvector section, and it keys the records computed from
+    amplitudes (the scan, the volume-law sweep), built when missing from
+    columns read from its file.  The first such read verifies the file; a
+    damaged one raises there, and _run_tables starts over with `rebuild`,
+    which skips the cached spectrum.
     """
 
-    def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str):
+    def __init__(self, cfg: RunConfig, delta2: float, cache_dir: str,
+                 rebuild: bool = False):
         self.cfg = cfg
         self.delta2 = delta2
         self.cache_dir = cache_dir
         self.params = ModelParams(n_sites=cfg.n_sites, delta2=delta2)
         self.unit = LN2 if cfg.bits else 1.0
         self.part = BipartitionSpec(cfg.n_sites, cfg.l1)
+        self.rebuild = rebuild
         self.details: dict = {}
-        self._levels: Spectrum | None = None
+        self._spectrum: Spectrum | None = None
         self._scan = None
 
-    @cached_property
-    def spectrum(self) -> Spectrum:
-        spec, source = obtain_spectrum(
-            self.cfg, self.delta2, self.cfg.n_up, self.cache_dir
-        )
-        self.details["spectrum"] = source
-        if self._levels is not None and self._levels.checksum != spec.checksum:
-            self.__dict__.pop("dos", None)
-            self._scan = None
-        self._levels = spec
-        return spec
-
-    def levels(self, solve: bool = True) -> Spectrum | None:
-        """Every E_b and their merged order, read without V_b where it can be.
-
-        The spectrum when this run holds it, else the eigenvalue section of
-        its cache file, else the spectrum, solved; with solve False (the
-        census never builds the spectrum) None instead.
-        """
-        if self._levels is None:
-            path = spectrum_cache_path(self.cache_dir, self.params, self.cfg.n_up)
-            self._levels = _cached(self.cfg, load_levels, path, self.params)
-            if self._levels is not None:
-                self.details["spectrum"] = "cache-eigenvalues"
-            elif solve:
-                return self.spectrum
-        return self._levels
+    def spectrum(self, solve: bool = True) -> Spectrum | None:
+        """The spectrum, read or built at the first call (obtain_spectrum);
+        with solve False (the census never builds it) None instead."""
+        if self._spectrum is None:
+            cfg = self.cfg
+            if self.rebuild and cfg.cache == "use":
+                cfg = replace(cfg, cache="rebuild")
+            self._spectrum, self.details["spectrum"] = obtain_spectrum(
+                cfg, self.delta2, self.cfg.n_up, self.cache_dir, solve
+            )
+        return self._spectrum
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
@@ -248,15 +234,15 @@ class _Coupling:
     def record(self, name: str, path: str, load, build, save):
         """A record computed from the eigenvectors, found or built.
 
-        Under --cache use it is load(path, levels), which finds it by the
-        view's trailer; a StorageError counts as absent.  Otherwise
+        Under --cache use it is load(path, spectrum), which finds it by the
+        spectrum's trailer; a StorageError counts as absent.  Otherwise
         build(spectrum) computes it, and save(it, path, spectrum) writes it
         unless --cache off.  details[name] says which: "cache" or "built".
         """
-        found = _cached(self.cfg, load, path, self.levels())
+        spec = self.spectrum()
+        found = _cached(self.cfg, load, path, spec)
         self.details[name] = "built" if found is None else "cache"
         if found is None:
-            spec = self.spectrum
             found = build(spec)
             if self.cfg.cache != "off":
                 save(found, path, spec)
@@ -282,7 +268,7 @@ class _Coupling:
 
             self._scan = self.record(
                 "scan", scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1),
-                lambda path, view: load_scan(path, view, l1, self.sizes, not stacks),
+                lambda path, spec: load_scan(path, spec, l1, self.sizes, not stacks),
                 build,
                 lambda scan, path, spec: save_scan(scan[0], path, spec, l1, scan[1]),
             )
@@ -290,12 +276,12 @@ class _Coupling:
 
     @cached_property
     def dos(self):
-        return partition_shells(self.levels(), self.cfg.n_bins)
+        return partition_shells(self.spectrum(), self.cfg.n_bins)
 
 
 def _eigenket_scan_rows(c: _Coupling):
     s_vn, _ = c.scan()
-    energies = c.levels().eigenvalues
+    energies = c.spectrum().eigenvalues
     c.details["records"] = len(energies)
     return {
         "n": np.arange(len(energies)), "energy": energies,
@@ -316,15 +302,14 @@ def _dos_rows(c: _Coupling):
 def _shell_average_rows(c: _Coupling):
     """Shells from the scan's rho_A blocks, or from the eigenvectors when the
     scan keeps none (details "rdm": "record", "built" or "eigenvectors")."""
+    s_vn, stacks = c.scan(stacks=bool(c.sizes))
     if c.sizes:
-        s_vn, stacks = c.scan(stacks=True)
-        spec = c.levels()
         c.details["rdm"] = "record" if c.details["scan"] == "cache" else "built"
     else:
-        spec = c.spectrum
-        s_vn, stacks = c.scan()
         c.details["rdm"] = "eigenvectors"
-    t = run_shell_average(spec, c.part, s_vn, c.dos, c.cfg.min_shell_count, stacks)
+    t = run_shell_average(
+        c.spectrum(), c.part, s_vn, c.dos, c.cfg.min_shell_count, stacks
+    )
     u = c.unit
     c.details["rows"] = t.n_rows
     return {
@@ -343,15 +328,15 @@ def _volume_law_rows(c: _Coupling):
     s_vn = c.record(
         "volume_law",
         volume_law_cache_path(c.cache_dir, c.params, c.cfg.n_up, n_bins, l1_values),
-        lambda path, view: load_volume_law(
-            path, view, n_bins, l1_values, mid_shell(c.dos)
+        lambda path, spec: load_volume_law(
+            path, spec, n_bins, l1_values, mid_shell(c.dos)
         ),
         lambda spec: run_volume_law(spec, c.dos, l1_values).s_vn,
         lambda s_vn, path, spec: save_volume_law(
             s_vn, path, spec, n_bins, l1_values, mid_shell(c.dos)
         ),
     )
-    vt = run_volume_law(c.levels(), c.dos, l1_values, s_vn)
+    vt = run_volume_law(c.spectrum(), c.dos, l1_values, s_vn)
     c.details["mid_shell_d_E"] = vt.d_e
     n = len(vt.l1)
     return {
@@ -363,7 +348,7 @@ def _volume_law_rows(c: _Coupling):
 
 def _gamma_fit_rows(c: _Coupling):
     s_vn, _ = c.scan()
-    table = shell_statistics(c.levels(), s_vn, c.dos, c.cfg.min_shell_count)
+    table = shell_statistics(c.spectrum(), s_vn, c.dos, c.cfg.min_shell_count)
     fits = []
     for side in ("left", "right"):
         try:
@@ -385,9 +370,9 @@ def _degeneracy_census_rows(c: _Coupling):
     """Census the merged eigenvalues of every Sz sector.
 
     Each sector is read as eigenvalues only: the table sector n_up =
-    cfg.n_up from the coupling's eigenvalue view (the spectrum this run
-    holds, else its cache file's level section), any other from
-    diagonalize(op, vectors=False); a census never builds the spectrum.
+    cfg.n_up from the coupling's cached spectrum, whose eigenvector section
+    it never reads, any other from diagonalize(op, vectors=False); a census
+    never builds the spectrum.
     The middle sector n_up = N // 2 (half filling for even N) holds one
     member of every SU(2) multiplet.  When its levels carry their spins
     (the coupling commutes with S^2), they are the census, each counted
@@ -401,7 +386,7 @@ def _degeneracy_census_rows(c: _Coupling):
     middle sector.
     """
     n = c.cfg.n_sites
-    table = c.levels(solve=False) if c.cfg.n_up <= n // 2 else None
+    table = c.spectrum(solve=False) if c.cfg.n_up <= n // 2 else None
 
     def sector(n_up):
         if n_up == c.cfg.n_up and table is not None:
@@ -451,14 +436,27 @@ OUTPUT_NAME = re.compile(
 
 
 def _run_tables(cfg: RunConfig, cache_dir: str):
-    """Build the experiment's tables for each coupling in turn."""
+    """Build the experiment's tables for each coupling in turn.
+
+    A StorageError from a coupling's tables (a cached spectrum that fails
+    its check at the first column read) starts that coupling over once,
+    with the spectrum rebuilt, after the except clause has exited, so all
+    the failed attempt held is freed first.
+    """
     files, details = [], {}
     for d2 in cfg.delta2_list:
-        coupling = _Coupling(cfg, d2, cache_dir)
-        for prefix, build in TABLES[cfg.experiment].items():
-            files.append(
-                render_table(f"{prefix}_d2={d2:g}", build(coupling), cfg.format)
-            )
+        for rebuild in (False, True):
+            coupling = _Coupling(cfg, d2, cache_dir, rebuild)
+            try:
+                tables = [
+                    render_table(f"{prefix}_d2={d2:g}", build(coupling), cfg.format)
+                    for prefix, build in TABLES[cfg.experiment].items()
+                ]
+                break
+            except StorageError:
+                if rebuild:
+                    raise
+        files += tables
         details[f"d2={d2:g}"] = coupling.details
     return files, details
 

@@ -13,6 +13,7 @@ import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -50,9 +51,10 @@ class EigenBlock:
     eigenvectors in the block's symmetry-reduced basis; U_b V_b gives their
     sector amplitudes.  A solve holds it in `eigenvectors`, column-major.
     A block read by load_spectrum or returned by save_spectrum holds None
-    there: `stored` is (record, offset), where its verified cache file keeps
-    V_b column-major.  columns() and vectors() read V_b from either.  A
-    spectrum read by load_levels or solved with vectors False has neither.
+    there: `stored` is (record, offset), where its cache file keeps V_b
+    column-major, verified before the record's first column read.
+    columns() and vectors() read V_b from either.  A spectrum solved with
+    vectors False has neither.
     `two_s` (2S_b, integers) is the total spin of each eigenpair when the
     solve resolved it, else None.
     """
@@ -126,9 +128,9 @@ class Spectrum:
         """Raise ValueError when the blocks hold eigenvalues only."""
         if any(b.eigenvectors is None and b.stored is None for b in self.blocks):
             raise ValueError(
-                f"{self.basis_tag}: spectrum holds eigenvalues only (read by "
-                "load_levels or solved without vectors); amplitudes need "
-                "load_spectrum or diagonalize"
+                f"{self.basis_tag}: spectrum holds eigenvalues only (solved "
+                "without vectors); amplitudes need diagonalize, load_spectrum "
+                "or save_spectrum"
             )
 
 
@@ -381,8 +383,8 @@ def diagonalize(op: SymmetricOperator, vectors: bool = True, sink=None) -> Spect
     column contiguous, as the kernels and the cache read them), in the
     block's reduced basis, through one workspace sized for the largest
     block and unmapped at return.  With vectors False the blocks are solved
-    for eigenvalues only: the spectrum holds no V_b, as one read by
-    load_levels.
+    for eigenvalues only: the spectrum holds no V_b and has no record to
+    read one from.
 
     With a sink, each finished block goes to sink(block) as soon as it is
     solved, and the block the sink returns takes its place in the spectrum.
@@ -562,10 +564,11 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # which must agree with that list.  save_spectrum writes each V_b at its
 # final offset as its block is solved, and the header and level section at
 # the front once every block is in.  The V section is never held whole:
-# its checksum is chained through a buffer of at most _HASH_BUFFER bytes
-# (by save_spectrum after the last block, by load_spectrum before any
-# column is read), and the spectrum either returns reads its columns from
-# the file it verified, by position (EigenBlock.columns).
+# save_spectrum chains its checksum through a buffer of at most
+# _HASH_BUFFER bytes after the last block; load_spectrum verifies the level
+# section alone, and the record's first column read hashes every byte
+# before the trailer the same way (_Record.read_rows).  The spectrum either
+# returns reads its columns from that file, by position (EigenBlock.columns).
 # Scan, version 2: the header names the sector, l1, the trailer of the
 # spectrum file the scan came from, so a scan never outlives its spectrum,
 # and the n_a of each rho_A block stack the scan kept (none, when it could
@@ -706,7 +709,7 @@ def _hash_through(fh, running, nbytes: int, path) -> None:
         nbytes -= got
 
 
-def _read_record(fh, path, magic: bytes, version: int, layout, rest="read"):
+def _read_record(fh, path, magic: bytes, version: int, layout, first_only=False):
     """Read one cache record from the start of the open binary file fh;
     returns (header, sections, trailer).  path names it in errors.
 
@@ -714,11 +717,9 @@ def _read_record(fh, path, magic: bytes, version: int, layout, rest="read"):
     filled in F order (1-D and column-major arrays alike), or raises
     SpectrumFormatError to reject the header, as do a wrong magic or
     version; a wrong size or section checksum raises SpectrumChecksumError.
-    `rest` is what becomes of the sections after the first: "read" returns
-    them too; "hash" returns the first alone, but chains the others through
-    _hash_through and verifies them and the trailer; "skip" stops after the
-    first, with the size still checked and the trailer taken unverified
-    from the file's last 8 bytes.
+    With first_only, the sections after the first are neither read nor
+    verified: the size is still checked, and the trailer is taken
+    unverified from the file's last 8 bytes.
     """
     size = os.fstat(fh.fileno()).st_size
     if size < _FIXED + 8:
@@ -744,13 +745,10 @@ def _read_record(fh, path, magic: bytes, version: int, layout, rest="read"):
     running.update(header_raw)
     sections = []
     for i, section in enumerate(shapes):
-        if i and rest == "skip":
+        if i and first_only:
             fh.seek(size - 8)
             return header, sections, fh.read(8)
-        if i and rest == "hash":
-            _hash_through(fh, running, 8 * sum(map(math.prod, section)), path)
-        else:
-            sections.append(_read_arrays(fh, running, section, path))
+        sections.append(_read_arrays(fh, running, section, path))
         trailer = _checksum(running)
         if trailer != fh.read(8):
             raise SpectrumChecksumError(f"{path}: checksum mismatch")
@@ -759,22 +757,36 @@ def _read_record(fh, path, magic: bytes, version: int, layout, rest="read"):
 
 
 class _Record:
-    """A cache record open for positioned reads of its float64 payload.
+    """A spectrum record open for positioned reads of its float64 payload.
 
-    It holds the descriptor its bytes were verified through, so a file
-    later replaced or unlinked at its path is never read.  close(), or the
-    last reference to it dropping, closes the descriptor.
+    It holds the descriptor its bytes are read through, so a file later
+    replaced or unlinked at its path is never read.  `unverified` is the
+    trailer its bytes are still to be checked against (load_spectrum's
+    record), or None (save_spectrum's, whose writer hashed them).  close(),
+    or the last reference to it dropping, closes the descriptor.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self.fd = os.open(path, os.O_RDONLY)
         self.close = weakref.finalize(self, os.close, self.fd)
+        self.unverified = None
 
     def read_rows(self, offset: int, width: int, rows) -> np.ndarray:
         """Rows `rows` of the C-ordered (width, width) float64 array at byte
         `offset`, as a (len(rows), width) array: one os.preadv per run of
-        consecutive rows, straight into its rows."""
+        consecutive rows, straight into its rows.  An unverified record
+        first hashes every byte before its trailer, the checksum of exactly
+        those bytes, and raises SpectrumChecksumError, before any row is
+        read, if they differ."""
+        if self.unverified is not None:
+            running = hashlib.sha256()
+            with open(self.fd, "rb", closefd=False) as fh:
+                fh.seek(0)
+                _hash_through(fh, running, os.fstat(self.fd).st_size - 8, self.path)
+            if _checksum(running) != self.unverified:
+                raise SpectrumChecksumError(f"{self.path}: checksum mismatch")
+            self.unverified = None
         # A chunk asks for a few runs of a few columns: plain ints find the
         # runs faster than array operations would.
         rows = np.asarray(rows, dtype=np.int64).tolist()
@@ -838,7 +850,8 @@ def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
     most _HASH_BUFFER bytes then chains its checksum in file order.  The
     returned spectrum holds no V_b: its blocks read their columns from the
     record, bit for bit those solved or given, through the descriptor
-    opened on it before its rename; its `checksum` is the file's trailer.
+    opened on it before its rename, which starts verified, as that pass
+    hashed it; its `checksum` is the file's trailer.
     A spectrum without params or without eigenvectors raises ValueError.
     """
     if isinstance(source, Spectrum):
@@ -892,33 +905,48 @@ def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
         if record is not None:
             record.close()
         raise
-    return _stored_spectrum(spec, record, params, trailer)
+    solved = [(b.block, b.eigenvalues, b.two_s) for b in spec.blocks]
+    return _stored_spectrum(record, solved, spec.basis_tag, params, trailer)
 
 
-def _stored_spectrum(spec: Spectrum, record: _Record, params, trailer) -> Spectrum:
-    """spec (its levels) with each V_b read from the verified spectrum
-    record, whose V section ends at its trailer."""
-    sizes = [8 * b.block.dim**2 for b in spec.blocks]
+def _stored_spectrum(record: _Record, levels, basis_tag, params, trailer) -> Spectrum:
+    """The spectrum of the blocks `levels` lists as (SymmetryBlock, E_b,
+    2S_b or None), each V_b read from the spectrum record, whose V section
+    ends at its trailer."""
+    sizes = [8 * b.dim**2 for b, _, _ in levels]
     start = os.fstat(record.fd).st_size - 8 - sum(sizes)
-    offsets = (start + np.cumsum([0, *sizes[:-1]])).tolist()
     return Spectrum(
         blocks=tuple(
-            replace(b, eigenvectors=None, stored=(record, at))
-            for b, at in zip(spec.blocks, offsets)
+            EigenBlock(block=b, eigenvalues=e, eigenvectors=None, two_s=two_s,
+                       stored=(record, at))
+            for (b, e, two_s), at in zip(levels, accumulate(sizes, initial=start))
         ),
-        basis_tag=spec.basis_tag,
+        basis_tag=basis_tag,
         params=params,
         checksum=trailer,
     )
 
 
-def _read_spectrum(path, expect_params, levels_only: bool) -> Spectrum:
+def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
+    """Read a spectrum cache file, verifying its format, size and level
+    section (every E_b, and every 2S_b of a spin-resolved solve).
+
+    The levels are read straight into the returned arrays; `checksum` is
+    the file's trailer as stored.  The returned spectrum holds no V_b: its
+    blocks read their columns from the file, by position, through the
+    descriptor opened here (so a file later replaced or unlinked at path is
+    never read), until it is dropped.  The first column read verifies the
+    eigenvector section (_Record.read_rows), so a run that reads only the
+    levels never hashes it.  A header whose blocks disagree with
+    symmetry_blocks of its sector, or, with expect_params given, that
+    disagrees on N or delta2, raises SpectrumFormatError (a stale layout
+    or the wrong file).
+    """
     record = _Record(path)
     try:
         with open(record.fd, "rb", closefd=False) as fh:
-            header, sections, trailer = _read_record(
-                fh, path, _MAGIC, _VERSION, _spectrum_layout,
-                "skip" if levels_only else "hash",
+            header, (section,), trailer = _read_record(
+                fh, path, _MAGIC, _VERSION, _spectrum_layout, first_only=True
             )
         params, n_up, blocks = _spectrum_sector(header)
         if expect_params is not None and (
@@ -931,50 +959,12 @@ def _read_spectrum(path, expect_params, levels_only: bool) -> Spectrum:
     except BaseException:
         record.close()
         raise
+    record.unverified = trailer
     n = len(blocks)
-    energies, spins = sections[0][:n], sections[0][n:]
-    spins = [x.astype(np.int64) for x in spins] if spins else [None] * n
-    spec = Spectrum(
-        blocks=tuple(
-            EigenBlock(block=b, eigenvalues=e, eigenvectors=None, two_s=two_s)
-            for b, e, two_s in zip(blocks, energies, spins)
-        ),
-        basis_tag=f"N{params.n_sites}_nup{n_up}",
-        params=params,
-        checksum=trailer,
-    )
-    if levels_only:
-        record.close()
-        return spec
-    return _stored_spectrum(spec, record, params, trailer)
-
-
-def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
-    """Read a spectrum cache file, verifying format and both checksums.
-
-    The levels are read straight into the returned arrays.  The eigenvector
-    section is only hashed, through a buffer of at most _HASH_BUFFER bytes,
-    and kept open: the returned spectrum holds no V_b, and its blocks read
-    their columns from the file it verified, by position (so a file later
-    replaced or unlinked at path is never read), until it is dropped.  A
-    header whose blocks disagree with symmetry_blocks of its sector, or,
-    with expect_params given, that disagrees on N or delta2, raises
-    SpectrumFormatError (a stale layout or the wrong file).
-    """
-    return _read_spectrum(path, expect_params, levels_only=False)
-
-
-def load_levels(path, expect_params: ModelParams | None = None) -> Spectrum:
-    """Read only the level section of a spectrum cache file: every E_b, and
-    every 2S_b of a spin-resolved solve.
-
-    Checks what load_spectrum checks except the eigenvector section's
-    checksum; the blocks hold no eigenvectors, and `checksum` is the file's
-    trailer as stored, so a scan keyed by it is found.  A damaged eigenvector
-    section is caught when load_spectrum next reads the file, by its hash
-    pass, before any column is read.
-    """
-    return _read_spectrum(path, expect_params, levels_only=True)
+    spins = [x.astype(np.int64) for x in section[n:]] or [None] * n
+    levels = list(zip(blocks, section[:n], spins))
+    basis_tag = f"N{params.n_sites}_nup{n_up}"
+    return _stored_spectrum(record, levels, basis_tag, params, trailer)
 
 
 def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
@@ -1020,10 +1010,11 @@ def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
     experiments.rdm_stack_sizes, so the layout follows from the sector and
     l1 and not from the file.  stacks is None when sizes is empty, or with
     first_only, which verifies and reads the S_VN section alone, as
-    load_levels does.  Magic, version or header other than those save_scan
-    writes for (spec, l1, sizes), including a header naming another
-    spectrum trailer, raises SpectrumFormatError; a wrong size or checksum
-    raises SpectrumChecksumError.
+    load_spectrum does a spectrum's level section.  Magic, version or
+    header other than those save_scan writes for (spec, l1, sizes),
+    including a header naming another spectrum trailer, raises
+    SpectrumFormatError; a wrong size or checksum raises
+    SpectrumChecksumError.
     """
     expected = _keyed_header(spec, l1=l1, rdm_blocks=list(sizes))
 
@@ -1035,8 +1026,7 @@ def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
 
     with open(path, "rb") as fh:
         sections = _read_record(
-            fh, path, _SCAN_MAGIC, _SCAN_VERSION, layout,
-            "skip" if first_only else "read",
+            fh, path, _SCAN_MAGIC, _SCAN_VERSION, layout, first_only
         )[1]
     stacks = [x.T for x in sections[1]] if len(sections) > 1 else None
     return sections[0][0], stacks

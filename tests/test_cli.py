@@ -25,7 +25,6 @@ from entroscope import cli, properties
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS, parse_config
 from entroscope.spectral import (
-    load_levels,
     load_scan,
     load_spectrum,
     load_volume_law,
@@ -80,11 +79,11 @@ def test_cache_reuse_and_byte_identical_output(tmp_path):
     m1, m2 = _manifest(out1), _manifest(out2)
     assert m1["details"]["d2=0.5"]["spectrum"] == "built"
     # The rerun sums the scan record's rho_A blocks: it reads eigenvalues only.
-    assert m2["details"]["d2=0.5"]["spectrum"] == "cache-eigenvalues"
+    assert m2["details"]["d2=0.5"]["spectrum"] == "cache"
     assert [m["details"]["d2=0.5"]["rdm"] for m in (m1, m2)] == ["built", "record"]
     name = "shell_average_d2=0.5.csv"
-    b1 = open(os.path.join(out1, name), "rb").read()
-    b2 = open(os.path.join(out2, name), "rb").read()
+    b1 = Path(out1, name).read_bytes()
+    b2 = Path(out2, name).read_bytes()
     assert b1 == b2
     # the cache key includes delta2, so a different coupling rebuilds
     rc = main(["shell-average", "--n-sites", "8", "--delta2", "0.7",
@@ -203,7 +202,7 @@ def test_manifest_checksums_match_files(tmp_path):
     m = _manifest(out)
     assert set(m["files"]) == {"eigenket_scan_d2=0.5.csv", "dos_d2=0.5.csv"}
     for name, digest in m["files"].items():
-        data = open(os.path.join(out, name), "rb").read()
+        data = Path(out, name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
     assert m["experiment"] == "eigenket-scan"
     assert m["config"]["n_sites"] == 6
@@ -291,7 +290,7 @@ TAP_CHECKS = [
 def test_property_suite_tap(tmp_path):
     out = str(tmp_path / "out")
     assert main(["property-suite", "--out", out, "--seed", "42"]) == 0
-    tap = open(os.path.join(out, "property_suite.tap"), encoding="utf-8").read()
+    tap = Path(out, "property_suite.tap").read_text(encoding="utf-8")
     lines = tap.splitlines()
     assert lines[0] == "1..7"
     assert len(lines) == 1 + len(TAP_CHECKS)
@@ -339,7 +338,7 @@ def test_property_suite_failure_exits_3_with_manifest(tmp_path, monkeypatch, cap
     assert main(["property-suite", "--out", out, "--seed", "42"]) == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "NumericsError"
-    tap = open(os.path.join(out, "property_suite.tap"), encoding="utf-8").read()
+    tap = Path(out, "property_suite.tap").read_text(encoding="utf-8")
     assert tap.splitlines()[7].startswith("not ok 7 - mixing-concavity (")
     details = _manifest(out)["details"]
     assert details["all_ok"] is False
@@ -377,7 +376,7 @@ def test_census_reads_the_table_sector_from_the_spectrum(tmp_path, monkeypatch):
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
     assert solved == [(f"N8_nup{k}", False) for k in (3, 2, 1, 0)]
     details = _manifest(tmp_path / "b")["details"]["d2=0.5"]
-    assert details["spectrum"] == "cache-eigenvalues"
+    assert details["spectrum"] == "cache"
     name = "degeneracy_census_d2=0.5.csv"
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -409,7 +408,7 @@ def test_census_solves_the_middle_sector_alone_when_su2_holds(
     others = [(f"N8_nup{k}", False, k == 0) for k in (3, 2, 1, 0)]
     assert main(["degeneracy-census", *args, "--out", str(tmp_path / "c")]) == 0
     details = _manifest(tmp_path / "c")["details"][f"d2={d2:g}"]
-    assert details["spectrum"] == "cache-eigenvalues"
+    assert details["spectrum"] == "cache"
     if d2 == 0.0:
         assert solved == []
         assert details["census"] == "spin-resolved"
@@ -827,7 +826,7 @@ def test_version_3_cache_file_is_rebuilt(tmp_path, monkeypatch):
     assert main(["gamma-fit", *args, "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0"]["spectrum"] == "built"
     assert path.read_bytes()[8] == 4
-    assert es.load_levels(path, expect_params=params).spin_resolved
+    assert load_spectrum(path, expect_params=params).spin_resolved
 
 
 @pytest.fixture()
@@ -938,6 +937,17 @@ ENERGY_ONLY = {
 }
 
 
+def _forbid_eigenvector_reads(monkeypatch):
+    """Fail on any hash pass over a spectrum's eigenvector section and on
+    any eigenvector column read from its record."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigenvectors read")
+
+    monkeypatch.setattr(es.spectral, "_hash_through", forbidden)
+    monkeypatch.setattr(es.spectral._Record, "read_rows", forbidden)
+
+
 def test_warm_energy_only_tables_never_read_eigenvectors(tmp_path, monkeypatch):
     cold = {}
     for experiment, names in ENERGY_ONLY.items():
@@ -947,9 +957,6 @@ def test_warm_energy_only_tables_never_read_eigenvectors(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(tmp_path / "fill")]) == 0
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("full spectrum read")
-
     solve = cli.diagonalize
 
     def levels_only(op, vectors=True):
@@ -957,12 +964,12 @@ def test_warm_energy_only_tables_never_read_eigenvectors(tmp_path, monkeypatch):
             raise AssertionError("full spectrum solve")
         return solve(op, vectors)
 
-    monkeypatch.setattr(cli, "load_spectrum", forbidden)
+    _forbid_eigenvector_reads(monkeypatch)
     monkeypatch.setattr(cli, "diagonalize", levels_only)
     for experiment, names in ENERGY_ONLY.items():
         out = tmp_path / "warm" / experiment
         assert main([experiment, *SCAN_ARGS, "--out", str(out)]) == 0
-        assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "cache-eigenvalues"
+        assert _manifest(out)["details"]["d2=0.5"]["spectrum"] == "cache"
         for name in names:
             assert (out / name).read_bytes() == cold[name], name
 
@@ -1011,14 +1018,14 @@ def test_damaged_eigenvector_section_is_rebuilt_and_rekeys_the_scan(
     out = tmp_path / "b"
     assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(out)]) == 0
     details = _manifest(out)["details"]["d2=0.5"]
-    assert (details["spectrum"], details["scan"]) == ("cache-eigenvalues", "cache")
+    assert (details["spectrum"], details["scan"]) == ("cache", "cache")
     if rebuilder == "shell-average":
         # So does a shell-average that finds the scan record: it sums the
         # record's rho_A blocks.  It reads eigenvectors only to build a
         # record that is missing.
         assert main([rebuilder, *SCAN_ARGS, "--out", str(out)]) == 0
         details = _manifest(out)["details"]["d2=0.5"]
-        assert (details["spectrum"], details["rdm"]) == ("cache-eigenvalues", "record")
+        assert (details["spectrum"], details["rdm"]) == ("cache", "record")
         os.unlink(scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 2))
     # The full reader rejects it, and the run rebuilds it.  Its eigenvectors
     # come back with other signs, as another LAPACK may return them, so the
@@ -1111,6 +1118,73 @@ def test_a_rebuilt_spectrum_drops_the_dos_table_of_the_view_it_replaced(
         assert (details["spectrum"], details["volume_law"]) == ("built", "built")
         tables[policy] = (out / VLAW_TABLE).read_bytes()
     assert tables["use"] == tables["off"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_damaged_rebuild_fails_the_run_after_one_rebuild(
+    tmp_path, monkeypatch, capsys
+):
+    # The cached spectrum's eigenvector section is damaged, and so is every
+    # file a rebuild writes: the coupling starts over once, with its
+    # spectrum rebuilt, and the second failed column read ends the run.
+    # Both attempts' records are closed by then.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+    argv = ["eigenket-scan", *SCAN_ARGS]
+    assert main([*argv, "--out", str(tmp_path / "fill")]) == 0
+    path = Path(es.spectrum_cache_path(cache, SCAN_PARAMS, 4))
+    (scan,) = cache.glob("*.svn")
+    scan.unlink()
+    _flip_eigenvector_byte(path)
+    save, saved = cli.save_spectrum, []
+
+    def damaging(op, target, params):
+        save(op, target, params)
+        saved.append(target)
+        _flip_eigenvector_byte(Path(target))
+        return load_spectrum(target, params)
+
+    monkeypatch.setattr(cli, "save_spectrum", damaging)
+    before = len(os.listdir("/proc/self/fd"))
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 4
+    assert len(os.listdir("/proc/self/fd")) == before
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SpectrumChecksumError"
+    assert saved == [str(path)]
+    assert not (tmp_path / "b" / "manifest.json").exists()
+
+
+def test_a_cold_build_hashes_its_eigenvectors_once_and_warm_tables_never(
+    tmp_path, monkeypatch
+):
+    # Every pass over a spectrum record's eigenvector section, as the bytes
+    # it hashes.  The cold build hashes what it wrote, and its record starts
+    # verified, so the scan over it hashes nothing more.  The tables after
+    # it read energies and records only, except volume-law, whose sweep is
+    # built from columns of the loaded file: its first column read hashes
+    # every byte before the trailer.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    passes, real = [], es.spectral._hash_through
+
+    def counting(fh, running, nbytes, path):
+        passes.append(nbytes)
+        return real(fh, running, nbytes, path)
+
+    monkeypatch.setattr(es.spectral, "_hash_through", counting)
+    args = ["--n-sites", "12", "--delta2", "0.5", "--bins", "30", "--min-count", "10"]
+    counted = {}
+    for experiment in ("eigenket-scan", "shell-average", "gamma-fit", "volume-law",
+                       "degeneracy-census"):
+        passes.clear()
+        assert main([experiment, *args, "--out", str(tmp_path / experiment)]) == 0
+        counted[experiment] = list(passes)
+    params = es.ModelParams(n_sites=12, delta2=0.5)
+    size = os.path.getsize(es.spectrum_cache_path(tmp_path / "cache", params, 6))
+    v_bytes = 8 * sum(b.dim**2 for b in es.symmetry_blocks(12, 6))
+    assert counted == {
+        "eigenket-scan": [v_bytes], "shell-average": [], "gamma-fit": [],
+        "volume-law": [size - 8], "degeneracy-census": [],
+    }
 
 
 def test_rebuild_recomputes_the_scan(tmp_path, monkeypatch, scan_calls):
@@ -1266,7 +1340,7 @@ def test_warm_shell_average_reads_no_eigenvectors(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("eigenvectors read")
 
-    monkeypatch.setattr(cli, "load_spectrum", forbidden)
+    _forbid_eigenvector_reads(monkeypatch)
     monkeypatch.setattr(es.states, "averaged_rdm", forbidden)
     monkeypatch.setattr(es.experiments, "averaged_rdm", forbidden)
     out = tmp_path / "warm"
@@ -1274,7 +1348,7 @@ def test_warm_shell_average_reads_no_eigenvectors(tmp_path, monkeypatch):
     for d2 in ("0", "0.5"):
         details = _manifest(out)["details"][f"d2={d2}"]
         assert (details["spectrum"], details["scan"], details["rdm"]) == (
-            "cache-eigenvalues", "cache", "record"
+            "cache", "cache", "record"
         )
         name = f"shell_average_d2={d2}.csv"
         assert (out / name).read_bytes() == (off / name).read_bytes()
@@ -1299,9 +1373,6 @@ def test_warm_volume_law_reads_no_eigenvector(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     assert main([*argv, "--out", str(tmp_path / "fill")]) == 0
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("eigenvectors read")
-
     kernel, asked = es.experiments.subsystem_entropies, []
 
     def no_ket(spec, part, indices=None, keep=False):
@@ -1311,7 +1382,7 @@ def test_warm_volume_law_reads_no_eigenvector(tmp_path, monkeypatch):
         assert asked[-1] == 0, "eigenkets scanned"
         return kernel(spec, part, indices, keep)
 
-    monkeypatch.setattr(cli, "load_spectrum", forbidden)
+    _forbid_eigenvector_reads(monkeypatch)
     monkeypatch.setattr(es.experiments, "subsystem_entropies", no_ket)
     for unit in ([], ["--bits"]):
         out = tmp_path / "warm" / "".join(unit)
@@ -1319,7 +1390,7 @@ def test_warm_volume_law_reads_no_eigenvector(tmp_path, monkeypatch):
         for d2, name in zip(("0", "0.5"), names):
             details = _manifest(out)["details"][f"d2={d2}"]
             assert (details["spectrum"], details["volume_law"]) == (
-                "cache-eigenvalues", "cache"
+                "cache", "cache"
             )
             assert (out / name).read_bytes() == off[tuple(unit), name]
     assert asked == [0, 0] * 2
@@ -1432,7 +1503,7 @@ def test_volume_law_record_holds_the_mid_shell_sweep(tmp_path, monkeypatch):
     dos = es.partition_shells(spec, 6)
     members = dos.members(dos.peak_index())
     path = _vlaw_path(tmp_path, l1_values=(1, 2, 3))
-    s_vn = load_volume_law(path, load_levels(spec_path), 6, [1, 2, 3], members)
+    s_vn = load_volume_law(path, load_spectrum(spec_path), 6, [1, 2, 3], members)
     for i, l1 in enumerate((1, 2, 3)):
         want = es.subsystem_entropies(spec, es.BipartitionSpec(8, l1), members)
         assert s_vn[:, i].tobytes() == want.tobytes()

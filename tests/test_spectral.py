@@ -251,8 +251,8 @@ def test_volume_law_file_round_trip_and_key(tmp_path):
     assert (header["n_bins"], header["l1"]) == (4, [1, 3])
     assert header["shell"] == [int(shell[0]), vt.d_e]
     assert raw[13 + header_len : -8] == vt.s_vn.tobytes(order="F")
-    # Keyed by what the level view, the config and its DOS table give.
-    levels = es.load_levels(path)
+    # Keyed by what the loaded levels, the config and its DOS table give.
+    levels = es.load_spectrum(path)
     s_vn = load_volume_law(record, levels, 4, [1, 3], shell)
     assert s_vn.tobytes() == vt.s_vn.tobytes()
     assert s_vn.shape == (vt.d_e, 2) and s_vn.flags.f_contiguous
@@ -275,8 +275,9 @@ def _record(kind):
     """(magic, version, save(path), load(path)) of a small cache record."""
     spec, _, _ = _spec(4, 2, 0.0)
     if kind == "spectrum":
+        # The eigenvector section is verified at the first column read.
         return (b"ENTROSPC", 4, lambda path: es.save_spectrum(spec, path),
-                es.load_spectrum)
+                lambda path: es.load_spectrum(path).blocks[-1].columns([0]))
     spec = replace(spec, checksum=bytes(range(8)))  # any trailer keys a record
     if kind == "volume-law":
         dos = es.partition_shells(spec, 2)
@@ -328,16 +329,15 @@ def _spectrum_sections(path):
 
 
 def test_each_reader_checks_its_sections(tmp_path):
-    _, _, save, _ = _record("spectrum")
+    spec, _, _ = _spec(4, 2, 0.0)
     good = tmp_path / "good"
-    save(good)
+    es.save_spectrum(spec, good)
     raw, e_start, e_end, v_start = _spectrum_sections(good)
-    spec = es.load_spectrum(good)
-    levels = es.load_levels(good)
-    assert levels.checksum == spec.checksum == raw[-8:]
-    assert levels.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
-    assert [b.block for b in levels.blocks] == [b.block for b in spec.blocks]
-    assert all(b.eigenvectors is None for b in levels.blocks)
+    loaded = es.load_spectrum(good)
+    assert loaded.checksum == raw[-8:]
+    assert loaded.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+    assert [b.block for b in loaded.blocks] == [b.block for b in spec.blocks]
+    assert all(b.eigenvectors is None for b in loaded.blocks)
 
     def flipped(at):
         data = bytearray(raw)
@@ -345,7 +345,7 @@ def test_each_reader_checks_its_sections(tmp_path):
         return bytes(data)
 
     # Damage to the eigenvalue section or its checksum, or to the file's
-    # size, is rejected by both readers.
+    # size, is rejected by the load.
     for name, data in {
         "e_section": flipped(e_start + 3),
         "e_checksum": flipped(e_end + 2),
@@ -353,30 +353,29 @@ def test_each_reader_checks_its_sections(tmp_path):
         "long": raw + bytes(8),
     }.items():
         (tmp_path / name).write_bytes(data)
-        for load in (es.load_spectrum, es.load_levels):
-            with pytest.raises(es.SpectrumChecksumError):
-                load(tmp_path / name)
-    # Damage after it is seen only by the full reader; the eigenvalue read
-    # still hands back the stored trailer.
+        with pytest.raises(es.SpectrumChecksumError):
+            es.load_spectrum(tmp_path / name)
+    # Damage after it is seen at the first column read of any block, and
+    # at every read after it; the load hands back the stored trailer.
     for name, data in {"v_section": flipped(v_start + 5),
                        "trailer": flipped(len(raw) - 3)}.items():
         (tmp_path / name).write_bytes(data)
-        with pytest.raises(es.SpectrumChecksumError):
-            es.load_spectrum(tmp_path / name)
-        assert es.load_levels(tmp_path / name).checksum == data[-8:]
+        damaged = es.load_spectrum(tmp_path / name)
+        assert damaged.checksum == data[-8:]
+        for block in (damaged.blocks[-1], damaged.blocks[0]):
+            with pytest.raises(es.SpectrumChecksumError):
+                block.columns([0])
     (tmp_path / "v2").write_bytes(raw[:8] + bytes([2]) + raw[9:])
-    for load in (es.load_spectrum, es.load_levels):
-        with pytest.raises(es.SpectrumFormatError, match="version 2"):
-            load(tmp_path / "v2")
+    with pytest.raises(es.SpectrumFormatError, match="version 2"):
+        es.load_spectrum(tmp_path / "v2")
     with pytest.raises(es.SpectrumFormatError, match="expected"):
-        es.load_levels(good, expect_params=es.ModelParams(n_sites=4, delta2=0.5))
+        es.load_spectrum(good, expect_params=es.ModelParams(n_sites=4, delta2=0.5))
 
 
 def test_a_spectrum_without_eigenvectors_says_so(tmp_path):
-    spec, _, params = _spec(6, 3, 0.5)
-    path = es.spectrum_cache_path(tmp_path, params, 3)
-    es.save_spectrum(spec, path)
-    levels = es.load_levels(path, expect_params=params)
+    _, b, params = _spec(6, 3, 0.5)
+    op = es.build_hamiltonian(b, params)
+    levels = replace(es.diagonalize(op, vectors=False), params=params)
     part = es.BipartitionSpec(6, 2)
     blocks = dict(es.states.rdm_blocks(levels, part))
     with pytest.raises(ValueError, match="eigenvalues only"):
@@ -677,16 +676,15 @@ def test_spin_resolved_spectrum_round_trips_its_spins(tmp_path):
         (header_len,) = struct.unpack_from("<I", raw, 9)
         assert raw[8] == 4
         assert json.loads(raw[13 : 13 + header_len])["spin_resolved"] is resolved
-        for load in (es.load_spectrum, es.load_levels):
-            again = load(path, expect_params=params)
-            assert again.spin_resolved is resolved
-            assert again.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
-            for got, want in zip(again.blocks, spec.blocks):
-                if resolved:
-                    assert got.two_s.dtype == np.int64
-                    assert np.array_equal(got.two_s, want.two_s)
-                else:
-                    assert got.two_s is None
+        again = es.load_spectrum(path, expect_params=params)
+        assert again.spin_resolved is resolved
+        assert again.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+        for got, want in zip(again.blocks, spec.blocks):
+            if resolved:
+                assert got.two_s.dtype == np.int64
+                assert np.array_equal(got.two_s, want.two_s)
+            else:
+                assert got.two_s is None
 
 
 # Multiplet histograms of the smallest odd chains, worked by hand: N=3 has
@@ -777,23 +775,24 @@ def test_cache_io_streams_the_payload(tmp_path):
         kept, peak = tracemalloc.get_traced_memory()
         save_transient = peak - kept
         save_peak = peak - base
+        saved_checksum = saved.checksum
         del saved
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         again = es.load_spectrum(path, expect_params=spec.params)
         load_peak = tracemalloc.get_traced_memory()[1] - base
+        # The first column read hashes the file through its buffer.
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        levels = es.load_levels(path, expect_params=spec.params)
-        levels_peak = tracemalloc.get_traced_memory()[1] - base
+        again.blocks[0].columns([0])
+        read_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert save_transient < 2**20
     assert save_peak <= levels_bytes + 2**20
-    assert load_peak <= levels_bytes + 2**20
-    assert levels_peak < 2**20  # the 27 kB of eigenvalues, no V_b
-    assert levels.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
-    assert levels.checksum == again.checksum
+    assert load_peak < 2**20  # the 27 kB of eigenvalues, no V_b
+    assert read_peak < 2**20
+    assert again.checksum == saved_checksum
     assert np.array_equal(again.eigenvalues, spec.eigenvalues)
     for got, want in zip(again.blocks, spec.blocks):
         assert got.block is want.block
@@ -1016,8 +1015,9 @@ def test_a_damaged_last_block_fails_the_load_before_any_column_is_read(
     _flip_last_block_byte(path)
     reads = []
     monkeypatch.setattr(os, "preadv", lambda *args: reads.append(args))
+    loaded = es.load_spectrum(path, expect_params=params)
     with pytest.raises(es.SpectrumChecksumError):
-        es.load_spectrum(path, expect_params=params)
+        loaded.blocks[0].columns([0])
     assert reads == []
 
 
@@ -1038,9 +1038,11 @@ def test_dropped_spectra_close_their_records(tmp_path):
         loaded = es.load_spectrum(path, expect_params=params)
         es.subsystem_entropies(loaded, part, indices=np.arange(5))
         del loaded
-        es.load_levels(path, expect_params=params)
+        es.load_spectrum(path, expect_params=params)  # dropped unread
+        damaged = es.load_spectrum(bad, expect_params=params)
         with pytest.raises(es.SpectrumChecksumError):
-            es.load_spectrum(bad, expect_params=params)
+            es.subsystem_entropies(damaged, part, indices=np.arange(5))
+        del damaged
         with pytest.raises(es.SpectrumFormatError):
             es.load_spectrum(path, expect_params=es.ModelParams(n_sites=8, delta2=1.0))
         es.save_spectrum(spec, tmp_path / "c.spec")
