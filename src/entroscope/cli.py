@@ -42,19 +42,16 @@ from .properties import format_tap, run_property_suite
 from .spectral import (
     Spectrum,
     atomic_write,
+    derived_path,
     diagonalize,
     lapack_path,
-    load_scan,
+    load_derived,
     load_spectrum,
-    load_volume_law,
     multiplet_flags,
     partition_shells,
-    save_scan,
+    save_derived,
     save_spectrum,
-    save_volume_law,
-    scan_cache_path,
     spectrum_cache_path,
-    volume_law_cache_path,
 )
 from .states import BipartitionSpec
 
@@ -155,11 +152,10 @@ def _cached(cfg: RunConfig, load, path: str, *args):
 
 
 def obtain_spectrum(
-    cfg: RunConfig, delta2: float, n_up: int, cache_dir: str, solve: bool = True
-) -> tuple[Spectrum | None, str]:
+    cfg: RunConfig, delta2: float, n_up: int, cache_dir: str
+) -> tuple[Spectrum, str]:
     """The spectrum and its source: "cache" when --cache use finds its file
-    valid and keyed identically, else "built"; with solve False, (None,
-    "skipped") instead of a build.
+    valid and keyed identically, else "built".
 
     A build solves straight into its cache file (save_spectrum), holding
     one block's V_b at a time, except under --cache off, which has no file
@@ -173,8 +169,6 @@ def obtain_spectrum(
     spec = _cached(cfg, load_spectrum, path, params)
     if spec is not None:
         return spec, "cache"
-    if not solve:
-        return None, "skipped"
     op = build_hamiltonian(enumerate_sector(cfg.n_sites, n_up), params)
     if cfg.cache == "off":
         return replace(diagonalize(op), params=params), "built"
@@ -193,8 +187,9 @@ class _Coupling:
     """One coupling's spectrum, full S_VN scan (with its kets' rho_A blocks)
     and DOS table, each read or built at most once.
 
-    The spectrum serves every table: those that read only E_n never touch
-    its eigenvector section, and it keys the records computed from
+    The spectrum serves every table but the census, which reads a cached
+    one's levels itself and never builds one.  Tables that read only E_n
+    never touch its eigenvector section, and it keys the records computed from
     amplitudes (the scan, the volume-law sweep), built when missing from
     columns read from its file.  The first such read verifies the file; a
     damaged one raises there, and _run_tables starts over with `rebuild`,
@@ -214,15 +209,14 @@ class _Coupling:
         self._spectrum: Spectrum | None = None
         self._scan = None
 
-    def spectrum(self, solve: bool = True) -> Spectrum | None:
-        """The spectrum, read or built at the first call (obtain_spectrum);
-        with solve False (the census never builds it) None instead."""
+    def spectrum(self) -> Spectrum:
+        """The spectrum, read or built at the first call (obtain_spectrum)."""
         if self._spectrum is None:
             cfg = self.cfg
             if self.rebuild and cfg.cache == "use":
                 cfg = replace(cfg, cache="rebuild")
             self._spectrum, self.details["spectrum"] = obtain_spectrum(
-                cfg, self.delta2, self.cfg.n_up, self.cache_dir, solve
+                cfg, self.delta2, self.cfg.n_up, self.cache_dir
             )
         return self._spectrum
 
@@ -231,21 +225,29 @@ class _Coupling:
         """n_a of the rho_A block stacks the scan keeps; () when it keeps none."""
         return rdm_stack_sizes(self.part, self.cfg.n_up)
 
-    def record(self, name: str, path: str, load, build, save):
-        """A record computed from the eigenvectors, found or built.
+    def record(self, kind: str, name: str, keys: dict, shapes, build,
+               first_only: bool = False) -> list:
+        """The sections of the `kind` record keyed `name` in its file name
+        and keys in its header (spectral.derived_path, save_derived), found
+        or built.
 
-        Under --cache use it is load(path, spectrum), which finds it by the
-        spectrum's trailer; a StorageError counts as absent.  Otherwise
-        build(spectrum) computes it, and save(it, path, spectrum) writes it
-        unless --cache off.  details[name] says which: "cache" or "built".
+        Under --cache use it is load_derived of that file with the given
+        section shapes (the first section alone with first_only), which
+        finds it by the spectrum's trailer and keys; a StorageError counts
+        as absent.  Otherwise build(spectrum) computes its sections, which
+        are saved unless --cache off.  details[kind] says which: "cache" or
+        "built".
         """
         spec = self.spectrum()
-        found = _cached(self.cfg, load, path, spec)
-        self.details[name] = "built" if found is None else "cache"
+        path = derived_path(self.cache_dir, self.params, self.cfg.n_up, kind, name)
+        found = _cached(
+            self.cfg, load_derived, path, kind, spec, keys, shapes, first_only
+        )
+        self.details[kind] = "built" if found is None else "cache"
         if found is None:
             found = build(spec)
             if self.cfg.cache != "off":
-                save(found, path, spec)
+                save_derived(path, kind, spec, keys, found)
         return found
 
     def scan(self, stacks: bool = False):
@@ -255,23 +257,29 @@ class _Coupling:
         Only the scan record's S_VN section is read unless `stacks` asks for
         the blocks too.  A record that lacks what is asked is built: one
         pass over the spectrum gives S_VN and, when they are asked for or
-        the record is saved, the stacks (none where sizes is empty).  A scan
-        that trips the kernel's gates raises before anything is written.
+        the record is saved, the stacks (none where sizes is empty).  Both
+        directions take the stack layout from sizes.  A scan that trips the
+        kernel's gates raises before anything is written.
         """
         if self._scan is None:
-            l1, keep = self.cfg.l1, stacks or self.cfg.cache != "off"
+            keep = stacks or self.cfg.cache != "off"
+            dim = self.spectrum().dim
+            shapes = [[(dim,)]]
+            if self.sizes:
+                shapes.append([(dim, n, n) for n in self.sizes])
 
             def build(spec):
-                if keep:
-                    return subsystem_entropies(spec, self.part, keep=True)
-                return subsystem_entropies(spec, self.part), None
+                if not keep:
+                    return [[subsystem_entropies(spec, self.part)]]
+                s_vn, kept = subsystem_entropies(spec, self.part, keep=True)
+                return [[s_vn], kept] if kept else [[s_vn]]
 
-            self._scan = self.record(
-                "scan", scan_cache_path(self.cache_dir, self.params, self.cfg.n_up, l1),
-                lambda path, spec: load_scan(path, spec, l1, self.sizes, not stacks),
-                build,
-                lambda scan, path, spec: save_scan(scan[0], path, spec, l1, scan[1]),
+            sections = self.record(
+                "scan", f"l1={self.cfg.l1}",
+                {"l1": self.cfg.l1, "rdm_blocks": list(self.sizes)},
+                shapes, build, first_only=not stacks,
             )
+            self._scan = sections[0][0], (sections[1] if len(sections) > 1 else None)
         return self._scan
 
     @cached_property
@@ -325,18 +333,16 @@ def _volume_law_rows(c: _Coupling):
     """The sweep of the mid shell, its S_VN from the volume-law record of
     this spectrum, bins, l1 list and shell, else from the eigenvectors."""
     n_bins, l1_values = c.cfg.n_bins, sorted(c.cfg.volume_law_range())
-    s_vn = c.record(
-        "volume_law",
-        volume_law_cache_path(c.cache_dir, c.params, c.cfg.n_up, n_bins, l1_values),
-        lambda path, spec: load_volume_law(
-            path, spec, n_bins, l1_values, mid_shell(c.dos)
-        ),
-        lambda spec: run_volume_law(spec, c.dos, l1_values).s_vn,
-        lambda s_vn, path, spec: save_volume_law(
-            s_vn, path, spec, n_bins, l1_values, mid_shell(c.dos)
-        ),
+    shell = mid_shell(c.dos)
+    # The record holds the (n_l1, d_E) transpose of the table's column-major
+    # (d_E, n_l1) S_VN: the same bytes.
+    [[s_vn]] = c.record(
+        "volume_law", f"bins={n_bins}_l1={','.join(map(str, l1_values))}",
+        {"n_bins": n_bins, "l1": l1_values, "shell": [int(shell[0]), len(shell)]},
+        [[(len(l1_values), len(shell))]],
+        lambda spec: [[run_volume_law(spec, c.dos, l1_values).s_vn.T]],
     )
-    vt = run_volume_law(c.spectrum(), c.dos, l1_values, s_vn)
+    vt = run_volume_law(c.spectrum(), c.dos, l1_values, s_vn.T)
     c.details["mid_shell_d_E"] = vt.d_e
     n = len(vt.l1)
     return {
@@ -370,7 +376,8 @@ def _degeneracy_census_rows(c: _Coupling):
     """Census the merged eigenvalues of every Sz sector.
 
     Each sector is read as eigenvalues only: the table sector n_up =
-    cfg.n_up from the coupling's cached spectrum, whose eigenvector section
+    cfg.n_up from the coupling's cached spectrum when --cache use finds it
+    (details "spectrum": "cache", else "skipped"), whose eigenvector section
     it never reads, any other from diagonalize(op, vectors=False); a census
     never builds the spectrum.
     The middle sector n_up = N // 2 (half filling for even N) holds one
@@ -386,7 +393,11 @@ def _degeneracy_census_rows(c: _Coupling):
     middle sector.
     """
     n = c.cfg.n_sites
-    table = c.spectrum(solve=False) if c.cfg.n_up <= n // 2 else None
+    table = None
+    if c.cfg.n_up <= n // 2:
+        path = spectrum_cache_path(c.cache_dir, c.params, c.cfg.n_up)
+        table = _cached(c.cfg, load_spectrum, path, c.params)
+    c.details["spectrum"] = "skipped" if table is None else "cache"
 
     def sector(n_up):
         if n_up == c.cfg.n_up and table is not None:
@@ -407,7 +418,6 @@ def _degeneracy_census_rows(c: _Coupling):
         for b in middle.blocks if len(b.eigenvalues) >= R_MIN_DIM
     }
     census = degeneracy_census(np.concatenate(merged))
-    c.details.setdefault("spectrum", "skipped")
     c.details.update(
         census="spin-resolved" if middle.spin_resolved else "per-sector",
         n_levels=census.n_levels,

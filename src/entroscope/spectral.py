@@ -37,10 +37,9 @@ SYMMETRY_TOL = 1e-12
 
 _MAGIC = b"ENTROSPC"
 _VERSION = 4
-_SCAN_MAGIC = b"ENTROSVN"
-_SCAN_VERSION = 2
-_VLAW_MAGIC = b"ENTROVLW"
-_VLAW_VERSION = 1
+# kind -> (file suffix, magic, version) of the records computed from a
+# cached spectrum: the full S_VN scan and the volume-law sweep.
+_DERIVED = {"scan": ("svn", b"ENTROSVN", 2), "volume_law": ("vlw", b"ENTROVLW", 1)}
 
 
 @dataclass(frozen=True)
@@ -569,17 +568,21 @@ def multiplet_flags(eigenvalues: np.ndarray) -> np.ndarray:
 # section alone, and the record's first column read hashes every byte
 # before the trailer the same way (_Record.read_rows).  The spectrum either
 # returns reads its columns from that file, by position (EigenBlock.columns).
-# Scan, version 2: the header names the sector, l1, the trailer of the
-# spectrum file the scan came from, so a scan never outlives its spectrum,
-# and the n_a of each rho_A block stack the scan kept (none, when it could
-# keep none).  The first section is S_VN of every eigenket in eigenindex
-# order, the second, when there are stacks, each (dim, n_a, n_a) stack of
-# the kets' rho_A blocks in C order, so S_VN can be verified and read alone.
-# Volume-law sweep, version 1: the header names the sector, the spectrum
-# trailer, n_bins, the ascending l1 list and the mid shell's member run as
-# [first eigenindex, d_E], which the levels and n_bins fix.  The one
-# section is the (d_E, n_l1) S_VN of the shell's kets, column-major, so
-# each l1's column is contiguous.
+# Derived records, computed from a cached spectrum (_DERIVED: the scan,
+# .svn, version 2, and the volume-law sweep, .vlw, version 1), are one
+# keyed record: the header (_keyed_header) names the sector and the trailer
+# of the spectrum file the record came from, so a record never outlives its
+# spectrum, then the record's own keys; a reader accepts that header alone.
+# The caller gives the section shapes, which follow from the keys and the
+# sector, never from the file; every array is C-ordered.  Scan keys: l1 and
+# rdm_blocks, the n_a of each rho_A block stack the scan keeps
+# (experiments.rdm_stack_sizes; none when it keeps none).  The first section
+# is S_VN of every eigenket in eigenindex order, the second, when there are
+# stacks, each (dim, n_a, n_a) stack of the kets' rho_A blocks, so S_VN can
+# be verified and read alone.  Sweep keys: n_bins, the ascending l1 list and
+# the mid shell's member run as [first eigenindex, d_E], which the levels
+# and n_bins fix.  The one section is the (n_l1, d_E) S_VN of the shell's
+# kets, so each l1's run is contiguous.
 # ---------------------------------------------------------------------------
 
 _FIXED = 8 + 1 + 4  # magic, version, header length
@@ -651,45 +654,28 @@ def _remove_dead_temps(path) -> None:
                 os.close(fd)
 
 
-def _write_record(path, magic: bytes, version: int, header: dict, sections) -> bytes:
-    """Write one cache record atomically; returns its trailer.
-
-    `sections` is a list of array lists, each followed by its checksum.  The
-    temporary files that dead writers of the same record left are removed
-    first.
-    """
-    head = _head(magic, version, header)
-    running = hashlib.sha256(head)
-    _remove_dead_temps(path)
-    with atomic_write(path) as fh:
-        fh.write(head)
-        for arrays in sections:
-            trailer = _write_section(fh, running, arrays)
-    return trailer
-
-
 def _head(magic: bytes, version: int, header: dict) -> bytes:
     """A record's bytes before its first section."""
     raw = json.dumps(header, sort_keys=True).encode()
     return magic + struct.pack("<BI", version, len(raw)) + raw
 
 
-def _write_section(fh, running, arrays) -> bytes:
-    """Write arrays in memory order and then their section's checksum, the
-    hash running over both; returns the checksum."""
-    for part in map(_memory_bytes, arrays):
+def _write_section(fh, running, arrays) -> None:
+    """Write arrays as C-ordered float64 and then their section's checksum,
+    the hash running over both."""
+    for x in arrays:
+        part = _memory_bytes(np.ascontiguousarray(x, dtype="<f8"))
         running.update(part)
         fh.write(part)
-    trailer = _checksum(running)
-    running.update(trailer)
-    fh.write(trailer)
-    return trailer
+    checksum = _checksum(running)
+    running.update(checksum)
+    fh.write(checksum)
 
 
 def _read_arrays(fh, running, shapes, path) -> list[np.ndarray]:
-    """Read float64 arrays of these shapes, each filled in F order, from fh,
-    the hash running over them."""
-    arrays = [np.empty(shape, dtype="<f8", order="F") for shape in shapes]
+    """Read C-ordered float64 arrays of these shapes from fh, the hash
+    running over them."""
+    arrays = [np.empty(shape, dtype="<f8") for shape in shapes]
     for view in map(_memory_bytes, arrays):
         if fh.readinto(view) != len(view):
             raise SpectrumChecksumError(f"{path}: file shrank while reading")
@@ -711,12 +697,13 @@ def _hash_through(fh, running, nbytes: int, path) -> None:
 
 def _read_record(fh, path, magic: bytes, version: int, layout, first_only=False):
     """Read one cache record from the start of the open binary file fh;
-    returns (header, sections, trailer).  path names it in errors.
+    returns (key, sections, trailer).  path names it in errors.
 
-    layout(header) returns the shapes of the float64 arrays of each section,
-    filled in F order (1-D and column-major arrays alike), or raises
-    SpectrumFormatError to reject the header, as do a wrong magic or
-    version; a wrong size or section checksum raises SpectrumChecksumError.
+    layout(header) returns (key, shapes): what the caller keeps of the
+    header, and the shapes of the C-ordered float64 arrays of each section;
+    or it raises SpectrumFormatError to reject the header, as do a wrong
+    magic or version.  A wrong size or section checksum raises
+    SpectrumChecksumError.
     With first_only, the sections after the first are neither read nor
     verified: the size is still checked, and the trailer is taken
     unverified from the file's last 8 bytes.
@@ -732,8 +719,7 @@ def _read_record(fh, path, magic: bytes, version: int, layout, first_only=False)
     (header_len,) = struct.unpack_from("<I", head, 9)
     header_raw = fh.read(header_len)
     try:
-        header = json.loads(header_raw)
-        shapes = layout(header)
+        key, shapes = layout(json.loads(header_raw))
     except (ValueError, TypeError, KeyError, SpectrumFormatError) as err:
         raise SpectrumFormatError(f"{path}: bad header: {err}") from err
     expected = _FIXED + header_len + sum(
@@ -747,13 +733,13 @@ def _read_record(fh, path, magic: bytes, version: int, layout, first_only=False)
     for i, section in enumerate(shapes):
         if i and first_only:
             fh.seek(size - 8)
-            return header, sections, fh.read(8)
+            return key, sections, fh.read(8)
         sections.append(_read_arrays(fh, running, section, path))
         trailer = _checksum(running)
         if trailer != fh.read(8):
             raise SpectrumChecksumError(f"{path}: checksum mismatch")
         running.update(trailer)
-    return header, sections, trailer
+    return key, sections, trailer
 
 
 class _Record:
@@ -827,14 +813,14 @@ def _spectrum_sector(header: dict):
 
 
 def _spectrum_layout(header: dict):
-    """Array shapes of a spectrum record: every E_b (and 2S_b), then every
-    V_b."""
-    blocks = _spectrum_sector(header)[2]
+    """The sector of a spectrum header (_spectrum_sector) and the record's
+    array shapes: every E_b (and 2S_b), then every V_b."""
+    sector = _spectrum_sector(header)
     spin = header["spin_resolved"]
     if not isinstance(spin, bool):
         raise SpectrumFormatError(f"spin_resolved is {spin!r}, not a bool")
-    levels = [(b.dim,) for b in blocks] * (2 if spin else 1)
-    return [levels, [(b.dim, b.dim) for b in blocks]]
+    levels = [(b.dim,) for b in sector[2]] * (2 if spin else 1)
+    return sector, [levels, [(b.dim, b.dim) for b in sector[2]]]
 
 
 def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
@@ -895,7 +881,6 @@ def save_spectrum(source, path, params: ModelParams | None = None) -> Spectrum:
             fh.seek(0)
             fh.write(head)
             running = hashlib.sha256(head)
-            levels = [np.ascontiguousarray(x, dtype="<f8") for x in levels]
             _write_section(fh, running, levels)
             _hash_through(fh, running, 8 * sum(b.dim**2 for b in blocks), path)
             trailer = _checksum(running)
@@ -945,10 +930,9 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
     record = _Record(path)
     try:
         with open(record.fd, "rb", closefd=False) as fh:
-            header, (section,), trailer = _read_record(
+            (params, n_up, blocks), (section,), trailer = _read_record(
                 fh, path, _MAGIC, _VERSION, _spectrum_layout, first_only=True
             )
-        params, n_up, blocks = _spectrum_sector(header)
         if expect_params is not None and (
             expect_params.n_sites != params.n_sites
             or expect_params.delta2 != params.delta2
@@ -967,14 +951,19 @@ def load_spectrum(path, expect_params: ModelParams | None = None) -> Spectrum:
     return _stored_spectrum(record, levels, basis_tag, params, trailer)
 
 
-def scan_cache_path(cache_dir, params: ModelParams, n_up: int, l1: int) -> str:
+def derived_path(
+    cache_dir, params: ModelParams, n_up: int, kind: str, name: str
+) -> str:
+    """The file of the `kind` record (_DERIVED) of the sector's spectrum
+    keyed `name` in its file name, so records of other keys keep theirs."""
+    suffix = _DERIVED[kind][0]
     return os.path.join(
         str(cache_dir),
-        f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}_l1={l1}.svn",
+        f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}_{name}.{suffix}",
     )
 
 
-def _keyed_header(spec: Spectrum, **keys) -> dict:
+def _keyed_header(spec: Spectrum, keys: dict) -> dict:
     """The header of a record computed from the cached spectrum spec: its
     sector and trailer, then the record's own keys."""
     if not spec.checksum:
@@ -991,90 +980,40 @@ def _keyed_header(spec: Spectrum, **keys) -> dict:
     }
 
 
-def save_scan(s_vn: np.ndarray, path, spec: Spectrum, l1: int, stacks=None) -> None:
-    """Write the full S_VN scan of a cached spectrum at l1, with the kets'
-    rho_A block stacks when given (subsystem_entropies with keep)."""
-    stacks = stacks or []
-    sections = [[np.ascontiguousarray(s_vn, dtype="<f8")]]
-    if stacks:
-        sections.append([np.ascontiguousarray(x, dtype="<f8") for x in stacks])
-    header = _keyed_header(spec, l1=l1, rdm_blocks=[x.shape[1] for x in stacks])
-    _write_record(path, _SCAN_MAGIC, _SCAN_VERSION, header, sections)
+def save_derived(path, kind: str, spec: Spectrum, keys: dict, sections) -> None:
+    """Write the `kind` record of the cached spectrum spec under keys,
+    atomically: `sections` is a list of array lists, each array written in
+    C order and each section followed by its checksum.  The temporary files
+    that dead writers of the same record left are removed first."""
+    _, magic, version = _DERIVED[kind]
+    head = _head(magic, version, _keyed_header(spec, keys))
+    running = hashlib.sha256(head)
+    _remove_dead_temps(path)
+    with atomic_write(path) as fh:
+        fh.write(head)
+        for arrays in sections:
+            _write_section(fh, running, arrays)
 
 
-def load_scan(path, spec: Spectrum, l1: int, sizes, first_only: bool = False):
-    """Read the scan file of (spec, l1) as (s_vn, stacks), verifying format
-    and checksums.
+def load_derived(path, kind: str, spec: Spectrum, keys: dict, shapes,
+                 first_only: bool = False) -> list:
+    """Read the `kind` record of spec under keys as its sections, each a
+    list of C-ordered arrays of the given shapes, verifying format and
+    checksums.
 
-    sizes are the n_a of the stacks the file must hold, those of
-    experiments.rdm_stack_sizes, so the layout follows from the sector and
-    l1 and not from the file.  stacks is None when sizes is empty, or with
-    first_only, which verifies and reads the S_VN section alone, as
-    load_spectrum does a spectrum's level section.  Magic, version or
-    header other than those save_scan writes for (spec, l1, sizes),
-    including a header naming another spectrum trailer, raises
-    SpectrumFormatError; a wrong size or checksum raises
-    SpectrumChecksumError.
+    With first_only, only the first section is read and verified, as
+    load_spectrum does a spectrum's level section.  Magic, version or a
+    header other than _keyed_header(spec, keys), one naming another
+    spectrum trailer included, raises SpectrumFormatError; a wrong size or
+    checksum raises SpectrumChecksumError.
     """
-    expected = _keyed_header(spec, l1=l1, rdm_blocks=list(sizes))
+    expected = _keyed_header(spec, keys)
 
     def layout(header):
         if header != expected:
-            raise SpectrumFormatError(f"not that of this spectrum at l1={l1}")
-        stacks = [[(n, n, spec.dim) for n in sizes]] if sizes else []
-        return [[(spec.dim,)], *stacks]
+            raise SpectrumFormatError(f"not that of this spectrum under {keys}")
+        return None, shapes
 
+    _, magic, version = _DERIVED[kind]
     with open(path, "rb") as fh:
-        sections = _read_record(
-            fh, path, _SCAN_MAGIC, _SCAN_VERSION, layout, first_only
-        )[1]
-    stacks = [x.T for x in sections[1]] if len(sections) > 1 else None
-    return sections[0][0], stacks
-
-
-def volume_law_cache_path(
-    cache_dir, params: ModelParams, n_up: int, n_bins: int, l1_values
-) -> str:
-    """One file per key, so sweeps of other bins or l1 lists keep theirs."""
-    l1 = ",".join(str(int(x)) for x in sorted(l1_values))
-    return os.path.join(
-        str(cache_dir),
-        f"N{params.n_sites}_nup{n_up}_d2{params.delta2:g}_bins={n_bins}_l1={l1}.vlw",
-    )
-
-
-def _volume_law_header(spec: Spectrum, n_bins: int, l1_values, shell) -> dict:
-    return _keyed_header(
-        spec, n_bins=n_bins, l1=[int(x) for x in l1_values],
-        shell=[int(shell[0]), len(shell)],
-    )
-
-
-def save_volume_law(
-    s_vn: np.ndarray, path, spec: Spectrum, n_bins: int, l1_values, shell
-) -> None:
-    """Write a cached spectrum's volume-law sweep: s_vn (d_E, n_l1) holds
-    the S_VN of each ket of shell, the mid shell's eigenindices
-    (experiments.mid_shell of the n_bins DOS table), at each ascending l1."""
-    sections = [[np.asfortranarray(s_vn, dtype="<f8")]]
-    header = _volume_law_header(spec, n_bins, l1_values, shell)
-    _write_record(path, _VLAW_MAGIC, _VLAW_VERSION, header, sections)
-
-
-def load_volume_law(path, spec: Spectrum, n_bins: int, l1_values, shell):
-    """Read the volume-law file of (spec, n_bins, l1_values, shell) as its
-    (d_E, n_l1) S_VN, each column contiguous, verifying format and checksum.
-
-    A header other than save_volume_law's for this spectrum trailer, n_bins,
-    ascending l1 list and mid shell raises SpectrumFormatError; a wrong size
-    or checksum raises SpectrumChecksumError.
-    """
-    expected = _volume_law_header(spec, n_bins, l1_values, shell)
-
-    def layout(header):
-        if header != expected:
-            raise SpectrumFormatError(f"not that of this spectrum at n_bins={n_bins}")
-        return [[(len(shell), len(l1_values))]]
-
-    with open(path, "rb") as fh:
-        return _read_record(fh, path, _VLAW_MAGIC, _VLAW_VERSION, layout)[1][0][0]
+        return _read_record(fh, path, magic, version, layout, first_only)[1]

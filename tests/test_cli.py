@@ -24,14 +24,7 @@ import oracles
 from entroscope import cli, properties
 from entroscope.cli import CACHE_DIR_ENV, TABLES, _acquire_lock, main
 from entroscope.config import EXPERIMENTS, parse_config
-from entroscope.spectral import (
-    load_scan,
-    load_spectrum,
-    load_volume_law,
-    save_scan,
-    scan_cache_path,
-    volume_law_cache_path,
-)
+from entroscope.spectral import derived_path, load_derived, load_spectrum, save_derived
 
 
 @pytest.fixture(autouse=True)
@@ -716,13 +709,13 @@ def test_indefinite_rdm_blocks_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
     assert main(["eigenket-scan", *SCAN_ARGS, "--out", str(tmp_path / "fill")]) == 0
     spec = load_spectrum(es.spectrum_cache_path(cache, SCAN_PARAMS, 4), SCAN_PARAMS)
-    path = scan_cache_path(cache, SCAN_PARAMS, 4, 2)
-    s_vn, stacks = load_scan(path, spec, 2, (1, 2))
+    path = derived_path(cache, SCAN_PARAMS, 4, "scan", "l1=2")
+    [s_vn], stacks = load_derived(path, "scan", spec, SCAN_KEYS, SCAN_SHAPES)
     shell = es.partition_shells(spec, 6).members(0)
     stacks = [np.array(x) for x in stacks]
     for x in stacks:
         x[shell] *= -1.0
-    save_scan(s_vn, path, spec, 2, stacks)
+    save_derived(path, "scan", spec, SCAN_KEYS, [[s_vn], stacks])
     out = tmp_path / "warm"
     assert main(["shell-average", *SCAN_ARGS, "--out", str(out)]) == 3
     record = json.loads(capsys.readouterr().err.strip())
@@ -742,6 +735,10 @@ SCAN_TABLES = {
 }
 SCAN_ARGS = ["--n-sites", "8", "--delta2", "0.5", "--bins", "6", "--min-count", "1"]
 SCAN_PARAMS = es.ModelParams(n_sites=8, delta2=0.5)
+# Header keys and section shapes of its scan record at l1=2: S_VN of the 70
+# kets, then their rho_A block stacks of n_a 1 and 2.
+SCAN_KEYS = {"l1": 2, "rdm_blocks": [1, 2]}
+SCAN_SHAPES = [[(70,)], [(70, 1, 1), (70, 2, 2)]]
 
 
 def test_version_2_cache_file_is_rebuilt(tmp_path, monkeypatch):
@@ -894,7 +891,7 @@ def _damage_wrong_l1(path, tmp_path):
     # A valid scan of the same spectrum at l1=3, under the l1=2 name.
     out = tmp_path / "l1=3"
     assert main(["eigenket-scan", *SCAN_ARGS, "--l1", "3", "--out", str(out)]) == 0
-    other = scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 3)
+    other = tmp_path / "cache" / "N8_nup4_d20.5_l1=3.svn"
     os.replace(other, path)
 
 
@@ -924,7 +921,8 @@ def test_bad_scan_file_is_recomputed_and_overwritten(
     assert scan_calls == [("N8_nup4", None)]
     spec = load_spectrum(es.spectrum_cache_path(tmp_path / "cache", SCAN_PARAMS, 4))
     want = es.subsystem_entropies(spec, es.BipartitionSpec(8, 2))
-    assert load_scan(path, spec, 2, (1, 2))[0].tobytes() == want.tobytes()
+    [s_vn], _ = load_derived(path, "scan", spec, SCAN_KEYS, SCAN_SHAPES)
+    assert s_vn.tobytes() == want.tobytes()
     _, rows = _read_csv(out / "eigenket_scan_d2=0.5.csv")
     assert [float(r[2]) for r in rows] == want.tolist()
 
@@ -1026,7 +1024,7 @@ def test_damaged_eigenvector_section_is_rebuilt_and_rekeys_the_scan(
         assert main([rebuilder, *SCAN_ARGS, "--out", str(out)]) == 0
         details = _manifest(out)["details"]["d2=0.5"]
         assert (details["spectrum"], details["rdm"]) == ("cache", "record")
-        os.unlink(scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 2))
+        os.unlink(tmp_path / "cache" / "N8_nup4_d20.5_l1=2.svn")
     # The full reader rejects it, and the run rebuilds it.  Its eigenvectors
     # come back with other signs, as another LAPACK may return them, so the
     # new file has another trailer and the old scan no longer counts.
@@ -1214,7 +1212,7 @@ def test_damaged_stack_section_is_seen_only_by_shell_average(
 ):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     first, _ = _scan_tables(tmp_path / "a")
-    path = Path(scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 2))
+    path = tmp_path / "cache" / "N8_nup4_d20.5_l1=2.svn"
     raw, s_end, header = _scan_sections(path)
     assert header["rdm_blocks"] == [1, 2]
     damaged = bytearray(raw)
@@ -1244,7 +1242,7 @@ def test_version_1_scan_record_is_rebuilt(tmp_path, monkeypatch, scan_calls):
     # Version 1 held S_VN alone, under a header without rdm_blocks.
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     first, _ = _scan_tables(tmp_path / "a")
-    path = Path(scan_cache_path(tmp_path / "cache", SCAN_PARAMS, 4, 2))
+    path = tmp_path / "cache" / "N8_nup4_d20.5_l1=2.svn"
     raw, s_end, header = _scan_sections(path)
     del header["rdm_blocks"]
     text = json.dumps(header, sort_keys=True).encode()
@@ -1396,10 +1394,8 @@ def test_warm_volume_law_reads_no_eigenvector(tmp_path, monkeypatch):
     assert asked == [0, 0] * 2
 
 
-def _vlaw_path(tmp_path, n_bins=6, l1_values=(1, 2, 3, 4)):
-    return Path(volume_law_cache_path(
-        tmp_path / "cache", SCAN_PARAMS, 4, n_bins, l1_values
-    ))
+def _vlaw_path(tmp_path, name="N8_nup4_d20.5_bins=6_l1=1,2,3,4.vlw"):
+    return tmp_path / "cache" / name
 
 
 def _vlaw_flipped_byte(path, tmp_path):
@@ -1470,8 +1466,8 @@ def test_volume_law_records_of_other_keys_sit_side_by_side(tmp_path, monkeypatch
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     keys = {
         (): _vlaw_path(tmp_path),
-        ("--bins", "5"): _vlaw_path(tmp_path, n_bins=5),
-        ("--l1-range", "3,1"): _vlaw_path(tmp_path, l1_values=(1, 3)),
+        ("--bins", "5"): _vlaw_path(tmp_path, "N8_nup4_d20.5_bins=5_l1=1,2,3,4.vlw"),
+        ("--l1-range", "3,1"): _vlaw_path(tmp_path, "N8_nup4_d20.5_bins=6_l1=1,3.vlw"),
     }
     tables = {}
     for extra, path in keys.items():
@@ -1502,23 +1498,26 @@ def test_volume_law_record_holds_the_mid_shell_sweep(tmp_path, monkeypatch):
     spec = load_spectrum(spec_path)
     dos = es.partition_shells(spec, 6)
     members = dos.members(dos.peak_index())
-    path = _vlaw_path(tmp_path, l1_values=(1, 2, 3))
-    s_vn = load_volume_law(path, load_spectrum(spec_path), 6, [1, 2, 3], members)
+    path = _vlaw_path(tmp_path, "N8_nup4_d20.5_bins=6_l1=1,2,3.vlw")
+    keys = {"n_bins": 6, "l1": [1, 2, 3], "shell": [int(members[0]), len(members)]}
+    shapes = [[(3, len(members))]]
+    [[s_vn]] = load_derived(path, "volume_law", load_spectrum(spec_path), keys, shapes)
     for i, l1 in enumerate((1, 2, 3)):
         want = es.subsystem_entropies(spec, es.BipartitionSpec(8, l1), members)
-        assert s_vn[:, i].tobytes() == want.tobytes()
+        assert s_vn[i].tobytes() == want.tobytes()
     # A record whose shell is not the one the DOS table puts at the peak
     # (forged, valid checksums) is refused at lookup and rebuilt; the table
     # is unchanged.
     table = (tmp_path / "out" / VLAW_TABLE).read_bytes()
     forged = members + 1
-    es.spectral.save_volume_law(s_vn, path, spec, 6, [1, 2, 3], forged)
+    es.spectral.save_derived(path, "volume_law", spec,
+                             keys | {"shell": [int(forged[0]), len(forged)]}, [[s_vn]])
     with pytest.raises(es.SpectrumFormatError):
-        load_volume_law(path, spec, 6, [1, 2, 3], members)
+        load_derived(path, "volume_law", spec, keys, shapes)
     out = tmp_path / "again"
     assert main([*argv, "--out", str(out)]) == 0
     assert _manifest(out)["details"]["d2=0.5"]["volume_law"] == "built"
-    rebuilt = load_volume_law(path, spec, 6, [1, 2, 3], members)
+    [[rebuilt]] = load_derived(path, "volume_law", spec, keys, shapes)
     assert rebuilt.tobytes() == s_vn.tobytes()
     assert (out / VLAW_TABLE).read_bytes() == table
 

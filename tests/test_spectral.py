@@ -23,12 +23,9 @@ from entroscope.hamiltonian import SymmetricOperator
 from entroscope.spectral import (
     Spectrum,
     atomic_write,
-    load_scan,
-    load_volume_law,
-    save_scan,
-    save_volume_law,
-    scan_cache_path,
-    volume_law_cache_path,
+    derived_path,
+    load_derived,
+    save_derived,
 )
 
 
@@ -193,18 +190,33 @@ def test_cache_files_give_the_spectrum_its_trailer(tmp_path):
     assert es.load_spectrum(path).checksum == trailer
 
 
+def _scan_key(spec, l1, sizes):
+    """(keys, section shapes) of the scan record of spec at l1 whose rho_A
+    block stacks have these n_a, as the CLI gives them."""
+    shapes = [[(spec.dim,)]] + ([[(spec.dim, n, n) for n in sizes]] if sizes else [])
+    return {"l1": l1, "rdm_blocks": list(sizes)}, shapes
+
+
+def _vlaw_key(n_bins, l1_values, shell):
+    """(keys, section shapes) of the volume-law record of this sweep."""
+    keys = {"n_bins": n_bins, "l1": list(l1_values),
+            "shell": [int(shell[0]), len(shell)]}
+    return keys, [[(len(l1_values), len(shell))]]
+
+
 def test_scan_file_round_trip_and_key(tmp_path):
     spec, _, params = _spec(6, 3, 0.5)
     s_vn, stacks = es.subsystem_entropies(spec, es.BipartitionSpec(6, 2), keep=True)
     sizes = (1, 2)  # n_a of the blocks k = 0, 1; k = 2 is k = 0's flip mirror
     assert [x.shape for x in stacks] == [(spec.dim, n, n) for n in sizes]
-    scan = scan_cache_path(tmp_path, params, 3, 2)
+    scan = derived_path(tmp_path, params, 3, "scan", "l1=2")
     assert scan.endswith("N6_nup3_d20.5_l1=2.svn")
+    keys, shapes = _scan_key(spec, 2, sizes)
     with pytest.raises(ValueError, match="never cached"):
-        save_scan(s_vn, scan, spec, 2, stacks)
+        save_derived(scan, "scan", spec, keys, [[s_vn], stacks])
     path = es.spectrum_cache_path(tmp_path, params, 3)
     spec = es.save_spectrum(spec, path)
-    save_scan(s_vn, scan, spec, 2, stacks)
+    save_derived(scan, "scan", spec, keys, [[s_vn], stacks])
     with open(scan, "rb") as fh:
         raw = fh.read()
     assert raw[:9] == b"ENTROSVN\x02"
@@ -215,19 +227,20 @@ def test_scan_file_round_trip_and_key(tmp_path):
     s_end = 13 + header_len + 8 * spec.dim
     assert raw[s_end + 8 :].startswith(b"".join(x.tobytes() for x in stacks))
     assert len(raw) == s_end + 8 + 8 * spec.dim * (1 + 4) + 8
-    got, got_stacks = load_scan(scan, spec, 2, sizes)
+    [got], got_stacks = load_derived(scan, "scan", spec, keys, shapes)
     assert got.tobytes() == s_vn.tobytes()
     assert [x.tobytes() for x in got_stacks] == [x.tobytes() for x in stacks]
     assert all(x.shape == y.shape for x, y in zip(got_stacks, stacks))
-    got, got_stacks = load_scan(scan, spec, 2, sizes, first_only=True)
-    assert got.tobytes() == s_vn.tobytes() and got_stacks is None
+    assert all(x.flags.c_contiguous for x in got_stacks)
+    [got], *rest = load_derived(scan, "scan", spec, keys, shapes, first_only=True)
+    assert got.tobytes() == s_vn.tobytes() and rest == []
     with pytest.raises(es.SpectrumFormatError):
-        load_scan(scan, spec, 3, sizes)
+        load_derived(scan, "scan", spec, *_scan_key(spec, 3, sizes))
     with pytest.raises(es.SpectrumFormatError):
-        load_scan(scan, replace(spec, checksum=bytes(8)), 2, sizes)
+        load_derived(scan, "scan", replace(spec, checksum=bytes(8)), keys, shapes)
     # The stack layout comes from the caller's sizes, never from the file.
     with pytest.raises(es.SpectrumFormatError):
-        load_scan(scan, spec, 2, (1,))
+        load_derived(scan, "scan", spec, *_scan_key(spec, 2, (1,)))
 
 
 def test_volume_law_file_round_trip_and_key(tmp_path):
@@ -235,13 +248,14 @@ def test_volume_law_file_round_trip_and_key(tmp_path):
     dos = es.partition_shells(spec, 4)
     vt = es.run_volume_law(spec, dos, [3, 1])
     shell = es.mid_shell(dos)
-    record = volume_law_cache_path(tmp_path, params, 3, 4, [3, 1])
+    record = derived_path(tmp_path, params, 3, "volume_law", "bins=4_l1=1,3")
     assert record.endswith("N6_nup3_d20.5_bins=4_l1=1,3.vlw")
+    keys, shapes = _vlaw_key(4, vt.l1.tolist(), shell)
     with pytest.raises(ValueError, match="never cached"):
-        save_volume_law(vt.s_vn, record, spec, 4, vt.l1, shell)
+        save_derived(record, "volume_law", spec, keys, [[vt.s_vn.T]])
     path = es.spectrum_cache_path(tmp_path, params, 3)
     spec = es.save_spectrum(spec, path)
-    save_volume_law(vt.s_vn, record, spec, 4, vt.l1, shell)
+    save_derived(record, "volume_law", spec, keys, [[vt.s_vn.T]])
     with open(record, "rb") as fh:
         raw = fh.read()
     assert raw[:9] == b"ENTROVLW\x01"
@@ -253,19 +267,19 @@ def test_volume_law_file_round_trip_and_key(tmp_path):
     assert raw[13 + header_len : -8] == vt.s_vn.tobytes(order="F")
     # Keyed by what the loaded levels, the config and its DOS table give.
     levels = es.load_spectrum(path)
-    s_vn = load_volume_law(record, levels, 4, [1, 3], shell)
-    assert s_vn.tobytes() == vt.s_vn.tobytes()
-    assert s_vn.shape == (vt.d_e, 2) and s_vn.flags.f_contiguous
+    [[s_vn]] = load_derived(record, "volume_law", levels, *_vlaw_key(4, [1, 3], shell))
+    assert s_vn.T.tobytes() == vt.s_vn.tobytes()
+    assert s_vn.T.shape == (vt.d_e, 2) and s_vn.T.flags.f_contiguous
     for other in [(levels, 5, [1, 3], shell), (levels, 4, [1, 2], shell),
                   (levels, 4, [3, 1], shell),
                   (replace(levels, checksum=bytes(8)), 4, [1, 3], shell)]:
         with pytest.raises(es.SpectrumFormatError):
-            load_volume_law(record, *other)
+            load_derived(record, "volume_law", other[0], *_vlaw_key(*other[1:]))
     # Another shell, by its first eigenindex or by its size, is refused too:
     # a record of another DOS table's mid shell is never found.
     for forged in (shell + 1, shell[:-1], np.append(shell, shell[-1] + 1)):
         with pytest.raises(es.SpectrumFormatError):
-            load_volume_law(record, levels, 4, [1, 3], forged)
+            load_derived(record, "volume_law", levels, *_vlaw_key(4, [1, 3], forged))
 
 
 RECORD_KINDS = ["spectrum", "scan", "volume-law"]
@@ -282,13 +296,16 @@ def _record(kind):
     if kind == "volume-law":
         dos = es.partition_shells(spec, 2)
         vt = es.run_volume_law(spec, dos, [1, 2, 3])
-        shell = es.mid_shell(dos)
+        keys, shapes = _vlaw_key(2, [1, 2, 3], es.mid_shell(dos))
+        sections = [[vt.s_vn.T]]
         return (b"ENTROVLW", 1,
-                lambda path: save_volume_law(vt.s_vn, path, spec, 2, vt.l1, shell),
-                lambda path: load_volume_law(path, spec, 2, [1, 2, 3], shell))
+                lambda path: save_derived(path, "volume_law", spec, keys, sections),
+                lambda path: load_derived(path, "volume_law", spec, keys, shapes))
     s_vn, stacks = es.subsystem_entropies(spec, es.BipartitionSpec(4, 1), keep=True)
-    return (b"ENTROSVN", 2, lambda path: save_scan(s_vn, path, spec, 1, stacks),
-            lambda path: load_scan(path, spec, 1, (1,)))
+    keys, shapes = _scan_key(spec, 1, (1,))
+    return (b"ENTROSVN", 2,
+            lambda path: save_derived(path, "scan", spec, keys, [[s_vn], stacks]),
+            lambda path: load_derived(path, "scan", spec, keys, shapes))
 
 
 @pytest.mark.parametrize("kind", RECORD_KINDS)
@@ -370,6 +387,21 @@ def test_each_reader_checks_its_sections(tmp_path):
         es.load_spectrum(tmp_path / "v2")
     with pytest.raises(es.SpectrumFormatError, match="expected"):
         es.load_spectrum(good, expect_params=es.ModelParams(n_sites=4, delta2=0.5))
+
+
+def test_a_load_parses_the_header_sector_once(tmp_path, monkeypatch):
+    # The sector the layout reads from the header (params, n_up, symmetry
+    # blocks) is the one the load returns: no second parse per load.
+    spec, _, params = _spec(6, 3, 0.5)
+    path = tmp_path / "s.spec"
+    es.save_spectrum(spec, path)
+    calls = []
+    sector = spectral._spectrum_sector
+    monkeypatch.setattr(spectral, "_spectrum_sector",
+                        lambda header: calls.append(header) or sector(header))
+    for n in (1, 2, 3):
+        assert es.load_spectrum(path, params).dim == spec.dim
+        assert len(calls) == n
 
 
 def test_a_spectrum_without_eigenvectors_says_so(tmp_path):
@@ -894,7 +926,8 @@ import oracles
 spec = replace(oracles.dense_spectrum(np.arange(20.0), basis_tag="N6_nup3",
                                       params=es.ModelParams(6, 0.0)), checksum=b"k" * 8)
 for i in range(int(sys.argv[2])):
-    es.spectral.save_scan(np.full(20, float(i)), sys.argv[1], spec, 1)
+    es.spectral.save_derived(sys.argv[1], "scan", spec, {"l1": 1, "rdm_blocks": []},
+                             [[np.full(20, float(i))]])
 """
 
 
@@ -916,7 +949,8 @@ def test_concurrent_writers_of_one_record_keep_each_others_temp_files(tmp_path):
                                params=es.ModelParams(6, 0.0)),
         checksum=b"k" * 8,
     )
-    assert load_scan(path, spec, 1, ())[0].tolist() == [299.0] * 20
+    [[s_vn]] = load_derived(path, "scan", spec, *_scan_key(spec, 1, ()))
+    assert s_vn.tolist() == [299.0] * 20
 
 
 def test_table_kernels_never_form_the_eigenvector_matrix():
